@@ -10,7 +10,8 @@ manifest embeds the canonical config text and its hash; `replay` recomputes
 the CSV from the manifest alone and refuses to run across version or config
 drift.
 
-Exit codes: 0 all checks pass, 1 any check fails, 2 config or replay error.
+Exit codes: 0 all checks pass, 1 any check fails, 2 config or replay error,
+3 an experiment raised (ExperimentError: a solver or sampler failed).
 """
 
 import argparse
@@ -24,7 +25,6 @@ import os
 import platform
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +39,8 @@ from .covariance import (
     StationaryPower,
     gaussian_profile,
 )
-from .dual import PoissonClock, _stream_rng, evolve_dual, pair_with_measure, third_moment_scan
+from .dual import dual_route_samples, laplace_via_dual, laplace_via_log_laplace, third_moment_scan
+from .ensemble import map_batches, mean_se
 from .feynmankac import (
     AtomicMeasure,
     MCConfig,
@@ -59,7 +60,8 @@ from .heatkernel import (
 )
 from .particles import BranchingConfig, empirical_pairing, run_ensemble
 from .readouts import ConstantReadout, parse_readout
-from .spde import NoisePath, derivative_quotient, solve_log_laplace, solve_pam, solve_stratonovich_pam
+from .spde import (NoisePath, batch_noise, derivative_quotient, solve_log_laplace, solve_pam,
+                   solve_stratonovich_pam)
 
 __all__ = [
     "ConfigError",
@@ -74,7 +76,6 @@ __all__ = [
     "main",
 ]
 
-_BATCH = 32  # replicas per worker batch; fixed so reduction order never moves
 _REQUIRED_SECTIONS = ("experiment", "kernel", "grid", "scheme", "mc", "readouts", "output")
 _CSV_HEADER = "experiment,check,estimate,dispersion,passed,seed,config_hash"
 # derived sub-streams so the independent estimators inside one experiment
@@ -84,6 +85,8 @@ _SEED_ORACLE = 202
 _SEED_LEFT = 11
 _SEED_RIGHT = 22
 _GUARD = 1e-9  # roundoff allowance added to k*SE gates (SE can be exactly 0)
+# closed-form persistence thresholds 8(d-2)pi^(d/2) / (d 2^d Gamma(d/2-1))
+_THRESHOLD_TARGETS = {3: math.pi / 3.0, 4: math.pi**2 / 4.0, 5: 3.0 * math.pi**2 / 10.0}
 
 
 class ConfigError(ValueError):
@@ -310,29 +313,6 @@ def _config_from_parser(parser, out_override: str = None) -> ExperimentConfig:
     )
 
 
-# ---------------------------------------------------------------- worker pool
-
-
-def _ranges(total: int, batch: int = _BATCH) -> list:
-    return [(lo, min(lo + batch, total)) for lo in range(0, total, batch)]
-
-
-def _pool_map(fn, jobs: list, workers: int) -> list:
-    """Ordered map over picklable jobs; the pool only affects who computes."""
-    if workers <= 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
-
-
-def _mean_se(values: np.ndarray) -> tuple:
-    values = np.asarray(values, dtype=float)
-    values = values[np.isfinite(values)]
-    if values.size < 2:
-        raise ExperimentError("fewer than two finite replicas; cannot form an SE")
-    return float(values.mean()), float(values.std(ddof=1)) / math.sqrt(values.size)
-
-
 def _gate(gap: float, scale: float, k: float) -> bool:
     return abs(gap) <= k * scale + _GUARD
 
@@ -352,9 +332,8 @@ def _experiment(name):
 
 @_experiment("threshold-table")
 def _threshold_table(cfg: ExperimentConfig, workers: int) -> list:
-    targets = {3: math.pi / 3.0, 4: math.pi**2 / 4.0, 5: 3.0 * math.pi**2 / 10.0}
     rows = []
-    for d, target in targets.items():
+    for d, target in _THRESHOLD_TARGETS.items():
         est = persistence_threshold(d)
         rows.append(CheckRow(f"threshold-d{d}", est, 1e-12, abs(est - target) <= 1e-12))
     theta = riesz_potential_sup(IndicatorBall(radius=1.0, height=1.0), 3)
@@ -374,8 +353,7 @@ class _PairingStat:
         return np.array([first, second])
 
 
-def _particle_batch(job):
-    bc, t, readout, seed, lo, hi = job
+def _particle_batch(bc, t, readout, seed, b, lo, hi):
     rows, blowups = run_ensemble(bc, [t], seed, hi - lo, _PairingStat(readout),
                                  first_replica=lo)
     return rows, len(blowups)
@@ -391,12 +369,11 @@ def _moments_triangle(cfg: ExperimentConfig, workers: int) -> list:
     bc = BranchingConfig(n=scale_n, dim=d, kernel=cfg.kernel,
                          initial=np.zeros((scale_n, d)), horizon=t,
                          max_population=int(cfg.param("cap", 2_000_000)))
-    jobs = [(bc, t, f, cfg.seed, lo, hi) for lo, hi in _ranges(cfg.replicas)]
-    parts = _pool_map(_particle_batch, jobs, workers)
+    parts = map_batches(_particle_batch, cfg.replicas, (bc, t, f, cfg.seed), workers)
     stats = np.concatenate([rows for rows, _ in parts], axis=0)
     breaches = sum(b for _, b in parts)
-    m1, se1 = _mean_se(stats[:, 0])
-    m2, se2 = _mean_se(stats[:, 1])
+    m1, se1 = mean_se(stats[:, 0])
+    m2, se2 = mean_se(stats[:, 1])
 
     delta = AtomicMeasure.delta(np.zeros(d))
     mc = MCConfig(n_paths=cfg.paths, dt=cfg.param("mc_dt", 0.0125),
@@ -423,9 +400,8 @@ def _moments_triangle(cfg: ExperimentConfig, workers: int) -> list:
     return rows
 
 
-def _pam_center_batch(job):
-    f, kernel, t, dt, seed, order, b, lo, hi = job
-    noise = NoisePath(f.grid, kernel, dt, seed, n_replicas=hi - lo, stream_key=(b,))
+def _pam_center_batch(f, kernel, t, dt, seed, order, b, lo, hi):
+    noise = batch_noise(f.grid, kernel, dt, seed, b, lo, hi)
     sol = solve_pam(f, t, noise, order=order)
     origin = np.zeros(f.grid.dim)
     vals = np.array([GridFunction(f.grid, v).at(origin) for v in sol.values[-1]])
@@ -436,11 +412,10 @@ def _pam_center_batch(job):
 def _pam_oracle(cfg: ExperimentConfig, workers: int) -> list:
     t = cfg.param("t", 1.0)
     f = GridFunction.from_callable(cfg.grid, cfg.readout)
-    jobs = [(f, cfg.kernel, t, cfg.dt, cfg.seed, cfg.ordering, b, lo, hi)
-            for b, (lo, hi) in enumerate(_ranges(cfg.replicas))]
-    stats = np.concatenate(_pool_map(_pam_center_batch, jobs, workers), axis=0)
-    m1, se1 = _mean_se(stats[:, 0])
-    m2, se2 = _mean_se(stats[:, 1])
+    args = (f, cfg.kernel, t, cfg.dt, cfg.seed, cfg.ordering)
+    stats = np.concatenate(map_batches(_pam_center_batch, cfg.replicas, args, workers), axis=0)
+    m1, se1 = mean_se(stats[:, 0])
+    m2, se2 = mean_se(stats[:, 1])
     origin = np.zeros(cfg.grid.dim)
     target1 = float(heat_at_points(cfg.readout, t, origin, cfg.grid.dim)[0])
     mc = MCConfig(n_paths=cfg.paths, dt=cfg.param("mc_dt", 0.0125),
@@ -464,9 +439,8 @@ def _pam_oracle(cfg: ExperimentConfig, workers: int) -> list:
     return rows
 
 
-def _comparison_batch(job):
-    f, kernel, t, dt, seed, order, lambdas, delta, save_every, b, lo, hi = job
-    noise = NoisePath(f.grid, kernel, dt, seed, n_replicas=hi - lo, stream_key=(b,))
+def _comparison_batch(f, kernel, t, dt, seed, lambdas, delta, save_every, b, lo, hi):
+    noise = batch_noise(f.grid, kernel, dt, seed, b, lo, hi)
     agg = []
     for lam in lambdas:
         pair = derivative_quotient(f, lam, delta, t, noise, save_every=save_every)
@@ -488,9 +462,8 @@ def _comparison_suite(cfg: ExperimentConfig, workers: int) -> list:
     delta = cfg.param("delta", 0.1)
     save_every = max(1, round(t / cfg.dt / 8))
     f = GridFunction.from_callable(cfg.grid, cfg.readout)
-    jobs = [(f, cfg.kernel, t, cfg.dt, cfg.seed, cfg.ordering, lambdas, delta,
-             save_every, b, lo, hi) for b, (lo, hi) in enumerate(_ranges(cfg.replicas))]
-    margins = np.min(_pool_map(_comparison_batch, jobs, workers), axis=0)
+    args = (f, cfg.kernel, t, cfg.dt, cfg.seed, lambdas, delta, save_every)
+    margins = np.min(map_batches(_comparison_batch, cfg.replicas, args, workers), axis=0)
     names = ("u-nonnegative", "u-below-lambda-linear", "u-monotone-in-lambda",
              "quotient-nonnegative", "quotient-below-linear")
     rows = []
@@ -512,9 +485,8 @@ def _comparison_suite(cfg: ExperimentConfig, workers: int) -> list:
     return rows
 
 
-def _log_laplace_mean_batch(job):
-    phi, kernel, t, dt, seed, b, lo, hi = job
-    noise = NoisePath(phi.grid, kernel, dt, seed, n_replicas=hi - lo, stream_key=(b,))
+def _log_laplace_mean_batch(phi, kernel, t, dt, seed, b, lo, hi):
+    noise = batch_noise(phi.grid, kernel, dt, seed, b, lo, hi)
     sol = solve_log_laplace(phi, 1.0, t, noise)
     axes = tuple(range(1, sol.values[-1].ndim))
     return sol.values[-1].mean(axis=axes)
@@ -536,10 +508,9 @@ def _extinction_scan(cfg: ExperimentConfig, workers: int) -> list:
         rows.append(CheckRow(f"absorbing-closed-form-k{k:g}", err, 1e-6, err <= 1e-6))
     for k in ks:
         phi = GridFunction.constant(cfg.grid, k)
-        jobs = [(phi, cfg.kernel, t, cfg.dt, cfg.seed, b, lo, hi)
-                for b, (lo, hi) in enumerate(_ranges(cfg.replicas))]
-        means = np.concatenate(_pool_map(_log_laplace_mean_batch, jobs, workers))
-        mean, se = _mean_se(means)
+        args = (phi, cfg.kernel, t, cfg.dt, cfg.seed)
+        means = np.concatenate(map_batches(_log_laplace_mean_batch, cfg.replicas, args, workers))
+        mean, se = mean_se(means)
         bound = 1.0 / (t / 2.0 + 1.0 / k)
         rows.append(CheckRow(f"jensen-bound-k{k:g}", mean, se,
                              mean <= bound + 3.0 * se + _GUARD))
@@ -561,12 +532,11 @@ def _persistence_scan(cfg: ExperimentConfig, workers: int) -> list:
     if d < 3:
         raise ConfigError("persistence-scan requires grid dimension >= 3")
     strengths = cfg.param_tuple("strengths", (0.5, 1.0, 2.0, 4.0))
-    targets = {3: math.pi / 3.0, 4: math.pi**2 / 4.0, 5: 3.0 * math.pi**2 / 10.0}
     threshold = persistence_threshold(d)
     rows = []
-    if d in targets:
+    if d in _THRESHOLD_TARGETS:
         rows.append(CheckRow(f"threshold-d{d}", threshold, 1e-12,
-                             abs(threshold - targets[d]) <= 1e-12))
+                             abs(threshold - _THRESHOLD_TARGETS[d]) <= 1e-12))
     base = riesz_potential_sup(_scale_kernel(cfg.kernel, 1.0), d)
     rows.append(CheckRow("theta-base", base, 0.0, np.isfinite(base) and base > 0))
     worst_rel = 0.0
@@ -584,64 +554,34 @@ def _persistence_scan(cfg: ExperimentConfig, workers: int) -> list:
     return rows
 
 
-def _dual_route_batch(job):
-    phi, mu, t, n, kernel, seed, dt, lo, hi = job
-    return np.array([
-        math.exp(-pair_with_measure(
-            evolve_dual(phi, t, n, kernel, seed, dt=dt, stream=(r,)).y, mu))
-        for r in range(lo, hi)
-    ])
-
-
-def _laplace_route_batch(job):
-    phi, mu, t, kernel, seed, dt, b, lo, hi = job
-    noise = NoisePath(phi.grid, kernel, dt, seed, n_replicas=hi - lo, stream_key=(b,))
-    final = solve_log_laplace(phi, 1.0, t, noise).values[-1]
-    return np.exp(-np.array([
-        pair_with_measure(GridFunction(phi.grid, u), mu) for u in final
-    ]))
-
-
 @_experiment("duality-ladder")
 def _duality_ladder(cfg: ExperimentConfig, workers: int) -> list:
     t = cfg.param("t", 0.5)
     ladder = cfg.param_tuple("n_ladder", (10.0, 40.0, 160.0))
     phi = GridFunction.from_callable(cfg.grid, cfg.readout)
     mu = (np.array([1.0]), np.zeros((1, cfg.grid.dim)))
+    left_seed, right_seed = cfg.seed + _SEED_LEFT, cfg.seed + _SEED_RIGHT
     rows = []
 
     zero = GridFunction.constant(cfg.grid, float(np.max(phi.values)))
-    left0 = _laplace_route_batch((zero, mu, t, Constant(0.0),
-                                  cfg.seed + _SEED_LEFT, cfg.dt, 0, 0, 8))
-    right0 = _dual_route_batch((zero, mu, t, ladder[0], Constant(0.0),
-                                cfg.seed + _SEED_RIGHT, cfg.dt, 0, 8))
-    l0, l0_se = _mean_se(left0)
-    r0, r0_se = _mean_se(right0)
+    l0, l0_se = laplace_via_log_laplace(zero, mu, t, Constant(0.0), left_seed, 8, cfg.dt)
+    r0, r0_se = laplace_via_dual(zero, mu, t, ladder[0], Constant(0.0), right_seed, 8, cfg.dt)
     gap0, gap0_se = abs(l0 - r0), math.hypot(l0_se, r0_se)
     rows.append(CheckRow("zero-kernel-gap", gap0, gap0_se,
                          gap0 <= 2.0 * gap0_se + 1e-12))
 
-    left_jobs = [(phi, mu, t, cfg.kernel, cfg.seed + _SEED_LEFT, cfg.dt, b, lo, hi)
-                 for b, (lo, hi) in enumerate(_ranges(cfg.replicas))]
-    left = np.concatenate(_pool_map(_laplace_route_batch, left_jobs, workers))
-    l_mean, l_se = _mean_se(left)
+    l_mean, l_se = laplace_via_log_laplace(phi, mu, t, cfg.kernel, left_seed,
+                                           cfg.replicas, cfg.dt, workers)
     rows.append(CheckRow("laplace-route", l_mean, l_se, True))
 
     gaps = []
     for n in ladder:
-        jobs = [(phi, mu, t, n, cfg.kernel, cfg.seed + _SEED_RIGHT, cfg.dt, lo, hi)
-                for lo, hi in _ranges(cfg.replicas)]
-        right = np.concatenate(_pool_map(_dual_route_batch, jobs, workers))
-        r_mean, r_se = _mean_se(right)
+        right, counts = dual_route_samples(phi, mu, t, n, cfg.kernel, right_seed,
+                                           cfg.replicas, cfg.dt, workers)
+        r_mean, r_se = mean_se(right)
         gaps.append((abs(l_mean - r_mean), math.hypot(l_se, r_se)))
         rows.append(CheckRow(f"gap-n{n:g}", gaps[-1][0], gaps[-1][1], True))
-
-        counts = np.array([
-            len(PoissonClock(n).arrivals(
-                _stream_rng(cfg.seed + _SEED_RIGHT, (r, 0)), t))
-            for r in range(cfg.replicas)
-        ], dtype=float)
-        c_mean, c_se = _mean_se(counts)
+        c_mean, c_se = mean_se(counts)
         rows.append(CheckRow(f"jump-count-mean-n{n:g}", c_mean, c_se,
                              _gate(c_mean - n * t, c_se, 3.0)))
 
@@ -656,7 +596,7 @@ def _duality_ladder(cfg: ExperimentConfig, workers: int) -> list:
     probes = np.zeros((2, cfg.grid.dim))
     probes[1, 0] = 1.0
     report = third_moment_scan(phi, [t], ladder, cfg.kernel, probes,
-                               rho=cfg.param("rho", 2.0), seed=cfg.seed + _SEED_RIGHT,
+                               rho=cfg.param("rho", 2.0), seed=right_seed,
                                n_replicas=int(cfg.param("tm_replicas",
                                                         min(cfg.replicas, 40))),
                                dt=cfg.dt)
@@ -907,6 +847,9 @@ def main(argv=None) -> int:
     except (ConfigError, ReplayRefusal) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except ExperimentError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -262,9 +262,10 @@ class GaussianFieldFactor:
     """Square-root factor of C over a fixed point set, ready for exact sampling.
 
     ``root`` has shape (m, r) with root @ root.T equal to the (possibly
-    jittered) covariance matrix of the m deduplicated points.  ``index_map``
-    scatters sampled values back to the original (possibly duplicated) points:
-    coincident positions always share one field value.
+    jittered) covariance matrix of the m deduplicated points (all points for
+    the rank-1 Constant root).  ``index_map`` scatters sampled values back to
+    the original (possibly duplicated) points: coincident positions always
+    share one field value.
     """
 
     def __init__(self, root, index_map, jitter, diagonal_value, out_shape=None):
@@ -323,12 +324,12 @@ def points_covariance_factor(kernel: CovarianceKernel, points) -> GaussianFieldF
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError(f"points must have shape (m, dim), got {points.shape}")
+    if isinstance(kernel, Constant):
+        # exact rank-1 root of the all-ones matrix times level; no dedup needed
+        root = np.full((len(points), 1), math.sqrt(kernel.level))
+        return GaussianFieldFactor(root, np.arange(len(points)), 0.0, kernel.diagonal_value())
     unique, index_map = np.unique(points, axis=0, return_inverse=True)
     index_map = index_map.reshape(-1)
-    if isinstance(kernel, Constant):
-        # exact rank-1 root of the all-ones matrix times level
-        root = np.full((len(unique), 1), math.sqrt(kernel.level))
-        return GaussianFieldFactor(root, index_map, 0.0, kernel.diagonal_value())
     root, jitter = _factor_matrix(kernel.matrix(unique), kernel.sup_bound())
     return GaussianFieldFactor(root, index_map, jitter, kernel.diagonal_value())
 
@@ -343,7 +344,3 @@ def grid_covariance_factor(kernel: CovarianceKernel, grid) -> GaussianFieldFacto
     factor.out_shape = grid.shape
     return factor
 
-
-def sample_increment(factor: GaussianFieldFactor, dt: float, rng) -> np.ndarray:
-    """One noise increment over a step of length dt (covariance C * dt)."""
-    return factor.sample(rng, dt=dt)

@@ -5,8 +5,8 @@ rate-n Poisson clock it follows the deterministic absorption flow
 
     dY/dt = (1/2) Laplacian Y - (1/2) Y^2
 
-integrated by the same splitting substeps as the stochastic solvers (spectral
-half-heat, exact reaction, half-heat); each arrival multiplies the state
+integrated by the stochastic solvers' Splitting step with the noise off
+(spectral half-heat, exact reaction, half-heat); each arrival multiplies the state
 cellwise by 1 + h/sqrt(n), where h is a fresh Gaussian field draw with the
 environment covariance, truncated to +-sqrt(n) so the factor stays
 nonnegative.  Pairing Y_t with the initial measure estimates the same Laplace
@@ -15,7 +15,8 @@ the uniqueness diagnostic; it shrinks as n grows.
 
 Determinism: the arrival clock and each jump's mark use separate spawn-keyed
 child streams of one seed, so a replica replays bit-identically from
-(seed, stream) and the jump log alone.  Jump times snap to the next substep
+(seed, stream) and the jump log alone, whether it marches alone or in a
+batch.  Jump times snap to the next substep
 boundary; the snap bias is O(dt) per jump and sits far below Monte Carlo
 noise at the default step (documented in the gap tests).
 
@@ -28,19 +29,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import CovarianceKernel, grid_covariance_factor
-from .grids import Grid, GridFunction, PolynomialWeight
-from .heatkernel import apply_spectral_multiplier, heat_multiplier
-from .spde import NoisePath, _resolve_steps, solve_log_laplace
+from .ensemble import map_batches, mean_se
+from .grids import GridFunction, PolynomialWeight
+from .spde import Splitting, _resolve_steps, batch_noise, solve_log_laplace
 
 __all__ = [
     "DualEvolutionError",
     "PoissonClock",
     "DualState",
+    "march_dual",
     "evolve_dual",
     "pair_with_measure",
     "laplace_via_log_laplace",
+    "dual_route_samples",
     "laplace_via_dual",
-    "duality_gap",
     "ThirdMomentReport",
     "third_moment_scan",
 ]
@@ -100,13 +102,17 @@ def _stream_rng(seed: int, key: tuple) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-def evolve_dual(phi: GridFunction, t: float, n: float, kernel: CovarianceKernel,
-                seed: int, dt: float = 1e-3, stream: tuple = (),
-                field_override=None) -> DualState:
-    """Run the jump-diffusion dual flow started from phi up to time t.
+def march_dual(phi: GridFunction, t: float, n: float, kernel: CovarianceKernel,
+               seed: int, streams, dt: float = 1e-3, field_override=None) -> tuple:
+    """Run the dual flow from phi up to time t for one replica per stream.
 
-    field_override(k) may supply the k-th mark (an array over grid cells) in
-    place of the Gaussian draw; the truncation to +-sqrt(n) still applies.
+    Returns (y, jump_times): final states shaped (len(streams), *grid.shape),
+    marched as one array on one grid factor, and each replica's arrival
+    times.  Replica r draws its clock from streams[r] + (0,) and its k-th mark
+    from streams[r] + (1, k), so each row equals a march of that stream alone
+    bit for bit.  field_override(k) may supply a replica's k-th mark (an array
+    over grid cells) in place of the Gaussian draw; the truncation to
+    +-sqrt(n) still applies.
     """
     grid = phi.grid
     if np.min(phi.values) < 0:
@@ -115,33 +121,37 @@ def evolve_dual(phi: GridFunction, t: float, n: float, kernel: CovarianceKernel,
         raise ValueError(f"need branching scale n >= 1, got {n}")
     n_steps = _resolve_steps(t, dt)
     clock = PoissonClock(float(n))
-    jump_times = clock.arrivals(_stream_rng(seed, stream + (0,)), t)
+    jump_times = [clock.arrivals(_stream_rng(seed, s + (0,)), t) for s in streams]
     # each jump applies right after the substep its time rounds up to
-    due = np.maximum(np.ceil(jump_times / dt - 1e-12).astype(int), 1)
+    due = {}
+    for r, times in enumerate(jump_times):
+        for k, step in enumerate(np.maximum(np.ceil(times / dt - 1e-12).astype(int), 1)):
+            due.setdefault(int(step), []).append((r, k))
     factor = grid_covariance_factor(kernel, grid) if field_override is None else None
-    half = heat_multiplier(grid, dt / 2.0)
+    scheme = Splitting(grid, dt, reaction=True)
     root_n = math.sqrt(n)
-    y = phi.values.copy()
-    k = 0
+    y = np.repeat(phi.values[np.newaxis], len(streams), axis=0)
     for step in range(1, n_steps + 1):
-        y = apply_spectral_multiplier(y, half, grid.shape)
-        np.maximum(y, 0.0, out=y)
-        y = y / (1.0 + y * (dt / 2.0))
-        y = apply_spectral_multiplier(y, half, grid.shape)
-        np.maximum(y, 0.0, out=y)
-        while k < len(due) and due[k] == step:
+        y = scheme.step(y)
+        for r, k in due.get(step, ()):
             if field_override is None:
-                h = factor.sample(_stream_rng(seed, stream + (1, k)))
+                h = factor.sample(_stream_rng(seed, streams[r] + (1, k)))
             else:
-                h = np.broadcast_to(np.asarray(field_override(k), dtype=float),
-                                    grid.shape)
+                h = np.broadcast_to(np.asarray(field_override(k), dtype=float), grid.shape)
             h = np.clip(h, -root_n, root_n)
-            y = y * (1.0 + h / root_n)
-            k += 1
+            y[r] = y[r] * (1.0 + h / root_n)
         if not np.all(np.isfinite(y)):
             raise DualEvolutionError(step)
-    return DualState(y=GridFunction(grid, y), time=float(t), n=float(n),
-                     jump_times=jump_times, seed=seed, stream=stream)
+    return y, jump_times
+
+
+def evolve_dual(phi: GridFunction, t: float, n: float, kernel: CovarianceKernel,
+                seed: int, dt: float = 1e-3, stream: tuple = (),
+                field_override=None) -> DualState:
+    """Run the jump-diffusion dual flow from phi up to time t: march_dual of one stream."""
+    y, jump_times = march_dual(phi, t, n, kernel, seed, [stream], dt, field_override)
+    return DualState(y=GridFunction(phi.grid, y[0]), time=float(t), n=float(n),
+                     jump_times=jump_times[0], seed=seed, stream=stream)
 
 
 def pair_with_measure(y: GridFunction, mu) -> float:
@@ -154,40 +164,44 @@ def pair_with_measure(y: GridFunction, mu) -> float:
     return float(sum(w * y.at(x) for w, x in zip(weights, points)))
 
 
-def _mean_se(values: np.ndarray) -> tuple:
-    values = np.asarray(values, dtype=float)
-    return float(values.mean()), float(values.std(ddof=1)) / math.sqrt(len(values))
+def _log_laplace_batch(phi, mu, t, kernel, seed, dt, b, lo, hi):
+    noise = batch_noise(phi.grid, kernel, dt, seed, b, lo, hi)
+    final = solve_log_laplace(phi, 1.0, t, noise).values[-1]
+    return np.exp(-np.array([pair_with_measure(GridFunction(phi.grid, u), mu) for u in final]))
 
 
 def laplace_via_log_laplace(phi: GridFunction, mu, t: float,
-                            kernel: CovarianceKernel, seed: int,
-                            n_replicas: int, dt: float = 1e-3) -> tuple:
-    """E[exp(-<phi, X_t>)] through the conditional log-Laplace solution."""
-    noise = NoisePath(phi.grid, kernel, dt, seed, n_replicas=n_replicas)
-    sol = solve_log_laplace(phi, 1.0, t, noise)
-    final = sol.values[-1]
-    pairings = [pair_with_measure(GridFunction(phi.grid, u), mu) for u in final]
-    return _mean_se(np.exp(-np.asarray(pairings)))
+                            kernel: CovarianceKernel, seed: int, n_replicas: int,
+                            dt: float = 1e-3, workers: int = 1) -> tuple:
+    """E[exp(-<phi, X_t>)] through the conditional log-Laplace solution.
+
+    Replica batch b rides the NoisePath keyed (b,), as in ensemble_noise.
+    """
+    parts = map_batches(_log_laplace_batch, n_replicas, (phi, mu, t, kernel, seed, dt), workers)
+    return mean_se(np.concatenate(parts))
+
+
+def _dual_batch(phi, t, n, kernel, seed, dt, prefix, b, lo, hi):
+    return march_dual(phi, t, n, kernel, seed, [prefix + (r,) for r in range(lo, hi)], dt)
+
+
+def dual_route_samples(phi: GridFunction, mu, t: float, n: float,
+                       kernel: CovarianceKernel, seed: int, n_replicas: int,
+                       dt: float = 1e-3, workers: int = 1) -> tuple:
+    """Per-replica exp(-<mu, Y_t>) and jump counts; replica r runs on stream (r,)."""
+    parts = map_batches(_dual_batch, n_replicas, (phi, t, n, kernel, seed, dt, ()), workers)
+    values = [math.exp(-pair_with_measure(GridFunction(phi.grid, row), mu))
+              for y, _ in parts for row in y]
+    counts = [len(times) for _, jump_times in parts for times in jump_times]
+    return np.array(values), np.array(counts, dtype=float)
 
 
 def laplace_via_dual(phi: GridFunction, mu, t: float, n: float,
-                     kernel: CovarianceKernel, seed: int,
-                     n_replicas: int, dt: float = 1e-3) -> tuple:
+                     kernel: CovarianceKernel, seed: int, n_replicas: int,
+                     dt: float = 1e-3, workers: int = 1) -> tuple:
     """E[exp(-<X_0, Y_t>)] through replicas of the jump-diffusion dual."""
-    values = []
-    for r in range(n_replicas):
-        state = evolve_dual(phi, t, n, kernel, seed, dt=dt, stream=(r,))
-        values.append(math.exp(-pair_with_measure(state.y, mu)))
-    return _mean_se(np.asarray(values))
-
-
-def duality_gap(phi: GridFunction, mu, t: float, n: float,
-                kernel: CovarianceKernel, seed: int, n_replicas: int,
-                dt: float = 1e-3) -> tuple:
-    """|log-Laplace route - dual route| with the combined standard error."""
-    left, left_se = laplace_via_log_laplace(phi, mu, t, kernel, seed + 1, n_replicas, dt)
-    right, right_se = laplace_via_dual(phi, mu, t, n, kernel, seed + 2, n_replicas, dt)
-    return abs(left - right), math.hypot(left_se, right_se)
+    values, _ = dual_route_samples(phi, mu, t, n, kernel, seed, n_replicas, dt, workers)
+    return mean_se(values)
 
 
 @dataclass(frozen=True)
@@ -215,20 +229,22 @@ def third_moment_scan(phi: GridFunction, times, n_ladder, kernel: CovarianceKern
 
     The weight is the polynomial reference weight; the scan reports the ratio
     surface and its per-n maxima so a ladder test can check boundedness in n.
+    Replica r of rung i runs on stream (i, r); replicas march in batches.
     """
     times = tuple(float(s) for s in times)
     n_ladder = tuple(float(v) for v in n_ladder)
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     weight = PolynomialWeight(rho)
     w3 = weight(probes) ** 3
+    cells = tuple(np.array(ix) for ix in zip(*(phi.grid.nearest_index(x) for x in probes)))
     ratios = np.zeros((len(n_ladder), len(times), len(probes)))
     for i, n in enumerate(n_ladder):
         for j, s in enumerate(times):
+            parts = map_batches(_dual_batch, n_replicas, (phi, s, n, kernel, seed, dt, (i,)))
             cubes = np.zeros(len(probes))
-            for r in range(n_replicas):
-                state = evolve_dual(phi, s, n, kernel, seed, dt=dt, stream=(i, r))
-                vals = np.array([state.y.at(x) for x in probes])
-                cubes += vals**3
+            for y, _ in parts:
+                for row in y[(slice(None),) + cells] ** 3:
+                    cubes += row
             ratios[i, j] = cubes / n_replicas / w3
     return ThirdMomentReport(n_ladder=n_ladder, times=times, probes=probes,
                              ratios=ratios,

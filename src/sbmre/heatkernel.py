@@ -48,9 +48,6 @@ __all__ = [
     "surface_area",
     "QuadratureError",
     "RegimeReport",
-    "PolynomialWeight",
-    "Grid",
-    "GridFunction",
 ]
 
 

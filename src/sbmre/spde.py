@@ -11,7 +11,7 @@ substeps preserve nonnegativity exactly; the spectral heat substep can
 undershoot zero at the scale of its truncation lobes, so production solvers
 floor each heat output at zero; saved slices of nonnegative data are then
 >= 0 machine-exactly, at the cost of additivity of the linear flow holding
-only to the lobe scale rather than roundoff (see _evolve).
+only to the lobe scale rather than roundoff (see Splitting).
 
 Noise is generated in chunks keyed by (seed, stream_key, chunk index) and is
 regenerable: replaying a NoisePath, or sharing one between solvers, yields
@@ -19,12 +19,12 @@ bit-identical increments.  That determinism is what makes the pathwise
 comparison inequalities between the two equations testable at 1e-12.
 """
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .covariance import CovarianceKernel, ScaledTheta, grid_covariance_factor
+from .ensemble import BATCH_SIZE, batch_ranges
 from .grids import Grid, GridFunction
 from .heatkernel import apply_spectral_multiplier, heat_multiplier
 
@@ -51,14 +51,13 @@ class NoisePath:
 
     Increments over [k dt, (k+1) dt) are centered Gaussian fields with
     covariance C(x, y) dt, independent across steps and across the
-    `n_replicas` leading axis.  Generation is lazy and chunked; chunk c is a
-    pure function of (seed, stream_key, c), so any increment can be
-    regenerated bit-identically whether or not caching is on.
+    `n_replicas` leading axis.  Generation is lazy and chunked, and generated
+    chunks are kept; chunk c is a pure function of (seed, stream_key, c), so
+    any increment replays bit-identically in another NoisePath.
     """
 
     def __init__(self, grid: Grid, kernel: CovarianceKernel, dt: float, seed: int,
-                 n_replicas: int = 1, stream_key: tuple = (), cache: bool = True,
-                 chunk_steps: int = None):
+                 n_replicas: int = 1, stream_key: tuple = (), chunk_steps: int = None):
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         if n_replicas < 1:
@@ -69,7 +68,6 @@ class NoisePath:
         self.seed = int(seed)
         self.n_replicas = int(n_replicas)
         self.stream_key = tuple(int(k) for k in stream_key)
-        self.cache = bool(cache)
         if chunk_steps is None:
             # keep a chunk around 2M floats regardless of replica count
             chunk_steps = max(1, 2_000_000 // (self.n_replicas * grid.n_points))
@@ -84,13 +82,11 @@ class NoisePath:
 
     def _chunk(self, c: int) -> np.ndarray:
         block = self._chunks.get(c)
-        if block is not None:
-            return block
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.stream_key + (c,))
-        rng = np.random.default_rng(ss)
-        flat = self.factor.sample(rng, dt=self.dt, batch=self.chunk_steps * self.n_replicas)
-        block = flat.reshape((self.chunk_steps, self.n_replicas) + self.grid.shape)
-        if self.cache:
+        if block is None:
+            ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.stream_key + (c,))
+            rng = np.random.default_rng(ss)
+            flat = self.factor.sample(rng, dt=self.dt, batch=self.chunk_steps * self.n_replicas)
+            block = flat.reshape((self.chunk_steps, self.n_replicas) + self.grid.shape)
             self._chunks[c] = block
         return block
 
@@ -101,27 +97,75 @@ class NoisePath:
         c, offset = divmod(int(step), self.chunk_steps)
         return self._chunk(c)[offset]
 
-    def clear_cache(self):
-        self._chunks.clear()
+
+def batch_noise(grid: Grid, kernel: CovarianceKernel, dt: float, seed: int,
+                b: int, lo: int, hi: int) -> NoisePath:
+    """The NoisePath of replica batch b, replicas [lo, hi): stream_key (b,)."""
+    return NoisePath(grid, kernel, dt, seed, n_replicas=hi - lo, stream_key=(b,))
 
 
 def ensemble_noise(grid: Grid, kernel: CovarianceKernel, dt: float, seed: int,
-                   n_replicas: int, batch_size: int = 32) -> list:
+                   n_replicas: int, batch_size: int = BATCH_SIZE) -> list:
     """Independent NoisePaths covering n_replicas in fixed-size batches.
 
-    Batch b is keyed by stream_key=(b,), so replica r's noise depends only on
-    (seed, r // batch_size, r % batch_size): results are invariant to how the
-    batches are later distributed over workers, and the first k replicas
-    coincide bit-identically across different total counts.
+    Batch b is keyed by stream_key=(b,) (batch_noise), so replica r's noise
+    depends only on (seed, r // batch_size, r % batch_size) and the first k
+    replicas coincide bit-identically across different total counts.
     """
     if n_replicas < 1:
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
-    paths = []
-    for b in range(0, (n_replicas + batch_size - 1) // batch_size):
-        size = min(batch_size, n_replicas - b * batch_size)
-        paths.append(NoisePath(grid, kernel, dt, seed, n_replicas=size,
-                               stream_key=(b,), cache=False))
-    return paths
+    return [batch_noise(grid, kernel, dt, seed, *batch)
+            for batch in batch_ranges(n_replicas, batch_size)]
+
+
+class Splitting:
+    """One splitting step of length dt on states shaped (n_replicas, *grid.shape).
+
+    The reaction substep (if `reaction`) is the exact flow u <- u/(1 + u dt/2)
+    of the quadratic sink, the noise substep (if `step` gets a factor) an exact
+    positive pointwise multiplier.  The spectral heat substep is the one place
+    positivity can leak: its discrete kernel has small negative truncation
+    lobes, so with clamp=True (production default) each heat output is floored
+    at zero.  Flooring is monotone and 1-Lipschitz, hence every pathwise
+    comparison inequality survives it; the price is that additivity of the
+    linear flow holds only to the lobe scale (~1e-9 at default resolution)
+    instead of roundoff.  clamp=False keeps the exactly linear flow.
+    """
+
+    def __init__(self, grid: Grid, dt: float, order: str = "symmetric",
+                 reaction: bool = False, clamp: bool = True):
+        if order not in ORDERINGS:
+            raise ValueError(f"order must be one of {ORDERINGS}, got {order!r}")
+        self.shape = grid.shape
+        self.dt = dt
+        self.order = order
+        self.reaction = reaction
+        self.clamp = clamp
+        # symmetric splitting takes two half heat steps, the others one full one
+        self.multiplier = heat_multiplier(grid, dt / 2.0 if order == "symmetric" else dt)
+
+    def _heat(self, v):
+        out = apply_spectral_multiplier(v, self.multiplier, self.shape)
+        return np.maximum(out, 0.0, out=out) if self.clamp else out
+
+    def _pointwise(self, v, factor, k):
+        if self.reaction:
+            v = v / (1.0 + v * (self.dt / 2.0))
+        if factor is None:
+            return v
+        with np.errstate(over="ignore"):
+            v = v * factor
+        if not np.all(np.isfinite(v)):
+            raise SchemeOverflowError(f"state left the finite range at step {k}", k)
+        return v
+
+    def step(self, states: np.ndarray, factor: np.ndarray = None, k: int = 0) -> np.ndarray:
+        """Advance states by dt; factor is the noise multiplier of step k."""
+        if self.order == "symmetric":
+            return self._heat(self._pointwise(self._heat(states), factor, k))
+        if self.order == "heat-noise":
+            return self._pointwise(self._heat(states), factor, k)
+        return self._heat(self._pointwise(states, factor, k))
 
 
 @dataclass
@@ -222,37 +266,18 @@ def _evolve(states: np.ndarray, noise: NoisePath, n_steps: int, save_idx: np.nda
             track_log_max: bool = False, clamp: bool = True):
     """March states (n_replicas, *shape) forward; return saves or log-max rows.
 
-    Substep order per `order`; the reaction substep is the exact flow of the
-    quadratic sink and the noise substep an exact positive pointwise
-    multiplier.  The spectral heat substep is the one place positivity can
-    leak: its discrete kernel has small negative truncation lobes, so with
-    clamp=True (production default) each heat output is floored at zero.
-    Flooring is monotone and 1-Lipschitz, hence every pathwise comparison
-    inequality survives it; the price is that additivity of the linear flow
-    holds only to the lobe scale (~1e-9 at default resolution) instead of
-    roundoff.  clamp=False keeps the exactly linear flow for scheme studies.
-    When track_log_max is set, states are renormalized per replica whenever
-    they exceed _RENORM_LIMIT and log(max) is recorded with the offset folded
-    back in; saved fields are then not meaningful and are not returned.
+    Each step is one Splitting step with noise factor exp(dW - drift); see
+    Splitting for the substeps and the clamp trade-off.  When track_log_max
+    is set, states are renormalized per replica whenever they exceed
+    _RENORM_LIMIT and log(max) is recorded with the offset folded back in;
+    saved fields are then not meaningful and are not returned.
     """
-    if order not in ORDERINGS:
-        raise ValueError(f"order must be one of {ORDERINGS}, got {order!r}")
-    grid = noise.grid
-    dt = noise.dt
-    half = heat_multiplier(grid, dt / 2.0)
-    full = heat_multiplier(grid, dt)
-    drift = 0.5 * noise.diagonal * dt if correction else 0.0
+    scheme = Splitting(noise.grid, noise.dt, order, reaction=reaction, clamp=clamp)
+    drift = 0.5 * noise.diagonal * noise.dt if correction else 0.0
     axes = tuple(range(1, states.ndim))
     save_set = set(int(i) for i in save_idx)
     saves, log_rows = [], []
     log_offset = np.zeros(states.shape[0])
-
-    def heat(v, mult):
-        out = apply_spectral_multiplier(v, mult, grid.shape)
-        return np.maximum(out, 0.0, out=out) if clamp else out
-
-    def react(v):
-        return v / (1.0 + v * (dt / 2.0))
 
     def record():
         if track_log_max:
@@ -260,34 +285,12 @@ def _evolve(states: np.ndarray, noise: NoisePath, n_steps: int, save_idx: np.nda
         else:
             saves.append(states.copy())
 
-    def noisy(v, factor, k):
-        with np.errstate(over="ignore"):
-            v = v * factor
-        if not np.all(np.isfinite(v)):
-            raise SchemeOverflowError(f"state left the finite range at step {k}", k)
-        return v
-
     if 0 in save_set:
         record()
     for k in range(n_steps):
         with np.errstate(over="ignore"):
             factor = np.exp(noise.increment(k) - drift)
-        if order == "symmetric":
-            states = heat(states, half)
-            if reaction:
-                states = react(states)
-            states = noisy(states, factor, k)
-            states = heat(states, half)
-        elif order == "heat-noise":
-            states = heat(states, full)
-            if reaction:
-                states = react(states)
-            states = noisy(states, factor, k)
-        else:
-            if reaction:
-                states = react(states)
-            states = noisy(states, factor, k)
-            states = heat(states, full)
+        states = scheme.step(states, factor, k)
         if track_log_max:
             peak = states.max(axis=axes)
             big = peak > _RENORM_LIMIT
@@ -310,7 +313,7 @@ def solve_pam(f: GridFunction, T: float, noise: NoisePath, save_every=None,
     With the default Ito correction the ensemble mean of the output equals
     the heat flow of f discretely; correction=False drops the compensator
     (the direct route of the Stratonovich scheme study).  clamp_negatives
-    trades exact additivity for exact positivity; see _evolve.
+    trades exact additivity for exact positivity; see Splitting.
     """
     n = _resolve_steps(T, noise.dt)
     idx = _save_indices(n, save_every)

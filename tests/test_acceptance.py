@@ -38,12 +38,12 @@ from sbmre.feynmankac import (
     second_moment_rhs,
 )
 from sbmre.dual import (
-    PoissonClock,
-    _stream_rng,
+    dual_route_samples,
     laplace_via_dual,
     laplace_via_log_laplace,
     third_moment_scan,
 )
+from sbmre.ensemble import mean_se
 from sbmre.readouts import ConstantReadout, GaussianBump
 from sbmre import cli
 
@@ -255,14 +255,11 @@ def test_criterion_09_duality_ladder():
     gaps = []
     counts_ok = True
     for n in (10.0, 40.0, 160.0):
-        right, right_se = laplace_via_dual(phi, mu, t, n, Constant(1.0), SEED + 2, 240, dt)
+        values, counts = dual_route_samples(phi, mu, t, n, Constant(1.0), SEED + 2, 240, dt)
+        right, right_se = mean_se(values)
         gaps.append((abs(left - right), math.hypot(left_se, right_se)))
-        counts = np.array([
-            len(PoissonClock(n).arrivals(_stream_rng(SEED + 2, (r, 0)), t))
-            for r in range(240)
-        ], dtype=float)
-        c_se = counts.std(ddof=1) / math.sqrt(len(counts))
-        counts_ok = counts_ok and abs(counts.mean() - n * t) <= 3.0 * c_se
+        c_mean, c_se = mean_se(counts)
+        counts_ok = counts_ok and abs(c_mean - n * t) <= 3.0 * c_se
     ladder_ok = all(g_hi <= g_lo + math.hypot(s_lo, s_hi) + GUARD
                     for (g_lo, s_lo), (g_hi, s_hi) in zip(gaps, gaps[1:]))
 

@@ -182,6 +182,21 @@ def test_persistence_scan_needs_scalable_kernel(tmp_path, capsys):
     assert "amplitude-scalable" in capsys.readouterr().err
 
 
+def test_experiment_error_exits_3_with_one_line(tmp_path, capsys):
+    # the indicator ball is not positive semidefinite on this grid, so the
+    # grid factor of the log-Laplace route fails inside the experiment
+    cfg_path = write_config(
+        tmp_path,
+        **{"experiment.name": "duality-ladder", "kernel.type": "indicator",
+           "kernel.level": None, "kernel.radius": "1.0", "kernel.height": "1.0",
+           "mc.replicas": "4", "params.t": "0.05", "params.n_ladder": "10"})
+    assert main(["duality-ladder", "--config", cfg_path,
+                 "--out", str(tmp_path / "dl")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: duality-ladder failed:")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_check_rows_have_unique_names_and_hash(tmp_path):
     cfg = load_config(write_config(tmp_path), out_override=str(tmp_path / "u"))
     report = run_experiment(cfg)

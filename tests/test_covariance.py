@@ -20,7 +20,6 @@ from sbmre.covariance import (
     gaussian_profile,
     grid_covariance_factor,
     points_covariance_factor,
-    sample_increment,
 )
 from sbmre.grids import Grid
 
@@ -82,7 +81,7 @@ def test_zero_kernel_factor_is_zero():
     grid = Grid(1, 4.0, 8)
     factor = grid_covariance_factor(Constant(0.0), grid)
     rng = np.random.default_rng(0)
-    draw = sample_increment(factor, 1e-3, rng)
+    draw = factor.sample(rng, dt=1e-3)
     assert draw.shape == grid.shape
     assert np.all(draw == 0.0)
 
@@ -94,7 +93,7 @@ def test_constant_kernel_rank_one_factor():
     assert np.max(np.abs(rebuilt - np.ones((2, 2)))) < 1e-10
     assert factor.jitter == 0.0
     rng = np.random.default_rng(1)
-    draw = sample_increment(factor, 0.5, rng)
+    draw = factor.sample(rng, dt=0.5)
     # perfect correlation: a single value shared across the grid
     assert draw[0] == draw[1]
 

@@ -16,10 +16,11 @@ from sbmre.dual import (
     DualEvolutionError,
     PoissonClock,
     ThirdMomentReport,
-    duality_gap,
+    dual_route_samples,
     evolve_dual,
     laplace_via_dual,
     laplace_via_log_laplace,
+    march_dual,
     pair_with_measure,
     third_moment_scan,
 )
@@ -68,7 +69,7 @@ def test_zero_field_matches_deterministic_flow():
     noise = NoisePath(grid, Constant(0.0), 1e-3, SEED)
     sol = solve_log_laplace(phi, 1.0, 1.0, noise)
     state2 = evolve_dual(phi, 1.0, 16.0, Constant(0.0), SEED, dt=1e-3)
-    assert np.allclose(state2.y.values, sol.values[-1][0], atol=1e-14)
+    assert np.array_equal(state2.y.values, sol.values[-1][0])
 
 
 def test_zero_initial_state_is_absorbing():
@@ -117,6 +118,20 @@ def test_state_nonnegative_finite_and_replayable():
         evolve_dual(phi, 0.5, 0.5, Constant(0.0), SEED)
 
 
+def test_batched_march_equals_single_replicas():
+    grid = small_grid()
+    phi = bump(grid)
+    streams = [(r,) for r in range(5)] + [(2, 7)]
+    y, jump_times = march_dual(phi, 0.5, 40.0, ScaledTheta(1.0), SEED, streams, dt=2e-3)
+    assert y.shape == (len(streams),) + grid.shape
+    assert sum(len(times) for times in jump_times) > 0
+    for r, stream in enumerate(streams):
+        single = evolve_dual(phi, 0.5, 40.0, ScaledTheta(1.0), SEED, dt=2e-3, stream=stream)
+        assert np.array_equal(y[r], single.y.values)
+        assert np.array_equal(jump_times[r], single.jump_times)
+        assert len(jump_times[r]) == single.jump_count
+
+
 def test_jump_pileup_overflows_with_step_index():
     grid = Grid(dim=1, extent=4.0, cells=8)
     phi = GridFunction.constant(grid, 1.0)
@@ -146,6 +161,13 @@ def test_pair_with_measure_forms():
     assert abs(pair_with_measure(y, atoms) - expect) < 1e-12
 
 
+def _gap(phi, mu, t, n, kernel, seed, n_replicas, dt=1e-3):
+    """|log-Laplace route - dual route| and the combined SE, on seeds +1 and +2."""
+    left, left_se = laplace_via_log_laplace(phi, mu, t, kernel, seed + 1, n_replicas, dt)
+    right, right_se = laplace_via_dual(phi, mu, t, n, kernel, seed + 2, n_replicas, dt)
+    return abs(left - right), math.hypot(left_se, right_se)
+
+
 def test_duality_gap_zero_kernel_closed_form():
     grid = small_grid()
     k, t = 1.5, 1.0
@@ -155,11 +177,11 @@ def test_duality_gap_zero_kernel_closed_form():
     closed = math.exp(-grid.volume / (t / 2.0 + 1.0 / k))
     assert abs(left - closed) < 1e-10 * closed
     assert abs(right - closed) < 1e-10 * closed
-    gap, se = duality_gap(phi, 1.0, t, 20.0, Constant(0.0), SEED, 8)
+    gap, se = _gap(phi, 1.0, t, 20.0, Constant(0.0), SEED, 8)
     assert gap < max(2 * se, 1e-12)
 
     zero = GridFunction.constant(grid, 0.0)
-    gap, se = duality_gap(zero, 1.0, t, 20.0, Constant(1.0), SEED, 6)
+    gap, se = _gap(zero, 1.0, t, 20.0, Constant(1.0), SEED, 6)
     assert gap == 0.0 and se == 0.0
 
 
@@ -169,9 +191,26 @@ def test_duality_gap_ladder_shrinks_with_n():
     mu = (np.array([1.0]), np.array([[0.0]]))
     gaps = {}
     for n in (10.0, 160.0):
-        gaps[n] = duality_gap(phi, mu, 0.5, n, Constant(1.0), SEED, 240, dt=2e-3)
+        gaps[n] = _gap(phi, mu, 0.5, n, Constant(1.0), SEED, 240, dt=2e-3)
     combined = math.hypot(gaps[10.0][1], gaps[160.0][1])
     assert gaps[160.0][0] <= gaps[10.0][0] + 2 * combined
+
+
+def test_library_routes_invariant_to_worker_count():
+    grid = small_grid(cells=32)
+    phi = bump(grid)
+    mu = (np.array([1.0]), np.array([[0.0]]))
+    kernel = ScaledTheta(1.0)
+    # 70 replicas: two full batches and a partial one
+    left = [laplace_via_log_laplace(phi, mu, 0.1, kernel, SEED, 70, 2e-3, workers=w)
+            for w in (1, 2)]
+    right = [dual_route_samples(phi, mu, 0.1, 20.0, kernel, SEED, 70, 2e-3, workers=w)
+             for w in (1, 2)]
+    assert np.array(left[0]).tobytes() == np.array(left[1]).tobytes()
+    for a, b in zip(*right):
+        assert a.tobytes() == b.tobytes()
+    assert laplace_via_dual(phi, mu, 0.1, 20.0, kernel, SEED, 70, 2e-3, workers=2) \
+        == laplace_via_dual(phi, mu, 0.1, 20.0, kernel, SEED, 70, 2e-3)
 
 
 def test_third_moment_scan_closed_forms_and_ladder():

@@ -52,10 +52,6 @@ def test_noise_path_replay_and_layout():
     assert np.array_equal(p1.increment(5), first)
     p2 = NoisePath(grid, kern, dt=0.01, seed=123)
     assert np.array_equal(p2.increment(5), first)
-    uncached = NoisePath(grid, kern, dt=0.01, seed=123, cache=False)
-    assert np.array_equal(uncached.increment(5), first)
-    p1.clear_cache()
-    assert np.array_equal(p1.increment(5), first)
     assert not np.array_equal(p1.increment(6), first)
     other = NoisePath(grid, kern, dt=0.01, seed=124)
     assert not np.array_equal(other.increment(5), first)

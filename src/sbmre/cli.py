@@ -3,9 +3,10 @@
 Each experiment reads a sectioned key-value config, fans its replicas out to
 a worker pool in fixed-size index batches, and writes a long-format CSV (one
 row per check: name, estimate, SE or tolerance, pass/fail) plus a JSON
-manifest.  Every random draw derives from per-replica or per-batch streams
-spawned off the root seed, and reductions happen in batch-index order, so the
-CSV bytes depend only on (config, seed), never on the worker count.  The
+manifest; both go to temp files first and are renamed into place together.
+Every random draw derives from per-replica or per-batch streams spawned off
+the root seed, and reductions happen in batch-index order, so the CSV bytes
+depend only on (config, seed), never on the worker count.  The
 manifest embeds the canonical config text and its hash; `replay` recomputes
 the CSV from the manifest alone and refuses to run across version or config
 drift.
@@ -85,6 +86,8 @@ _SEED_ORACLE = 202
 _SEED_LEFT = 11
 _SEED_RIGHT = 22
 _GUARD = 1e-9  # roundoff allowance added to k*SE gates (SE can be exactly 0)
+# experiments whose solvers always run the symmetric splitting
+_SYMMETRIC_ONLY = ("comparison-suite", "extinction-scan", "duality-ladder", "lyapunov-ladder")
 # closed-form persistence thresholds 8(d-2)pi^(d/2) / (d 2^d Gamma(d/2-1))
 _THRESHOLD_TARGETS = {3: math.pi / 3.0, 4: math.pi**2 / 4.0, 5: 3.0 * math.pi**2 / 10.0}
 
@@ -278,6 +281,9 @@ def _config_from_parser(parser, out_override: str = None) -> ExperimentConfig:
     ordering = parser.get("scheme", "ordering", fallback="symmetric").strip()
     if ordering not in ("symmetric", "heat-noise", "noise-heat"):
         raise ConfigError(f"[scheme] ordering invalid: {ordering!r}")
+    if ordering != "symmetric" and name in _SYMMETRIC_ONLY:
+        raise ConfigError(f"[scheme] ordering {ordering!r} is not supported by {name}, "
+                          "which runs the symmetric splitting only")
     try:
         seed = parser.getint("mc", "seed")
     except (configparser.NoOptionError, ValueError) as err:
@@ -690,6 +696,27 @@ def _compute_rows(cfg: ExperimentConfig, workers: int) -> tuple:
     return rows, time.perf_counter() - start
 
 
+def _write_atomically(files):
+    """Write (path, mode, writer) files all-or-nothing: temp files, then os.replace.
+
+    The temp files sit next to their targets; if any writer raises, every temp
+    file is removed and no target is touched.
+    """
+    temps = []
+    try:
+        for path, mode, writer in files:
+            temps.append(f"{path}.{os.getpid()}.tmp")
+            with open(temps[-1], mode) as handle:
+                writer(handle)
+    except BaseException:
+        for temp in temps:
+            if os.path.exists(temp):
+                os.remove(temp)
+        raise
+    for temp, (path, _, _) in zip(temps, files):
+        os.replace(temp, path)
+
+
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunReport:
     """Run one experiment, write CSV + manifest into cfg.outdir."""
     rows, elapsed = _compute_rows(cfg, workers)
@@ -697,8 +724,6 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunReport:
     os.makedirs(cfg.outdir, exist_ok=True)
     csv_path = os.path.join(cfg.outdir, f"{cfg.experiment}.csv")
     manifest_path = os.path.join(cfg.outdir, f"{cfg.experiment}_manifest.json")
-    with open(csv_path, "wb") as handle:
-        handle.write(csv)
     digest = hashlib.sha256(csv).hexdigest()
     manifest = {
         "experiment": cfg.experiment,
@@ -712,9 +737,13 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunReport:
         "wall_clock_s": round(elapsed, 3),
         "workers": workers,
     }
-    with open(manifest_path, "w") as handle:
+
+    def write_manifest(handle):
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
+
+    _write_atomically([(csv_path, "wb", lambda handle: handle.write(csv)),
+                       (manifest_path, "w", write_manifest)])
     return RunReport(experiment=cfg.experiment, config_hash=cfg.digest,
                      seed=cfg.seed, workers=workers, rows=rows,
                      wall_clock=elapsed, versions=_versions(),

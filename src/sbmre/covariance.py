@@ -9,7 +9,21 @@ budget of the dense factorization.
 Factorization strategy: plain Cholesky first; on failure add diagonal jitter
 1e-10 * sup_bound and retry once; if that still fails the matrix is indefinite
 beyond tolerance and we raise with the most negative eigenvalue.  The jitter
-actually applied never exceeds 1e-8 * sup_bound.
+actually applied never exceeds 1e-8 * sup_bound.  Dense factors cover at most
+DENSE_LIMIT distinct points; larger requests raise ValueError before any
+matrix is allocated.
+
+Separable kernels on grids: when C(x, y) = prod_i c(x_i - y_i) over the d axes
+(the Gaussian ScaledTheta; see CovarianceKernel.axis_kernel), the covariance
+over a d-dimensional grid is the Kronecker power c_mat ⊗ ... ⊗ c_mat of the
+n x n axis matrix, and its Cholesky factor is the Kronecker power of the axis
+factor L.  grid_covariance_factor then factors only c_mat, with the jitter
+contract above applied to the axis kernel, and samples through a KroneckerRoot
+that contracts each axis with L instead of forming the n^d x n^d root.  The
+DENSE_LIMIT cap does not apply to the grid (only to n).  The factor's jitter
+is then the largest entrywise change that axis jitter e makes to C, on the
+diagonal: (c + e)^d - c^d with c = C(x, x)^(1/d), at most about d * 1e-10 *
+sup_bound.  In d = 1 the separable path is the dense path, byte for byte.
 """
 
 import math
@@ -20,6 +34,7 @@ from scipy.spatial.distance import cdist
 
 JITTER_SCALE = 1e-10
 JITTER_CAP = 1e-8
+DENSE_LIMIT = 10000  # most distinct points a dense covariance matrix may cover
 
 
 class IndefiniteKernelError(np.linalg.LinAlgError):
@@ -76,6 +91,14 @@ class CovarianceKernel:
 
     def envelope_traits(self) -> EnvelopeTraits:
         return EnvelopeTraits()
+
+    def axis_kernel(self, dim: int):
+        """One-axis kernel c with C(x, y) = prod over dim axes of c(x_i - y_i), or None.
+
+        None (the default) means C does not factor over axes and grids take
+        the dense path.
+        """
+        return None
 
 
 @dataclass(frozen=True)
@@ -187,6 +210,12 @@ class ScaledTheta(CovarianceKernel):
             return EnvelopeTraits(divergent_potential=False, nonincreasing=True)
         return EnvelopeTraits()
 
+    def axis_kernel(self, dim: int):
+        # a exp(-|r|^2 / w^2) = prod_i a^(1/dim) exp(-r_i^2 / w^2)
+        if self.profile is gaussian_profile or isinstance(self.profile, GaussianProfile):
+            return ScaledTheta(self.a ** (1.0 / dim), self.profile)
+        return None
+
 
 @dataclass(frozen=True)
 class IndicatorBall(CovarianceKernel):
@@ -258,18 +287,44 @@ class Tabulated(CovarianceKernel):
         )
 
 
+class KroneckerRoot:
+    """The root L ⊗ ... ⊗ L (dim copies) of a separable grid covariance, never formed.
+
+    ``axis_root`` is the (n, r) root of the axis matrix; ``shape`` is that of
+    the Kronecker power, (n**dim, r**dim), with rows in the grid's C order.
+    """
+
+    def __init__(self, axis_root: np.ndarray, dim: int):
+        self.axis_root = axis_root
+        self.dim = int(dim)
+        n, r = axis_root.shape
+        self.shape = (n**self.dim, r**self.dim)
+
+    def __matmul__(self, z: np.ndarray) -> np.ndarray:
+        """root @ z for z of shape (r**dim, cols): one axis contraction per axis."""
+        n, r = self.axis_root.shape
+        out = z
+        for k in range(self.dim):
+            # axes before k are contracted (length n), axis k is next (length r)
+            out = np.matmul(self.axis_root, out.reshape(n**k, r, -1))
+        return out.reshape(self.shape[0], -1)
+
+
 class GaussianFieldFactor:
     """Square-root factor of C over a fixed point set, ready for exact sampling.
 
     ``root`` has shape (m, r) with root @ root.T equal to the (possibly
     jittered) covariance matrix of the m deduplicated points (all points for
-    the rank-1 Constant root).  ``index_map`` scatters sampled values back to
-    the original (possibly duplicated) points: coincident positions always
-    share one field value.
+    the rank-1 Constant root); it is a dense array or, for a separable kernel
+    on a grid of dim >= 2, a KroneckerRoot.  ``index_map`` scatters sampled
+    values back to the original (possibly duplicated) points: coincident
+    positions always share one field value.
     """
 
     def __init__(self, root, index_map, jitter, diagonal_value, out_shape=None):
-        self.root = np.asarray(root, dtype=float)
+        if not isinstance(root, KroneckerRoot):
+            root = np.asarray(root, dtype=float)
+        self.root = root
         self.index_map = np.asarray(index_map, dtype=np.intp)
         self.jitter = float(jitter)
         self.diagonal_value = float(diagonal_value)
@@ -319,8 +374,17 @@ def _factor_matrix(matrix, sup_bound):
         ) from None
 
 
+def _check_dense_size(m: int, what: str):
+    if m > DENSE_LIMIT:
+        raise ValueError(f"{m} {what}; dense factorization is limited to {DENSE_LIMIT}")
+
+
 def points_covariance_factor(kernel: CovarianceKernel, points) -> GaussianFieldFactor:
-    """Factor C over an arbitrary point set; duplicated points are deduplicated."""
+    """Factor C over an arbitrary point set; duplicated points are deduplicated.
+
+    Raises ValueError above DENSE_LIMIT distinct points (except for the
+    rank-1 Constant root, which is never dense).
+    """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError(f"points must have shape (m, dim), got {points.shape}")
@@ -330,17 +394,30 @@ def points_covariance_factor(kernel: CovarianceKernel, points) -> GaussianFieldF
         return GaussianFieldFactor(root, np.arange(len(points)), 0.0, kernel.diagonal_value())
     unique, index_map = np.unique(points, axis=0, return_inverse=True)
     index_map = index_map.reshape(-1)
+    _check_dense_size(len(unique), "distinct points")
     root, jitter = _factor_matrix(kernel.matrix(unique), kernel.sup_bound())
     return GaussianFieldFactor(root, index_map, jitter, kernel.diagonal_value())
 
 
 def grid_covariance_factor(kernel: CovarianceKernel, grid) -> GaussianFieldFactor:
-    """Factor C over all cell centers of a grid; samples come back grid-shaped."""
-    if grid.n_points > 10000:
-        raise ValueError(
-            f"grid has {grid.n_points} cells; dense factorization is limited to 10000"
-        )
-    factor = points_covariance_factor(kernel, grid.points())
-    factor.out_shape = grid.shape
-    return factor
+    """Factor C over all cell centers of a grid; samples come back grid-shaped.
 
+    A separable kernel is factored on one axis and sampled through a
+    KroneckerRoot (plain axis root in d = 1); any other kernel takes the dense
+    path over all cells, limited to DENSE_LIMIT cells.
+    """
+    axis_kernel = kernel.axis_kernel(grid.dim)
+    if axis_kernel is None:
+        _check_dense_size(grid.n_points, "grid cells")
+        factor = points_covariance_factor(kernel, grid.points())
+        factor.out_shape = grid.shape
+        return factor
+    _check_dense_size(grid.cells, "cells per axis")
+    root, jitter = _factor_matrix(axis_kernel.matrix(grid.axis()[:, np.newaxis]),
+                                  axis_kernel.sup_bound())
+    if grid.dim > 1:
+        root = KroneckerRoot(root, grid.dim)
+        c = axis_kernel.diagonal_value()
+        jitter = (c + jitter) ** grid.dim - c**grid.dim
+    return GaussianFieldFactor(root, np.arange(grid.n_points), jitter,
+                               kernel.diagonal_value(), grid.shape)

@@ -173,6 +173,49 @@ def test_replay_identical_and_refusals(tmp_path):
     assert main(["replay", "--manifest", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("experiment", ["comparison-suite", "extinction-scan",
+                                        "duality-ladder", "lyapunov-ladder"])
+def test_symmetric_only_experiments_reject_other_orderings(tmp_path, capsys, experiment):
+    # these experiments always run the symmetric splitting, so another
+    # ordering in the config (which is part of its hash) would be a lie
+    assert load_config(write_config(tmp_path, **{"experiment.name": experiment})).ordering \
+        == "symmetric"
+    for ordering in ("heat-noise", "noise-heat"):
+        cfg_path = write_config(tmp_path, **{"experiment.name": experiment,
+                                             "scheme.ordering": ordering})
+        with pytest.raises(ConfigError, match="ordering"):
+            load_config(cfg_path)
+        assert main([experiment, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        assert "symmetric splitting only" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_pam_oracle_accepts_every_ordering(tmp_path):
+    for ordering in ("symmetric", "heat-noise", "noise-heat"):
+        cfg = load_config(write_config(tmp_path, **{"scheme.ordering": ordering}))
+        assert cfg.ordering == ordering
+
+
+def test_artifacts_written_atomically(tmp_path, monkeypatch):
+    cfg_path = write_config(tmp_path, **{"experiment.name": "threshold-table"})
+    out = tmp_path / "atomic"
+    run_experiment(load_config(cfg_path, out_override=str(out)))
+    csv_before = (out / "threshold-table.csv").read_bytes()
+    manifest_before = (out / "threshold-table_manifest.json").read_bytes()
+
+    def dump_then_fail(obj, handle, **kwargs):
+        handle.write('{"experiment": "threshold-table", "seed"')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        run_experiment(load_config(cfg_path, seed_override=8, out_override=str(out)))
+    assert (out / "threshold-table_manifest.json").read_bytes() == manifest_before
+    assert (out / "threshold-table.csv").read_bytes() == csv_before
+    assert sorted(p.name for p in out.iterdir()) == ["threshold-table.csv",
+                                                     "threshold-table_manifest.json"]
+
+
 def test_persistence_scan_needs_scalable_kernel(tmp_path, capsys):
     cfg_path = write_config(
         tmp_path,

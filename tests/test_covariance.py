@@ -4,16 +4,20 @@ Statistical checks use seeded generators; tolerances follow the entrywise
 4/sqrt(N) covariance band and standard-error arithmetic.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from sbmre import covariance
 from sbmre.covariance import (
     Constant,
     GaussianFieldFactor,
+    GaussianProfile,
     IndefiniteKernelError,
     IndicatorBall,
+    KroneckerRoot,
     ScaledTheta,
     StationaryPower,
     Tabulated,
@@ -126,19 +130,113 @@ def test_duplicated_points_share_field_value():
 
 
 def test_grid_factor_size_guard():
-    with pytest.raises(ValueError):
-        grid_covariance_factor(ScaledTheta(a=1.0), Grid(2, 8.0, 128))
+    # the cell cap guards the dense path: a kernel that does not factor over axes
+    with pytest.raises(ValueError, match="16384 grid cells"):
+        grid_covariance_factor(StationaryPower(0.8, 2.0), Grid(2, 8.0, 128))
+
+
+def test_separable_kernel_lifts_grid_cap():
+    grid = Grid(2, 8.0, 128)
+    factor = grid_covariance_factor(ScaledTheta(a=1.0), grid)
+    assert isinstance(factor.root, KroneckerRoot)
+    assert factor.root.shape == (128**2, 128**2)
+    draw = factor.sample(np.random.default_rng(4), dt=1e-3, batch=3)
+    assert draw.shape == (3, 128, 128)
+    assert np.all(np.isfinite(draw))
+
+
+def test_points_factor_size_guard(monkeypatch):
+    monkeypatch.setattr(covariance, "DENSE_LIMIT", 4)
+    pts = np.arange(10.0).reshape(5, 2)
+    with pytest.raises(ValueError, match="5 distinct points"):
+        points_covariance_factor(ScaledTheta(a=1.0), pts)
+    # the limit counts distinct points; the rank-1 Constant root is never dense
+    assert points_covariance_factor(ScaledTheta(a=1.0), np.repeat(pts[:4], 3, axis=0)).n_points == 12
+    assert points_covariance_factor(Constant(1.0), pts).n_points == 5
+    with pytest.raises(ValueError, match="grid cells"):
+        grid_covariance_factor(StationaryPower(0.8, 2.0), Grid(1, 2.0, 6))
+
+
+def test_axis_kernels():
+    assert StationaryPower(0.8, 2.0).axis_kernel(2) is None
+    assert Constant(1.0).axis_kernel(3) is None
+    assert ScaledTheta(1.0, profile=lambda r: 1.0 / (1.0 + np.asarray(r) ** 2)).axis_kernel(2) is None
+    assert ScaledTheta(8.0).axis_kernel(3) == ScaledTheta(2.0)
+    assert ScaledTheta(4.0, GaussianProfile(0.5)).axis_kernel(2) == ScaledTheta(2.0, GaussianProfile(0.5))
+
+
+SEPARABLE_CASES = [
+    (ScaledTheta(a=2.0), Grid(2, 3.0, 6)),
+    (ScaledTheta(a=1.5, profile=GaussianProfile(0.7)), Grid(2, 4.0, 8)),
+    (ScaledTheta(a=2.0), Grid(3, 2.0, 4)),
+    (ScaledTheta(a=0.5, profile=GaussianProfile(1.3)), Grid(3, 4.0, 6)),
+]
+
+
+@pytest.mark.parametrize("kern, grid", SEPARABLE_CASES)
+def test_separable_factor_rebuilds_dense_matrix(kern, grid):
+    factor = grid_covariance_factor(kern, grid)
+    assert isinstance(factor.root, KroneckerRoot)
+    assert factor.root.shape == (grid.n_points, grid.n_points)
+    assert factor.jitter == 0.0
+    dense = functools.reduce(np.kron, [factor.root.axis_root] * grid.dim)
+    target = kern.matrix(grid.points())
+    assert np.max(np.abs(dense @ dense.T - target)) < 1e-10 * kern.sup_bound()
+
+
+@pytest.mark.parametrize("kern, grid", [SEPARABLE_CASES[1], SEPARABLE_CASES[2]])
+def test_separable_root_applies_the_dense_cholesky(kern, grid):
+    # with no jitter the Cholesky factor of a Kronecker power is the power of
+    # the axis factor, so the same normals give the same field
+    factor = grid_covariance_factor(kern, grid)
+    assert factor.jitter == 0.0
+    z = np.random.default_rng(8).standard_normal((grid.n_points, 7))
+    dense = np.linalg.cholesky(kern.matrix(grid.points()))
+    assert np.max(np.abs(factor.root @ z - dense @ z)) < 1e-12
+
+
+def test_separable_jitter_is_the_diagonal_change():
+    # a wide profile on a fine axis is numerically singular: the axis Cholesky
+    # needs jitter, and the factor reports what that jitter does to C
+    kern = ScaledTheta(a=8.0, profile=GaussianProfile(4.0))
+    grid = Grid(3, 4.0, 16)
+    factor = grid_covariance_factor(kern, grid)
+    axis = kern.axis_kernel(3)
+    eps = covariance.JITTER_SCALE * axis.sup_bound()
+    assert factor.jitter == pytest.approx((2.0 + eps) ** 3 - 8.0, rel=1e-12)
+    assert 0.0 < factor.jitter <= covariance.JITTER_CAP * kern.sup_bound()
+    rebuilt = factor.root.axis_root @ factor.root.axis_root.T
+    diag = (rebuilt[0, 0] ** 3) - kern.diagonal_value()
+    assert diag == pytest.approx(factor.jitter, rel=1e-3)
+
+
+@pytest.mark.parametrize("kern, grid", [
+    (ScaledTheta(a=0.8), Grid(1, 8.0, 16)),
+    (ScaledTheta(a=1.7, profile=GaussianProfile(0.6)), Grid(1, 8.0, 64)),  # jittered
+])
+def test_one_dimensional_factor_is_the_dense_cholesky(kern, grid):
+    factor = grid_covariance_factor(kern, grid)
+    assert type(factor.root) is np.ndarray
+    dense = points_covariance_factor(kern, grid.points())
+    assert np.array_equal(factor.root, dense.root)
+    assert factor.jitter == dense.jitter
+    matrix = kern.matrix(grid.points())
+    if factor.jitter > 0:
+        matrix = matrix + factor.jitter * np.eye(grid.n_points)
+    assert np.array_equal(factor.root, np.linalg.cholesky(matrix))
 
 
 def test_increment_mean_and_covariance_band():
     # entrywise agreement of the empirical covariance within 4/sqrt(N) * C(x,x) * dt
-    grid = Grid(1, 2.0, 5)
     dt = 1e-3
     n = 100_000
-    for kern in (ScaledTheta(a=1.5), StationaryPower(0.8, 2.0), Constant(0.6)):
+    for kern, grid in ((ScaledTheta(a=1.5), Grid(1, 2.0, 5)),
+                       (StationaryPower(0.8, 2.0), Grid(1, 2.0, 5)),
+                       (Constant(0.6), Grid(1, 2.0, 5)),
+                       (ScaledTheta(a=1.5, profile=GaussianProfile(0.8)), Grid(2, 2.0, 4))):
         factor = grid_covariance_factor(kern, grid)
         rng = np.random.default_rng(20260814)
-        draws = factor.sample(rng, dt=dt, batch=n)
+        draws = factor.sample(rng, dt=dt, batch=n).reshape(n, grid.n_points)
         mean = draws.mean(axis=0)
         assert np.max(np.abs(mean)) < 4 * math.sqrt(kern.diagonal_value() * dt / n)
         emp = draws.T @ draws / n

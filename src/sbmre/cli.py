@@ -61,8 +61,8 @@ from .heatkernel import (
 )
 from .particles import BranchingConfig, empirical_pairing, run_ensemble
 from .readouts import ConstantReadout, parse_readout
-from .spde import (NoisePath, batch_noise, derivative_quotient, solve_log_laplace, solve_pam,
-                   solve_stratonovich_pam)
+from .spde import (NoisePath, Route, batch_noise, derivative_quotients, solve_pam,
+                   solve_routes, solve_stratonovich_pam)
 
 __all__ = [
     "ConfigError",
@@ -448,8 +448,7 @@ def _pam_oracle(cfg: ExperimentConfig, workers: int) -> list:
 def _comparison_batch(f, kernel, t, dt, seed, lambdas, delta, save_every, b, lo, hi):
     noise = batch_noise(f.grid, kernel, dt, seed, b, lo, hi)
     agg = []
-    for lam in lambdas:
-        pair = derivative_quotient(f, lam, delta, t, noise, save_every=save_every)
+    for lam, pair in zip(lambdas, derivative_quotients(f, lambdas, delta, t, noise, save_every)):
         w_low, w_high = pair.sandwich_margins()
         agg.append([
             float(pair.lower.values.min()),
@@ -491,11 +490,12 @@ def _comparison_suite(cfg: ExperimentConfig, workers: int) -> list:
     return rows
 
 
-def _log_laplace_mean_batch(phi, kernel, t, dt, seed, b, lo, hi):
-    noise = batch_noise(phi.grid, kernel, dt, seed, b, lo, hi)
-    sol = solve_log_laplace(phi, 1.0, t, noise)
-    axes = tuple(range(1, sol.values[-1].ndim))
-    return sol.values[-1].mean(axis=axes)
+def _log_laplace_mean_batch(f, kernel, routes, t, dt, seed, b, lo, hi):
+    """Final spatial means per route and replica; the routes share the batch's noise path."""
+    noise = batch_noise(f.grid, kernel, dt, seed, b, lo, hi)
+    _, vals = solve_routes(f, t, noise, routes)
+    axes = tuple(range(1, f.grid.dim + 1))
+    return np.stack([v[-1].mean(axis=axes) for v in vals])
 
 
 @_experiment("extinction-scan")
@@ -505,17 +505,18 @@ def _extinction_scan(cfg: ExperimentConfig, workers: int) -> list:
     rows = []
     quiet = NoisePath(cfg.grid, Constant(0.0), cfg.dt, cfg.seed, n_replicas=1)
     save_every = max(1, round(t / cfg.dt / 16))
-    for k in ks:
-        phi = GridFunction.constant(cfg.grid, k)
-        sol = solve_log_laplace(phi, 1.0, t, quiet, save_every=save_every)
-        closed = 1.0 / (sol.times / 2.0 + 1.0 / k)
+    routes = [Route(k, reaction=True) for k in ks]
+    ones = GridFunction.constant(cfg.grid, 1.0)
+    times, vals = solve_routes(ones, t, quiet, routes, save_every=save_every)
+    for k, values in zip(ks, vals):
+        closed = 1.0 / (times / 2.0 + 1.0 / k)
         closed = closed.reshape((-1,) + (1,) * cfg.grid.dim)
-        err = float(np.max(np.abs(sol.values[:, 0] - closed)))
+        err = float(np.max(np.abs(values[:, 0] - closed)))
         rows.append(CheckRow(f"absorbing-closed-form-k{k:g}", err, 1e-6, err <= 1e-6))
-    for k in ks:
-        phi = GridFunction.constant(cfg.grid, k)
-        args = (phi, cfg.kernel, t, cfg.dt, cfg.seed)
-        means = np.concatenate(map_batches(_log_laplace_mean_batch, cfg.replicas, args, workers))
+    args = (ones, cfg.kernel, routes, t, cfg.dt, cfg.seed)
+    all_means = np.concatenate(map_batches(_log_laplace_mean_batch, cfg.replicas, args, workers),
+                               axis=1)
+    for k, means in zip(ks, all_means):
         mean, se = mean_se(means)
         bound = 1.0 / (t / 2.0 + 1.0 / k)
         rows.append(CheckRow(f"jensen-bound-k{k:g}", mean, se,

@@ -194,10 +194,15 @@ class ScaledTheta(CovarianceKernel):
         if abs(p0 - 1.0) > 1e-12:
             raise ValueError(f"profile(0) must equal 1, got {p0}")
 
+    def _gaussian(self) -> bool:
+        return self.profile is gaussian_profile or isinstance(self.profile, GaussianProfile)
+
     def envelope(self, r):
         return self.a * np.asarray(self.profile(np.asarray(r, dtype=float)))
 
     def sup_bound(self) -> float:
+        if self._gaussian():
+            return float(self.a)  # the profile peaks at profile(0) = 1
         # profiles are correlation shapes; guard against ones that overshoot 1
         probe = np.linspace(0.0, 16.0, 4097)
         return self.a * float(np.max(np.abs(self.profile(probe))))
@@ -212,7 +217,7 @@ class ScaledTheta(CovarianceKernel):
 
     def axis_kernel(self, dim: int):
         # a exp(-|r|^2 / w^2) = prod_i a^(1/dim) exp(-r_i^2 / w^2)
-        if self.profile is gaussian_profile or isinstance(self.profile, GaussianProfile):
+        if self._gaussian():
             return ScaledTheta(self.a ** (1.0 / dim), self.profile)
         return None
 
@@ -318,7 +323,8 @@ class GaussianFieldFactor:
     the rank-1 Constant root); it is a dense array or, for a separable kernel
     on a grid of dim >= 2, a KroneckerRoot.  ``index_map`` scatters sampled
     values back to the original (possibly duplicated) points: coincident
-    positions always share one field value.
+    positions always share one field value.  An identity map (every grid
+    factor, the Constant root) is skipped.
     """
 
     def __init__(self, root, index_map, jitter, diagonal_value, out_shape=None):
@@ -329,6 +335,7 @@ class GaussianFieldFactor:
         self.jitter = float(jitter)
         self.diagonal_value = float(diagonal_value)
         self.out_shape = tuple(out_shape) if out_shape is not None else (len(self.index_map),)
+        self._scatter = not np.array_equal(self.index_map, np.arange(self.root.shape[0]))
 
     @property
     def n_points(self) -> int:
@@ -346,7 +353,8 @@ class GaussianFieldFactor:
         cols = 1 if batch is None else int(batch)
         z = rng.standard_normal((rank, cols))
         vals = math.sqrt(dt) * (self.root @ z)  # (m, cols)
-        vals = vals[self.index_map, :]
+        if self._scatter:
+            vals = vals[self.index_map, :]
         if batch is None:
             return vals[:, 0].reshape(self.out_shape)
         return np.moveaxis(vals, -1, 0).reshape((cols,) + self.out_shape)

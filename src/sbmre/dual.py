@@ -102,35 +102,43 @@ def _stream_rng(seed: int, key: tuple) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-def march_dual(phi: GridFunction, t: float, n: float, kernel: CovarianceKernel,
+def march_dual(phi: GridFunction, times, n: float, kernel: CovarianceKernel,
                seed: int, streams, dt: float = 1e-3, field_override=None) -> tuple:
-    """Run the dual flow from phi up to time t for one replica per stream.
+    """Run the dual flow from phi to each of the given times, one replica per stream.
 
-    Returns (y, jump_times): final states shaped (len(streams), *grid.shape),
-    marched as one array on one grid factor, and each replica's arrival
-    times.  Replica r draws its clock from streams[r] + (0,) and its k-th mark
-    from streams[r] + (1, k), so each row equals a march of that stream alone
-    bit for bit.  field_override(k) may supply a replica's k-th mark (an array
-    over grid cells) in place of the Gaussian draw; the truncation to
-    +-sqrt(n) still applies.
+    Returns (ys, jump_times): ys[j] holds the states at times[j], shaped
+    (len(streams), *grid.shape), all taken from one march to max(times) of
+    one array on one grid factor; jump_times holds each replica's arrival
+    times up to max(times).  Replica r draws its clock from streams[r] + (0,)
+    and its k-th mark from streams[r] + (1, k), so each row equals a march of
+    that stream alone to that time, bit for bit: the arrivals up to an
+    earlier time are a prefix of those up to a later one.
+    field_override(k) may supply a replica's k-th mark (an array over grid
+    cells) in place of the Gaussian draw; the truncation to +-sqrt(n) still
+    applies.
     """
     grid = phi.grid
     if np.min(phi.values) < 0:
         raise ValueError("dual initial condition must be nonnegative")
     if not n >= 1:
         raise ValueError(f"need branching scale n >= 1, got {n}")
-    n_steps = _resolve_steps(t, dt)
+    save_steps = [_resolve_steps(s, dt) for s in times]
+    if not save_steps:
+        raise ValueError("need at least one time")
+    t = max(times)
+    n_steps = max(save_steps)
     clock = PoissonClock(float(n))
     jump_times = [clock.arrivals(_stream_rng(seed, s + (0,)), t) for s in streams]
     # each jump applies right after the substep its time rounds up to
     due = {}
-    for r, times in enumerate(jump_times):
-        for k, step in enumerate(np.maximum(np.ceil(times / dt - 1e-12).astype(int), 1)):
+    for r, arrivals in enumerate(jump_times):
+        for k, step in enumerate(np.maximum(np.ceil(arrivals / dt - 1e-12).astype(int), 1)):
             due.setdefault(int(step), []).append((r, k))
     factor = grid_covariance_factor(kernel, grid) if field_override is None else None
     scheme = Splitting(grid, dt, reaction=True)
     root_n = math.sqrt(n)
     y = np.repeat(phi.values[np.newaxis], len(streams), axis=0)
+    saved = {}
     for step in range(1, n_steps + 1):
         y = scheme.step(y)
         for r, k in due.get(step, ()):
@@ -142,15 +150,17 @@ def march_dual(phi: GridFunction, t: float, n: float, kernel: CovarianceKernel,
             y[r] = y[r] * (1.0 + h / root_n)
         if not np.all(np.isfinite(y)):
             raise DualEvolutionError(step)
-    return y, jump_times
+        if step in save_steps:
+            saved[step] = y.copy()
+    return [saved[step] for step in save_steps], jump_times
 
 
 def evolve_dual(phi: GridFunction, t: float, n: float, kernel: CovarianceKernel,
                 seed: int, dt: float = 1e-3, stream: tuple = (),
                 field_override=None) -> DualState:
     """Run the jump-diffusion dual flow from phi up to time t: march_dual of one stream."""
-    y, jump_times = march_dual(phi, t, n, kernel, seed, [stream], dt, field_override)
-    return DualState(y=GridFunction(phi.grid, y[0]), time=float(t), n=float(n),
+    ys, jump_times = march_dual(phi, (t,), n, kernel, seed, [stream], dt, field_override)
+    return DualState(y=GridFunction(phi.grid, ys[0][0]), time=float(t), n=float(n),
                      jump_times=jump_times[0], seed=seed, stream=stream)
 
 
@@ -181,17 +191,17 @@ def laplace_via_log_laplace(phi: GridFunction, mu, t: float,
     return mean_se(np.concatenate(parts))
 
 
-def _dual_batch(phi, t, n, kernel, seed, dt, prefix, b, lo, hi):
-    return march_dual(phi, t, n, kernel, seed, [prefix + (r,) for r in range(lo, hi)], dt)
+def _dual_batch(phi, times, n, kernel, seed, dt, prefix, b, lo, hi):
+    return march_dual(phi, times, n, kernel, seed, [prefix + (r,) for r in range(lo, hi)], dt)
 
 
 def dual_route_samples(phi: GridFunction, mu, t: float, n: float,
                        kernel: CovarianceKernel, seed: int, n_replicas: int,
                        dt: float = 1e-3, workers: int = 1) -> tuple:
     """Per-replica exp(-<mu, Y_t>) and jump counts; replica r runs on stream (r,)."""
-    parts = map_batches(_dual_batch, n_replicas, (phi, t, n, kernel, seed, dt, ()), workers)
+    parts = map_batches(_dual_batch, n_replicas, (phi, (t,), n, kernel, seed, dt, ()), workers)
     values = [math.exp(-pair_with_measure(GridFunction(phi.grid, row), mu))
-              for y, _ in parts for row in y]
+              for (y,), _ in parts for row in y]
     counts = [len(times) for _, jump_times in parts for times in jump_times]
     return np.array(values), np.array(counts, dtype=float)
 
@@ -229,7 +239,8 @@ def third_moment_scan(phi: GridFunction, times, n_ladder, kernel: CovarianceKern
 
     The weight is the polynomial reference weight; the scan reports the ratio
     surface and its per-n maxima so a ladder test can check boundedness in n.
-    Replica r of rung i runs on stream (i, r); replicas march in batches.
+    Replica r of rung i runs on stream (i, r); replicas march in batches,
+    each once, to the last of the times.
     """
     times = tuple(float(s) for s in times)
     n_ladder = tuple(float(v) for v in n_ladder)
@@ -239,11 +250,11 @@ def third_moment_scan(phi: GridFunction, times, n_ladder, kernel: CovarianceKern
     cells = tuple(np.array(ix) for ix in zip(*(phi.grid.nearest_index(x) for x in probes)))
     ratios = np.zeros((len(n_ladder), len(times), len(probes)))
     for i, n in enumerate(n_ladder):
-        for j, s in enumerate(times):
-            parts = map_batches(_dual_batch, n_replicas, (phi, s, n, kernel, seed, dt, (i,)))
+        parts = map_batches(_dual_batch, n_replicas, (phi, times, n, kernel, seed, dt, (i,)))
+        for j in range(len(times)):
             cubes = np.zeros(len(probes))
-            for y, _ in parts:
-                for row in y[(slice(None),) + cells] ** 3:
+            for ys, _ in parts:
+                for row in ys[j][(slice(None),) + cells] ** 3:
                     cubes += row
             ratios[i, j] = cubes / n_replicas / w3
     return ThirdMomentReport(n_ladder=n_ladder, times=times, probes=probes,

@@ -102,8 +102,16 @@ def apply_heat_semigroup(f: GridFunction, t: float) -> GridFunction:
 
 
 def apply_spectral_multiplier(values: np.ndarray, multiplier: np.ndarray, shape) -> np.ndarray:
-    """Apply a spectral multiplier to the trailing grid axes of values."""
+    """Apply a spectral multiplier to the trailing grid axes of values.
+
+    A 1-d grid takes rfft/irfft along the last axis: the same transforms
+    rfftn/irfftn run there, bit for bit, without their per-call axis set-up.
+    """
     dim = len(shape)
+    if dim == 1:
+        spec = np.fft.rfft(values, axis=-1)
+        spec *= multiplier
+        return np.fft.irfft(spec, n=shape[0], axis=-1)
     axes = tuple(range(values.ndim - dim, values.ndim))
     spec = np.fft.rfftn(values, axes=axes)
     spec *= multiplier

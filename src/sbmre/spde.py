@@ -17,6 +17,13 @@ Noise is generated in chunks keyed by (seed, stream_key, chunk index) and is
 regenerable: replaying a NoisePath, or sharing one between solvers, yields
 bit-identical increments.  That determinism is what makes the pathwise
 comparison inequalities between the two equations testable at 1e-12.
+
+Routes that share a NoisePath march as one stack (solve_routes): a state
+shaped (n_routes, n_replicas, *grid.shape) takes, per step, one increment,
+one heat transform pair and one exponential per distinct Ito drift, and each
+route's trajectory is bit for bit that of its march alone.  The linear and
+log-Laplace solvers, the derivative quotient and both Stratonovich routes are
+callers of that one march.
 """
 
 from dataclasses import dataclass
@@ -51,9 +58,12 @@ class NoisePath:
 
     Increments over [k dt, (k+1) dt) are centered Gaussian fields with
     covariance C(x, y) dt, independent across steps and across the
-    `n_replicas` leading axis.  Generation is lazy and chunked, and generated
-    chunks are kept; chunk c is a pure function of (seed, stream_key, c), so
-    any increment replays bit-identically in another NoisePath.
+    `n_replicas` leading axis.  Generation is lazy and chunked, and only the
+    chunk read last is kept, so memory stays at one chunk however long the
+    path; chunk c is a pure function of (seed, stream_key, c), so reading an
+    earlier step again regenerates its chunk bit-identically, and any
+    increment replays bit-identically in another NoisePath.  Routes that
+    need the same steps should therefore march together (solve_routes).
     """
 
     def __init__(self, grid: Grid, kernel: CovarianceKernel, dt: float, seed: int,
@@ -73,7 +83,7 @@ class NoisePath:
             chunk_steps = max(1, 2_000_000 // (self.n_replicas * grid.n_points))
         self.chunk_steps = int(chunk_steps)
         self.factor = grid_covariance_factor(kernel, grid)
-        self._chunks = {}
+        self._memo = (None, None)  # (chunk index, block) of the chunk read last
 
     @property
     def diagonal(self) -> float:
@@ -81,14 +91,13 @@ class NoisePath:
         return self.kernel.diagonal_value()
 
     def _chunk(self, c: int) -> np.ndarray:
-        block = self._chunks.get(c)
-        if block is None:
+        if self._memo[0] != c:
             ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.stream_key + (c,))
             rng = np.random.default_rng(ss)
             flat = self.factor.sample(rng, dt=self.dt, batch=self.chunk_steps * self.n_replicas)
             block = flat.reshape((self.chunk_steps, self.n_replicas) + self.grid.shape)
-            self._chunks[c] = block
-        return block
+            self._memo = (c, block)
+        return self._memo[1]
 
     def increment(self, step: int) -> np.ndarray:
         """Increment dW for the given step, shaped (n_replicas, *grid.shape)."""
@@ -118,29 +127,63 @@ def ensemble_noise(grid: Grid, kernel: CovarianceKernel, dt: float, seed: int,
             for batch in batch_ranges(n_replicas, batch_size)]
 
 
-class Splitting:
-    """One splitting step of length dt on states shaped (n_replicas, *grid.shape).
+def _runs(keys) -> list:
+    """[(key, slice), ...] over the maximal runs of equal consecutive keys."""
+    runs, start = [], 0
+    for i in range(1, len(keys) + 1):
+        if i == len(keys) or keys[i] != keys[start]:
+            runs.append((keys[start], slice(start, i)))
+            start = i
+    return runs
 
-    The reaction substep (if `reaction`) is the exact flow u <- u/(1 + u dt/2)
-    of the quadratic sink, the noise substep (if `step` gets a factor) an exact
-    positive pointwise multiplier.  The spectral heat substep is the one place
-    positivity can leak: its discrete kernel has small negative truncation
-    lobes, so with clamp=True (production default) each heat output is floored
-    at zero.  Flooring is monotone and 1-Lipschitz, hence every pathwise
-    comparison inequality survives it; the price is that additivity of the
-    linear flow holds only to the lobe scale (~1e-9 at default resolution)
-    instead of roundoff.  clamp=False keeps the exactly linear flow.
+
+@dataclass(frozen=True)
+class Route:
+    """One equation marched from scale * f on a shared NoisePath (solve_routes).
+
+    reaction turns on the quadratic sink (the log-Laplace equation; off, the
+    linear one); correction subtracts the Ito drift C(x, x) dt / 2 from each
+    increment (off, the direct route of the Stratonovich study).
+    """
+
+    scale: float = 1.0
+    reaction: bool = False
+    correction: bool = True
+
+    def __post_init__(self):
+        if self.scale < 0:
+            raise ValueError(f"scale must be nonnegative, got {self.scale}")
+
+
+class Splitting:
+    """One splitting step of length dt on states shaped (n_replicas, *grid.shape),
+    or on a stack of routes shaped (n_routes, n_replicas, *grid.shape).
+
+    The reaction substep is the exact flow u <- u/(1 + u dt/2) of the
+    quadratic sink; `reaction` is one flag for the whole state or, for a
+    stack, a tuple with one flag per route.  The noise substep multiplies by
+    exact positive pointwise factors, one per slice of routes (see step).
+    The spectral heat substep is the one place positivity can leak: its
+    discrete kernel has small negative truncation lobes, so with clamp=True
+    (production default) each heat output is floored at zero.  Flooring is
+    monotone and 1-Lipschitz, hence every pathwise comparison inequality
+    survives it; the price is that additivity of the linear flow holds only
+    to the lobe scale (~1e-9 at default resolution) instead of roundoff.
+    clamp=False keeps the exactly linear flow.
     """
 
     def __init__(self, grid: Grid, dt: float, order: str = "symmetric",
-                 reaction: bool = False, clamp: bool = True):
+                 reaction=False, clamp: bool = True):
         if order not in ORDERINGS:
             raise ValueError(f"order must be one of {ORDERINGS}, got {order!r}")
         self.shape = grid.shape
         self.dt = dt
         self.order = order
-        self.reaction = reaction
         self.clamp = clamp
+        if isinstance(reaction, tuple):
+            self._reacting = [sl for on, sl in _runs(reaction) if on]
+        else:
+            self._reacting = [slice(None)] if reaction else []
         # symmetric splitting takes two half heat steps, the others one full one
         self.multiplier = heat_multiplier(grid, dt / 2.0 if order == "symmetric" else dt)
 
@@ -148,24 +191,32 @@ class Splitting:
         out = apply_spectral_multiplier(v, self.multiplier, self.shape)
         return np.maximum(out, 0.0, out=out) if self.clamp else out
 
-    def _pointwise(self, v, factor, k):
-        if self.reaction:
-            v = v / (1.0 + v * (self.dt / 2.0))
-        if factor is None:
+    def _pointwise(self, v, factors, k):
+        for sl in self._reacting:
+            block = v[sl]
+            np.divide(block, 1.0 + block * (self.dt / 2.0), out=block)
+        if not factors:
             return v
         with np.errstate(over="ignore"):
-            v = v * factor
+            for sl, factor in factors:
+                np.multiply(v[sl], factor, out=v[sl])
         if not np.all(np.isfinite(v)):
             raise SchemeOverflowError(f"state left the finite range at step {k}", k)
         return v
 
-    def step(self, states: np.ndarray, factor: np.ndarray = None, k: int = 0) -> np.ndarray:
-        """Advance states by dt; factor is the noise multiplier of step k."""
+    def step(self, states: np.ndarray, factors=(), k: int = 0) -> np.ndarray:
+        """Advance states by dt; the pointwise substeps work in place, so states
+        may be overwritten.
+
+        factors holds the noise multipliers of step k as (slice of the
+        leading axis, factor) pairs; each factor broadcasts over its slice.
+        No factors, no noise substep.
+        """
         if self.order == "symmetric":
-            return self._heat(self._pointwise(self._heat(states), factor, k))
+            return self._heat(self._pointwise(self._heat(states), factors, k))
         if self.order == "heat-noise":
-            return self._pointwise(self._heat(states), factor, k)
-        return self._heat(self._pointwise(states, factor, k))
+            return self._pointwise(self._heat(states), factors, k)
+        return self._heat(self._pointwise(states, factors, k))
 
 
 @dataclass
@@ -252,32 +303,39 @@ def _save_indices(n_steps: int, save_every) -> np.ndarray:
     return np.array(idx)
 
 
-def _initial_states(f: GridFunction, noise: NoisePath, scale: float = 1.0) -> np.ndarray:
+def _initial_states(f: GridFunction, noise: NoisePath, scales) -> np.ndarray:
+    """scale * f for each scale, shaped (len(scales), n_replicas, *grid.shape)."""
     if f.grid != noise.grid:
         raise ValueError("initial datum and noise live on different grids")
     if float(f.values.min()) < 0:
         raise ValueError("initial datum must be nonnegative")
     states = np.broadcast_to(f.values, (noise.n_replicas,) + noise.grid.shape)
-    return scale * np.ascontiguousarray(states, dtype=float)
+    states = np.ascontiguousarray(states, dtype=float)
+    return np.array(scales, dtype=float).reshape((-1,) + (1,) * states.ndim) * states
 
 
 def _evolve(states: np.ndarray, noise: NoisePath, n_steps: int, save_idx: np.ndarray,
-            reaction: bool, correction: bool, order: str,
-            track_log_max: bool = False, clamp: bool = True):
-    """March states (n_replicas, *shape) forward; return saves or log-max rows.
+            routes: tuple, order: str, track_log_max: bool = False, clamp: bool = True):
+    """March a stack of routes (n_routes, n_replicas, *shape); return saves or log-max rows.
 
-    Each step is one Splitting step with noise factor exp(dW - drift); see
-    Splitting for the substeps and the clamp trade-off.  When track_log_max
-    is set, states are renormalized per replica whenever they exceed
-    _RENORM_LIMIT and log(max) is recorded with the offset folded back in;
-    saved fields are then not meaningful and are not returned.
+    Each step is one Splitting step: route i reacts if routes[i].reaction and
+    is multiplied by exp(dW - drift_i), one exponential per distinct drift.
+    Like routes listed next to each other share their array operations.  The
+    first route to leave the finite range stops the whole march.  Saves come
+    back shaped (n_routes, n_saves, n_replicas, *shape).  When track_log_max
+    is set, states are renormalized per route and replica whenever they
+    exceed _RENORM_LIMIT and log(max) is recorded with the offset folded back
+    in, shaped (n_routes, n_saves, n_replicas); saved fields are then not
+    meaningful and are not returned.
     """
-    scheme = Splitting(noise.grid, noise.dt, order, reaction=reaction, clamp=clamp)
-    drift = 0.5 * noise.diagonal * noise.dt if correction else 0.0
-    axes = tuple(range(1, states.ndim))
+    scheme = Splitting(noise.grid, noise.dt, order,
+                       reaction=tuple(r.reaction for r in routes), clamp=clamp)
+    drifts = [0.5 * noise.diagonal * noise.dt if r.correction else 0.0 for r in routes]
+    drift_runs = _runs(drifts)
+    axes = tuple(range(2, states.ndim))
     save_set = set(int(i) for i in save_idx)
     saves, log_rows = [], []
-    log_offset = np.zeros(states.shape[0])
+    log_offset = np.zeros(states.shape[:2])
 
     def record():
         if track_log_max:
@@ -288,21 +346,38 @@ def _evolve(states: np.ndarray, noise: NoisePath, n_steps: int, save_idx: np.nda
     if 0 in save_set:
         record()
     for k in range(n_steps):
+        dW = noise.increment(k)
         with np.errstate(over="ignore"):
-            factor = np.exp(noise.increment(k) - drift)
-        states = scheme.step(states, factor, k)
+            exps = {d: np.exp(dW - d) for d in set(drifts)}
+        states = scheme.step(states, [(sl, exps[d]) for d, sl in drift_runs], k)
         if track_log_max:
             peak = states.max(axis=axes)
             big = peak > _RENORM_LIMIT
             if np.any(big):
                 scale = np.where(big, peak, 1.0)
-                states = states / scale.reshape((-1,) + (1,) * (states.ndim - 1))
+                states = states / scale.reshape(scale.shape + (1,) * len(axes))
                 log_offset = log_offset + np.log(scale)
         if (k + 1) in save_set:
             record()
-    if track_log_max:
-        return np.stack(log_rows)
-    return np.stack(saves)
+    return np.stack(log_rows if track_log_max else saves, axis=1)
+
+
+def solve_routes(f: GridFunction, T: float, noise: NoisePath, routes, save_every=None,
+                 order: str = "symmetric", clamp: bool = True) -> tuple:
+    """March several routes from f along one noise path as one stack.
+
+    Returns (times, values) with values[i] route i's trajectory, shaped
+    (n_saves, n_replicas, *grid.shape) and bit for bit what route i marched
+    alone gives: the stack shares the increments, the heat transforms and
+    the exponentials, not the arithmetic of any one route.
+    """
+    routes = tuple(routes)
+    if not routes:
+        raise ValueError("need at least one route")
+    n = _resolve_steps(T, noise.dt)
+    idx = _save_indices(n, save_every)
+    states = _initial_states(f, noise, [r.scale for r in routes])
+    return idx * noise.dt, _evolve(states, noise, n, idx, routes, order, clamp=clamp)
 
 
 def solve_pam(f: GridFunction, T: float, noise: NoisePath, save_every=None,
@@ -315,26 +390,22 @@ def solve_pam(f: GridFunction, T: float, noise: NoisePath, save_every=None,
     (the direct route of the Stratonovich scheme study).  clamp_negatives
     trades exact additivity for exact positivity; see Splitting.
     """
-    n = _resolve_steps(T, noise.dt)
-    idx = _save_indices(n, save_every)
-    states = _initial_states(f, noise)
-    vals = _evolve(states, noise, n, idx, reaction=False, correction=correction,
-                   order=order, clamp=clamp_negatives)
+    times, vals = solve_routes(f, T, noise, [Route(correction=correction)], save_every,
+                               order, clamp=clamp_negatives)
     return PamSolution(grid=noise.grid, dt=noise.dt, correction=correction,
-                       order=order, times=idx * noise.dt, values=vals)
+                       order=order, times=times, values=vals[0])
+
+
+def _log_laplace(noise: NoisePath, order: str, times, values, lam: float) -> LogLaplaceSolution:
+    return LogLaplaceSolution(grid=noise.grid, dt=noise.dt, correction=True, order=order,
+                              times=times, values=values, lam=lam)
 
 
 def solve_log_laplace(f: GridFunction, lam: float, T: float, noise: NoisePath,
                       save_every=None, order: str = "symmetric") -> LogLaplaceSolution:
     """Evolve the log-Laplace equation from lam * f along the given noise path."""
-    if lam < 0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
-    n = _resolve_steps(T, noise.dt)
-    idx = _save_indices(n, save_every)
-    states = _initial_states(f, noise, scale=lam)
-    vals = _evolve(states, noise, n, idx, reaction=True, correction=True, order=order)
-    return LogLaplaceSolution(grid=noise.grid, dt=noise.dt, correction=True,
-                              order=order, times=idx * noise.dt, values=vals, lam=lam)
+    times, vals = solve_routes(f, T, noise, [Route(lam, reaction=True)], save_every, order)
+    return _log_laplace(noise, order, times, vals[0], lam)
 
 
 def solve_stratonovich_pam(f: GridFunction, kernel: ScaledTheta, T: float,
@@ -343,22 +414,22 @@ def solve_stratonovich_pam(f: GridFunction, kernel: ScaledTheta, T: float,
     """Solve the Stratonovich form for a scaled-profile kernel, both routes.
 
     Identity route: Ito solution times exp(a t / 2).  Direct route: same
-    scheme without the compensator.  Because C(x, x) = a is constant the two
-    differ only by commuting a scalar through linear substeps, so they agree
-    far inside the scheme-order tolerance; the check still runs so a future
-    non-constant-diagonal variant cannot silently break the identity.
+    scheme without the compensator; both march as one stack.  Because
+    C(x, x) = a is constant the two differ only by commuting a scalar through
+    linear substeps, so they agree far inside the scheme-order tolerance; the
+    check still runs so a future non-constant-diagonal variant cannot
+    silently break the identity.
     """
     if not isinstance(kernel, ScaledTheta):
         raise ValueError("Stratonovich identity requires a ScaledTheta kernel")
     if kernel != noise.kernel:
         raise ValueError("noise path was built for a different kernel")
-    ito = solve_pam(f, T, noise, save_every=save_every, correction=True)
-    a = kernel.a
-    lift = np.exp(0.5 * a * ito.times).reshape((-1,) + (1,) * (ito.values.ndim - 1))
-    tilde = ito.values * lift
-    direct = solve_pam(f, T, noise, save_every=save_every, correction=False)
-    scale = max(float(np.abs(direct.values).max()), 1e-300)
-    gap = float(np.abs(tilde - direct.values).max()) / scale
+    times, (ito, direct) = solve_routes(f, T, noise, [Route(), Route(correction=False)],
+                                        save_every)
+    lift = np.exp(0.5 * kernel.a * times).reshape((-1,) + (1,) * (ito.ndim - 1))
+    tilde = ito * lift
+    scale = max(float(np.abs(direct).max()), 1e-300)
+    gap = float(np.abs(tilde - direct).max()) / scale
     if tolerance is None:
         tolerance = max(1e-3, 100.0 * noise.dt)
     if gap > tolerance:
@@ -366,19 +437,34 @@ def solve_stratonovich_pam(f: GridFunction, kernel: ScaledTheta, T: float,
             f"identity and direct routes differ by {gap:.3e} (tolerance {tolerance:.3e})"
         )
     return StratonovichSolution(grid=noise.grid, dt=noise.dt, correction=True,
-                                order=ito.order, times=ito.times, values=tilde,
-                                route_gap=gap, direct_values=direct.values)
+                                order="symmetric", times=times, values=tilde,
+                                route_gap=gap, direct_values=direct)
+
+
+def derivative_quotients(f: GridFunction, lambdas, delta: float, T: float,
+                         noise: NoisePath, save_every=None) -> list:
+    """derivative_quotient for each lam, in one march on the shared noise.
+
+    The stack is the linear route once, then lam and lam + delta per lam;
+    every DerivativePair shares the one linear solution.
+    """
+    if delta <= 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    routes = [Route()] + [Route(s, reaction=True) for lam in lambdas for s in (lam, lam + delta)]
+    times, vals = solve_routes(f, T, noise, routes, save_every)
+    pam = PamSolution(grid=noise.grid, dt=noise.dt, correction=True, order="symmetric",
+                      times=times, values=vals[0])
+    return [DerivativePair(lam=lam, delta=delta, pam=pam,
+                           lower=_log_laplace(noise, "symmetric", times, vals[1 + 2 * i], lam),
+                           upper=_log_laplace(noise, "symmetric", times, vals[2 + 2 * i],
+                                              lam + delta))
+            for i, lam in enumerate(lambdas)]
 
 
 def derivative_quotient(f: GridFunction, lam: float, delta: float, T: float,
                         noise: NoisePath, save_every=None) -> DerivativePair:
     """Difference quotient of the log-Laplace solution in lam on shared noise."""
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    pam = solve_pam(f, T, noise, save_every=save_every)
-    lower = solve_log_laplace(f, lam, T, noise, save_every=save_every)
-    upper = solve_log_laplace(f, lam + delta, T, noise, save_every=save_every)
-    return DerivativePair(lam=lam, delta=delta, pam=pam, lower=lower, upper=upper)
+    return derivative_quotients(f, (lam,), delta, T, noise, save_every)[0]
 
 
 def total_mass_series(sol: PamSolution) -> tuple:
@@ -399,9 +485,9 @@ def pam_log_max_series(f: GridFunction, T: float, noise: NoisePath,
     """
     n = _resolve_steps(T, noise.dt)
     idx = _save_indices(n, save_every)
-    states = _initial_states(f, noise)
+    states = _initial_states(f, noise, [1.0])
     if float(states.max()) <= 0:
         raise ValueError("log-max tracking requires a somewhere-positive datum")
-    rows = _evolve(states, noise, n, idx, reaction=False, correction=correction,
+    rows = _evolve(states, noise, n, idx, (Route(correction=correction),),
                    order="symmetric", track_log_max=True)
-    return idx * noise.dt, rows
+    return idx * noise.dt, rows[0]

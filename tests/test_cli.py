@@ -10,11 +10,16 @@ import pytest
 from sbmre.cli import (
     ConfigError,
     ReplayRefusal,
+    _comparison_batch,
+    _log_laplace_mean_batch,
     load_config,
     main,
     replay,
     run_experiment,
 )
+from sbmre.covariance import ScaledTheta
+from sbmre.grids import Grid, GridFunction
+from sbmre.spde import Route, batch_noise, derivative_quotient, solve_log_laplace
 
 BASE = {
     "experiment": {"name": "pam-oracle"},
@@ -248,3 +253,27 @@ def test_check_rows_have_unique_names_and_hash(tmp_path):
     csv = (tmp_path / "u" / "pam-oracle.csv").read_text().splitlines()[1:]
     assert all(line.split(",")[6] == cfg.digest for line in csv)
     assert all(np.isfinite(float(line.split(",")[2])) for line in csv)
+
+
+def test_stacked_batches_equal_per_route_references():
+    grid = Grid(1, 8.0, 32)
+    f = GridFunction.from_callable(grid, lambda x: np.exp(-np.sum(x * x, axis=-1)))
+    kernel, t, dt, seed, batch = ScaledTheta(1.0), 0.1, 1e-3, 5, (1, 32, 36)
+    lambdas, delta = (0.5, 1.0, 2.0), 0.1
+    margins = _comparison_batch(f, kernel, t, dt, seed, lambdas, delta, 25, *batch)
+    noise = batch_noise(grid, kernel, dt, seed, *batch)
+    for lam, row in zip(lambdas, margins):
+        pair = derivative_quotient(f, lam, delta, t, noise, save_every=25)
+        expected = [pair.lower.values.min(),
+                    (lam * pair.pam.values - pair.lower.values).min(),
+                    (pair.upper.values - pair.lower.values).min(),
+                    *pair.sandwich_margins()]
+        assert np.array_equal(row, expected)
+
+    ks = (1.0, 10.0)
+    ones = GridFunction.constant(grid, 1.0)
+    means = _log_laplace_mean_batch(ones, kernel, [Route(k, reaction=True) for k in ks],
+                                    t, dt, seed, *batch)
+    for k, row in zip(ks, means):
+        final = solve_log_laplace(GridFunction.constant(grid, k), 1.0, t, noise).values[-1]
+        assert np.array_equal(row, final.mean(axis=1))

@@ -129,6 +129,33 @@ def test_duplicated_points_share_field_value():
     assert draw[0] != draw[2]
 
 
+@pytest.mark.parametrize("factor", [
+    grid_covariance_factor(ScaledTheta(1.3), Grid(1, 4.0, 16)),
+    grid_covariance_factor(ScaledTheta(0.8, GaussianProfile(0.7)), Grid(2, 4.0, 8)),
+    grid_covariance_factor(StationaryPower(0.5, 2.0), Grid(2, 4.0, 6)),
+    grid_covariance_factor(Constant(2.0), Grid(1, 4.0, 16)),
+    points_covariance_factor(ScaledTheta(1.0), [[0.1, 0.2], [0.1, 0.2], [1.0, -0.3]]),
+    points_covariance_factor(ScaledTheta(1.0), [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]),
+], ids=["grid-1d", "kronecker-2d", "dense-2d", "constant", "dedup", "dedup-unsorted"])
+def test_sample_scatters_through_the_index_map(factor):
+    # reference: the full gather root @ z -> values[index_map] of every draw
+    for batch in (None, 5):
+        cols = 1 if batch is None else batch
+        z = np.random.default_rng(11).standard_normal((factor.root.shape[1], cols))
+        ref = (math.sqrt(0.3) * (factor.root @ z))[factor.index_map, :]
+        ref = np.moveaxis(ref, -1, 0).reshape((cols,) + factor.out_shape)
+        draw = factor.sample(np.random.default_rng(11), dt=0.3, batch=batch)
+        assert np.array_equal(draw, ref if batch is not None else ref[0])
+
+
+@pytest.mark.parametrize("profile", [gaussian_profile, GaussianProfile(0.3),
+                                     GaussianProfile(4.0)])
+def test_gaussian_sup_bound_equals_the_probe(profile):
+    for a in (0.0, 0.7, 3.0, 16):
+        probe = np.linspace(0.0, 16.0, 4097)
+        assert ScaledTheta(a, profile).sup_bound() == a * float(np.max(np.abs(profile(probe))))
+
+
 def test_grid_factor_size_guard():
     # the cell cap guards the dense path: a kernel that does not factor over axes
     with pytest.raises(ValueError, match="16384 grid cells"):

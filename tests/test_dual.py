@@ -122,7 +122,7 @@ def test_batched_march_equals_single_replicas():
     grid = small_grid()
     phi = bump(grid)
     streams = [(r,) for r in range(5)] + [(2, 7)]
-    y, jump_times = march_dual(phi, 0.5, 40.0, ScaledTheta(1.0), SEED, streams, dt=2e-3)
+    (y,), jump_times = march_dual(phi, (0.5,), 40.0, ScaledTheta(1.0), SEED, streams, dt=2e-3)
     assert y.shape == (len(streams),) + grid.shape
     assert sum(len(times) for times in jump_times) > 0
     for r, stream in enumerate(streams):
@@ -130,6 +130,23 @@ def test_batched_march_equals_single_replicas():
         assert np.array_equal(y[r], single.y.values)
         assert np.array_equal(jump_times[r], single.jump_times)
         assert len(jump_times[r]) == single.jump_count
+
+
+def test_march_saves_equal_separate_marches():
+    grid = small_grid()
+    phi = bump(grid)
+    streams = [(0, r) for r in range(4)]
+    times = (0.3, 0.1, 0.5)
+    ys, jump_times = march_dual(phi, times, 40.0, ScaledTheta(1.0), SEED, streams, dt=2e-3)
+    for s, y in zip(times, ys):
+        (alone,), alone_times = march_dual(phi, (s,), 40.0, ScaledTheta(1.0), SEED, streams,
+                                           dt=2e-3)
+        assert np.array_equal(y, alone)
+        for arrivals, prefix in zip(jump_times, alone_times):
+            assert np.array_equal(arrivals[:len(prefix)], prefix)
+            assert np.all(arrivals[len(prefix):] > s)
+    with pytest.raises(ValueError):
+        march_dual(phi, (), 40.0, ScaledTheta(1.0), SEED, streams, dt=2e-3)
 
 
 def test_jump_pileup_overflows_with_step_index():

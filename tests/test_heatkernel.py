@@ -28,12 +28,14 @@ from sbmre.grids import Grid, GridFunction, PolynomialWeight
 from sbmre.heatkernel import (
     QuadratureError,
     apply_heat_semigroup,
+    apply_spectral_multiplier,
     bridge_potential,
     classify_regime,
     green_function,
     green_potential_sup,
     heat_at_points,
     heat_kernel,
+    heat_multiplier,
     khasminskii_bound,
     persistence_threshold,
     riesz_potential,
@@ -173,6 +175,17 @@ def test_semigroup_identity_and_composition():
     assert np.max(np.abs(ab.values - once.values)) < 1e-10
     with pytest.raises(ValueError):
         apply_heat_semigroup(f, -0.1)
+
+
+@pytest.mark.parametrize("shape", [(1, 64), (32, 64), (5, 32, 64), (3, 40)])
+def test_one_dimensional_spectral_step_is_the_nd_transform(shape):
+    grid = Grid(1, 8.0, shape[-1])
+    mult = heat_multiplier(grid, 5e-4)
+    values = np.random.default_rng(len(shape)).standard_normal(shape)
+    spec = np.fft.rfftn(values, axes=(-1,))
+    spec *= mult
+    reference = np.fft.irfftn(spec, s=grid.shape, axes=(-1,))
+    assert np.array_equal(apply_spectral_multiplier(values, mult, grid.shape), reference)
 
 
 def test_semigroup_mass_and_positivity():

@@ -6,7 +6,9 @@ roundoff-level tolerances; genuinely statistical facts use seeded ensembles
 and 3-standard-error bands.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from sbmre.heatkernel import apply_heat_semigroup
 from sbmre.spde import (
     ORDERINGS,
     NoisePath,
+    Route,
     RouteDisagreementError,
     SchemeOverflowError,
     derivative_quotient,
@@ -24,6 +27,7 @@ from sbmre.spde import (
     pam_log_max_series,
     solve_log_laplace,
     solve_pam,
+    solve_routes,
     solve_stratonovich_pam,
     total_mass_series,
 )
@@ -68,6 +72,46 @@ def test_noise_path_replay_and_layout():
         NoisePath(grid, kern, dt=0.0, seed=1)
     with pytest.raises(ValueError):
         NoisePath(grid, kern, dt=0.01, seed=1, n_replicas=0)
+
+
+def test_noise_path_keeps_one_chunk():
+    grid = Grid(1, 8.0, 32)
+    path = NoisePath(grid, ScaledTheta(0.7), dt=0.01, seed=123, n_replicas=2, chunk_steps=4)
+    first = path.increment(0).copy()
+    # each increment is a view of its chunk; a chunk no longer held is freed
+    chunks = [weakref.ref(path.increment(c * path.chunk_steps).base) for c in range(4)]
+    solve_pam(GridFunction.constant(grid, 1.0), 0.14, path)  # 14 steps: chunks 0..3
+    gc.collect()
+    assert sum(ref() is not None for ref in chunks) <= 1
+    assert np.array_equal(path.increment(0), first)
+    fresh = NoisePath(grid, ScaledTheta(0.7), dt=0.01, seed=123, n_replicas=2, chunk_steps=4)
+    assert np.array_equal(fresh.increment(13), path.increment(13))
+
+
+@pytest.mark.parametrize("order", ORDERINGS)
+@pytest.mark.parametrize("grid", [Grid(1, 8.0, 32), Grid(2, 4.0, 8)], ids=["1d", "2d"])
+def test_stacked_routes_equal_separate_solves(grid, order):
+    f = bump(grid, width=0.7)
+    noise = NoisePath(grid, ScaledTheta(1.3), dt=1e-2, seed=21, n_replicas=3, chunk_steps=7)
+    # unlike routes interleaved, so no run of the stack holds two of them
+    routes = [Route(), Route(0.7, reaction=True), Route(correction=False),
+              Route(1.3, reaction=True), Route(2.0, reaction=True)]
+    times, stacked = solve_routes(f, 0.2, noise, routes, save_every=6, order=order)
+    alone = [
+        solve_pam(f, 0.2, noise, save_every=6, order=order),
+        solve_log_laplace(f, 0.7, 0.2, noise, save_every=6, order=order),
+        solve_pam(f, 0.2, noise, save_every=6, order=order, correction=False),
+        solve_log_laplace(f, 1.3, 0.2, noise, save_every=6, order=order),
+        solve_log_laplace(f, 2.0, 0.2, noise, save_every=6, order=order),
+    ]
+    assert stacked.shape == (len(routes), len(times), 3) + grid.shape
+    for values, sol in zip(stacked, alone):
+        assert np.array_equal(sol.times, times)
+        assert np.array_equal(values, sol.values)
+    with pytest.raises(ValueError):
+        solve_routes(f, 0.2, noise, [])
+    with pytest.raises(ValueError):
+        Route(-1.0)
 
 
 def test_ensemble_noise_batching_deterministic():

@@ -9,7 +9,7 @@ spde         splitting-scheme solvers for the linear and log-Laplace equations
 particles    branching random walk with environment-tilted offspring law
 feynmankac   Brownian-pair moment formulas, annealed moments, growth probes
 dual         jump-perturbed dual flow and duality-gap diagnostics
-ensemble     replica batches: batch keying, ordered worker pool, mean and SE
+ensemble     Monte Carlo keying and reduction: streams, batches, worker pool, mean and SE
 cli          experiment runner (`sbmre` entry point)
 """
 

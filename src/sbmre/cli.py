@@ -46,7 +46,7 @@ from .feynmankac import (
     AtomicMeasure,
     MCConfig,
     first_moment_rhs,
-    ldp_tail_probe,
+    ldp_tail_probes,
     lyapunov_estimate,
     pam_second_moment_oracle,
     second_moment_rhs,
@@ -606,7 +606,7 @@ def _duality_ladder(cfg: ExperimentConfig, workers: int) -> list:
                                rho=cfg.param("rho", 2.0), seed=right_seed,
                                n_replicas=int(cfg.param("tm_replicas",
                                                         min(cfg.replicas, 40))),
-                               dt=cfg.dt)
+                               dt=cfg.dt, workers=workers)
     rows.append(CheckRow("third-moment-spread", report.spread(), 0.5,
                          report.spread() < 0.5))
     return rows
@@ -641,9 +641,8 @@ def _lyapunov_ladder(cfg: ExperimentConfig, workers: int) -> list:
     L = cfg.param("window", 2.0)
     probes = {}
     for a in tail_a:
-        for s in tail_t:
-            probe = ldp_tail_probe(ScaledTheta(a, profile), cfg.grid, s, L,
-                                   cfg.dt, cfg.seed, tail_reps)
+        for s, probe in zip(tail_t, ldp_tail_probes(ScaledTheta(a, profile), cfg.grid, tail_t,
+                                                    L, cfg.dt, cfg.seed, tail_reps)):
             probes[a, s] = probe
             rows.append(CheckRow(f"tail-fraction-a{a:g}-t{s:g}", probe.fraction,
                                  0.5 * (probe.interval[1] - probe.interval[0]),

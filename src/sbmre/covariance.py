@@ -327,13 +327,12 @@ class GaussianFieldFactor:
     factor, the Constant root) is skipped.
     """
 
-    def __init__(self, root, index_map, jitter, diagonal_value, out_shape=None):
+    def __init__(self, root, index_map, jitter, out_shape=None):
         if not isinstance(root, KroneckerRoot):
             root = np.asarray(root, dtype=float)
         self.root = root
         self.index_map = np.asarray(index_map, dtype=np.intp)
         self.jitter = float(jitter)
-        self.diagonal_value = float(diagonal_value)
         self.out_shape = tuple(out_shape) if out_shape is not None else (len(self.index_map),)
         self._scatter = not np.array_equal(self.index_map, np.arange(self.root.shape[0]))
 
@@ -399,12 +398,12 @@ def points_covariance_factor(kernel: CovarianceKernel, points) -> GaussianFieldF
     if isinstance(kernel, Constant):
         # exact rank-1 root of the all-ones matrix times level; no dedup needed
         root = np.full((len(points), 1), math.sqrt(kernel.level))
-        return GaussianFieldFactor(root, np.arange(len(points)), 0.0, kernel.diagonal_value())
+        return GaussianFieldFactor(root, np.arange(len(points)), 0.0)
     unique, index_map = np.unique(points, axis=0, return_inverse=True)
     index_map = index_map.reshape(-1)
     _check_dense_size(len(unique), "distinct points")
     root, jitter = _factor_matrix(kernel.matrix(unique), kernel.sup_bound())
-    return GaussianFieldFactor(root, index_map, jitter, kernel.diagonal_value())
+    return GaussianFieldFactor(root, index_map, jitter)
 
 
 def grid_covariance_factor(kernel: CovarianceKernel, grid) -> GaussianFieldFactor:
@@ -427,5 +426,4 @@ def grid_covariance_factor(kernel: CovarianceKernel, grid) -> GaussianFieldFacto
         root = KroneckerRoot(root, grid.dim)
         c = axis_kernel.diagonal_value()
         jitter = (c + jitter) ** grid.dim - c**grid.dim
-    return GaussianFieldFactor(root, np.arange(grid.n_points), jitter,
-                               kernel.diagonal_value(), grid.shape)
+    return GaussianFieldFactor(root, np.arange(grid.n_points), jitter, grid.shape)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import CovarianceKernel, grid_covariance_factor
-from .ensemble import map_batches, mean_se
+from .ensemble import map_batches, mean_se, stream_rng
 from .grids import GridFunction, PolynomialWeight
 from .spde import Splitting, _resolve_steps, batch_noise, solve_log_laplace
 
@@ -98,10 +98,6 @@ class DualState:
         return self.stream + (1, k)
 
 
-def _stream_rng(seed: int, key: tuple) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
-
-
 def march_dual(phi: GridFunction, times, n: float, kernel: CovarianceKernel,
                seed: int, streams, dt: float = 1e-3, field_override=None) -> tuple:
     """Run the dual flow from phi to each of the given times, one replica per stream.
@@ -128,7 +124,7 @@ def march_dual(phi: GridFunction, times, n: float, kernel: CovarianceKernel,
     t = max(times)
     n_steps = max(save_steps)
     clock = PoissonClock(float(n))
-    jump_times = [clock.arrivals(_stream_rng(seed, s + (0,)), t) for s in streams]
+    jump_times = [clock.arrivals(stream_rng(seed, s + (0,)), t) for s in streams]
     # each jump applies right after the substep its time rounds up to
     due = {}
     for r, arrivals in enumerate(jump_times):
@@ -143,7 +139,7 @@ def march_dual(phi: GridFunction, times, n: float, kernel: CovarianceKernel,
         y = scheme.step(y)
         for r, k in due.get(step, ()):
             if field_override is None:
-                h = factor.sample(_stream_rng(seed, streams[r] + (1, k)))
+                h = factor.sample(stream_rng(seed, streams[r] + (1, k)))
             else:
                 h = np.broadcast_to(np.asarray(field_override(k), dtype=float), grid.shape)
             h = np.clip(h, -root_n, root_n)
@@ -234,13 +230,14 @@ class ThirdMomentReport:
 
 def third_moment_scan(phi: GridFunction, times, n_ladder, kernel: CovarianceKernel,
                       probes, rho: float, seed: int, n_replicas: int,
-                      dt: float = 1e-3) -> ThirdMomentReport:
+                      dt: float = 1e-3, workers: int = 1) -> ThirdMomentReport:
     """Empirical E[Y_t(x)^3] / weight(x)^3 over an n-ladder and probe points.
 
     The weight is the polynomial reference weight; the scan reports the ratio
     surface and its per-n maxima so a ladder test can check boundedness in n.
     Replica r of rung i runs on stream (i, r); replicas march in batches,
-    each once, to the last of the times.
+    each once, to the last of the times, and cubes are summed in batch order
+    whatever the worker count.
     """
     times = tuple(float(s) for s in times)
     n_ladder = tuple(float(v) for v in n_ladder)
@@ -250,7 +247,8 @@ def third_moment_scan(phi: GridFunction, times, n_ladder, kernel: CovarianceKern
     cells = tuple(np.array(ix) for ix in zip(*(phi.grid.nearest_index(x) for x in probes)))
     ratios = np.zeros((len(n_ladder), len(times), len(probes)))
     for i, n in enumerate(n_ladder):
-        parts = map_batches(_dual_batch, n_replicas, (phi, times, n, kernel, seed, dt, (i,)))
+        parts = map_batches(_dual_batch, n_replicas, (phi, times, n, kernel, seed, dt, (i,)),
+                            workers)
         for j in range(len(times)):
             cubes = np.zeros(len(probes))
             for ys, _ in parts:

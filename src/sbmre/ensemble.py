@@ -1,9 +1,20 @@
-"""Replica batches: the one rule for keying, distributing and reducing replicas.
+"""Monte Carlo ensembles: the one rule for keying, distributing and reducing draws.
+
+Every random stream in the lab is stream_rng(seed, key): a generator on the
+SeedSequence spawn key `key` of the root seed, so a draw depends only on
+(seed, key), never on the process or the order that asks for it.  Keys name
+what is drawn: a replica batch (b,), a replica (r,), a noise chunk, a dual
+clock or mark, a pair-path chunk (tag, c).
 
 Replicas are cut into batches of BATCH_SIZE; batch b covers replicas [lo, hi)
-and keys its random streams by b or by absolute replica index, never by the
-worker that runs it.  Batches may run on a process pool, but results come back
-in batch order, so reductions depend only on the seed, not on the worker count.
+and keys its streams by b or by absolute replica index, never by the worker
+that runs it.  Batches may run on a process pool, but results come back in
+batch order, so reductions depend only on the seed, not on the worker count.
+
+Every estimate is reduced by mean_se, a two-pass mean and standard error.
+It drops non-finite values, which only the particle ensembles produce (a
+replica past its population cap, counted separately); the path samplers
+raise FloatingPointError on a non-finite value before they reduce.
 """
 
 import math
@@ -12,6 +23,11 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 BATCH_SIZE = 32
+
+
+def stream_rng(seed: int, key: tuple) -> np.random.Generator:
+    """The generator of stream `key` under the root seed."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
 def batch_ranges(total: int, batch_size: int = BATCH_SIZE) -> list:
@@ -34,7 +50,11 @@ def map_batches(fn, total: int, args: tuple = (), workers: int = 1) -> list:
 
 
 def mean_se(values) -> tuple:
-    """(mean, standard error) over the finite entries; needs two of them."""
+    """(mean, standard error) over the finite entries; needs two of them.
+
+    Two passes (the mean, then squared deviations from it), so the SE does
+    not cancel away when the values sit far from zero.
+    """
     values = np.asarray(values, dtype=float)
     values = values[np.isfinite(values)]
     if values.size < 2:

@@ -15,10 +15,12 @@ Conventions fixed here:
   - the outer time integral of the second-moment identity is stratified over
     the same mesh with a uniform draw inside each cell, which keeps it
     unbiased and gives it an honest nonzero standard error;
-  - sampling is chunked with fixed-size chunks keyed by a SeedSequence spawn
-    index, so estimates are byte-identical regardless of how work is split.
+  - sampling is chunked with fixed-size chunks, chunk c of sampler tag drawn
+    from ensemble.stream_rng(seed, (tag, c)), so estimates are byte-identical
+    regardless of how work is split.
 
-Estimates are returned as (value, standard error) pairs.
+Estimates are (value, standard error) pairs from ensemble.mean_se; a
+non-finite path value raises FloatingPointError instead of being dropped.
 """
 
 import math
@@ -27,9 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import CovarianceKernel, ScaledTheta, points_covariance_factor
+from .ensemble import batch_ranges, mean_se, stream_rng
 from .grids import Grid, GridFunction
 from .heatkernel import heat_at_points
-from .spde import NoisePath, pam_log_max_series, solve_pam
+from .spde import NoisePath, Route, _evolve, _initial_states, _resolve_steps, pam_log_max_series
 
 __all__ = [
     "MCConfig",
@@ -46,6 +49,7 @@ __all__ = [
     "lyapunov_estimate",
     "TailProbe",
     "ldp_tail_probe",
+    "ldp_tail_probes",
     "wilson_interval",
     "log_gradient_quantiles",
 ]
@@ -55,20 +59,17 @@ _CHUNK = 4096
 
 @dataclass(frozen=True)
 class MCConfig:
-    """Path-sampling budget: count, mesh step, seed, antithetic pairing."""
+    """Path-sampling budget: count, mesh step, seed."""
 
     n_paths: int
     dt: float
     seed: int
-    antithetic: bool = False
 
     def __post_init__(self):
         if self.n_paths < 2:
             raise ValueError(f"need at least 2 paths, got {self.n_paths}")
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.antithetic and self.n_paths % 2:
-            raise ValueError("antithetic sampling needs an even path count")
 
     def steps_for(self, t: float) -> int:
         m = int(round(t / self.dt))
@@ -124,56 +125,20 @@ def pi_diagonal(F):
     return g
 
 
-def _chunks(total: int) -> list:
-    sizes = [_CHUNK] * (total // _CHUNK)
-    if total % _CHUNK:
-        sizes.append(total % _CHUNK)
-    return sizes
+def _path_mean_se(chunks) -> tuple:
+    """mean_se of the chunks' values; a non-finite value raises, since mean_se
+    would drop it and so hide an overflow of the exponential weight."""
+    values = np.concatenate(chunks)
+    if not np.all(np.isfinite(values)):
+        raise FloatingPointError("non-finite functional values in Monte Carlo batch")
+    return mean_se(values)
 
 
-def _rng(seed: int, chunk: int, tag: int = 0) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(tag, chunk)))
-
-
-class _Welford:
-    """Chunk-merged mean and standard error (deterministic merge order).
-
-    Antithetic draws must be folded into pair averages before being added, so
-    the i.i.d. standard-error formula stays honest.
-    """
-
-    def __init__(self):
-        self.n = 0
-        self.total = 0.0
-        self.total_sq = 0.0
-
-    def add(self, values: np.ndarray):
-        if not np.all(np.isfinite(values)):
-            raise FloatingPointError("non-finite functional values in Monte Carlo batch")
-        self.n += values.size
-        self.total += float(np.sum(values))
-        self.total_sq += float(np.sum(values * values))
-
-    def estimate(self) -> tuple:
-        mean = self.total / self.n
-        var = max(self.total_sq - self.n * mean * mean, 0.0) / max(self.n - 1, 1)
-        return mean, math.sqrt(var / self.n)
-
-
-def _fold_antithetic(values: np.ndarray, antithetic: bool) -> np.ndarray:
-    if not antithetic:
-        return values
-    half = len(values) // 2
-    return 0.5 * (values[:half] + values[half:])
-
-
-def _pair_increments(rng, n: int, m: int, dim: int, dt: float, antithetic: bool):
-    """Increments for n pair paths over m steps; antithetic halves the draws."""
-    draw = n // 2 if antithetic else n
-    inc = rng.standard_normal((2, draw, m, dim)) * math.sqrt(dt)
-    if antithetic:
-        inc = np.concatenate([inc, -inc], axis=1)
-    return inc[0], inc[1]
+def _left_points(inc: np.ndarray) -> np.ndarray:
+    """Path positions at the left endpoints of the steps, from increments along
+    axis -2 (points along axis -1): 0, inc_0, inc_0 + inc_1, ..."""
+    pos = np.cumsum(inc, axis=-2)
+    return np.concatenate([np.zeros_like(pos[..., :1, :]), pos[..., :-1, :]], axis=-2)
 
 
 def qtc(F, x, y, t: float, kernel: CovarianceKernel, mc: MCConfig) -> tuple:
@@ -188,21 +153,18 @@ def qtc(F, x, y, t: float, kernel: CovarianceKernel, mc: MCConfig) -> tuple:
         raise ValueError("x and y must be points of the same dimension")
     m = mc.steps_for(t)
     dim = len(x)
-    acc = _Welford()
-    for c, size in enumerate(_chunks(mc.n_paths)):
-        rng = _rng(mc.seed, c)
-        inc_b, inc_bp = _pair_increments(rng, size, m, dim, mc.dt, mc.antithetic)
+    chunks = []
+    for c, lo, hi in batch_ranges(mc.n_paths, _CHUNK):
+        rng = stream_rng(mc.seed, (0, c))
+        inc_b, inc_bp = rng.standard_normal((2, hi - lo, m, dim)) * math.sqrt(mc.dt)
         # difference path at left endpoints drives the exponent
-        beta = np.cumsum(inc_b - inc_bp, axis=1)
-        left = np.concatenate([np.zeros((size, 1, dim)), beta[:, :-1]], axis=1)
-        left += (x - y)
+        left = _left_points(inc_b - inc_bp) + (x - y)
         radii = np.sqrt(np.sum(left * left, axis=-1))
         exponent = mc.dt * np.sum(kernel.envelope(radii), axis=1)
         end_b = x + np.sum(inc_b, axis=1)
         end_bp = y + np.sum(inc_bp, axis=1)
-        vals = np.exp(exponent) * np.asarray(F(end_b, end_bp), dtype=float)
-        acc.add(_fold_antithetic(vals, mc.antithetic))
-    return acc.estimate()
+        chunks.append(np.exp(exponent) * np.asarray(F(end_b, end_bp), dtype=float))
+    return _path_mean_se(chunks)
 
 
 def first_moment_rhs(f, nu: AtomicMeasure, t: float) -> float:
@@ -211,15 +173,14 @@ def first_moment_rhs(f, nu: AtomicMeasure, t: float) -> float:
     return float(np.dot(nu.weights, flowed))
 
 
-def _diagonal_time_integral(f, F, x: np.ndarray, t: float,
+def _diagonal_time_integral(F, x: np.ndarray, t: float,
                             kernel: CovarianceKernel, mc: MCConfig) -> tuple:
     """int_0^t P_{t-s}(pi Q_s F)(x) ds, stratified uniformly over mesh cells.
 
     Each sample runs a plain Gaussian jump of length t-s from x, then a pair
     started at its endpoint for the remaining s; the draw of s inside its mesh
-    cell keeps the estimator unbiased with a nonzero standard error.  The
-    stratification already plays the variance-reduction role, so the
-    antithetic flag is ignored here.
+    cell keeps the estimator unbiased with a nonzero standard error.  Each
+    stratum is reduced on its own and the strata combine in quadrature.
     """
     m = mc.steps_for(t)
     if mc.n_paths < 2 * m:
@@ -231,7 +192,7 @@ def _diagonal_time_integral(f, F, x: np.ndarray, t: float,
     variance = 0.0
     for j in range(m):
         n_j = base + (1 if j < rem else 0)
-        rng = _rng(mc.seed, j, tag=1)
+        rng = stream_rng(mc.seed, (1, j))
         u = rng.random(n_j)
         s = (j + u) * mc.dt
         # common phase: a single exact Gaussian jump of length t - s
@@ -239,21 +200,15 @@ def _diagonal_time_integral(f, F, x: np.ndarray, t: float,
         # pair phase: j full steps of dt plus one partial step of u dt
         widths = np.concatenate(
             [np.full((n_j, j), mc.dt), (u * mc.dt)[:, None]], axis=1)
-        inc_b, inc_bp = _pair_increments(rng, n_j, j + 1, dim, 1.0, False)
-        scale = np.sqrt(widths)[..., None]
-        inc_b = inc_b * scale
-        inc_bp = inc_bp * scale
-        beta = np.cumsum(inc_b - inc_bp, axis=1)
-        left = np.concatenate([np.zeros((n_j, 1, dim)), beta[:, :-1]], axis=1)
+        inc_b, inc_bp = rng.standard_normal((2, n_j, j + 1, dim)) * np.sqrt(widths)[..., None]
+        left = _left_points(inc_b - inc_bp)
         radii = np.sqrt(np.sum(left * left, axis=-1))
         exponent = np.sum(kernel.envelope(radii) * widths, axis=1)
         end_b = common + np.sum(inc_b, axis=1)
         end_bp = common + np.sum(inc_bp, axis=1)
-        vals = np.exp(exponent) * np.asarray(F(end_b, end_bp), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise FloatingPointError("non-finite functional values in Monte Carlo batch")
-        value += mc.dt * float(np.mean(vals))
-        variance += mc.dt**2 * float(np.var(vals, ddof=1)) / n_j
+        mean, se = _path_mean_se([np.exp(exponent) * np.asarray(F(end_b, end_bp), dtype=float)])
+        value += mc.dt * mean
+        variance += (mc.dt * se) ** 2
     return value, math.sqrt(variance)
 
 
@@ -272,11 +227,10 @@ def second_moment_rhs(f, nu: AtomicMeasure, t: float,
     for i, (wi, xi) in enumerate(zip(nu.weights, nu.points)):
         for j, (wj, xj) in enumerate(zip(nu.weights, nu.points)):
             est, se = qtc(F, xi, xj, t, kernel,
-                          MCConfig(mc.n_paths, mc.dt, mc.seed + 7919 * (i * len(nu.weights) + j),
-                                   mc.antithetic))
+                          MCConfig(mc.n_paths, mc.dt, mc.seed + 7919 * (i * len(nu.weights) + j)))
             value += wi * wj * est
             var += (wi * wj * se) ** 2
-        est, se = _diagonal_time_integral(f, F, xi, t, kernel, mc)
+        est, se = _diagonal_time_integral(F, xi, t, kernel, mc)
         value += wi * est
         var += (wi * se) ** 2
     return value, math.sqrt(var)
@@ -307,22 +261,18 @@ def annealed_moment_w(kernel: ScaledTheta, t: float, k: int, mc: MCConfig,
     if k == 1:
         return math.exp(t / 2.0), 0.0
     root_dt = math.sqrt(mc.dt / kernel.a)
-    acc = _Welford()
-    for c, size in enumerate(_chunks(mc.n_paths)):
-        rng = _rng(mc.seed, c, tag=2)
-        draw = size // 2 if mc.antithetic else size
-        inc = rng.standard_normal((draw, k, m, dim)) * root_dt
-        if mc.antithetic:
-            inc = np.concatenate([inc, -inc], axis=0)
-        pos = np.cumsum(inc, axis=2)
-        left = np.concatenate([np.zeros((size, k, 1, dim)), pos[:, :, :-1]], axis=2)
+    chunks = []
+    for c, lo, hi in batch_ranges(mc.n_paths, _CHUNK):
+        size = hi - lo
+        rng = stream_rng(mc.seed, (2, c))
+        left = _left_points(rng.standard_normal((size, k, m, dim)) * root_dt)
         cross = np.zeros(size)
         for i in range(k):
             for j in range(i + 1, k):
                 radii = np.linalg.norm(left[:, i] - left[:, j], axis=-1)
                 cross += 2.0 * mc.dt * np.sum(kernel.profile(radii), axis=1)
-        acc.add(_fold_antithetic(np.exp(0.5 * (k * t + cross)), mc.antithetic))
-    return acc.estimate()
+        chunks.append(np.exp(0.5 * (k * t + cross)))
+    return _path_mean_se(chunks)
 
 
 def annealed_moment_bruteforce(kernel: ScaledTheta, t: float, k: int,
@@ -343,19 +293,17 @@ def annealed_moment_bruteforce(kernel: ScaledTheta, t: float, k: int,
     m = mc.steps_for(t)
     profile_kernel = ScaledTheta(1.0, kernel.profile)
     root_dt = math.sqrt(mc.dt / kernel.a)
-    acc = _Welford()
-    for c, size in enumerate(_chunks(mc.n_paths)):
-        rng = _rng(mc.seed, c, tag=3)
-        for _ in range(size):
-            inc = rng.standard_normal((k, m, dim)) * root_dt
-            pos = np.cumsum(inc, axis=1)
-            left = np.concatenate([np.zeros((k, 1, dim)), pos[:, :-1]], axis=1)
+    chunks = []
+    for c, lo, hi in batch_ranges(mc.n_paths, _CHUNK):
+        rng = stream_rng(mc.seed, (3, c))
+        for _ in range(lo, hi):
+            left = _left_points(rng.standard_normal((k, m, dim)) * root_dt)
             eta = np.zeros(k)
             for step in range(m):
                 factor = points_covariance_factor(profile_kernel, left[:, step])
                 eta += factor.sample(rng, mc.dt)
-            acc.add(np.exp(eta.sum(keepdims=True)))
-    return acc.estimate()
+            chunks.append(np.exp(eta.sum(keepdims=True)))
+    return _path_mean_se(chunks)
 
 
 @dataclass(frozen=True)
@@ -434,25 +382,39 @@ def ldp_tail_probe(kernel: ScaledTheta, grid: Grid, t: float, L: float, dt: floa
     Only a > 0 is meaningful: at a = 0 the flow is identically 1 and the
     threshold degenerates to the strict boundary, so it is rejected.
     """
+    return ldp_tail_probes(kernel, grid, (t,), L, dt, seed, n_replicas)[0]
+
+
+def ldp_tail_probes(kernel: ScaledTheta, grid: Grid, times, L: float, dt: float,
+                    seed: int, n_replicas: int) -> list:
+    """[ldp_tail_probe at t for t in times], from one march to max(times).
+
+    Every t reads the same NoisePath the one-time probe builds, so each probe
+    equals it field for field; only the states at the requested steps are kept.
+    """
     if not isinstance(kernel, ScaledTheta) or kernel.a <= 0:
         raise ValueError("tail probe needs an amplitude-scaled kernel with a > 0")
     if grid.extent < 2 * L:
         raise ValueError(f"grid extent {grid.extent} cannot cover |x| <= {L}")
     if n_replicas < 1:
         raise ValueError("need at least one replica")
-    f = GridFunction.constant(grid, 1.0)
+    steps = [_resolve_steps(t, dt) for t in times]
+    saved = sorted(set(steps))
     noise = NoisePath(grid, kernel, dt, seed, n_replicas=n_replicas)
-    sol = solve_pam(f, t, noise)
-    final = sol.values[-1]  # (n_replicas, *grid.shape)
+    states = _initial_states(GridFunction.constant(grid, 1.0), noise, [1.0])
+    finals = _evolve(states, noise, saved[-1], np.array(saved), (Route(),), "symmetric")[0]
     mask = np.abs(grid.axis()) <= L + 1e-12
     for _ in range(grid.dim - 1):
         mask = mask[..., None] & (np.abs(grid.axis()) <= L + 1e-12)
-    peaks = final[:, mask].max(axis=1)
-    threshold = math.exp(-kernel.a * t / 3.0)
-    hits = int(np.sum(peaks > threshold))
-    return TailProbe(fraction=hits / n_replicas,
-                     interval=wilson_interval(hits, n_replicas),
-                     threshold=threshold, n_replicas=n_replicas)
+    probes = []
+    for t, step in zip(times, steps):
+        peaks = finals[saved.index(step)][:, mask].max(axis=1)
+        threshold = math.exp(-kernel.a * t / 3.0)
+        hits = int(np.sum(peaks > threshold))
+        probes.append(TailProbe(fraction=hits / n_replicas,
+                                interval=wilson_interval(hits, n_replicas),
+                                threshold=threshold, n_replicas=n_replicas))
+    return probes
 
 
 def log_gradient_quantiles(sol_values: np.ndarray, spacing: float,

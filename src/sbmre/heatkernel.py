@@ -50,6 +50,8 @@ __all__ = [
     "RegimeReport",
 ]
 
+_HERMITE_NODES = 40  # Gauss-Hermite nodes per axis in heat_at_points
+
 
 class QuadratureError(RuntimeError):
     """A potential quadrature failed to converge within tolerance."""
@@ -118,18 +120,18 @@ def apply_spectral_multiplier(values: np.ndarray, multiplier: np.ndarray, shape)
     return np.fft.irfftn(spec, s=shape, axes=axes)
 
 
-def heat_at_points(fn, t: float, points, dim: int, nodes: int = 40) -> np.ndarray:
+def heat_at_points(fn, t: float, points, dim: int) -> np.ndarray:
     """Free-space heat flow of a callable, evaluated at arbitrary points.
 
-    Tensor Gauss-Hermite quadrature of E[fn(x + sqrt(t) Z)]; exactness improves
-    rapidly with `nodes` for smooth fn.
+    Tensor Gauss-Hermite quadrature of E[fn(x + sqrt(t) Z)] on _HERMITE_NODES
+    nodes per axis; exactness improves rapidly with the node count for smooth fn.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     if t == 0:
         return np.asarray(fn(points), dtype=float)
-    u, w = np.polynomial.hermite.hermgauss(nodes)
+    u, w = np.polynomial.hermite.hermgauss(_HERMITE_NODES)
     mesh = np.meshgrid(*(u,) * dim, indexing="ij")
     offsets = np.stack([m.ravel() for m in mesh], axis=-1)  # (nodes^dim, dim)
     wmesh = np.meshgrid(*(w,) * dim, indexing="ij")
@@ -225,7 +227,7 @@ def riesz_potential(g, dim: int, r: float) -> float:
     return omega * (r ** (2 - dim) * inner + tail)
 
 
-def riesz_potential_sup(g, dim: int, r_max: float = None) -> float:
+def riesz_potential_sup(g, dim: int) -> float:
     """Supremum over x of the Riesz potential of a radial envelope.
 
     Returns inf for envelopes whose potential provably diverges (constant
@@ -244,8 +246,7 @@ def riesz_potential_sup(g, dim: int, r_max: float = None) -> float:
         traits_nonincr = traits.nonincreasing
     if traits_nonincr:
         return riesz_potential(g, dim, 0.0)
-    if r_max is None:
-        r_max = traits.support_radius + 1.0 if traits.support_radius else 16.0
+    r_max = traits.support_radius + 1.0 if traits.support_radius else 16.0
     radii = np.linspace(0.0, r_max, 65)
     vals = [riesz_potential(g, dim, float(r)) for r in radii]
     k = int(np.argmax(vals))
@@ -273,14 +274,7 @@ def khasminskii_bound(s: float) -> float:
     return 1.0 / (1.0 - s)
 
 
-def bridge_potential(
-    x,
-    y,
-    g,
-    dim: int,
-    spacing: float = 0.125,
-    box_radius: float = None,
-) -> float:
+def bridge_potential(x, y, g, dim: int, spacing: float = 0.125) -> float:
     """Expected potential along the Green bridge from x conditioned to hit y:
 
         int G(x, z) G(z, y) / G(x, y) * g(|z|) dz.
@@ -296,9 +290,8 @@ def bridge_potential(
     if np.array_equal(x, y):
         raise ValueError("bridge endpoints must differ")
     envelope, traits = _envelope_and_traits(g)
-    if box_radius is None:
-        support = traits.support_radius if traits.support_radius is not None else 6.0
-        box_radius = max(support + 0.5, np.linalg.norm(x) + 1, np.linalg.norm(y) + 1)
+    support = traits.support_radius if traits.support_radius is not None else 6.0
+    box_radius = max(support + 0.5, np.linalg.norm(x) + 1, np.linalg.norm(y) + 1)
     axis = np.arange(-box_radius + spacing / 2, box_radius, spacing)
     mesh = np.meshgrid(*(axis,) * dim, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
@@ -364,25 +357,18 @@ def classify_regime(kernel: cov.CovarianceKernel, dim: int) -> RegimeReport:
     return RegimeReport("Inconclusive", theta, threshold, gap)
 
 
-def weight_domination_constant(
-    rho: float,
-    t_max: float,
-    dim: int,
-    grid: Grid = None,
-    n_times: int = 8,
-) -> float:
+def weight_domination_constant(rho: float, t_max: float, dim: int) -> float:
     """Empirical constant C with heat_flow(weight) <= C * weight on the grid.
 
     Scans a geometric ladder of times in (0, t_max] and maximizes the ratio
     P_t(phi_rho) / phi_rho over all cells; finite output certifies the
     domination numerically on the chosen box.
     """
-    if grid is None:
-        cells = {1: 256, 2: 64, 3: 16}[dim]
-        grid = Grid(dim, max(8.0, 8.0 * math.sqrt(t_max)), cells)
+    cells = {1: 256, 2: 64, 3: 16}[dim]
+    grid = Grid(dim, max(8.0, 8.0 * math.sqrt(t_max)), cells)
     phi = PolynomialWeight(rho).on_grid(grid)
     best = 1.0
-    for t in np.geomspace(t_max / 64.0, t_max, n_times):
+    for t in np.geomspace(t_max / 64.0, t_max, 8):
         flowed = apply_heat_semigroup(phi, float(t))
         ratio = float(np.max(flowed.values / phi.values))
         best = max(best, ratio)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import CovarianceKernel, points_covariance_factor
+from .ensemble import stream_rng
 
 
 def _cumulative_trapezoid(values: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -207,7 +208,7 @@ def run_ensemble(config: BranchingConfig, save_times, seed: int, n_replicas: int
     Returns (rows, blowups): rows is (n_replicas, stat_width) with NaN rows
     for replicas whose population crossed the cap, and blowups the list of
     (replica index, epoch, population) describing those events.  Replica r
-    draws from SeedSequence(seed, spawn_key=(r,)), so results do not depend
+    draws from stream_rng(seed, (r,)), so results do not depend
     on how replicas are later grouped into workers; first_replica shifts the
     index range so a worker can own the slice [first, first + count).
     """
@@ -216,7 +217,7 @@ def run_ensemble(config: BranchingConfig, save_times, seed: int, n_replicas: int
     rows, blowups = [], []
     width = None
     for r in range(first_replica, first_replica + n_replicas):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+        rng = stream_rng(seed, (r,))
         try:
             stat = np.atleast_1d(np.asarray(statistic(run(config, save_times, rng)),
                                             dtype=float))

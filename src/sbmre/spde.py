@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import CovarianceKernel, ScaledTheta, grid_covariance_factor
-from .ensemble import BATCH_SIZE, batch_ranges
+from .ensemble import BATCH_SIZE, batch_ranges, stream_rng
 from .grids import Grid, GridFunction
 from .heatkernel import apply_spectral_multiplier, heat_multiplier
 
@@ -92,9 +92,8 @@ class NoisePath:
 
     def _chunk(self, c: int) -> np.ndarray:
         if self._memo[0] != c:
-            ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.stream_key + (c,))
-            rng = np.random.default_rng(ss)
-            flat = self.factor.sample(rng, dt=self.dt, batch=self.chunk_steps * self.n_replicas)
+            flat = self.factor.sample(stream_rng(self.seed, self.stream_key + (c,)), dt=self.dt,
+                                      batch=self.chunk_steps * self.n_replicas)
             block = flat.reshape((self.chunk_steps, self.n_replicas) + self.grid.shape)
             self._memo = (c, block)
         return self._memo[1]
@@ -246,11 +245,6 @@ class PamSolution:
 
 
 @dataclass
-class LogLaplaceSolution(PamSolution):
-    lam: float = 0.0
-
-
-@dataclass
 class StratonovichSolution(PamSolution):
     """Identity-route solution with the direct-scheme values kept alongside."""
 
@@ -269,8 +263,8 @@ class DerivativePair:
     lam: float
     delta: float
     pam: PamSolution
-    lower: LogLaplaceSolution
-    upper: LogLaplaceSolution
+    lower: PamSolution
+    upper: PamSolution
 
     @property
     def quotient(self) -> np.ndarray:
@@ -392,20 +386,20 @@ def solve_pam(f: GridFunction, T: float, noise: NoisePath, save_every=None,
     """
     times, vals = solve_routes(f, T, noise, [Route(correction=correction)], save_every,
                                order, clamp=clamp_negatives)
-    return PamSolution(grid=noise.grid, dt=noise.dt, correction=correction,
-                       order=order, times=times, values=vals[0])
+    return _solution(noise, times, vals[0], order, correction)
 
 
-def _log_laplace(noise: NoisePath, order: str, times, values, lam: float) -> LogLaplaceSolution:
-    return LogLaplaceSolution(grid=noise.grid, dt=noise.dt, correction=True, order=order,
-                              times=times, values=values, lam=lam)
+def _solution(noise: NoisePath, times, values, order: str = "symmetric",
+              correction: bool = True) -> PamSolution:
+    return PamSolution(grid=noise.grid, dt=noise.dt, correction=correction, order=order,
+                       times=times, values=values)
 
 
 def solve_log_laplace(f: GridFunction, lam: float, T: float, noise: NoisePath,
-                      save_every=None, order: str = "symmetric") -> LogLaplaceSolution:
+                      save_every=None, order: str = "symmetric") -> PamSolution:
     """Evolve the log-Laplace equation from lam * f along the given noise path."""
     times, vals = solve_routes(f, T, noise, [Route(lam, reaction=True)], save_every, order)
-    return _log_laplace(noise, order, times, vals[0], lam)
+    return _solution(noise, times, vals[0], order)
 
 
 def solve_stratonovich_pam(f: GridFunction, kernel: ScaledTheta, T: float,
@@ -452,12 +446,10 @@ def derivative_quotients(f: GridFunction, lambdas, delta: float, T: float,
         raise ValueError(f"delta must be positive, got {delta}")
     routes = [Route()] + [Route(s, reaction=True) for lam in lambdas for s in (lam, lam + delta)]
     times, vals = solve_routes(f, T, noise, routes, save_every)
-    pam = PamSolution(grid=noise.grid, dt=noise.dt, correction=True, order="symmetric",
-                      times=times, values=vals[0])
+    pam = _solution(noise, times, vals[0])
     return [DerivativePair(lam=lam, delta=delta, pam=pam,
-                           lower=_log_laplace(noise, "symmetric", times, vals[1 + 2 * i], lam),
-                           upper=_log_laplace(noise, "symmetric", times, vals[2 + 2 * i],
-                                              lam + delta))
+                           lower=_solution(noise, times, vals[1 + 2 * i]),
+                           upper=_solution(noise, times, vals[2 + 2 * i]))
             for i, lam in enumerate(lambdas)]
 
 

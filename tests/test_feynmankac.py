@@ -18,6 +18,7 @@ from sbmre.feynmankac import (
     annealed_moment_w,
     first_moment_rhs,
     ldp_tail_probe,
+    ldp_tail_probes,
     log_gradient_quantiles,
     lyapunov_estimate,
     pair_product,
@@ -45,8 +46,6 @@ def test_config_and_measure_validation():
         MCConfig(1, 0.1, SEED)
     with pytest.raises(ValueError):
         MCConfig(10, 0.0, SEED)
-    with pytest.raises(ValueError):
-        MCConfig(11, 0.1, SEED, antithetic=True)
     assert MCConfig(10, 0.1, SEED).steps_for(1.0) == 10
     with pytest.raises(ValueError):
         MCConfig(10, 0.3, SEED).steps_for(1.0)
@@ -98,12 +97,14 @@ def test_qtc_zero_kernel_factorizes_into_heat_flows():
     assert abs(est - target) < 3 * se
 
 
-def test_qtc_antithetic_agrees():
-    f = GaussianBump(center=0.0, width=1.0)
-    plain = qtc(pair_product(f), 0.0, 0.0, 0.5, ScaledTheta(1.0), MCConfig(8000, 0.025, SEED))
-    anti = qtc(pair_product(f), 0.0, 0.0, 0.5, ScaledTheta(1.0),
-               MCConfig(8000, 0.025, SEED, antithetic=True))
-    assert abs(plain[0] - anti[0]) < 3 * math.hypot(plain[1], anti[1])
+def test_qtc_standard_error_survives_a_large_shift():
+    # a sum-of-squares reduction cancels to a negative variance at a 1e9 offset
+    mc = MCConfig(2000, 0.05, 7)
+    plain = qtc(lambda b, bp: b[:, 0], [0.0], [0.0], 1.0, Constant(0.0), mc)
+    shifted = qtc(lambda b, bp: 1e9 + b[:, 0], [0.0], [0.0], 1.0, Constant(0.0), mc)
+    assert plain[1] > 0.01
+    assert shifted[1] == pytest.approx(plain[1], rel=1e-6)
+    assert shifted[0] - 1e9 == pytest.approx(plain[0], abs=1e-6)
 
 
 def test_qtc_mesh_refinement_within_one_se():
@@ -277,6 +278,19 @@ def test_tail_probe_directions_and_validation():
         ldp_tail_probe(Constant(1.0), grid, t=1.0, L=2.0, dt=1e-3, seed=1, n_replicas=4)
     with pytest.raises(ValueError):
         ldp_tail_probe(ScaledTheta(1.0), grid, t=1.0, L=5.0, dt=1e-3, seed=1, n_replicas=4)
+
+
+def test_tail_probes_from_one_march_equal_per_time_probes():
+    grid = Grid(dim=1, extent=8.0, cells=32)
+    kern = ScaledTheta(4.0, wide_profile)
+    times = (0.25, 0.05, 0.25, 0.1)
+    probes = ldp_tail_probes(kern, grid, times, L=2.0, dt=5e-3, seed=31, n_replicas=40)
+    assert len(probes) == len(times)
+    for t, probe in zip(times, probes):
+        assert probe == ldp_tail_probe(kern, grid, t=t, L=2.0, dt=5e-3, seed=31, n_replicas=40)
+    assert len({p.fraction for p in probes}) > 1
+    with pytest.raises(ValueError):
+        ldp_tail_probes(kern, grid, (0.1, 0.0123), L=2.0, dt=5e-3, seed=31, n_replicas=4)
 
 
 def test_log_gradient_quantiles_reports_scales():

@@ -606,7 +606,7 @@ def _duality_ladder(cfg: ExperimentConfig, workers: int) -> list:
                                rho=cfg.param("rho", 2.0), seed=right_seed,
                                n_replicas=int(cfg.param("tm_replicas",
                                                         min(cfg.replicas, 40))),
-                               dt=cfg.dt, workers=workers)
+                               dt=cfg.dt)
     rows.append(CheckRow("third-moment-spread", report.spread(), 0.5,
                          report.spread() < 0.5))
     return rows

@@ -230,14 +230,13 @@ class ThirdMomentReport:
 
 def third_moment_scan(phi: GridFunction, times, n_ladder, kernel: CovarianceKernel,
                       probes, rho: float, seed: int, n_replicas: int,
-                      dt: float = 1e-3, workers: int = 1) -> ThirdMomentReport:
+                      dt: float = 1e-3) -> ThirdMomentReport:
     """Empirical E[Y_t(x)^3] / weight(x)^3 over an n-ladder and probe points.
 
     The weight is the polynomial reference weight; the scan reports the ratio
     surface and its per-n maxima so a ladder test can check boundedness in n.
     Replica r of rung i runs on stream (i, r); replicas march in batches,
-    each once, to the last of the times, and cubes are summed in batch order
-    whatever the worker count.
+    each once, to the last of the times.
     """
     times = tuple(float(s) for s in times)
     n_ladder = tuple(float(v) for v in n_ladder)
@@ -247,8 +246,7 @@ def third_moment_scan(phi: GridFunction, times, n_ladder, kernel: CovarianceKern
     cells = tuple(np.array(ix) for ix in zip(*(phi.grid.nearest_index(x) for x in probes)))
     ratios = np.zeros((len(n_ladder), len(times), len(probes)))
     for i, n in enumerate(n_ladder):
-        parts = map_batches(_dual_batch, n_replicas, (phi, times, n, kernel, seed, dt, (i,)),
-                            workers)
+        parts = map_batches(_dual_batch, n_replicas, (phi, times, n, kernel, seed, dt, (i,)))
         for j in range(len(times)):
             cubes = np.zeros(len(probes))
             for ys, _ in parts:

@@ -32,7 +32,7 @@ from .covariance import CovarianceKernel, ScaledTheta, points_covariance_factor
 from .ensemble import batch_ranges, mean_se, stream_rng
 from .grids import Grid, GridFunction
 from .heatkernel import heat_at_points
-from .spde import NoisePath, Route, _evolve, _initial_states, _resolve_steps, pam_log_max_series
+from .spde import NoisePath, pam_log_max_series, pam_states_at
 
 __all__ = [
     "MCConfig",
@@ -390,7 +390,7 @@ def ldp_tail_probes(kernel: ScaledTheta, grid: Grid, times, L: float, dt: float,
     """[ldp_tail_probe at t for t in times], from one march to max(times).
 
     Every t reads the same NoisePath the one-time probe builds, so each probe
-    equals it field for field; only the states at the requested steps are kept.
+    equals it field for field (spde.pam_states_at).
     """
     if not isinstance(kernel, ScaledTheta) or kernel.a <= 0:
         raise ValueError("tail probe needs an amplitude-scaled kernel with a > 0")
@@ -398,17 +398,14 @@ def ldp_tail_probes(kernel: ScaledTheta, grid: Grid, times, L: float, dt: float,
         raise ValueError(f"grid extent {grid.extent} cannot cover |x| <= {L}")
     if n_replicas < 1:
         raise ValueError("need at least one replica")
-    steps = [_resolve_steps(t, dt) for t in times]
-    saved = sorted(set(steps))
     noise = NoisePath(grid, kernel, dt, seed, n_replicas=n_replicas)
-    states = _initial_states(GridFunction.constant(grid, 1.0), noise, [1.0])
-    finals = _evolve(states, noise, saved[-1], np.array(saved), (Route(),), "symmetric")[0]
+    finals = pam_states_at(GridFunction.constant(grid, 1.0), times, noise)
     mask = np.abs(grid.axis()) <= L + 1e-12
     for _ in range(grid.dim - 1):
         mask = mask[..., None] & (np.abs(grid.axis()) <= L + 1e-12)
     probes = []
-    for t, step in zip(times, steps):
-        peaks = finals[saved.index(step)][:, mask].max(axis=1)
+    for t, final in zip(times, finals):
+        peaks = final[:, mask].max(axis=1)
         threshold = math.exp(-kernel.a * t / 3.0)
         hits = int(np.sum(peaks > threshold))
         probes.append(TailProbe(fraction=hits / n_replicas,

@@ -23,7 +23,8 @@ shaped (n_routes, n_replicas, *grid.shape) takes, per step, one increment,
 one heat transform pair and one exponential per distinct Ito drift, and each
 route's trajectory is bit for bit that of its march alone.  The linear and
 log-Laplace solvers, the derivative quotient and both Stratonovich routes are
-callers of that one march.
+callers of that one march; pam_states_at and pam_log_max_series keep the
+states at chosen times or only their log-maxima.
 """
 
 from dataclasses import dataclass
@@ -464,6 +465,22 @@ def total_mass_series(sol: PamSolution) -> tuple:
     axes = tuple(range(2, sol.values.ndim))
     masses = sol.values.sum(axis=axes) * sol.grid.cell_volume
     return sol.times, masses
+
+
+def pam_states_at(f: GridFunction, times, noise: NoisePath) -> np.ndarray:
+    """solve_pam's final state at each of the given times, from one march.
+
+    Shaped (len(times), n_replicas, *grid.shape), in the order of times
+    (repeats allowed); each equals solve_pam(f, t, noise).values[-1] bit for
+    bit.  Only the states at the requested steps are kept.
+    """
+    steps = [_resolve_steps(t, noise.dt) for t in times]
+    if not steps:
+        raise ValueError("need at least one time")
+    saved = sorted(set(steps))
+    states = _initial_states(f, noise, [1.0])
+    values = _evolve(states, noise, saved[-1], np.array(saved), (Route(),), "symmetric")[0]
+    return values[[saved.index(step) for step in steps]]
 
 
 def pam_log_max_series(f: GridFunction, T: float, noise: NoisePath,

@@ -251,15 +251,3 @@ def test_third_moment_scan_closed_forms_and_ladder():
                                n_replicas=60, dt=2e-3)
     assert report.max_ratio.shape == (2,)
     assert report.spread() < 0.5
-
-
-def test_third_moment_scan_invariant_to_worker_count():
-    grid = small_grid(cells=32)
-    phi = bump(grid)
-    # 70 replicas: two full batches and a partial one, reduced in batch order
-    reports = [third_moment_scan(phi, (0.05, 0.1), (10.0, 20.0), ScaledTheta(1.0),
-                                 [[0.0], [1.0]], rho=2.0, seed=SEED, n_replicas=70,
-                                 dt=2e-3, workers=w)
-               for w in (1, 2)]
-    assert np.array_equal(reports[0].ratios, reports[1].ratios)
-    assert np.array_equal(reports[0].max_ratio, reports[1].max_ratio)

@@ -25,6 +25,7 @@ from sbmre.spde import (
     derivative_quotient,
     ensemble_noise,
     pam_log_max_series,
+    pam_states_at,
     solve_log_laplace,
     solve_pam,
     solve_routes,
@@ -87,6 +88,20 @@ def test_noise_path_keeps_one_chunk():
     fresh = NoisePath(grid, ScaledTheta(0.7), dt=0.01, seed=123, n_replicas=2, chunk_steps=4)
     assert np.array_equal(fresh.increment(13), path.increment(13))
 
+
+def test_states_at_times_equal_final_states_of_separate_solves():
+    grid = Grid(1, 8.0, 32)
+    f = bump(grid, width=0.7)
+    noise = NoisePath(grid, ScaledTheta(1.3), dt=1e-2, seed=21, n_replicas=3, chunk_steps=7)
+    times = (0.2, 0.05, 0.2, 0.13)
+    states = pam_states_at(f, times, noise)
+    assert states.shape == (len(times), 3) + grid.shape
+    for t, state in zip(times, states):
+        assert np.array_equal(state, solve_pam(f, t, noise).values[-1])
+    with pytest.raises(ValueError):
+        pam_states_at(f, (0.1, 0.0123), noise)
+    with pytest.raises(ValueError):
+        pam_states_at(f, (), noise)
 
 @pytest.mark.parametrize("order", ORDERINGS)
 @pytest.mark.parametrize("grid", [Grid(1, 8.0, 32), Grid(2, 4.0, 8)], ids=["1d", "2d"])

@@ -13,6 +13,10 @@ actually applied never exceeds 1e-8 * sup_bound.  Dense factors cover at most
 DENSE_LIMIT distinct points; larger requests raise ValueError before any
 matrix is allocated.
 
+Point sets are deduplicated before factoring, so coincident points share one
+field value; in d = 1 the dedup is a plain 1-d np.unique, which gives the
+same rows and inverse as np.unique(axis=0) without its structured-dtype sort.
+
 Separable kernels on grids: when C(x, y) = prod_i c(x_i - y_i) over the d axes
 (the Gaussian ScaledTheta; see CovarianceKernel.axis_kernel), the covariance
 over a d-dimensional grid is the Kronecker power c_mat ⊗ ... ⊗ c_mat of the
@@ -399,8 +403,12 @@ def points_covariance_factor(kernel: CovarianceKernel, points) -> GaussianFieldF
         # exact rank-1 root of the all-ones matrix times level; no dedup needed
         root = np.full((len(points), 1), math.sqrt(kernel.level))
         return GaussianFieldFactor(root, np.arange(len(points)), 0.0)
-    unique, index_map = np.unique(points, axis=0, return_inverse=True)
-    index_map = index_map.reshape(-1)
+    if points.shape[1] == 1:  # a plain sort, not one on a structured row dtype
+        values, index_map = np.unique(points[:, 0], return_inverse=True)
+        unique = values[:, np.newaxis]
+    else:
+        unique, index_map = np.unique(points, axis=0, return_inverse=True)
+        index_map = index_map.reshape(-1)
     _check_dense_size(len(unique), "distinct points")
     root, jitter = _factor_matrix(kernel.matrix(unique), kernel.sup_bound())
     return GaussianFieldFactor(root, index_map, jitter)

@@ -15,6 +15,11 @@ Conventions fixed here:
   - the outer time integral of the second-moment identity is stratified over
     the same mesh with a uniform draw inside each cell, which keeps it
     unbiased and gives it an honest nonzero standard error;
+  - a pair of independent Brownian motions is sampled as its difference path
+    B - B' and one endpoint of its sum B + B', two independent Brownian motions
+    of variance 2 per unit time: the exponent reads only the difference, and
+    B_t = x + (S + D) / 2, B'_t = y + (S - D) / 2 recover the endpoints from
+    the sum's endpoint S and the difference's endpoint D;
   - sampling is chunked with fixed-size chunks, chunk c of sampler tag drawn
     from ensemble.stream_rng(seed, (tag, c)), so estimates are byte-identical
     regardless of how work is split.
@@ -137,15 +142,38 @@ def _path_mean_se(chunks) -> tuple:
 def _left_points(inc: np.ndarray) -> np.ndarray:
     """Path positions at the left endpoints of the steps, from increments along
     axis -2 (points along axis -1): 0, inc_0, inc_0 + inc_1, ..."""
-    pos = np.cumsum(inc, axis=-2)
-    return np.concatenate([np.zeros_like(pos[..., :1, :]), pos[..., :-1, :]], axis=-2)
+    left = np.empty_like(inc)
+    left[..., 0, :] = 0.0
+    np.cumsum(inc[..., :-1, :], axis=-2, out=left[..., 1:, :])
+    return left
+
+
+def _pair_paths(rng, diff_scale, sum_scale, shape: tuple) -> tuple:
+    """(left, end, end') for shape = (pairs, steps, dim) independent pairs.
+
+    left holds the difference path B - B' at the left endpoints of the steps,
+    end and end' the displacements B_t - B_0 and B'_t - B'_0.  One draw of
+    shape (pairs, steps + 1, dim) gives the difference increments, scaled by
+    diff_scale (broadcast over shape; the root of twice the step width), and
+    in its last step the sum's endpoint, scaled by sum_scale (broadcast over
+    (pairs, dim); the root of twice the total time).
+    """
+    steps = shape[1]
+    z = rng.standard_normal((shape[0], steps + 1, shape[2]))
+    inc = z[:, :steps]
+    inc *= diff_scale
+    total = z[:, steps] * sum_scale
+    left = _left_points(inc)
+    diff = left[:, -1] + inc[:, -1]
+    return left, 0.5 * (total + diff), 0.5 * (total - diff)
 
 
 def qtc(F, x, y, t: float, kernel: CovarianceKernel, mc: MCConfig) -> tuple:
     """Pair-path expectation of F weighted by the exponentiated correlation.
 
-    Left-endpoint Riemann sum for the exponent; independent path streams for
-    the two coordinates.  Returns (estimate, standard error).
+    Left-endpoint Riemann sum for the exponent; the pair is drawn as its
+    difference path and the endpoint of its sum.  Returns (estimate,
+    standard error).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -156,14 +184,12 @@ def qtc(F, x, y, t: float, kernel: CovarianceKernel, mc: MCConfig) -> tuple:
     chunks = []
     for c, lo, hi in batch_ranges(mc.n_paths, _CHUNK):
         rng = stream_rng(mc.seed, (0, c))
-        inc_b, inc_bp = rng.standard_normal((2, hi - lo, m, dim)) * math.sqrt(mc.dt)
-        # difference path at left endpoints drives the exponent
-        left = _left_points(inc_b - inc_bp) + (x - y)
+        left, end_b, end_bp = _pair_paths(rng, math.sqrt(2.0 * mc.dt),
+                                          math.sqrt(2.0 * t), (hi - lo, m, dim))
+        left += x - y
         radii = np.sqrt(np.sum(left * left, axis=-1))
         exponent = mc.dt * np.sum(kernel.envelope(radii), axis=1)
-        end_b = x + np.sum(inc_b, axis=1)
-        end_bp = y + np.sum(inc_bp, axis=1)
-        chunks.append(np.exp(exponent) * np.asarray(F(end_b, end_bp), dtype=float))
+        chunks.append(np.exp(exponent) * np.asarray(F(x + end_b, y + end_bp), dtype=float))
     return _path_mean_se(chunks)
 
 
@@ -200,13 +226,12 @@ def _diagonal_time_integral(F, x: np.ndarray, t: float,
         # pair phase: j full steps of dt plus one partial step of u dt
         widths = np.concatenate(
             [np.full((n_j, j), mc.dt), (u * mc.dt)[:, None]], axis=1)
-        inc_b, inc_bp = rng.standard_normal((2, n_j, j + 1, dim)) * np.sqrt(widths)[..., None]
-        left = _left_points(inc_b - inc_bp)
+        left, end_b, end_bp = _pair_paths(rng, np.sqrt(2.0 * widths)[..., None],
+                                          np.sqrt(2.0 * s)[:, None], (n_j, j + 1, dim))
         radii = np.sqrt(np.sum(left * left, axis=-1))
         exponent = np.sum(kernel.envelope(radii) * widths, axis=1)
-        end_b = common + np.sum(inc_b, axis=1)
-        end_bp = common + np.sum(inc_bp, axis=1)
-        mean, se = _path_mean_se([np.exp(exponent) * np.asarray(F(end_b, end_bp), dtype=float)])
+        values = np.exp(exponent) * np.asarray(F(common + end_b, common + end_bp), dtype=float)
+        mean, se = _path_mean_se([values])
         value += mc.dt * mean
         variance += (mc.dt * se) ** 2
     return value, math.sqrt(variance)

@@ -7,6 +7,11 @@ value per distinct site; the field is a function of space), truncated to
 [-sqrt(n), sqrt(n)]; finally each particle independently splits into two
 offspring at its position with probability 1/2 + xi/(2 sqrt(n)) or dies.
 Truncation keeps every branching probability inside [0, 1] by construction.
+The Constant kernel's field is one value shared by every site, drawn as one
+standard normal scaled by sqrt(level); it takes exactly the draw the rank-1
+root of the all-level matrix would take.  Any other kernel factors the dense
+covariance of the distinct sites each epoch, so its population is capped at
+DENSE_LIMIT (see BranchingConfig.population_cap).
 
 The empirical measure puts mass 1/n on each particle.  Criticality makes
 the total mass a martingale, which the moment checks lean on.
@@ -17,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovarianceKernel, points_covariance_factor
+from . import covariance
+from .covariance import Constant, CovarianceKernel, points_covariance_factor
 from .ensemble import stream_rng
 
 
@@ -35,7 +41,8 @@ class PopulationBlowupError(RuntimeError):
     def __init__(self, population: int, epoch: int, cap: int):
         super().__init__(
             f"population {population} exceeded cap {cap} at epoch {epoch}; "
-            "raise max_population or shorten the horizon"
+            "raise max_population (capped at DENSE_LIMIT unless the kernel is "
+            "Constant) or shorten the horizon"
         )
         self.population = population
         self.epoch = epoch
@@ -51,7 +58,7 @@ class BranchingConfig:
     kernel: CovarianceKernel
     initial: np.ndarray  # (K, dim) starting positions
     horizon: float
-    max_population: int = 1_000_000
+    max_population: int = 1_000_000  # see population_cap
 
     def __post_init__(self):
         if self.n < 1:
@@ -78,6 +85,15 @@ class BranchingConfig:
     @property
     def n_epochs(self) -> int:
         return snap_to_epoch(self.horizon, self.n)
+
+    @property
+    def population_cap(self) -> int:
+        """Largest population an epoch may hold: max_population, and at most
+        covariance.DENSE_LIMIT for any kernel but Constant, whose sites then
+        need a dense factor (one such factor at the limit is 800 MB)."""
+        if isinstance(self.kernel, Constant):
+            return self.max_population
+        return min(self.max_population, covariance.DENSE_LIMIT)
 
 
 @dataclass
@@ -111,26 +127,30 @@ def step_epoch(pop: ParticlePopulation, config: BranchingConfig, rng,
     """Advance one epoch: diffuse, sample the field, branch.
 
     field_override(positions) -> values replaces the joint Gaussian draw
-    (still truncated); it exists for forced-environment checks.
+    (still truncated); it exists for forced-environment checks.  A population
+    above config.population_cap raises PopulationBlowupError.
     """
-    if pop.count > config.max_population:
-        raise PopulationBlowupError(pop.count, pop.epoch, config.max_population)
+    cap = config.population_cap
+    if pop.count > cap:
+        raise PopulationBlowupError(pop.count, pop.epoch, cap)
     if pop.count == 0:
         return ParticlePopulation(pop.epoch + 1, pop.positions.copy(), pop.n)
     root_n = config.truncation
     moved = pop.positions + rng.standard_normal(pop.positions.shape) / root_n
     if field_override is not None:
         xi = np.asarray(field_override(moved), dtype=float).reshape(pop.count)
+    elif isinstance(config.kernel, Constant):
+        xi = math.sqrt(config.kernel.level) * rng.standard_normal()  # every site's value
     else:
         factor = points_covariance_factor(config.kernel, moved)
         xi = factor.sample(rng).reshape(pop.count)
-    xi = np.clip(xi, -root_n, root_n)
+    xi = np.minimum(np.maximum(xi, -root_n), root_n)
     p_split = 0.5 + xi / (2.0 * root_n)
     split = rng.random(pop.count) < p_split
     offspring = np.repeat(moved[split], 2, axis=0)
     out = ParticlePopulation(pop.epoch + 1, offspring, pop.n)
-    if out.count > config.max_population:
-        raise PopulationBlowupError(out.count, out.epoch, config.max_population)
+    if out.count > cap:
+        raise PopulationBlowupError(out.count, out.epoch, cap)
     return out
 
 
@@ -228,7 +248,7 @@ def run_ensemble(config: BranchingConfig, save_times, seed: int, n_replicas: int
             rows.append(None)
     if width is None:
         raise PopulationBlowupError(blowups[-1][2], blowups[-1][1],
-                                    config.max_population)
+                                    config.population_cap)
     out = np.full((n_replicas, width), np.nan)
     for r, stat in enumerate(rows):
         if stat is not None:

@@ -184,6 +184,19 @@ def test_points_factor_size_guard(monkeypatch):
         grid_covariance_factor(StationaryPower(0.8, 2.0), Grid(1, 2.0, 6))
 
 
+def test_points_factor_dedup_matches_numpy_unique():
+    # the 1-d dedup gives np.unique(axis=0)'s rows and inverse, so the same root
+    kernel = ScaledTheta(1.0)
+    rng = np.random.default_rng(1)
+    pts = rng.standard_normal((40, 1))[rng.integers(0, 40, 150)]  # duplicates, in no order
+    for sample in (pts, pts[:1]):
+        factor = points_covariance_factor(kernel, sample)
+        ref_rows, ref_inverse = np.unique(sample, axis=0, return_inverse=True)
+        ref_root, _ = covariance._factor_matrix(kernel.matrix(ref_rows), kernel.sup_bound())
+        assert np.array_equal(factor.index_map, ref_inverse.reshape(-1))
+        assert np.array_equal(factor.root, ref_root)
+
+
 def test_axis_kernels():
     assert StationaryPower(0.8, 2.0).axis_kernel(2) is None
     assert Constant(1.0).axis_kernel(3) is None

@@ -14,6 +14,7 @@ from sbmre.covariance import Constant, ScaledTheta
 from sbmre.feynmankac import (
     AtomicMeasure,
     MCConfig,
+    _diagonal_time_integral,
     annealed_moment_bruteforce,
     annealed_moment_w,
     first_moment_rhs,
@@ -95,6 +96,33 @@ def test_qtc_zero_kernel_factorizes_into_heat_flows():
     target = float(f.heat_flow(t, np.array([[x]]))[0] * f.heat_flow(t, np.array([[y]]))[0])
     assert se > 0
     assert abs(est - target) < 3 * se
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_qtc_pair_endpoints_are_independent_brownian(dim):
+    # endpoints rebuilt from the difference path and the sum's endpoint:
+    # B_t - x and B'_t - y are uncorrelated, each of variance t per axis
+    mc = MCConfig(20000, 0.05, SEED)
+    x, y, t = np.full(dim, 0.3), np.full(dim, -0.5), 0.5
+    cases = [(lambda b, bp: (b[:, 0] - x[0]) * (bp[:, 0] - y[0]), 0.0),
+             (lambda b, bp: (b[:, -1] - x[-1]) ** 2, t),
+             (lambda b, bp: (bp[:, -1] - y[-1]) ** 2, t)]
+    for F, target in cases:
+        est, se = qtc(F, x, y, t, Constant(0.0), mc)
+        assert se > 0 and abs(est - target) < 4 * se
+
+
+def test_diagonal_pair_phase_endpoints_are_independent_brownian():
+    # a jump of length t - s from x, then the pair for s: integrated over
+    # s in [0, t], E(B - x)(B' - x) = t^2 / 2 and E(B - x)^2 = E(B' - x)^2 = t^2
+    mc = MCConfig(20000, 0.05, SEED)
+    x, t = np.array([0.3]), 0.5
+    cases = [(lambda b, bp: (b[:, 0] - x[0]) * (bp[:, 0] - x[0]), t * t / 2),
+             (lambda b, bp: (b[:, 0] - x[0]) ** 2, t * t),
+             (lambda b, bp: (bp[:, 0] - x[0]) ** 2, t * t)]
+    for F, target in cases:
+        est, se = _diagonal_time_integral(F, x, t, Constant(0.0), mc)
+        assert se > 0 and abs(est - target) < 4 * se
 
 
 def test_qtc_standard_error_survives_a_large_shift():

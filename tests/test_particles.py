@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from sbmre import covariance
 from sbmre.covariance import Constant, ScaledTheta
 from sbmre.particles import (
     BranchingConfig,
@@ -140,6 +141,47 @@ def test_cap_breach_raises_and_is_recorded_by_ensemble():
         assert np.isnan(rows[r]).all()
     finite = rows[~np.isnan(rows[:, 0])]
     assert len(finite) == 40 - len(blowups)
+
+
+def test_constant_field_takes_the_rank_one_draw():
+    # the sequence of the rank-1 root: displacement normals, one (1, 1)
+    # normal times sqrt(level), clip, then one uniform per particle
+    for level in (0.0, 0.3, 40.0):
+        cfg = config(n=9, k_start=7, kernel=Constant(level))
+        pop = ParticlePopulation(0, np.linspace(-1.0, 1.0, 7)[:, None], cfg.n)
+        ref = np.random.default_rng(SEED)
+        root_n = cfg.truncation
+        moved = pop.positions + ref.standard_normal(pop.positions.shape) / root_n
+        xi = np.clip(np.full((7, 1), math.sqrt(level)) @ ref.standard_normal((1, 1)),
+                     -root_n, root_n)[:, 0]
+        split = ref.random(7) < 0.5 + xi / (2.0 * root_n)
+        rng = np.random.default_rng(SEED)
+        out = step_epoch(pop, cfg, rng)
+        assert np.array_equal(out.positions, np.repeat(moved[split], 2, axis=0))
+        assert rng.random() == ref.random()  # the stream is left where it was
+
+
+def test_dense_site_cap_is_a_counted_blowup(monkeypatch):
+    monkeypatch.setattr(covariance, "DENSE_LIMIT", 20)
+    scaled = config(n=4, k_start=25, kernel=ScaledTheta(1.0))
+    assert scaled.population_cap == 20
+    assert config(n=4, kernel=ScaledTheta(1.0), cap=10).population_cap == 10
+    assert config(n=4, kernel=Constant(1.0), cap=50).population_cap == 50
+    pop = ParticlePopulation(0, scaled.initial.copy(), scaled.n)
+    with pytest.raises(PopulationBlowupError) as exc:
+        step_epoch(pop, scaled, np.random.default_rng(0))
+    assert exc.value.population == 25 and exc.value.cap == 20
+    # the site count never reaches the factor's limit; breaches are counted
+    wild = config(n=2, k_start=12, kernel=ScaledTheta(40.0), horizon=3.0)
+    rows, blowups = run_ensemble(wild, [3.0], seed=SEED, n_replicas=40,
+                                 statistic=lambda snaps: [snaps[-1].mass])
+    assert 0 < len(blowups) < 40
+    for r, _epoch, population in blowups:
+        assert population > 20
+        assert np.isnan(rows[r]).all()
+    with pytest.raises(PopulationBlowupError):
+        run_ensemble(scaled, [1.0], seed=SEED, n_replicas=2,
+                     statistic=lambda snaps: [snaps[-1].mass])
 
 
 def test_run_snapshots_snap_and_are_deterministic():

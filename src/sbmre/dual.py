@@ -5,11 +5,13 @@ rate-n Poisson clock it follows the deterministic absorption flow
 
     dY/dt = (1/2) Laplacian Y - (1/2) Y^2
 
-integrated by the stochastic solvers' Splitting step with the noise off
-(spectral half-heat, exact reaction, half-heat); each arrival multiplies the state
-cellwise by 1 + h/sqrt(n), where h is a fresh Gaussian field draw with the
-environment covariance, truncated to +-sqrt(n) so the factor stays
-nonnegative.  Pairing Y_t with the initial measure estimates the same Laplace
+integrated by whole Splitting steps with the noise off (spectral half-heat,
+exact reaction, half-heat, each heat output floored at zero).  The jumps act
+between whole steps, so the dual takes the unfused step, not the stochastic
+solvers' fused march, which skips the floor between merged half steps.
+Each arrival multiplies the state cellwise by 1 + h/sqrt(n), where h is a
+fresh Gaussian field draw with the environment covariance, truncated to
++-sqrt(n) so the factor stays nonnegative.  Pairing Y_t with the initial measure estimates the same Laplace
 functional as the log-Laplace route, and the gap between the two routes is
 the uniqueness diagnostic; it shrinks as n grows.
 

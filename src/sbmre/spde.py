@@ -6,12 +6,19 @@ on the torus), exact nonlinear substep u <- u/(1 + u dt/2) (log-Laplace
 only), multiplicative noise factor exp(dW(x) - C(x,x) dt/2), half heat step.
 The correction makes the one-step conditional mean of the noise factor
 exactly one, so ensemble means of the linear solver reproduce the discrete
-heat semigroup identically, not just as dt -> 0.  The reaction and noise
-substeps preserve nonnegativity exactly; the spectral heat substep can
+heat semigroup identically, not just as dt -> 0.  A march fuses the trailing
+half heat step of one step with the leading one of the next into a single
+full heat step H(dt) (the half steps compose exactly on the torus), so it
+takes one heat transform pair per step, plus one per save.  The reaction and
+noise substeps preserve nonnegativity exactly; the spectral heat substep can
 undershoot zero at the scale of its truncation lobes, so production solvers
 floor each heat output at zero; saved slices of nonnegative data are then
 >= 0 machine-exactly, at the cost of additivity of the linear flow holding
-only to the lobe scale rather than roundoff (see Splitting).
+only to the lobe scale rather than roundoff (see Splitting).  Fusion drops
+only the floor between the two halves of a merged step, a state no save and
+no pointwise substep reads; every heat output is still floored, so saves
+stay >= 0, and every route of a stack takes the same heat steps and floors,
+so the pathwise comparisons between routes hold as before.
 
 Noise is generated in chunks keyed by (seed, stream_key, chunk index) and is
 regenerable: replaying a NoisePath, or sharing one between solvers, yields
@@ -159,16 +166,29 @@ class Splitting:
     """One splitting step of length dt on states shaped (n_replicas, *grid.shape),
     or on a stack of routes shaped (n_routes, n_replicas, *grid.shape).
 
+    A step is leave(pointwise(enter(states))): a pointwise substep (reaction,
+    then noise) between two heat pieces, each the identity or one spectral
+    transform pair.  The ordering picks the pieces: symmetric enters and leaves with
+    H(dt/2), heat-noise enters with H(dt) and leaves with the identity,
+    noise-heat the reverse.  In every ordering the leave of one step and the
+    enter of the next compose to bridge = H(dt), so a march (_evolve) enters
+    once, bridges between pointwise substeps and leaves only where it reads
+    the state.  step keeps both pieces, for callers that act between whole
+    steps (the jump dual).
+
     The reaction substep is the exact flow u <- u/(1 + u dt/2) of the
     quadratic sink; `reaction` is one flag for the whole state or, for a
     stack, a tuple with one flag per route.  The noise substep multiplies by
-    exact positive pointwise factors, one per slice of routes (see step).
+    exact positive pointwise factors, one per slice of routes (see pointwise).
     The spectral heat substep is the one place positivity can leak: its
     discrete kernel has small negative truncation lobes, so with clamp=True
     (production default) each heat output is floored at zero.  Flooring is
     monotone and 1-Lipschitz, hence every pathwise comparison inequality
     survives it; the price is that additivity of the linear flow holds only
     to the lobe scale (~1e-9 at default resolution) instead of roundoff.
+    A fused march floors each bridge output but not the state between the
+    two halves of a merged symmetric step, which step floors; the two agree
+    to roundoff with clamp=False and to the lobe scale with it.
     clamp=False keeps the exactly linear flow.
     """
 
@@ -178,20 +198,41 @@ class Splitting:
             raise ValueError(f"order must be one of {ORDERINGS}, got {order!r}")
         self.shape = grid.shape
         self.dt = dt
-        self.order = order
         self.clamp = clamp
         if isinstance(reaction, tuple):
             self._reacting = [sl for on, sl in _runs(reaction) if on]
         else:
             self._reacting = [slice(None)] if reaction else []
-        # symmetric splitting takes two half heat steps, the others one full one
-        self.multiplier = heat_multiplier(grid, dt / 2.0 if order == "symmetric" else dt)
+        full, half = heat_multiplier(grid, dt), heat_multiplier(grid, dt / 2.0)
+        self._enter, self._leave = {"symmetric": (half, half), "heat-noise": (full, None),
+                                    "noise-heat": (None, full)}[order]
+        self._bridge = full
 
-    def _heat(self, v):
-        out = apply_spectral_multiplier(v, self.multiplier, self.shape)
+    def _heat(self, v, multiplier):
+        if multiplier is None:
+            return v
+        out = apply_spectral_multiplier(v, multiplier, self.shape)
         return np.maximum(out, 0.0, out=out) if self.clamp else out
 
-    def _pointwise(self, v, factors, k):
+    def enter(self, v):
+        """The heat piece before a step's pointwise substep."""
+        return self._heat(v, self._enter)
+
+    def bridge(self, v):
+        """H(dt): one step's leave and the next step's enter in one transform pair."""
+        return self._heat(v, self._bridge)
+
+    def leave(self, v):
+        """The heat piece after a step's pointwise substep; may return v itself."""
+        return self._heat(v, self._leave)
+
+    def pointwise(self, v, factors=(), k: int = 0):
+        """Reaction, then noise, in place; raise if the state left the finite range.
+
+        factors holds the noise multipliers of step k as (slice of the
+        leading axis, factor) pairs; each factor broadcasts over its slice.
+        No factors, no noise substep.
+        """
         for sl in self._reacting:
             block = v[sl]
             np.divide(block, 1.0 + block * (self.dt / 2.0), out=block)
@@ -205,18 +246,8 @@ class Splitting:
         return v
 
     def step(self, states: np.ndarray, factors=(), k: int = 0) -> np.ndarray:
-        """Advance states by dt; the pointwise substeps work in place, so states
-        may be overwritten.
-
-        factors holds the noise multipliers of step k as (slice of the
-        leading axis, factor) pairs; each factor broadcasts over its slice.
-        No factors, no noise substep.
-        """
-        if self.order == "symmetric":
-            return self._heat(self._pointwise(self._heat(states), factors, k))
-        if self.order == "heat-noise":
-            return self._pointwise(self._heat(states), factors, k)
-        return self._heat(self._pointwise(states, factors, k))
+        """Advance states by one whole step; states may be overwritten."""
+        return self.leave(self.pointwise(self.enter(states), factors, k))
 
 
 @dataclass
@@ -316,12 +347,16 @@ def _evolve(states: np.ndarray, noise: NoisePath, n_steps: int, save_idx: np.nda
     Each step is one Splitting step: route i reacts if routes[i].reaction and
     is multiplied by exp(dW - drift_i), one exponential per distinct drift.
     Like routes listed next to each other share their array operations.  The
-    first route to leave the finite range stops the whole march.  Saves come
-    back shaped (n_routes, n_saves, n_replicas, *shape).  When track_log_max
-    is set, states are renormalized per route and replica whenever they
-    exceed _RENORM_LIMIT and log(max) is recorded with the offset folded back
-    in, shaped (n_routes, n_saves, n_replicas); saved fields are then not
-    meaningful and are not returned.
+    heat pieces of consecutive steps are fused: the march enters once, then
+    per step applies the pointwise substep and the bridge to the next one,
+    and takes the leave only for a save, so a march of n steps with s saves
+    after step 0 costs at most n + s heat transform pairs.  The first
+    route to leave the finite range stops the whole march.  Saves come back
+    shaped (n_routes, n_saves, n_replicas, *shape).  When track_log_max is
+    set, states are renormalized per route and replica whenever they exceed
+    _RENORM_LIMIT after a pointwise substep and log(max) is recorded with the
+    offset folded back in, shaped (n_routes, n_saves, n_replicas); saved
+    fields are then not meaningful and are not returned.
     """
     scheme = Splitting(noise.grid, noise.dt, order,
                        reaction=tuple(r.reaction for r in routes), clamp=clamp)
@@ -332,28 +367,32 @@ def _evolve(states: np.ndarray, noise: NoisePath, n_steps: int, save_idx: np.nda
     saves, log_rows = [], []
     log_offset = np.zeros(states.shape[:2])
 
-    def record():
+    def record(out):
+        # out is never written again: the bridge returns a fresh array
         if track_log_max:
-            log_rows.append(np.log(states.max(axis=axes)) + log_offset)
+            log_rows.append(np.log(out.max(axis=axes)) + log_offset)
         else:
-            saves.append(states.copy())
+            saves.append(out)
 
     if 0 in save_set:
-        record()
+        record(states.copy())
+    pending = scheme.enter(states)
     for k in range(n_steps):
         dW = noise.increment(k)
         with np.errstate(over="ignore"):
             exps = {d: np.exp(dW - d) for d in set(drifts)}
-        states = scheme.step(states, [(sl, exps[d]) for d, sl in drift_runs], k)
+        pending = scheme.pointwise(pending, [(sl, exps[d]) for d, sl in drift_runs], k)
         if track_log_max:
-            peak = states.max(axis=axes)
+            peak = pending.max(axis=axes)
             big = peak > _RENORM_LIMIT
             if np.any(big):
                 scale = np.where(big, peak, 1.0)
-                states = states / scale.reshape(scale.shape + (1,) * len(axes))
+                pending = pending / scale.reshape(scale.shape + (1,) * len(axes))
                 log_offset = log_offset + np.log(scale)
         if (k + 1) in save_set:
-            record()
+            record(scheme.leave(pending))
+        if k + 1 < n_steps:
+            pending = scheme.bridge(pending)
     return np.stack(log_rows if track_log_max else saves, axis=1)
 
 

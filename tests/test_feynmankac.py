@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 from sbmre.covariance import Constant, ScaledTheta
+from sbmre.ensemble import mean_se, stream_rng
 from sbmre.feynmankac import (
     AtomicMeasure,
     MCConfig,
     _diagonal_time_integral,
+    _pair_paths,
     annealed_moment_bruteforce,
     annealed_moment_w,
     first_moment_rhs,
@@ -135,11 +137,33 @@ def test_qtc_standard_error_survives_a_large_shift():
     assert shifted[0] - 1e9 == pytest.approx(plain[0], abs=1e-6)
 
 
-def test_qtc_mesh_refinement_within_one_se():
-    f = GaussianBump(center=0.0, width=1.0)
-    coarse = qtc(pair_product(f), 0.0, 0.0, 0.5, ScaledTheta(1.0), MCConfig(4000, 0.005, SEED))
-    fine = qtc(pair_product(f), 0.0, 0.0, 0.5, ScaledTheta(1.0), MCConfig(4000, 0.0025, SEED))
-    assert abs(coarse[0] - fine[0]) < math.hypot(coarse[1], fine[1])
+def test_qtc_mesh_refinement_coupled_bias():
+    # three meshes on one draw of pair paths: qtc's finest mesh, and the
+    # left-endpoint sums over every second and every fourth of its points,
+    # so differences between meshes carry the discretization error only
+    kernel, f, t, n_paths, dt = ScaledTheta(1.0), GaussianBump(center=0.0, width=1.0), 0.5, 4000, 0.00125
+    left, end_b, end_bp = _pair_paths(stream_rng(SEED, (0, 0)), math.sqrt(2.0 * dt),
+                                      math.sqrt(2.0 * t), (n_paths, round(t / dt), 1))
+    potential = kernel.envelope(np.sqrt(np.sum(left * left, axis=-1)))
+    F = pair_product(f)(end_b, end_bp)
+    q = [np.exp(dt * s * np.sum(potential[:, ::s], axis=1)) * F for s in (1, 2, 4)]
+    exact = qtc(pair_product(f), 0.0, 0.0, t, kernel, MCConfig(n_paths, dt, SEED))
+    assert mean_se(q[0])[0] == pytest.approx(exact[0], rel=1e-12)
+    # Meshes 2h and h: the exponents differ by h sum_i [C(Z_2ih) - C(Z_(2i+1)h)]
+    # for the difference path Z (generator the Laplacian).  By Ito's formula
+    # each term is a drift of at most h sup|C''| plus a martingale increment
+    # of second moment at most 2 h sup|C'|^2, orthogonal to the others, so the
+    # exponents differ by at most h (sqrt(t) sup|C'| + t sup|C''| / 2) in L1;
+    # with |e^u - e^v| <= e^(t sup C) |u - v| and sup F = 1 that bounds the bias.
+    a = kernel.a
+    grad, curv = math.sqrt(2.0) * a * math.exp(-0.5), 2.0 * a  # C = a exp(-r^2)
+    for j, h in ((1, dt), (2, 2.0 * dt)):
+        gap, se = mean_se(q[j] - q[j - 1])
+        bound = math.exp(t * a) * h * (math.sqrt(t) * grad + 0.5 * t * curv)
+        assert 3.0 * se < gap <= bound + 3.0 * se  # resolved, and within the O(dt) bound
+    # first order: halving the mesh halves the coupled difference
+    slope, se = mean_se((q[2] - q[1]) - 2.0 * (q[1] - q[0]))
+    assert abs(slope) <= 3.0 * se
 
 
 def test_first_moment_rhs_heat_pairing():

@@ -13,6 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
+from sbmre import spde
 from sbmre.covariance import Constant, ScaledTheta
 from sbmre.grids import Grid, GridFunction
 from sbmre.heatkernel import apply_heat_semigroup
@@ -22,6 +23,7 @@ from sbmre.spde import (
     Route,
     RouteDisagreementError,
     SchemeOverflowError,
+    Splitting,
     derivative_quotient,
     ensemble_noise,
     pam_log_max_series,
@@ -411,3 +413,98 @@ def test_log_max_series_renormalizes_and_shifts_exactly():
     assert np.abs((ito + shift) - direct).max() < 1e-9
     with pytest.raises(ValueError):
         pam_log_max_series(GridFunction.constant(grid, 0.0), T, noise)
+
+
+FUSION_ROUTES = (Route(), Route(0.7, reaction=True), Route(correction=False))
+
+
+def step_loop(f, T, noise, routes, save_every, order, clamp):
+    """solve_routes by a loop of whole Splitting steps, each with its own heat pieces."""
+    scheme = Splitting(noise.grid, noise.dt, order,
+                       reaction=tuple(r.reaction for r in routes), clamp=clamp)
+    n = int(round(T / noise.dt))
+    idx = list(range(0, n + 1, save_every or n))
+    states = np.stack([r.scale * np.broadcast_to(f.values, (noise.n_replicas,) + f.grid.shape)
+                       for r in routes])
+    saves = [states.copy()]
+    for k in range(n):
+        dW = noise.increment(k)
+        factors = [(slice(i, i + 1), np.exp(dW - (0.5 * noise.diagonal * noise.dt
+                                                   if r.correction else 0.0)))
+                   for i, r in enumerate(routes)]
+        states = scheme.step(states, factors, k)
+        if k + 1 in idx:
+            saves.append(states.copy())
+    return np.stack(saves, axis=1)
+
+
+@pytest.mark.parametrize("save_every", [None, 1, 7])
+def test_fused_symmetric_march_equals_step_loop(save_every):
+    grid = Grid(1, 8.0, 32)
+    f = bump(grid, width=0.7)
+    noise = NoisePath(grid, ScaledTheta(1.3), dt=1e-2, seed=21, n_replicas=3)
+    # 21 steps: save_every=7 saves the final step
+    _, fused = solve_routes(f, 0.21, noise, FUSION_ROUTES, save_every, clamp=False)
+    loop = step_loop(f, 0.21, noise, FUSION_ROUTES, save_every, "symmetric", clamp=False)
+    assert fused.shape == loop.shape
+    for i in range(fused.shape[1]):
+        gap = np.abs(fused[:, i] - loop[:, i]).max() / np.abs(loop[:, i]).max()
+        assert gap <= 1e-12
+
+
+@pytest.mark.parametrize("clamp", [True, False])
+@pytest.mark.parametrize("order", ["heat-noise", "noise-heat"])
+def test_fused_one_sided_orderings_keep_their_bytes(order, clamp):
+    grid = Grid(1, 8.0, 32)
+    f = bump(grid, width=0.7)
+    noise = NoisePath(grid, ScaledTheta(1.3), dt=1e-2, seed=21, n_replicas=3)
+    for save_every in (None, 1, 7):
+        _, fused = solve_routes(f, 0.21, noise, FUSION_ROUTES, save_every, order, clamp)
+        assert np.array_equal(fused, step_loop(f, 0.21, noise, FUSION_ROUTES, save_every,
+                                               order, clamp))
+
+
+def test_fused_march_takes_one_heat_transform_per_step(monkeypatch):
+    grid = Grid(1, 8.0, 32)
+    f = bump(grid, width=0.7)
+    noise = NoisePath(grid, ScaledTheta(1.3), dt=1e-2, seed=21, n_replicas=3)
+    calls = []
+    inner = spde.apply_spectral_multiplier
+
+    def counted(values, multiplier, shape):
+        calls.append(1)
+        return inner(values, multiplier, shape)
+
+    monkeypatch.setattr(spde, "apply_spectral_multiplier", counted)
+    n = 21
+    for save_every, inner_saves in ((None, 0), (7, 2), (1, n - 1)):
+        calls.clear()
+        solve_routes(f, n * noise.dt, noise, FUSION_ROUTES, save_every)
+        # an unfused march of whole steps takes 2 n
+        assert len(calls) <= n + inner_saves + 1
+
+
+def test_log_max_renormalizes_and_matches_unrenormalized_march(monkeypatch):
+    grid = Grid(1, 8.0, 32)
+    f = GridFunction.constant(grid, 1.0)
+    noise = NoisePath(grid, ScaledTheta(400.0), dt=1e-3, seed=17, n_replicas=4)
+    T, save_every = 4.0, 250
+    held = []
+    leave = Splitting.leave
+
+    def spy(self, v):
+        held.append(float(v.max()))
+        return leave(self, v)
+
+    monkeypatch.setattr(Splitting, "leave", spy)
+    _, rows = pam_log_max_series(f, T, noise, save_every, correction=False)
+    monkeypatch.setattr(Splitting, "leave", leave)
+    # the log-max passes the renormalization limit while the held state stays below it
+    assert rows.max() > math.log(spde._RENORM_LIMIT)
+    assert max(held) <= spde._RENORM_LIMIT
+    with np.errstate(over="ignore", divide="ignore"):
+        _, (raw,) = solve_routes(f, T, noise, [Route(correction=False)], save_every)
+        direct = np.log(raw.max(axis=-1))
+    finite = np.isfinite(direct)
+    assert finite.sum() > np.count_nonzero(direct <= math.log(spde._RENORM_LIMIT))
+    assert np.abs(rows[finite] - direct[finite]).max() <= 1e-12 * np.abs(direct[finite]).max()

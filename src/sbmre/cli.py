@@ -86,8 +86,6 @@ _SEED_ORACLE = 202
 _SEED_LEFT = 11
 _SEED_RIGHT = 22
 _GUARD = 1e-9  # roundoff allowance added to k*SE gates (SE can be exactly 0)
-# experiments whose solvers always run the symmetric splitting
-_SYMMETRIC_ONLY = ("comparison-suite", "extinction-scan", "duality-ladder", "lyapunov-ladder")
 # closed-form persistence thresholds 8(d-2)pi^(d/2) / (d 2^d Gamma(d/2-1))
 _THRESHOLD_TARGETS = {3: math.pi / 3.0, 4: math.pi**2 / 4.0, 5: 3.0 * math.pi**2 / 10.0}
 
@@ -142,7 +140,6 @@ class ExperimentConfig:
     kernel: CovarianceKernel
     grid: Grid
     dt: float
-    ordering: str
     replicas: int
     paths: int
     seed: int
@@ -279,11 +276,9 @@ def _config_from_parser(parser, out_override: str = None) -> ExperimentConfig:
         known = ", ".join(sorted(_EXPERIMENTS))
         raise ConfigError(f"unknown experiment {name!r}; choices: {known}")
     ordering = parser.get("scheme", "ordering", fallback="symmetric").strip()
-    if ordering not in ("symmetric", "heat-noise", "noise-heat"):
-        raise ConfigError(f"[scheme] ordering invalid: {ordering!r}")
-    if ordering != "symmetric" and name in _SYMMETRIC_ONLY:
-        raise ConfigError(f"[scheme] ordering {ordering!r} is not supported by {name}, "
-                          "which runs the symmetric splitting only")
+    if ordering != "symmetric":
+        raise ConfigError(f"[scheme] ordering {ordering!r} is not supported; "
+                          "the solvers run the symmetric splitting only")
     try:
         seed = parser.getint("mc", "seed")
     except (configparser.NoOptionError, ValueError) as err:
@@ -307,7 +302,6 @@ def _config_from_parser(parser, out_override: str = None) -> ExperimentConfig:
         kernel=_build_kernel(parser),
         grid=_build_grid(parser),
         dt=_positive(parser, "scheme", "dt"),
-        ordering=ordering,
         replicas=replicas,
         paths=_positive(parser, "mc", "paths", cast=int),
         seed=seed,
@@ -406,9 +400,9 @@ def _moments_triangle(cfg: ExperimentConfig, workers: int) -> list:
     return rows
 
 
-def _pam_center_batch(f, kernel, t, dt, seed, order, b, lo, hi):
+def _pam_center_batch(f, kernel, t, dt, seed, b, lo, hi):
     noise = batch_noise(f.grid, kernel, dt, seed, b, lo, hi)
-    sol = solve_pam(f, t, noise, order=order)
+    sol = solve_pam(f, t, noise)
     origin = np.zeros(f.grid.dim)
     vals = np.array([GridFunction(f.grid, v).at(origin) for v in sol.values[-1]])
     return np.stack([vals, vals * vals], axis=1)
@@ -418,7 +412,7 @@ def _pam_center_batch(f, kernel, t, dt, seed, order, b, lo, hi):
 def _pam_oracle(cfg: ExperimentConfig, workers: int) -> list:
     t = cfg.param("t", 1.0)
     f = GridFunction.from_callable(cfg.grid, cfg.readout)
-    args = (f, cfg.kernel, t, cfg.dt, cfg.seed, cfg.ordering)
+    args = (f, cfg.kernel, t, cfg.dt, cfg.seed)
     stats = np.concatenate(map_batches(_pam_center_batch, cfg.replicas, args, workers), axis=0)
     m1, se1 = mean_se(stats[:, 0])
     m2, se2 = mean_se(stats[:, 1])
@@ -822,10 +816,10 @@ def _print_report(report: RunReport, stream=None):
         print(f"wrote {report.csv_path} and {report.manifest_path}", file=stream)
 
 
-def _env_int(name: str):
+def _env_int(name: str, default=None):
     raw = os.environ.get(name)
     if raw is None or raw == "":
-        return None
+        return default
     try:
         return int(raw)
     except ValueError as err:
@@ -855,7 +849,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         workers = args.workers if getattr(args, "workers", None) is not None \
-            else (_env_int("SBMRE_WORKERS") or 1)
+            else _env_int("SBMRE_WORKERS", 1)
+        if workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {workers}")
         if args.command == "validate":
             cfg = load_config(args.config, seed_override=_env_int("SBMRE_SEED"))
             print(f"config ok: experiment {cfg.experiment}, seed {cfg.seed}, "

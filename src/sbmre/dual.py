@@ -5,22 +5,21 @@ rate-n Poisson clock it follows the deterministic absorption flow
 
     dY/dt = (1/2) Laplacian Y - (1/2) Y^2
 
-integrated by whole Splitting steps with the noise off (spectral half-heat,
-exact reaction, half-heat, each heat output floored at zero).  The jumps act
-between whole steps, so the dual takes the unfused step, not the stochastic
-solvers' fused march, which skips the floor between merged half steps.
-Each arrival multiplies the state cellwise by 1 + h/sqrt(n), where h is a
-fresh Gaussian field draw with the environment covariance, truncated to
-+-sqrt(n) so the factor stays nonnegative.  Pairing Y_t with the initial measure estimates the same Laplace
+integrated by the stochastic solvers' fused Strang march (spde._evolve) with
+the noise off.  Each arrival multiplies the state cellwise by 1 + h/sqrt(n),
+where h is a fresh Gaussian field draw with the environment covariance,
+truncated to +-sqrt(n) so the factor stays nonnegative; the jump acts after
+the reaction and before the trailing half heat step of the step its arrival
+rounds up to.  Pairing Y_t with the initial measure estimates the same Laplace
 functional as the log-Laplace route, and the gap between the two routes is
 the uniqueness diagnostic; it shrinks as n grows.
 
 Determinism: the arrival clock and each jump's mark use separate spawn-keyed
 child streams of one seed, so a replica replays bit-identically from
 (seed, stream) and the jump log alone, whether it marches alone or in a
-batch.  Jump times snap to the next substep
-boundary; the snap bias is O(dt) per jump and sits far below Monte Carlo
-noise at the default step (documented in the gap tests).
+batch.  Jump times snap to the pointwise substep of the step they fall in;
+the snap bias is O(dt) per jump and sits far below Monte Carlo noise at the
+default step (documented in the gap tests).
 
 Marks are read as i.i.d. field realizations, one independent draw per jump.
 """
@@ -33,7 +32,7 @@ import numpy as np
 from .covariance import CovarianceKernel, grid_covariance_factor
 from .ensemble import map_batches, mean_se, stream_rng
 from .grids import GridFunction, PolynomialWeight
-from .spde import Splitting, _resolve_steps, batch_noise, solve_log_laplace
+from .spde import SchemeOverflowError, _evolve, _resolve_steps, batch_noise, solve_log_laplace
 
 __all__ = [
     "DualEvolutionError",
@@ -113,7 +112,7 @@ def march_dual(phi: GridFunction, times, n: float, kernel: CovarianceKernel,
     earlier time are a prefix of those up to a later one.
     field_override(k) may supply a replica's k-th mark (an array over grid
     cells) in place of the Gaussian draw; the truncation to +-sqrt(n) still
-    applies.
+    applies.  Overflow raises DualEvolutionError with the 1-based step.
     """
     grid = phi.grid
     if np.min(phi.values) < 0:
@@ -123,34 +122,31 @@ def march_dual(phi: GridFunction, times, n: float, kernel: CovarianceKernel,
     save_steps = [_resolve_steps(s, dt) for s in times]
     if not save_steps:
         raise ValueError("need at least one time")
-    t = max(times)
-    n_steps = max(save_steps)
     clock = PoissonClock(float(n))
-    jump_times = [clock.arrivals(stream_rng(seed, s + (0,)), t) for s in streams]
-    # each jump applies right after the substep its time rounds up to
+    jump_times = [clock.arrivals(stream_rng(seed, s + (0,)), max(times)) for s in streams]
+    # each jump rides the pointwise substep of the (0-based) step its time rounds up to
     due = {}
     for r, arrivals in enumerate(jump_times):
         for k, step in enumerate(np.maximum(np.ceil(arrivals / dt - 1e-12).astype(int), 1)):
-            due.setdefault(int(step), []).append((r, k))
+            due.setdefault(int(step) - 1, []).append((r, k))
     factor = grid_covariance_factor(kernel, grid) if field_override is None else None
-    scheme = Splitting(grid, dt, reaction=True)
     root_n = math.sqrt(n)
-    y = np.repeat(phi.values[np.newaxis], len(streams), axis=0)
-    saved = {}
-    for step in range(1, n_steps + 1):
-        y = scheme.step(y)
+
+    def marks(step):
+        pairs = []
         for r, k in due.get(step, ()):
             if field_override is None:
                 h = factor.sample(stream_rng(seed, streams[r] + (1, k)))
             else:
                 h = np.broadcast_to(np.asarray(field_override(k), dtype=float), grid.shape)
-            h = np.clip(h, -root_n, root_n)
-            y[r] = y[r] * (1.0 + h / root_n)
-        if not np.all(np.isfinite(y)):
-            raise DualEvolutionError(step)
-        if step in save_steps:
-            saved[step] = y.copy()
-    return [saved[step] for step in save_steps], jump_times
+            pairs.append((r, 1.0 + np.clip(h, -root_n, root_n) / root_n))
+        return pairs
+
+    y = np.repeat(phi.values[np.newaxis], len(streams), axis=0)
+    try:
+        return _evolve(y, grid, dt, marks, save_steps, reaction=True), jump_times
+    except SchemeOverflowError as err:
+        raise DualEvolutionError(err.step + 1) from err
 
 
 def evolve_dual(phi: GridFunction, t: float, n: float, kernel: CovarianceKernel,

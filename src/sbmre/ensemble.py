@@ -40,12 +40,13 @@ def map_batches(fn, total: int, args: tuple = (), workers: int = 1) -> list:
     """[fn(*args, b, lo, hi) for every batch], in batch order.
 
     fn and args must be picklable when workers > 1; the pool only changes
-    which process computes a batch.
+    which process computes a batch, and never starts more processes than
+    there are batches.
     """
     jobs = [tuple(args) + batch for batch in batch_ranges(total)]
     if workers <= 1 or len(jobs) <= 1:
         return [fn(*job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         return list(pool.map(fn, *zip(*jobs)))
 
 

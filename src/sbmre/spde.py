@@ -1,16 +1,19 @@
 """Splitting solvers for the linear equation with multiplicative noise and
 for its nonlinear log-Laplace counterpart.
 
-Per step of length dt (symmetric ordering): half heat step (spectral, exact
-on the torus), exact nonlinear substep u <- u/(1 + u dt/2) (log-Laplace
-only), multiplicative noise factor exp(dW(x) - C(x,x) dt/2), half heat step.
-The correction makes the one-step conditional mean of the noise factor
-exactly one, so ensemble means of the linear solver reproduce the discrete
-heat semigroup identically, not just as dt -> 0.  A march fuses the trailing
+Per step of length dt (symmetric Strang splitting, the one scheme): half
+heat step (spectral, exact on the torus), a pointwise substep, half heat
+step.  The pointwise substep is the exact nonlinear flow u <- u/(1 + u dt/2)
+(log-Laplace only) followed by the step's multiplicative factors: for the
+stochastic solvers the noise factor exp(dW(x) - C(x,x) dt/2), for the jump
+dual (sbmre.dual) the marks of the jumps that arrive in the step.  The Ito
+correction makes the one-step conditional mean of the noise factor exactly
+one, so ensemble means of the linear solver reproduce the discrete heat
+semigroup identically, not just as dt -> 0.  A march fuses the trailing
 half heat step of one step with the leading one of the next into a single
 full heat step H(dt) (the half steps compose exactly on the torus), so it
-takes one heat transform pair per step, plus one per save.  The reaction and
-noise substeps preserve nonnegativity exactly; the spectral heat substep can
+takes one heat transform pair per step, plus one per save.  The pointwise
+substep preserves nonnegativity exactly; the spectral heat substep can
 undershoot zero at the scale of its truncation lobes, so production solvers
 floor each heat output at zero; saved slices of nonnegative data are then
 >= 0 machine-exactly, at the cost of additivity of the linear flow holding
@@ -31,7 +34,8 @@ one heat transform pair and one exponential per distinct Ito drift, and each
 route's trajectory is bit for bit that of its march alone.  The linear and
 log-Laplace solvers, the derivative quotient and both Stratonovich routes are
 callers of that one march; pam_states_at and pam_log_max_series keep the
-states at chosen times or only their log-maxima.
+states at chosen times or only their log-maxima.  The march (_evolve) takes
+its factors from a per-step source, so the jump dual runs through it too.
 """
 
 from dataclasses import dataclass
@@ -42,8 +46,6 @@ from .covariance import CovarianceKernel, ScaledTheta, grid_covariance_factor
 from .ensemble import BATCH_SIZE, batch_ranges, stream_rng
 from .grids import Grid, GridFunction
 from .heatkernel import apply_spectral_multiplier, heat_multiplier
-
-ORDERINGS = ("symmetric", "heat-noise", "noise-heat")
 
 # safety renormalization threshold for log-scale trackers
 _RENORM_LIMIT = 1e100
@@ -163,39 +165,34 @@ class Route:
 
 
 class Splitting:
-    """One splitting step of length dt on states shaped (n_replicas, *grid.shape),
-    or on a stack of routes shaped (n_routes, n_replicas, *grid.shape).
+    """The substeps of one Strang step of length dt on states shaped
+    (n_replicas, *grid.shape), or on a stack of routes shaped
+    (n_routes, n_replicas, *grid.shape).
 
-    A step is leave(pointwise(enter(states))): a pointwise substep (reaction,
-    then noise) between two heat pieces, each the identity or one spectral
-    transform pair.  The ordering picks the pieces: symmetric enters and leaves with
-    H(dt/2), heat-noise enters with H(dt) and leaves with the identity,
-    noise-heat the reverse.  In every ordering the leave of one step and the
-    enter of the next compose to bridge = H(dt), so a march (_evolve) enters
-    once, bridges between pointwise substeps and leaves only where it reads
-    the state.  step keeps both pieces, for callers that act between whole
-    steps (the jump dual).
+    A step is leave(pointwise(enter(states))): a pointwise substep between
+    two half heat steps, enter = leave = H(dt/2).  The leave of one step and
+    the enter of the next compose to bridge = H(dt), so a march (_evolve)
+    enters once, bridges between pointwise substeps and leaves only where it
+    reads the state.
 
-    The reaction substep is the exact flow u <- u/(1 + u dt/2) of the
-    quadratic sink; `reaction` is one flag for the whole state or, for a
-    stack, a tuple with one flag per route.  The noise substep multiplies by
-    exact positive pointwise factors, one per slice of routes (see pointwise).
-    The spectral heat substep is the one place positivity can leak: its
-    discrete kernel has small negative truncation lobes, so with clamp=True
-    (production default) each heat output is floored at zero.  Flooring is
-    monotone and 1-Lipschitz, hence every pathwise comparison inequality
-    survives it; the price is that additivity of the linear flow holds only
-    to the lobe scale (~1e-9 at default resolution) instead of roundoff.
-    A fused march floors each bridge output but not the state between the
-    two halves of a merged symmetric step, which step floors; the two agree
-    to roundoff with clamp=False and to the lobe scale with it.
-    clamp=False keeps the exactly linear flow.
+    The pointwise substep is the exact flow u <- u/(1 + u dt/2) of the
+    quadratic sink, then exact nonnegative multiplicative factors: the noise
+    factor of each slice of routes, or the marks of the jump dual, whose
+    jumps ride this substep of the step they arrive in (see pointwise).
+    `reaction` is one flag for the whole state or, for a stack, a tuple with
+    one flag per route.  The spectral heat substep is the one place
+    positivity can leak: its discrete kernel has small negative truncation
+    lobes, so with clamp=True (production default) each heat output is
+    floored at zero.  Flooring is monotone and 1-Lipschitz, hence every
+    pathwise comparison inequality survives it; the price is that additivity
+    of the linear flow holds only to the lobe scale (~1e-9 at default
+    resolution) instead of roundoff.  A fused march floors each bridge
+    output but not the state between the two halves of a merged step; it
+    agrees with a loop of whole steps to roundoff with clamp=False and to
+    the lobe scale with it.  clamp=False keeps the exactly linear flow.
     """
 
-    def __init__(self, grid: Grid, dt: float, order: str = "symmetric",
-                 reaction=False, clamp: bool = True):
-        if order not in ORDERINGS:
-            raise ValueError(f"order must be one of {ORDERINGS}, got {order!r}")
+    def __init__(self, grid: Grid, dt: float, reaction=False, clamp: bool = True):
         self.shape = grid.shape
         self.dt = dt
         self.clamp = clamp
@@ -203,51 +200,41 @@ class Splitting:
             self._reacting = [sl for on, sl in _runs(reaction) if on]
         else:
             self._reacting = [slice(None)] if reaction else []
-        full, half = heat_multiplier(grid, dt), heat_multiplier(grid, dt / 2.0)
-        self._enter, self._leave = {"symmetric": (half, half), "heat-noise": (full, None),
-                                    "noise-heat": (None, full)}[order]
-        self._bridge = full
+        self._half = heat_multiplier(grid, dt / 2.0)
+        self._full = heat_multiplier(grid, dt)
 
     def _heat(self, v, multiplier):
-        if multiplier is None:
-            return v
         out = apply_spectral_multiplier(v, multiplier, self.shape)
         return np.maximum(out, 0.0, out=out) if self.clamp else out
 
     def enter(self, v):
-        """The heat piece before a step's pointwise substep."""
-        return self._heat(v, self._enter)
+        """H(dt/2), the half heat step before a step's pointwise substep."""
+        return self._heat(v, self._half)
 
     def bridge(self, v):
         """H(dt): one step's leave and the next step's enter in one transform pair."""
-        return self._heat(v, self._bridge)
+        return self._heat(v, self._full)
 
     def leave(self, v):
-        """The heat piece after a step's pointwise substep; may return v itself."""
-        return self._heat(v, self._leave)
+        """H(dt/2), the half heat step after a step's pointwise substep."""
+        return self._heat(v, self._half)
 
     def pointwise(self, v, factors=(), k: int = 0):
-        """Reaction, then noise, in place; raise if the state left the finite range.
+        """Reaction, then the factors, in place; raise if the state left the finite range.
 
-        factors holds the noise multipliers of step k as (slice of the
-        leading axis, factor) pairs; each factor broadcasts over its slice.
-        No factors, no noise substep.
+        factors holds the multipliers of step k as (index into the leading
+        axis, factor) pairs, an index being a slice of routes or one
+        replica; each factor broadcasts over what its index selects.
         """
         for sl in self._reacting:
             block = v[sl]
             np.divide(block, 1.0 + block * (self.dt / 2.0), out=block)
-        if not factors:
-            return v
         with np.errstate(over="ignore"):
-            for sl, factor in factors:
-                np.multiply(v[sl], factor, out=v[sl])
+            for index, factor in factors:
+                np.multiply(v[index], factor, out=v[index])
         if not np.all(np.isfinite(v)):
             raise SchemeOverflowError(f"state left the finite range at step {k}", k)
         return v
-
-    def step(self, states: np.ndarray, factors=(), k: int = 0) -> np.ndarray:
-        """Advance states by one whole step; states may be overwritten."""
-        return self.leave(self.pointwise(self.enter(states), factors, k))
 
 
 @dataclass
@@ -261,7 +248,6 @@ class PamSolution:
     grid: Grid
     dt: float
     correction: bool
-    order: str
     times: np.ndarray
     values: np.ndarray
 
@@ -340,48 +326,58 @@ def _initial_states(f: GridFunction, noise: NoisePath, scales) -> np.ndarray:
     return np.array(scales, dtype=float).reshape((-1,) + (1,) * states.ndim) * states
 
 
-def _evolve(states: np.ndarray, noise: NoisePath, n_steps: int, save_idx: np.ndarray,
-            routes: tuple, order: str, track_log_max: bool = False, clamp: bool = True):
-    """March a stack of routes (n_routes, n_replicas, *shape); return saves or log-max rows.
+def _noise_factors(noise: NoisePath, routes: tuple):
+    """factors(k) for a stack of routes: exp(dW - drift) per slice of like drifts.
 
-    Each step is one Splitting step: route i reacts if routes[i].reaction and
-    is multiplied by exp(dW - drift_i), one exponential per distinct drift.
-    Like routes listed next to each other share their array operations.  The
-    heat pieces of consecutive steps are fused: the march enters once, then
-    per step applies the pointwise substep and the bridge to the next one,
-    and takes the leave only for a save, so a march of n steps with s saves
-    after step 0 costs at most n + s heat transform pairs.  The first
-    route to leave the finite range stops the whole march.  Saves come back
-    shaped (n_routes, n_saves, n_replicas, *shape).  When track_log_max is
-    set, states are renormalized per route and replica whenever they exceed
-    _RENORM_LIMIT after a pointwise substep and log(max) is recorded with the
-    offset folded back in, shaped (n_routes, n_saves, n_replicas); saved
-    fields are then not meaningful and are not returned.
+    One increment and one exponential per distinct drift per step; like
+    routes listed next to each other share one (slice, factor) pair.
     """
-    scheme = Splitting(noise.grid, noise.dt, order,
-                       reaction=tuple(r.reaction for r in routes), clamp=clamp)
     drifts = [0.5 * noise.diagonal * noise.dt if r.correction else 0.0 for r in routes]
     drift_runs = _runs(drifts)
-    axes = tuple(range(2, states.ndim))
-    save_set = set(int(i) for i in save_idx)
-    saves, log_rows = [], []
-    log_offset = np.zeros(states.shape[:2])
 
-    def record(out):
-        # out is never written again: the bridge returns a fresh array
-        if track_log_max:
-            log_rows.append(np.log(out.max(axis=axes)) + log_offset)
-        else:
-            saves.append(out)
-
-    if 0 in save_set:
-        record(states.copy())
-    pending = scheme.enter(states)
-    for k in range(n_steps):
+    def factors(k):
         dW = noise.increment(k)
         with np.errstate(over="ignore"):
             exps = {d: np.exp(dW - d) for d in set(drifts)}
-        pending = scheme.pointwise(pending, [(sl, exps[d]) for d, sl in drift_runs], k)
+        return [(sl, exps[d]) for d, sl in drift_runs]
+
+    return factors
+
+
+def _evolve(states: np.ndarray, grid: Grid, dt: float, factors, save_idx,
+            reaction=False, track_log_max: bool = False, clamp: bool = True) -> list:
+    """March states to step max(save_idx); return the state at each step of save_idx.
+
+    The one step loop of the lab.  Step k reacts where Splitting's
+    `reaction` says, then multiplies by factors(k), (index, factor) pairs as
+    Splitting.pointwise takes them.  The half heat steps of consecutive
+    steps are fused: the march enters once, then per step applies the
+    pointwise substep and the bridge to the next one, and takes the leave
+    only for a save, so a march of n steps with s saves after step 0 costs
+    at most n + s + 1 heat transform pairs.  A state leaving the finite
+    range stops the march with SchemeOverflowError(k).  Saves are fresh
+    arrays shaped like states, in the order of save_idx (repeats allowed).
+    When track_log_max is set, states are a stack (n_routes, n_replicas,
+    *shape), renormalized per route and replica whenever they exceed
+    _RENORM_LIMIT after a pointwise substep, and each save is instead the
+    (n_routes, n_replicas) row of log(max) with the offset folded back in.
+    """
+    scheme = Splitting(grid, dt, reaction=reaction, clamp=clamp)
+    axes = tuple(range(2, states.ndim))
+    wanted = set(int(i) for i in save_idx)
+    n_steps = max(wanted)
+    saved = {}
+    log_offset = np.zeros(states.shape[:2])
+
+    def record(step, out):
+        # out is never written again: it is a copy or a fresh output of leave
+        saved[step] = np.log(out.max(axis=axes)) + log_offset if track_log_max else out
+
+    if 0 in wanted:
+        record(0, states.copy())
+    pending = scheme.enter(states)
+    for k in range(n_steps):
+        pending = scheme.pointwise(pending, factors(k), k)
         if track_log_max:
             peak = pending.max(axis=axes)
             big = peak > _RENORM_LIMIT
@@ -389,15 +385,15 @@ def _evolve(states: np.ndarray, noise: NoisePath, n_steps: int, save_idx: np.nda
                 scale = np.where(big, peak, 1.0)
                 pending = pending / scale.reshape(scale.shape + (1,) * len(axes))
                 log_offset = log_offset + np.log(scale)
-        if (k + 1) in save_set:
-            record(scheme.leave(pending))
+        if k + 1 in wanted:
+            record(k + 1, scheme.leave(pending))
         if k + 1 < n_steps:
             pending = scheme.bridge(pending)
-    return np.stack(log_rows if track_log_max else saves, axis=1)
+    return [saved[int(i)] for i in save_idx]
 
 
 def solve_routes(f: GridFunction, T: float, noise: NoisePath, routes, save_every=None,
-                 order: str = "symmetric", clamp: bool = True) -> tuple:
+                 clamp: bool = True) -> tuple:
     """March several routes from f along one noise path as one stack.
 
     Returns (times, values) with values[i] route i's trajectory, shaped
@@ -411,12 +407,13 @@ def solve_routes(f: GridFunction, T: float, noise: NoisePath, routes, save_every
     n = _resolve_steps(T, noise.dt)
     idx = _save_indices(n, save_every)
     states = _initial_states(f, noise, [r.scale for r in routes])
-    return idx * noise.dt, _evolve(states, noise, n, idx, routes, order, clamp=clamp)
+    saves = _evolve(states, noise.grid, noise.dt, _noise_factors(noise, routes), idx,
+                    reaction=tuple(r.reaction for r in routes), clamp=clamp)
+    return idx * noise.dt, np.stack(saves, axis=1)
 
 
 def solve_pam(f: GridFunction, T: float, noise: NoisePath, save_every=None,
-              order: str = "symmetric", correction: bool = True,
-              clamp_negatives: bool = True) -> PamSolution:
+              correction: bool = True, clamp_negatives: bool = True) -> PamSolution:
     """Evolve the linear equation from f >= 0 along the given noise path.
 
     With the default Ito correction the ensemble mean of the output equals
@@ -425,21 +422,20 @@ def solve_pam(f: GridFunction, T: float, noise: NoisePath, save_every=None,
     trades exact additivity for exact positivity; see Splitting.
     """
     times, vals = solve_routes(f, T, noise, [Route(correction=correction)], save_every,
-                               order, clamp=clamp_negatives)
-    return _solution(noise, times, vals[0], order, correction)
+                               clamp=clamp_negatives)
+    return _solution(noise, times, vals[0], correction)
 
 
-def _solution(noise: NoisePath, times, values, order: str = "symmetric",
-              correction: bool = True) -> PamSolution:
-    return PamSolution(grid=noise.grid, dt=noise.dt, correction=correction, order=order,
+def _solution(noise: NoisePath, times, values, correction: bool = True) -> PamSolution:
+    return PamSolution(grid=noise.grid, dt=noise.dt, correction=correction,
                        times=times, values=values)
 
 
 def solve_log_laplace(f: GridFunction, lam: float, T: float, noise: NoisePath,
-                      save_every=None, order: str = "symmetric") -> PamSolution:
+                      save_every=None) -> PamSolution:
     """Evolve the log-Laplace equation from lam * f along the given noise path."""
-    times, vals = solve_routes(f, T, noise, [Route(lam, reaction=True)], save_every, order)
-    return _solution(noise, times, vals[0], order)
+    times, vals = solve_routes(f, T, noise, [Route(lam, reaction=True)], save_every)
+    return _solution(noise, times, vals[0])
 
 
 def solve_stratonovich_pam(f: GridFunction, kernel: ScaledTheta, T: float,
@@ -470,9 +466,8 @@ def solve_stratonovich_pam(f: GridFunction, kernel: ScaledTheta, T: float,
         raise RouteDisagreementError(
             f"identity and direct routes differ by {gap:.3e} (tolerance {tolerance:.3e})"
         )
-    return StratonovichSolution(grid=noise.grid, dt=noise.dt, correction=True,
-                                order="symmetric", times=times, values=tilde,
-                                route_gap=gap, direct_values=direct)
+    return StratonovichSolution(grid=noise.grid, dt=noise.dt, correction=True, times=times,
+                                values=tilde, route_gap=gap, direct_values=direct)
 
 
 def derivative_quotients(f: GridFunction, lambdas, delta: float, T: float,
@@ -516,10 +511,9 @@ def pam_states_at(f: GridFunction, times, noise: NoisePath) -> np.ndarray:
     steps = [_resolve_steps(t, noise.dt) for t in times]
     if not steps:
         raise ValueError("need at least one time")
-    saved = sorted(set(steps))
     states = _initial_states(f, noise, [1.0])
-    values = _evolve(states, noise, saved[-1], np.array(saved), (Route(),), "symmetric")[0]
-    return values[[saved.index(step) for step in steps]]
+    saves = _evolve(states, noise.grid, noise.dt, _noise_factors(noise, (Route(),)), steps)
+    return np.stack([save[0] for save in saves])
 
 
 def pam_log_max_series(f: GridFunction, T: float, noise: NoisePath,
@@ -536,6 +530,7 @@ def pam_log_max_series(f: GridFunction, T: float, noise: NoisePath,
     states = _initial_states(f, noise, [1.0])
     if float(states.max()) <= 0:
         raise ValueError("log-max tracking requires a somewhere-positive datum")
-    rows = _evolve(states, noise, n, idx, (Route(correction=correction),),
-                   order="symmetric", track_log_max=True)
-    return idx * noise.dt, rows[0]
+    rows = _evolve(states, noise.grid, noise.dt,
+                   _noise_factors(noise, (Route(correction=correction),)), idx,
+                   track_log_max=True)
+    return idx * noise.dt, np.stack([row[0] for row in rows])

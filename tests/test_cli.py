@@ -178,13 +178,14 @@ def test_replay_identical_and_refusals(tmp_path):
     assert main(["replay", "--manifest", str(tmp_path / "nope.json")]) == 2
 
 
-@pytest.mark.parametrize("experiment", ["comparison-suite", "extinction-scan",
-                                        "duality-ladder", "lyapunov-ladder"])
+@pytest.mark.parametrize("experiment", ["comparison-suite", "duality-ladder",
+                                        "extinction-scan", "lyapunov-ladder",
+                                        "moments-triangle", "pam-oracle",
+                                        "persistence-scan", "threshold-table"])
 def test_symmetric_only_experiments_reject_other_orderings(tmp_path, capsys, experiment):
-    # these experiments always run the symmetric splitting, so another
-    # ordering in the config (which is part of its hash) would be a lie
-    assert load_config(write_config(tmp_path, **{"experiment.name": experiment})).ordering \
-        == "symmetric"
+    # every solver runs the symmetric splitting, so another ordering in the
+    # config (which is part of its hash) would be a lie
+    load_config(write_config(tmp_path, **{"experiment.name": experiment}))
     for ordering in ("heat-noise", "noise-heat"):
         cfg_path = write_config(tmp_path, **{"experiment.name": experiment,
                                              "scheme.ordering": ordering})
@@ -195,10 +196,21 @@ def test_symmetric_only_experiments_reject_other_orderings(tmp_path, capsys, exp
     assert not (tmp_path / "o").exists()
 
 
-def test_pam_oracle_accepts_every_ordering(tmp_path):
-    for ordering in ("symmetric", "heat-noise", "noise-heat"):
-        cfg = load_config(write_config(tmp_path, **{"scheme.ordering": ordering}))
-        assert cfg.ordering == ordering
+@pytest.mark.parametrize("flag, env", [("0", None), ("-1", None), (None, "0")],
+                         ids=["flag-0", "flag-minus-1", "env-0"])
+def test_worker_count_below_one_exits_2(tmp_path, capsys, monkeypatch, flag, env):
+    cfg_path = write_config(tmp_path, **{"experiment.name": "threshold-table"})
+    out = tmp_path / "w"
+    argv = ["threshold-table", "--config", cfg_path, "--out", str(out)]
+    if flag is not None:
+        argv += ["--workers", flag]
+    if env is not None:
+        monkeypatch.setenv("SBMRE_WORKERS", env)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: workers must be >= 1")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 def test_artifacts_written_atomically(tmp_path, monkeypatch):

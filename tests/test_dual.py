@@ -24,8 +24,9 @@ from sbmre.dual import (
     pair_with_measure,
     third_moment_scan,
 )
+from sbmre import spde
 from sbmre.grids import Grid, GridFunction
-from sbmre.spde import NoisePath, solve_log_laplace
+from sbmre.spde import NoisePath, Splitting, solve_log_laplace
 
 SEED = 20260814
 
@@ -70,6 +71,58 @@ def test_zero_field_matches_deterministic_flow():
     sol = solve_log_laplace(phi, 1.0, 1.0, noise)
     state2 = evolve_dual(phi, 1.0, 16.0, Constant(0.0), SEED, dt=1e-3)
     assert np.array_equal(state2.y.values, sol.values[-1][0])
+
+
+def test_zero_field_from_a_bump_is_the_log_laplace_march():
+    # marks of a zero field are exactly one, so the dual is the fused march itself
+    grid = small_grid()
+    phi = bump(grid, width=1.2, height=0.8)
+    dt, t = 1e-3, 0.5
+    state = evolve_dual(phi, t, 16.0, Constant(0.0), SEED, dt=dt)
+    assert state.jump_count > 0
+    sol = solve_log_laplace(phi, 1.0, t, NoisePath(grid, Constant(0.0), dt, SEED))
+    assert np.array_equal(state.y.values, sol.values[-1][0])
+
+
+def test_march_takes_one_heat_transform_per_step(monkeypatch):
+    grid = small_grid()
+    phi = bump(grid)
+    calls = []
+    inner = spde.apply_spectral_multiplier
+
+    def counted(values, multiplier, shape):
+        calls.append(1)
+        return inner(values, multiplier, shape)
+
+    monkeypatch.setattr(spde, "apply_spectral_multiplier", counted)
+    ys, jump_times = march_dual(phi, (0.1, 0.3, 0.5), 40.0, ScaledTheta(1.0), SEED,
+                                [(r,) for r in range(3)], dt=1e-3)
+    assert sum(len(times) for times in jump_times) > 0
+    # 500 steps, 2 saves before the last: an unfused march of whole steps takes 1000
+    assert len(calls) <= 500 + 2 + 1
+
+
+def test_jump_rides_the_pointwise_substep():
+    grid = small_grid()
+    phi = bump(grid, width=1.2, height=0.8)
+    n, t, dt = 16.0, 0.5, 1e-3
+    x = grid.points()[:, 0]
+
+    def mark(k):
+        return (-1.0) ** k * 0.9 * np.sin(x + k)  # non-uniform, inside +-sqrt(n)
+
+    (y,), (arrivals,) = march_dual(phi, (t,), n, Constant(1.0), SEED, [()], dt,
+                                   field_override=mark)
+    assert len(arrivals) > 1
+    step_of = np.maximum(np.ceil(arrivals / dt - 1e-12).astype(int), 1) - 1
+    scheme = Splitting(grid, dt, reaction=True)
+    steps = int(round(t / dt))
+    state = scheme.enter(phi.values[np.newaxis].copy())
+    for k in range(steps):
+        factors = [(0, 1.0 + mark(j) / math.sqrt(n)) for j in np.flatnonzero(step_of == k)]
+        state = scheme.pointwise(state, factors, k)
+        state = scheme.bridge(state) if k + 1 < steps else scheme.leave(state)
+    assert np.array_equal(y, state)
 
 
 def test_zero_initial_state_is_absorbing():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sbmre import ensemble
 from sbmre.ensemble import BATCH_SIZE, batch_ranges, map_batches, mean_se, stream_rng
 
 
@@ -39,6 +40,30 @@ def test_map_batches_keeps_batch_order_whatever_the_worker_count():
         assert map_batches(_batch_sum, total, (2.0,), workers) == serial
     # one batch never starts a pool
     assert map_batches(_batch_sum, 3, (1.0,), workers=2) == [_batch_sum(1.0, 0, 0, 3)]
+
+
+def test_map_batches_sizes_the_pool_to_the_batch_count(monkeypatch):
+    asked = []
+
+    class SerialPool:
+        # records the requested pool size and maps in-process, so no process starts
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", SerialPool)
+    total = 2 * BATCH_SIZE
+    assert map_batches(_batch_sum, total, (2.0,), workers=16) \
+        == [_batch_sum(2.0, *batch) for batch in batch_ranges(total)]
+    assert asked == [2]
 
 
 def test_mean_se_drops_non_finite_values():

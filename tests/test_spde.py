@@ -18,7 +18,6 @@ from sbmre.covariance import Constant, ScaledTheta
 from sbmre.grids import Grid, GridFunction
 from sbmre.heatkernel import apply_heat_semigroup
 from sbmre.spde import (
-    ORDERINGS,
     NoisePath,
     Route,
     RouteDisagreementError,
@@ -105,21 +104,20 @@ def test_states_at_times_equal_final_states_of_separate_solves():
     with pytest.raises(ValueError):
         pam_states_at(f, (), noise)
 
-@pytest.mark.parametrize("order", ORDERINGS)
 @pytest.mark.parametrize("grid", [Grid(1, 8.0, 32), Grid(2, 4.0, 8)], ids=["1d", "2d"])
-def test_stacked_routes_equal_separate_solves(grid, order):
+def test_stacked_routes_equal_separate_solves(grid):
     f = bump(grid, width=0.7)
     noise = NoisePath(grid, ScaledTheta(1.3), dt=1e-2, seed=21, n_replicas=3, chunk_steps=7)
     # unlike routes interleaved, so no run of the stack holds two of them
     routes = [Route(), Route(0.7, reaction=True), Route(correction=False),
               Route(1.3, reaction=True), Route(2.0, reaction=True)]
-    times, stacked = solve_routes(f, 0.2, noise, routes, save_every=6, order=order)
+    times, stacked = solve_routes(f, 0.2, noise, routes, save_every=6)
     alone = [
-        solve_pam(f, 0.2, noise, save_every=6, order=order),
-        solve_log_laplace(f, 0.7, 0.2, noise, save_every=6, order=order),
-        solve_pam(f, 0.2, noise, save_every=6, order=order, correction=False),
-        solve_log_laplace(f, 1.3, 0.2, noise, save_every=6, order=order),
-        solve_log_laplace(f, 2.0, 0.2, noise, save_every=6, order=order),
+        solve_pam(f, 0.2, noise, save_every=6),
+        solve_log_laplace(f, 0.7, 0.2, noise, save_every=6),
+        solve_pam(f, 0.2, noise, save_every=6, correction=False),
+        solve_log_laplace(f, 1.3, 0.2, noise, save_every=6),
+        solve_log_laplace(f, 2.0, 0.2, noise, save_every=6),
     ]
     assert stacked.shape == (len(routes), len(times), 3) + grid.shape
     for values, sol in zip(stacked, alone):
@@ -144,16 +142,15 @@ def test_ensemble_noise_batching_deterministic():
     assert np.array_equal(a[1].increment(0), c[1].increment(0))
 
 
-def test_noise_off_matches_heat_flow_all_orders():
+def test_noise_off_matches_heat_flow():
     grid = Grid(1, 8.0, 64)
     f = bump(grid, width=0.6)
     target = apply_heat_semigroup(f, 0.25).values
-    for order in ORDERINGS:
-        noise = NoisePath(grid, Constant(0.0), dt=1e-3, seed=1)
-        sol = solve_pam(f, 0.25, noise, order=order)
-        err = np.abs(sol.values[-1, 0] - target).max() / target.max()
-        assert err < 1e-8
-        assert sol.values.min() >= 0.0
+    noise = NoisePath(grid, Constant(0.0), dt=1e-3, seed=1)
+    sol = solve_pam(f, 0.25, noise)
+    err = np.abs(sol.values[-1, 0] - target).max() / target.max()
+    assert err < 1e-8
+    assert sol.values.min() >= 0.0
 
 
 def test_pam_constant_kernel_moments():
@@ -195,12 +192,11 @@ def test_log_laplace_constant_closed_form():
     grid = Grid(1, 4.0, 8)
     f = GridFunction.constant(grid, 1.0)
     lam = 2.0
-    for order in ORDERINGS:
-        noise = NoisePath(grid, Constant(0.0), dt=1e-4, seed=2)
-        sol = solve_log_laplace(f, lam, 1.0, noise, save_every=2500, order=order)
-        for t, slab in zip(sol.times, sol.values):
-            closed = 1.0 / (t / 2.0 + 1.0 / lam)
-            assert np.abs(slab - closed).max() < 1e-10
+    noise = NoisePath(grid, Constant(0.0), dt=1e-4, seed=2)
+    sol = solve_log_laplace(f, lam, 1.0, noise, save_every=2500)
+    for t, slab in zip(sol.times, sol.values):
+        closed = 1.0 / (t / 2.0 + 1.0 / lam)
+        assert np.abs(slab - closed).max() < 1e-10
 
 
 def test_log_laplace_zero_lambda_fixed_point():
@@ -365,7 +361,7 @@ def test_solution_layout_validation_and_metadata():
     assert np.allclose(sol.times, [0.0, 0.25, 0.5, 0.75, 1.0, 1.03])
     assert sol.values.shape == (6, 3, 64)
     assert sol.n_replicas == 3
-    assert sol.dt == 1e-2 and sol.correction and sol.order == "symmetric"
+    assert sol.dt == 1e-2 and sol.correction
     g = sol.function(2, replica=1)
     assert g.grid == grid and np.array_equal(g.values, sol.values[2, 1])
     assert np.array_equal(sol.final_function().values, sol.values[-1, 0])
@@ -380,24 +376,11 @@ def test_solution_layout_validation_and_metadata():
     with pytest.raises(ValueError):
         solve_pam(f, 0.1, noise, save_every=0)
     with pytest.raises(ValueError):
-        solve_pam(f, 0.1, noise, order="bogus")
-    with pytest.raises(ValueError):
         solve_pam(bump(Grid(1, 8.0, 32)), 0.1, noise)
     with pytest.raises(ValueError):
         solve_log_laplace(f, -0.5, 0.1, noise)
     with pytest.raises(ValueError):
         derivative_quotient(f, 0.1, 0.0, 0.1, noise)
-
-
-def test_orderings_actually_differ_under_noise():
-    grid = Grid(1, 8.0, 64)
-    f = bump(grid)
-    noise = NoisePath(grid, ScaledTheta(1.0), dt=1e-2, seed=16)
-    sym = solve_pam(f, 0.2, noise, order="symmetric").values[-1]
-    hn = solve_pam(f, 0.2, noise, order="heat-noise").values[-1]
-    nh = solve_pam(f, 0.2, noise, order="noise-heat").values[-1]
-    assert np.abs(sym - hn).max() > 1e-6
-    assert np.abs(sym - nh).max() > 1e-6
 
 
 def test_log_max_series_renormalizes_and_shifts_exactly():
@@ -418,10 +401,10 @@ def test_log_max_series_renormalizes_and_shifts_exactly():
 FUSION_ROUTES = (Route(), Route(0.7, reaction=True), Route(correction=False))
 
 
-def step_loop(f, T, noise, routes, save_every, order, clamp):
-    """solve_routes by a loop of whole Splitting steps, each with its own heat pieces."""
-    scheme = Splitting(noise.grid, noise.dt, order,
-                       reaction=tuple(r.reaction for r in routes), clamp=clamp)
+def step_loop(f, T, noise, routes, save_every, clamp):
+    """solve_routes by a loop of whole Strang steps, each with both half heat steps."""
+    scheme = Splitting(noise.grid, noise.dt, reaction=tuple(r.reaction for r in routes),
+                       clamp=clamp)
     n = int(round(T / noise.dt))
     idx = list(range(0, n + 1, save_every or n))
     states = np.stack([r.scale * np.broadcast_to(f.values, (noise.n_replicas,) + f.grid.shape)
@@ -432,7 +415,7 @@ def step_loop(f, T, noise, routes, save_every, order, clamp):
         factors = [(slice(i, i + 1), np.exp(dW - (0.5 * noise.diagonal * noise.dt
                                                    if r.correction else 0.0)))
                    for i, r in enumerate(routes)]
-        states = scheme.step(states, factors, k)
+        states = scheme.leave(scheme.pointwise(scheme.enter(states), factors, k))
         if k + 1 in idx:
             saves.append(states.copy())
     return np.stack(saves, axis=1)
@@ -445,23 +428,11 @@ def test_fused_symmetric_march_equals_step_loop(save_every):
     noise = NoisePath(grid, ScaledTheta(1.3), dt=1e-2, seed=21, n_replicas=3)
     # 21 steps: save_every=7 saves the final step
     _, fused = solve_routes(f, 0.21, noise, FUSION_ROUTES, save_every, clamp=False)
-    loop = step_loop(f, 0.21, noise, FUSION_ROUTES, save_every, "symmetric", clamp=False)
+    loop = step_loop(f, 0.21, noise, FUSION_ROUTES, save_every, clamp=False)
     assert fused.shape == loop.shape
     for i in range(fused.shape[1]):
         gap = np.abs(fused[:, i] - loop[:, i]).max() / np.abs(loop[:, i]).max()
         assert gap <= 1e-12
-
-
-@pytest.mark.parametrize("clamp", [True, False])
-@pytest.mark.parametrize("order", ["heat-noise", "noise-heat"])
-def test_fused_one_sided_orderings_keep_their_bytes(order, clamp):
-    grid = Grid(1, 8.0, 32)
-    f = bump(grid, width=0.7)
-    noise = NoisePath(grid, ScaledTheta(1.3), dt=1e-2, seed=21, n_replicas=3)
-    for save_every in (None, 1, 7):
-        _, fused = solve_routes(f, 0.21, noise, FUSION_ROUTES, save_every, order, clamp)
-        assert np.array_equal(fused, step_loop(f, 0.21, noise, FUSION_ROUTES, save_every,
-                                               order, clamp))
 
 
 def test_fused_march_takes_one_heat_transform_per_step(monkeypatch):

@@ -41,7 +41,7 @@ from .covariance import (
     gaussian_profile,
 )
 from .dual import dual_route_samples, laplace_via_dual, laplace_via_log_laplace, third_moment_scan
-from .ensemble import map_batches, mean_se
+from .ensemble import WorkerPool, map_batches, mean_se
 from .feynmankac import (
     AtomicMeasure,
     MCConfig,
@@ -331,7 +331,7 @@ def _experiment(name):
 
 
 @_experiment("threshold-table")
-def _threshold_table(cfg: ExperimentConfig, workers: int) -> list:
+def _threshold_table(cfg: ExperimentConfig, pool: WorkerPool) -> list:
     rows = []
     for d, target in _THRESHOLD_TARGETS.items():
         est = persistence_threshold(d)
@@ -360,7 +360,7 @@ def _particle_batch(bc, t, readout, seed, b, lo, hi):
 
 
 @_experiment("moments-triangle")
-def _moments_triangle(cfg: ExperimentConfig, workers: int) -> list:
+def _moments_triangle(cfg: ExperimentConfig, pool: WorkerPool) -> list:
     t = cfg.param("t", 1.0)
     scale_n = int(cfg.param("n", 200))
     f = cfg.readout
@@ -369,7 +369,7 @@ def _moments_triangle(cfg: ExperimentConfig, workers: int) -> list:
     bc = BranchingConfig(n=scale_n, dim=d, kernel=cfg.kernel,
                          initial=np.zeros((scale_n, d)), horizon=t,
                          max_population=int(cfg.param("cap", 2_000_000)))
-    parts = map_batches(_particle_batch, cfg.replicas, (bc, t, f, cfg.seed), workers)
+    parts = map_batches(_particle_batch, cfg.replicas, (bc, t, f, cfg.seed), pool)
     stats = np.concatenate([rows for rows, _ in parts], axis=0)
     breaches = sum(b for _, b in parts)
     m1, se1 = mean_se(stats[:, 0])
@@ -409,11 +409,11 @@ def _pam_center_batch(f, kernel, t, dt, seed, b, lo, hi):
 
 
 @_experiment("pam-oracle")
-def _pam_oracle(cfg: ExperimentConfig, workers: int) -> list:
+def _pam_oracle(cfg: ExperimentConfig, pool: WorkerPool) -> list:
     t = cfg.param("t", 1.0)
     f = GridFunction.from_callable(cfg.grid, cfg.readout)
     args = (f, cfg.kernel, t, cfg.dt, cfg.seed)
-    stats = np.concatenate(map_batches(_pam_center_batch, cfg.replicas, args, workers), axis=0)
+    stats = np.concatenate(map_batches(_pam_center_batch, cfg.replicas, args, pool), axis=0)
     m1, se1 = mean_se(stats[:, 0])
     m2, se2 = mean_se(stats[:, 1])
     origin = np.zeros(cfg.grid.dim)
@@ -455,14 +455,14 @@ def _comparison_batch(f, kernel, t, dt, seed, lambdas, delta, save_every, b, lo,
 
 
 @_experiment("comparison-suite")
-def _comparison_suite(cfg: ExperimentConfig, workers: int) -> list:
+def _comparison_suite(cfg: ExperimentConfig, pool: WorkerPool) -> list:
     t = cfg.param("t", 1.0)
     lambdas = cfg.param_tuple("lambdas", (0.5, 1.0))
     delta = cfg.param("delta", 0.1)
     save_every = max(1, round(t / cfg.dt / 8))
     f = GridFunction.from_callable(cfg.grid, cfg.readout)
     args = (f, cfg.kernel, t, cfg.dt, cfg.seed, lambdas, delta, save_every)
-    margins = np.min(map_batches(_comparison_batch, cfg.replicas, args, workers), axis=0)
+    margins = np.min(map_batches(_comparison_batch, cfg.replicas, args, pool), axis=0)
     names = ("u-nonnegative", "u-below-lambda-linear", "u-monotone-in-lambda",
              "quotient-nonnegative", "quotient-below-linear")
     rows = []
@@ -493,7 +493,7 @@ def _log_laplace_mean_batch(f, kernel, routes, t, dt, seed, b, lo, hi):
 
 
 @_experiment("extinction-scan")
-def _extinction_scan(cfg: ExperimentConfig, workers: int) -> list:
+def _extinction_scan(cfg: ExperimentConfig, pool: WorkerPool) -> list:
     t = cfg.param("t", 4.0)
     ks = cfg.param_tuple("ks", (1.0, 10.0))
     rows = []
@@ -508,7 +508,7 @@ def _extinction_scan(cfg: ExperimentConfig, workers: int) -> list:
         err = float(np.max(np.abs(values[:, 0] - closed)))
         rows.append(CheckRow(f"absorbing-closed-form-k{k:g}", err, 1e-6, err <= 1e-6))
     args = (ones, cfg.kernel, routes, t, cfg.dt, cfg.seed)
-    all_means = np.concatenate(map_batches(_log_laplace_mean_batch, cfg.replicas, args, workers),
+    all_means = np.concatenate(map_batches(_log_laplace_mean_batch, cfg.replicas, args, pool),
                                axis=1)
     for k, means in zip(ks, all_means):
         mean, se = mean_se(means)
@@ -528,7 +528,7 @@ def _scale_kernel(kernel: CovarianceKernel, s: float) -> CovarianceKernel:
 
 
 @_experiment("persistence-scan")
-def _persistence_scan(cfg: ExperimentConfig, workers: int) -> list:
+def _persistence_scan(cfg: ExperimentConfig, pool: WorkerPool) -> list:
     d = cfg.grid.dim
     if d < 3:
         raise ConfigError("persistence-scan requires grid dimension >= 3")
@@ -556,7 +556,7 @@ def _persistence_scan(cfg: ExperimentConfig, workers: int) -> list:
 
 
 @_experiment("duality-ladder")
-def _duality_ladder(cfg: ExperimentConfig, workers: int) -> list:
+def _duality_ladder(cfg: ExperimentConfig, pool: WorkerPool) -> list:
     t = cfg.param("t", 0.5)
     ladder = cfg.param_tuple("n_ladder", (10.0, 40.0, 160.0))
     phi = GridFunction.from_callable(cfg.grid, cfg.readout)
@@ -572,13 +572,13 @@ def _duality_ladder(cfg: ExperimentConfig, workers: int) -> list:
                          gap0 <= 2.0 * gap0_se + 1e-12))
 
     l_mean, l_se = laplace_via_log_laplace(phi, mu, t, cfg.kernel, left_seed,
-                                           cfg.replicas, cfg.dt, workers)
+                                           cfg.replicas, cfg.dt, pool)
     rows.append(CheckRow("laplace-route", l_mean, l_se, True))
 
     gaps = []
     for n in ladder:
         right, counts = dual_route_samples(phi, mu, t, n, cfg.kernel, right_seed,
-                                           cfg.replicas, cfg.dt, workers)
+                                           cfg.replicas, cfg.dt, pool)
         r_mean, r_se = mean_se(right)
         gaps.append((abs(l_mean - r_mean), math.hypot(l_se, r_se)))
         rows.append(CheckRow(f"gap-n{n:g}", gaps[-1][0], gaps[-1][1], True))
@@ -607,7 +607,7 @@ def _duality_ladder(cfg: ExperimentConfig, workers: int) -> list:
 
 
 @_experiment("lyapunov-ladder")
-def _lyapunov_ladder(cfg: ExperimentConfig, workers: int) -> list:
+def _lyapunov_ladder(cfg: ExperimentConfig, pool: WorkerPool) -> list:
     if not isinstance(cfg.kernel, ScaledTheta):
         raise ConfigError("lyapunov-ladder needs a scaled kernel")
     profile = cfg.kernel.profile
@@ -679,7 +679,8 @@ def _csv_bytes(report_rows, experiment: str, seed: int, digest: str) -> bytes:
 def _compute_rows(cfg: ExperimentConfig, workers: int) -> tuple:
     start = time.perf_counter()
     try:
-        rows = tuple(_EXPERIMENTS[cfg.experiment](cfg, workers))
+        with WorkerPool(workers) as pool:  # one pool per run, started on first use
+            rows = tuple(_EXPERIMENTS[cfg.experiment](cfg, pool))
     except (ConfigError, ReplayRefusal):
         raise
     except Exception as err:

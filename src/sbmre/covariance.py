@@ -6,12 +6,17 @@ kernel variants here are stationary (functions of x - y), bounded, and carry
 an explicit sup bound used both for fail-fast validation and for the jitter
 budget of the dense factorization.
 
-Factorization strategy: plain Cholesky first; on failure add diagonal jitter
-1e-10 * sup_bound and retry once; if that still fails the matrix is indefinite
-beyond tolerance and we raise with the most negative eigenvalue.  The jitter
-actually applied never exceeds 1e-8 * sup_bound.  Dense factors cover at most
-DENSE_LIMIT distinct points; larger requests raise ValueError before any
-matrix is allocated.
+Factorization strategy: one pivoted Cholesky (LAPACK dpstrf) stopped once
+every remaining pivot is at most the jitter budget tol = 1e-10 * sup_bound.
+The root keeps only the first r columns, r the numerical rank, so a smooth
+kernel, whose matrix has far fewer numerically nonzero eigenvalues than it has
+points, is drawn from r normals per field instead of one per point.  The cut
+leaves C - root root^T as the PSD Schur complement of the last pivots, whose
+entries are at most tol; if an entry is larger (twice tol leaves roundoff
+headroom) or a diagonal entry is below -tol, the matrix is indefinite beyond
+tolerance and we raise with the most negative eigenvalue.  The budget never
+exceeds 1e-8 * sup_bound.  Dense factors cover at most DENSE_LIMIT distinct
+points; larger requests raise ValueError before any matrix is allocated.
 
 Point sets are deduplicated before factoring, so coincident points share one
 field value; in d = 1 the dedup is a plain 1-d np.unique, which gives the
@@ -20,20 +25,22 @@ same rows and inverse as np.unique(axis=0) without its structured-dtype sort.
 Separable kernels on grids: when C(x, y) = prod_i c(x_i - y_i) over the d axes
 (the Gaussian ScaledTheta; see CovarianceKernel.axis_kernel), the covariance
 over a d-dimensional grid is the Kronecker power c_mat ⊗ ... ⊗ c_mat of the
-n x n axis matrix, and its Cholesky factor is the Kronecker power of the axis
-factor L.  grid_covariance_factor then factors only c_mat, with the jitter
-contract above applied to the axis kernel, and samples through a KroneckerRoot
-that contracts each axis with L instead of forming the n^d x n^d root.  The
-DENSE_LIMIT cap does not apply to the grid (only to n).  The factor's jitter
-is then the largest entrywise change that axis jitter e makes to C, on the
-diagonal: (c + e)^d - c^d with c = C(x, x)^(1/d), at most about d * 1e-10 *
-sup_bound.  In d = 1 the separable path is the dense path, byte for byte.
+n x n axis matrix, and the Kronecker power of an (n, r) axis root is an
+(n^d, r^d) root of it.  grid_covariance_factor then factors only c_mat, with
+the cut above applied to the axis kernel, and samples through a KroneckerRoot
+that contracts each axis with the axis root instead of forming the n^d x r^d
+root.  The DENSE_LIMIT cap does not apply to the grid (only to n).  The
+factor's jitter is then the largest diagonal entry of C - root root^T: with e
+the axis one, c^d - (c - e)^d for c = C(x, x)^(1/d), at most about
+d * 1e-10 * sup_bound.  In d = 1 the separable path is the dense path, byte
+for byte.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dpstrf
 from scipy.spatial.distance import cdist
 
 JITTER_SCALE = 1e-10
@@ -299,8 +306,9 @@ class Tabulated(CovarianceKernel):
 class KroneckerRoot:
     """The root L ⊗ ... ⊗ L (dim copies) of a separable grid covariance, never formed.
 
-    ``axis_root`` is the (n, r) root of the axis matrix; ``shape`` is that of
-    the Kronecker power, (n**dim, r**dim), with rows in the grid's C order.
+    ``axis_root`` is the (n, r) root of the axis matrix, r its numerical rank;
+    ``shape`` is that of the Kronecker power, (n**dim, r**dim), with rows in
+    the grid's C order.
     """
 
     def __init__(self, axis_root: np.ndarray, dim: int):
@@ -322,13 +330,14 @@ class KroneckerRoot:
 class GaussianFieldFactor:
     """Square-root factor of C over a fixed point set, ready for exact sampling.
 
-    ``root`` has shape (m, r) with root @ root.T equal to the (possibly
-    jittered) covariance matrix of the m deduplicated points (all points for
-    the rank-1 Constant root); it is a dense array or, for a separable kernel
-    on a grid of dim >= 2, a KroneckerRoot.  ``index_map`` scatters sampled
-    values back to the original (possibly duplicated) points: coincident
-    positions always share one field value.  An identity map (every grid
-    factor, the Constant root) is skipped.
+    ``root`` has shape (m, r), r the numerical rank, with root @ root.T equal
+    to the covariance matrix of the m deduplicated points (all points for the
+    rank-1 Constant root) up to ``jitter``, the largest diagonal entry of the
+    difference; it is a dense array or, for a separable kernel on a grid of
+    dim >= 2, a KroneckerRoot.  A draw takes r normals per field.
+    ``index_map`` scatters sampled values back to the original (possibly
+    duplicated) points: coincident positions always share one field value.
+    An identity map (every grid factor, the Constant root) is skipped.
     """
 
     def __init__(self, root, index_map, jitter, out_shape=None):
@@ -364,25 +373,22 @@ class GaussianFieldFactor:
 
 
 def _factor_matrix(matrix, sup_bound):
-    """PSD square root with the jitter/retry contract; returns (root, jitter)."""
-    if not matrix.any():
-        return np.zeros((matrix.shape[0], 1)), 0.0
-    try:
-        return np.linalg.cholesky(matrix), 0.0
-    except np.linalg.LinAlgError:
-        pass
-    jitter = JITTER_SCALE * sup_bound
-    assert jitter <= JITTER_CAP * sup_bound
-    try:
-        bumped = matrix + jitter * np.eye(matrix.shape[0])
-        return np.linalg.cholesky(bumped), jitter
-    except np.linalg.LinAlgError:
+    """(m, rank) pivoted Cholesky root cut at the jitter budget; returns (root, jitter)."""
+    tol = JITTER_SCALE * sup_bound
+    assert tol <= JITTER_CAP * sup_bound
+    lower, piv, rank, _ = dpstrf(matrix, lower=1, tol=tol)
+    root = np.zeros((len(matrix), max(rank, 1)))  # one zero column for a zero matrix
+    root[piv - 1, :rank] = np.tril(lower[:, :rank])
+    residual = matrix - root @ root.T
+    if np.abs(residual).max() > 2.0 * tol or residual.diagonal().min() < -tol:
         min_eig = float(np.linalg.eigvalsh(matrix)[0])
         raise IndefiniteKernelError(
             "covariance matrix is not positive semidefinite within the jitter "
-            f"budget {jitter:.3e}; most negative eigenvalue {min_eig:.6e}",
+            f"budget {tol:.3e}; most negative eigenvalue {min_eig:.6e}",
             min_eig,
-        ) from None
+        )
+    jitter = float(residual.diagonal().max()) if rank < len(matrix) else 0.0
+    return root, max(jitter, 0.0)
 
 
 def _check_dense_size(m: int, what: str):
@@ -433,5 +439,5 @@ def grid_covariance_factor(kernel: CovarianceKernel, grid) -> GaussianFieldFacto
     if grid.dim > 1:
         root = KroneckerRoot(root, grid.dim)
         c = axis_kernel.diagonal_value()
-        jitter = (c + jitter) ** grid.dim - c**grid.dim
+        jitter = c**grid.dim - (c - jitter) ** grid.dim
     return GaussianFieldFactor(root, np.arange(grid.n_points), jitter, grid.shape)

@@ -22,6 +22,9 @@ the snap bias is O(dt) per jump and sits far below Monte Carlo noise at the
 default step (documented in the gap tests).
 
 Marks are read as i.i.d. field realizations, one independent draw per jump.
+
+The replica routes take ``workers`` as ensemble.map_batches does: a process
+count or a WorkerPool that several calls share.
 """
 
 import math
@@ -176,7 +179,7 @@ def _log_laplace_batch(phi, mu, t, kernel, seed, dt, b, lo, hi):
 
 def laplace_via_log_laplace(phi: GridFunction, mu, t: float,
                             kernel: CovarianceKernel, seed: int, n_replicas: int,
-                            dt: float = 1e-3, workers: int = 1) -> tuple:
+                            dt: float = 1e-3, workers=1) -> tuple:
     """E[exp(-<phi, X_t>)] through the conditional log-Laplace solution.
 
     Replica batch b rides the NoisePath keyed (b,), as in ensemble_noise.
@@ -191,7 +194,7 @@ def _dual_batch(phi, times, n, kernel, seed, dt, prefix, b, lo, hi):
 
 def dual_route_samples(phi: GridFunction, mu, t: float, n: float,
                        kernel: CovarianceKernel, seed: int, n_replicas: int,
-                       dt: float = 1e-3, workers: int = 1) -> tuple:
+                       dt: float = 1e-3, workers=1) -> tuple:
     """Per-replica exp(-<mu, Y_t>) and jump counts; replica r runs on stream (r,)."""
     parts = map_batches(_dual_batch, n_replicas, (phi, (t,), n, kernel, seed, dt, ()), workers)
     values = [math.exp(-pair_with_measure(GridFunction(phi.grid, row), mu))
@@ -202,7 +205,7 @@ def dual_route_samples(phi: GridFunction, mu, t: float, n: float,
 
 def laplace_via_dual(phi: GridFunction, mu, t: float, n: float,
                      kernel: CovarianceKernel, seed: int, n_replicas: int,
-                     dt: float = 1e-3, workers: int = 1) -> tuple:
+                     dt: float = 1e-3, workers=1) -> tuple:
     """E[exp(-<X_0, Y_t>)] through replicas of the jump-diffusion dual."""
     values, _ = dual_route_samples(phi, mu, t, n, kernel, seed, n_replicas, dt, workers)
     return mean_se(values)

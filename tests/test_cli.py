@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from sbmre import ensemble
 from sbmre.cli import (
     ConfigError,
     ReplayRefusal,
@@ -255,6 +256,33 @@ def test_experiment_error_exits_3_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: duality-ladder failed:")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_duality_ladder_run_starts_one_process_pool(tmp_path, monkeypatch):
+    # the log-Laplace route and both dual rungs have two batches each; one
+    # pool, started at the first of them, serves all three
+    started = []
+
+    class SerialPool:  # maps in-process, so no process starts
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", SerialPool)
+    cfg_path = write_config(
+        tmp_path,
+        **{"experiment.name": "duality-ladder", "mc.replicas": "40", "params.t": "0.05",
+           "params.n_ladder": "10, 40", "params.tm_replicas": "4"})
+    run_experiment(load_config(cfg_path, out_override=str(tmp_path / "dl")), workers=2)
+    assert started == [2]
 
 
 def test_check_rows_have_unique_names_and_hash(tmp_path):

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sbmre import covariance
 from sbmre.covariance import (
@@ -113,11 +114,38 @@ def test_smooth_kernel_factor_reconstructs():
 
 
 def test_indicator_kernel_indefinite_on_grid():
-    # bandwidth-2 0/1 band matrix has symbol 1 + 2cos, which dips negative
+    # bandwidth-2 0/1 band matrix has symbol 1 + 2cos, which dips negative;
+    # the power kernel with alpha > 2 is not positive definite either
     grid = Grid(1, 8.0, 64)
+    for kern, min_eig in ((IndicatorBall(radius=0.19, height=1.0), -0.998),
+                          (StationaryPower(1.0, 2.5), -0.088),
+                          (StationaryPower(1.0, 3.0), -0.268)):
+        with pytest.raises(IndefiniteKernelError) as err:
+            grid_covariance_factor(kern, grid)
+        assert err.value.min_eigenvalue == pytest.approx(min_eig, abs=1e-3)
+
+
+def test_residual_check_catches_what_the_pivots_miss():
+    # the pivoted Cholesky stops at rank 1 here: after the first pivot every
+    # remaining diagonal entry is 0, though the trailing block [[0, 1], [1, 0]]
+    # has eigenvalue -1; only the residual check sees it
+    matrix = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    assert scipy.linalg.lapack.dpstrf(matrix, lower=1, tol=1e-10)[2] == 1
     with pytest.raises(IndefiniteKernelError) as err:
-        grid_covariance_factor(IndicatorBall(radius=0.19, height=1.0), grid)
-    assert err.value.min_eigenvalue < -1e-3
+        covariance._factor_matrix(matrix, 1.0)
+    assert err.value.min_eigenvalue == pytest.approx(-1.0)
+
+
+def test_smooth_kernel_factor_keeps_only_the_numerical_rank():
+    # a width-8 Gaussian on 64 cells of spacing 1/8 has about 8 eigenvalues
+    # above the cut; the root keeps those columns and still rebuilds C
+    grid = Grid(1, 8.0, 64)
+    kern = ScaledTheta(2.0, GaussianProfile(8.0))
+    factor = grid_covariance_factor(kern, grid)
+    assert factor.root.shape[0] == 64 and factor.root.shape[1] <= 10
+    rebuilt = factor.root @ factor.root.T
+    assert np.max(np.abs(rebuilt - kern.matrix(grid.points()))) < 1e-10 * kern.sup_bound()
+    assert 0.0 < factor.jitter <= covariance.JITTER_SCALE * kern.sup_bound()
 
 
 def test_duplicated_points_share_field_value():
@@ -166,7 +194,9 @@ def test_separable_kernel_lifts_grid_cap():
     grid = Grid(2, 8.0, 128)
     factor = grid_covariance_factor(ScaledTheta(a=1.0), grid)
     assert isinstance(factor.root, KroneckerRoot)
-    assert factor.root.shape == (128**2, 128**2)
+    r = factor.root.axis_root.shape[1]  # the axis matrix's numerical rank
+    assert r < 128
+    assert factor.root.shape == (128**2, r**2)
     draw = factor.sample(np.random.default_rng(4), dt=1e-3, batch=3)
     assert draw.shape == (3, 128, 128)
     assert np.all(np.isfinite(draw))
@@ -213,12 +243,20 @@ SEPARABLE_CASES = [
 ]
 
 
+def _axis_factor(kern, grid):
+    """The d = 1 factor of the axis kernel over one grid axis."""
+    return points_covariance_factor(kern.axis_kernel(grid.dim), grid.axis()[:, np.newaxis])
+
+
 @pytest.mark.parametrize("kern, grid", SEPARABLE_CASES)
 def test_separable_factor_rebuilds_dense_matrix(kern, grid):
     factor = grid_covariance_factor(kern, grid)
+    axis = _axis_factor(kern, grid)
+    r = axis.root.shape[1]
     assert isinstance(factor.root, KroneckerRoot)
-    assert factor.root.shape == (grid.n_points, grid.n_points)
-    assert factor.jitter == 0.0
+    assert factor.root.shape == (grid.n_points, r**grid.dim)
+    c = kern.axis_kernel(grid.dim).diagonal_value()
+    assert factor.jitter == c**grid.dim - (c - axis.jitter) ** grid.dim
     dense = functools.reduce(np.kron, [factor.root.axis_root] * grid.dim)
     target = kern.matrix(grid.points())
     assert np.max(np.abs(dense @ dense.T - target)) < 1e-10 * kern.sup_bound()
@@ -226,33 +264,36 @@ def test_separable_factor_rebuilds_dense_matrix(kern, grid):
 
 @pytest.mark.parametrize("kern, grid", [SEPARABLE_CASES[1], SEPARABLE_CASES[2]])
 def test_separable_root_applies_the_dense_cholesky(kern, grid):
-    # with no jitter the Cholesky factor of a Kronecker power is the power of
-    # the axis factor, so the same normals give the same field
+    # the axis root is the dense pivoted Cholesky of the axis matrix, and the
+    # axis contractions apply its formed Kronecker power: same normals, same field
     factor = grid_covariance_factor(kern, grid)
-    assert factor.jitter == 0.0
-    z = np.random.default_rng(8).standard_normal((grid.n_points, 7))
-    dense = np.linalg.cholesky(kern.matrix(grid.points()))
+    axis_root = _axis_factor(kern, grid).root
+    assert np.array_equal(factor.root.axis_root, axis_root)
+    dense = functools.reduce(np.kron, [axis_root] * grid.dim)
+    z = np.random.default_rng(8).standard_normal((dense.shape[1], 7))
     assert np.max(np.abs(factor.root @ z - dense @ z)) < 1e-12
 
 
 def test_separable_jitter_is_the_diagonal_change():
-    # a wide profile on a fine axis is numerically singular: the axis Cholesky
-    # needs jitter, and the factor reports what that jitter does to C
+    # a wide profile on a fine axis is numerically singular: the axis root is
+    # cut below full rank, and the factor reports the largest diagonal entry
+    # of C - root root^T, c^3 - (c - e)^3 with e the axis one
     kern = ScaledTheta(a=8.0, profile=GaussianProfile(4.0))
     grid = Grid(3, 4.0, 16)
     factor = grid_covariance_factor(kern, grid)
-    axis = kern.axis_kernel(3)
-    eps = covariance.JITTER_SCALE * axis.sup_bound()
-    assert factor.jitter == pytest.approx((2.0 + eps) ** 3 - 8.0, rel=1e-12)
+    axis = _axis_factor(kern, grid)
+    assert axis.root.shape[1] < 16
+    assert 0.0 < axis.jitter <= covariance.JITTER_SCALE * kern.axis_kernel(3).sup_bound()
+    assert factor.jitter == pytest.approx(8.0 - (2.0 - axis.jitter) ** 3, rel=1e-12)
     assert 0.0 < factor.jitter <= covariance.JITTER_CAP * kern.sup_bound()
-    rebuilt = factor.root.axis_root @ factor.root.axis_root.T
-    diag = (rebuilt[0, 0] ** 3) - kern.diagonal_value()
-    assert diag == pytest.approx(factor.jitter, rel=1e-3)
+    axis_diag = np.sum(factor.root.axis_root**2, axis=1)
+    deficit = kern.diagonal_value() - np.min(axis_diag) ** 3
+    assert deficit == pytest.approx(factor.jitter, rel=1e-3)
 
 
 @pytest.mark.parametrize("kern, grid", [
-    (ScaledTheta(a=0.8), Grid(1, 8.0, 16)),
-    (ScaledTheta(a=1.7, profile=GaussianProfile(0.6)), Grid(1, 8.0, 64)),  # jittered
+    (ScaledTheta(a=0.8), Grid(1, 8.0, 16)),  # full rank
+    (ScaledTheta(a=1.7, profile=GaussianProfile(0.6)), Grid(1, 8.0, 64)),  # cut below full rank
 ])
 def test_one_dimensional_factor_is_the_dense_cholesky(kern, grid):
     factor = grid_covariance_factor(kern, grid)
@@ -261,9 +302,10 @@ def test_one_dimensional_factor_is_the_dense_cholesky(kern, grid):
     assert np.array_equal(factor.root, dense.root)
     assert factor.jitter == dense.jitter
     matrix = kern.matrix(grid.points())
-    if factor.jitter > 0:
-        matrix = matrix + factor.jitter * np.eye(grid.n_points)
-    assert np.array_equal(factor.root, np.linalg.cholesky(matrix))
+    root, jitter = covariance._factor_matrix(matrix, kern.sup_bound())
+    assert np.array_equal(factor.root, root) and factor.jitter == jitter
+    assert (jitter == 0.0) == (root.shape[1] == grid.n_points)
+    assert np.max(np.abs(root @ root.T - matrix)) < 1e-10 * kern.sup_bound()
 
 
 def test_increment_mean_and_covariance_band():
@@ -273,7 +315,8 @@ def test_increment_mean_and_covariance_band():
     for kern, grid in ((ScaledTheta(a=1.5), Grid(1, 2.0, 5)),
                        (StationaryPower(0.8, 2.0), Grid(1, 2.0, 5)),
                        (Constant(0.6), Grid(1, 2.0, 5)),
-                       (ScaledTheta(a=1.5, profile=GaussianProfile(0.8)), Grid(2, 2.0, 4))):
+                       (ScaledTheta(a=1.5, profile=GaussianProfile(0.8)), Grid(2, 2.0, 4)),
+                       (ScaledTheta(2.0, GaussianProfile(8.0)), Grid(1, 8.0, 64))):
         factor = grid_covariance_factor(kern, grid)
         rng = np.random.default_rng(20260814)
         draws = factor.sample(rng, dt=dt, batch=n).reshape(n, grid.n_points)

@@ -42,11 +42,11 @@ def test_map_batches_keeps_batch_order_whatever_the_worker_count():
     assert map_batches(_batch_sum, 3, (1.0,), workers=2) == [_batch_sum(1.0, 0, 0, 3)]
 
 
-def test_map_batches_sizes_the_pool_to_the_batch_count(monkeypatch):
+def serial_pools(monkeypatch) -> list:
+    """Swap in a pool that maps in-process, so no process starts; returns the sizes asked for."""
     asked = []
 
     class SerialPool:
-        # records the requested pool size and maps in-process, so no process starts
         def __init__(self, max_workers):
             asked.append(max_workers)
 
@@ -60,10 +60,25 @@ def test_map_batches_sizes_the_pool_to_the_batch_count(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(ensemble, "ProcessPoolExecutor", SerialPool)
+    return asked
+
+
+def test_map_batches_sizes_the_pool_to_the_batch_count(monkeypatch):
+    asked = serial_pools(monkeypatch)
     total = 2 * BATCH_SIZE
     assert map_batches(_batch_sum, total, (2.0,), workers=16) \
         == [_batch_sum(2.0, *batch) for batch in batch_ranges(total)]
     assert asked == [2]
+
+
+def test_worker_pool_starts_once_and_grows_only_for_more_batches(monkeypatch):
+    asked = serial_pools(monkeypatch)
+    with ensemble.WorkerPool(4) as pool:
+        for total in (2 * BATCH_SIZE, 2 * BATCH_SIZE, 3, 5 * BATCH_SIZE, 3 * BATCH_SIZE):
+            assert map_batches(_batch_sum, total, (2.0,), pool) \
+                == [_batch_sum(2.0, *batch) for batch in batch_ranges(total)]
+    # one batch runs in-process; a larger pool only when more batches can use it
+    assert asked == [2, 4]
 
 
 def test_mean_se_drops_non_finite_values():

@@ -10,7 +10,8 @@ particles    branching random walk with environment-tilted offspring law
 feynmankac   Brownian-pair moment formulas, annealed moments, growth probes
 dual         jump-perturbed dual flow and duality-gap diagnostics
 ensemble     Monte Carlo keying and reduction: streams, batches, worker pool, mean and SE
-cli          experiment runner (`sbmre` entry point)
+experiments  the shipped experiments, one per config, each a list of checks
+cli          experiment runner (`sbmre` entry point): configs, artifacts, replay
 """
 
 __version__ = "0.1.0"

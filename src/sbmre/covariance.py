@@ -37,7 +37,7 @@ for byte.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpstrf
@@ -161,18 +161,12 @@ class StationaryPower(CovarianceKernel):
         )
 
 
-def gaussian_profile(r):
-    """Default correlation profile exp(-r^2), unit value at r = 0."""
-    r = np.asarray(r, dtype=float)
-    return np.exp(-r * r)
-
-
 @dataclass(frozen=True)
 class GaussianProfile:
-    """Width-parameterized correlation profile exp(-(r/width)^2).
+    """Correlation profile exp(-(r/width)^2), unit value at r = 0.
 
-    Picklable stand-in for gaussian_profile when the correlation length must
-    come from a config file; width 1 reproduces gaussian_profile exactly.
+    The default profile of ScaledTheta (width 1); picklable, so the
+    correlation length can come from a config file.
     """
 
     width: float = 1.0
@@ -194,19 +188,17 @@ class ScaledTheta(CovarianceKernel):
     """
 
     a: float
-    profile: object = field(default=None)
+    profile: object = GaussianProfile()
 
     def __post_init__(self):
         if self.a < 0:
             raise ValueError(f"a must be nonnegative, got {self.a}")
-        if self.profile is None:
-            object.__setattr__(self, "profile", gaussian_profile)
         p0 = float(np.asarray(self.profile(np.zeros(1)))[0])
         if abs(p0 - 1.0) > 1e-12:
             raise ValueError(f"profile(0) must equal 1, got {p0}")
 
     def _gaussian(self) -> bool:
-        return self.profile is gaussian_profile or isinstance(self.profile, GaussianProfile)
+        return isinstance(self.profile, GaussianProfile)
 
     def envelope(self, r):
         return self.a * np.asarray(self.profile(np.asarray(r, dtype=float)))
@@ -222,7 +214,7 @@ class ScaledTheta(CovarianceKernel):
         return self.a
 
     def envelope_traits(self) -> EnvelopeTraits:
-        if self.profile is gaussian_profile:
+        if self._gaussian():
             return EnvelopeTraits(divergent_potential=False, nonincreasing=True)
         return EnvelopeTraits()
 
@@ -258,48 +250,6 @@ class IndicatorBall(CovarianceKernel):
             divergent_potential=False,
             nonincreasing=True,
             support_radius=self.radius,
-        )
-
-
-class Tabulated(CovarianceKernel):
-    """Radial kernel interpolated linearly from (radius, value) samples.
-
-    Values beyond the last tabulated radius are zero; below the first radius
-    the first value is held.
-    """
-
-    def __init__(self, radii, values):
-        radii = np.asarray(radii, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if radii.ndim != 1 or radii.shape != values.shape or radii.size < 2:
-            raise ValueError("need matching 1-d arrays with at least two samples")
-        if np.any(np.diff(radii) <= 0):
-            raise ValueError("radii must be strictly increasing")
-        if radii[0] < 0:
-            raise ValueError("radii must be nonnegative")
-        self.radii = radii
-        self.values = values
-
-    @classmethod
-    def from_file(cls, path) -> "Tabulated":
-        table = np.loadtxt(path)
-        if table.ndim != 2 or table.shape[1] != 2:
-            raise ValueError(f"{path}: expected two columns (radius, value)")
-        return cls(table[:, 0], table[:, 1])
-
-    def envelope(self, r):
-        r = np.asarray(r, dtype=float)
-        return np.interp(r, self.radii, self.values, left=self.values[0], right=0.0)
-
-    def sup_bound(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-    def envelope_traits(self) -> EnvelopeTraits:
-        mono = bool(np.all(np.diff(self.values) <= 0))
-        return EnvelopeTraits(
-            divergent_potential=False,
-            nonincreasing=mono if mono else None,
-            support_radius=float(self.radii[-1]),
         )
 
 

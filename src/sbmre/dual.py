@@ -97,10 +97,6 @@ class DualState:
     def jump_count(self) -> int:
         return len(self.jump_times)
 
-    def mark_key(self, k: int) -> tuple:
-        """Spawn key of the k-th jump's field draw (replay handle)."""
-        return self.stream + (1, k)
-
 
 def march_dual(phi: GridFunction, times, n: float, kernel: CovarianceKernel,
                seed: int, streams, dt: float = 1e-3, field_override=None) -> tuple:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovarianceKernel, ScaledTheta, points_covariance_factor
+from .covariance import CovarianceKernel, ScaledTheta
 from .ensemble import batch_ranges, mean_se, stream_rng
 from .grids import Grid, GridFunction
 from .heatkernel import heat_at_points
@@ -43,20 +43,17 @@ __all__ = [
     "MCConfig",
     "AtomicMeasure",
     "pair_product",
-    "pi_diagonal",
     "qtc",
     "first_moment_rhs",
     "second_moment_rhs",
     "pam_second_moment_oracle",
     "annealed_moment_w",
-    "annealed_moment_bruteforce",
     "LyapunovEstimate",
     "lyapunov_estimate",
     "TailProbe",
     "ldp_tail_probe",
     "ldp_tail_probes",
     "wilson_interval",
-    "log_gradient_quantiles",
 ]
 
 _CHUNK = 4096
@@ -118,16 +115,6 @@ def pair_product(f):
         return np.asarray(f(bx), dtype=float) * np.asarray(f(by), dtype=float)
 
     return F
-
-
-def pi_diagonal(F):
-    """Restriction of a pair function to the diagonal, x -> F(x, x)."""
-
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        return np.asarray(F(x, x), dtype=float)
-
-    return g
 
 
 def _path_mean_se(chunks) -> tuple:
@@ -300,37 +287,6 @@ def annealed_moment_w(kernel: ScaledTheta, t: float, k: int, mc: MCConfig,
     return _path_mean_se(chunks)
 
 
-def annealed_moment_bruteforce(kernel: ScaledTheta, t: float, k: int,
-                               mc: MCConfig, dim: int = 1) -> tuple:
-    """Double Monte Carlo oracle: sample the environment along the paths.
-
-    For each replica, k independent slow paths are drawn and the white-in-time
-    field is sampled slice by slice at the current positions (joint Gaussian
-    with the profile covariance); the product of the k exponentials estimates
-    the same moment as annealed_moment_w by an independent mechanism.
-    """
-    if not isinstance(kernel, ScaledTheta):
-        raise ValueError("annealed moments are defined for amplitude-scaled profiles")
-    if not 1 <= k <= 4:
-        raise ValueError(f"moment order must lie in 1..4, got {k}")
-    if kernel.a <= 0:
-        raise ValueError("need a positive amplitude for the 1/a path scaling")
-    m = mc.steps_for(t)
-    profile_kernel = ScaledTheta(1.0, kernel.profile)
-    root_dt = math.sqrt(mc.dt / kernel.a)
-    chunks = []
-    for c, lo, hi in batch_ranges(mc.n_paths, _CHUNK):
-        rng = stream_rng(mc.seed, (3, c))
-        for _ in range(lo, hi):
-            left = _left_points(rng.standard_normal((k, m, dim)) * root_dt)
-            eta = np.zeros(k)
-            for step in range(m):
-                factor = points_covariance_factor(profile_kernel, left[:, step])
-                eta += factor.sample(rng, mc.dt)
-            chunks.append(np.exp(eta.sum(keepdims=True)))
-    return _path_mean_se(chunks)
-
-
 @dataclass(frozen=True)
 class LyapunovEstimate:
     """Per-replica log-slope fits of the spatial max, with a plateau verdict."""
@@ -437,23 +393,3 @@ def ldp_tail_probes(kernel: ScaledTheta, grid: Grid, times, L: float, dt: float,
                                 interval=wilson_interval(hits, n_replicas),
                                 threshold=threshold, n_replicas=n_replicas))
     return probes
-
-
-def log_gradient_quantiles(sol_values: np.ndarray, spacing: float,
-                           quantiles=(0.5, 0.9, 0.99)) -> dict:
-    """Spatial smoothness scan of log of a positive field (reported, not asserted).
-
-    Returns quantiles of |d log v / dx| over all axes, replicas and cells,
-    using periodic differences; a rough empirical counterpart of pointwise
-    comparability of nearby values.
-    """
-    values = np.asarray(sol_values, dtype=float)
-    if np.any(values <= 0):
-        raise ValueError("smoothness scan needs a strictly positive field")
-    logs = np.log(values)
-    grads = []
-    for axis in range(1, logs.ndim):
-        diff = np.abs(np.roll(logs, -1, axis=axis) - logs) / spacing
-        grads.append(diff.ravel())
-    flat = np.concatenate(grads)
-    return {q: float(np.quantile(flat, q)) for q in quantiles}

@@ -120,7 +120,3 @@ class PolynomialWeight:
         points = np.asarray(points, dtype=float)
         sq = np.sum(points * points, axis=-1)
         return (1.0 + sq) ** (-self.rho / 2.0)
-
-    def on_grid(self, grid: Grid) -> GridFunction:
-        sq = np.sum(grid.points() ** 2, axis=-1).reshape(grid.shape)
-        return GridFunction(grid, (1.0 + sq) ** (-self.rho / 2.0))

@@ -366,7 +366,7 @@ def weight_domination_constant(rho: float, t_max: float, dim: int) -> float:
     """
     cells = {1: 256, 2: 64, 3: 16}[dim]
     grid = Grid(dim, max(8.0, 8.0 * math.sqrt(t_max)), cells)
-    phi = PolynomialWeight(rho).on_grid(grid)
+    phi = GridFunction.from_callable(grid, PolynomialWeight(rho))
     best = 1.0
     for t in np.geomspace(t_max / 64.0, t_max, 8):
         flowed = apply_heat_semigroup(phi, float(t))

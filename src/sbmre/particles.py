@@ -183,15 +183,6 @@ def empirical_pairing(snapshot: ParticlePopulation, f) -> tuple:
     return first, first * first
 
 
-def pair_kernel_pairing(snapshot: ParticlePopulation, f, kernel: CovarianceKernel) -> float:
-    """<C (f (x) f), X (x) X> = (1/n^2) sum_ij C(x_i, x_j) f(x_i) f(x_j)."""
-    if snapshot.count == 0:
-        return 0.0
-    vals = np.asarray(f(snapshot.positions), dtype=float)
-    weighted = kernel.matrix(snapshot.positions) @ vals
-    return float(vals @ weighted) / snapshot.n**2
-
-
 def martingale_residual(snapshots: list, f) -> tuple:
     """(times, residuals) of the discrete drift-corrected pairing.
 
@@ -203,22 +194,6 @@ def martingale_residual(snapshots: list, f) -> tuple:
     pair_f = np.array([empirical_pairing(s, f)[0] for s in snapshots])
     pair_lap = np.array([empirical_pairing(s, f.laplacian)[0] for s in snapshots])
     return times, pair_f - pair_f[0] - 0.5 * _cumulative_trapezoid(pair_lap, times)
-
-
-def residual_variance_predictor(snapshots: list, f, kernel: CovarianceKernel) -> tuple:
-    """(times, predictor) for the residual's variance along one trajectory.
-
-    predictor(t) = int_0^t <f^2, X_s> ds + int_0^t <C (f (x) f), X_s (x) X_s> ds,
-    trapezoid over snapshot times; its replica mean tracks Var(residual(t)).
-    """
-    times = np.array([s.time for s in snapshots])
-    sq = np.array([
-        float(np.sum(np.asarray(f(s.positions), dtype=float) ** 2)) / s.n
-        if s.count else 0.0
-        for s in snapshots
-    ])
-    pair = np.array([pair_kernel_pairing(s, f, kernel) for s in snapshots])
-    return times, _cumulative_trapezoid(sq + pair, times)
 
 
 def run_ensemble(config: BranchingConfig, save_times, seed: int, n_replicas: int,

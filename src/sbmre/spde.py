@@ -251,16 +251,6 @@ class PamSolution:
     times: np.ndarray
     values: np.ndarray
 
-    @property
-    def n_replicas(self) -> int:
-        return self.values.shape[1]
-
-    def function(self, i: int, replica: int = 0) -> GridFunction:
-        return GridFunction(self.grid, self.values[i, replica].copy())
-
-    def final_function(self, replica: int = 0) -> GridFunction:
-        return self.function(len(self.times) - 1, replica)
-
 
 @dataclass
 class StratonovichSolution(PamSolution):
@@ -492,13 +482,6 @@ def derivative_quotient(f: GridFunction, lam: float, delta: float, T: float,
                         noise: NoisePath, save_every=None) -> DerivativePair:
     """Difference quotient of the log-Laplace solution in lam on shared noise."""
     return derivative_quotients(f, (lam,), delta, T, noise, save_every)[0]
-
-
-def total_mass_series(sol: PamSolution) -> tuple:
-    """(times, masses): cell_volume * sum over the grid, per save and replica."""
-    axes = tuple(range(2, sol.values.ndim))
-    masses = sol.values.sum(axis=axes) * sol.grid.cell_volume
-    return sol.times, masses
 
 
 def pam_states_at(f: GridFunction, times, noise: NoisePath) -> np.ndarray:

@@ -8,17 +8,9 @@ import numpy as np
 import pytest
 
 from sbmre import ensemble
-from sbmre.cli import (
-    ConfigError,
-    ReplayRefusal,
-    _comparison_batch,
-    _log_laplace_mean_batch,
-    load_config,
-    main,
-    replay,
-    run_experiment,
-)
+from sbmre.cli import ConfigError, ReplayRefusal, load_config, main, replay, run_experiment
 from sbmre.covariance import ScaledTheta
+from sbmre.experiments import _comparison_batch, _log_laplace_mean_batch
 from sbmre.grids import Grid, GridFunction
 from sbmre.spde import Route, batch_noise, derivative_quotient, solve_log_laplace
 
@@ -79,6 +71,11 @@ def test_config_validation_errors(tmp_path):
         load_config(write_config(tmp_path, **{"params.t": "0, -1"}))
     with pytest.raises(ConfigError, match="seed"):
         load_config(write_config(tmp_path, **{"mc.seed": "-3"}))
+    # constructor rejections: dim 4, and L/h = 0 cells
+    with pytest.raises(ConfigError, match=r"\[grid\] dim"):
+        load_config(write_config(tmp_path, **{"grid.d": "4"}))
+    with pytest.raises(ConfigError, match=r"\[grid\] need at least 2 cells"):
+        load_config(write_config(tmp_path, **{"grid.h": "inf"}))
 
 
 def test_hash_covers_seed_but_not_output_dir(tmp_path):

@@ -21,8 +21,6 @@ from sbmre.covariance import (
     KroneckerRoot,
     ScaledTheta,
     StationaryPower,
-    Tabulated,
-    gaussian_profile,
     grid_covariance_factor,
     points_covariance_factor,
 )
@@ -49,7 +47,6 @@ def test_eval_symmetry_bit_identical():
         StationaryPower(0.2, 2.5),
         ScaledTheta(2.0),
         IndicatorBall(1.3, 0.5),
-        Tabulated([0.0, 0.5, 2.0], [1.0, 0.4, 0.1]),
     ]
     for kern in kernels:
         for _ in range(50):
@@ -67,19 +64,16 @@ def test_eval_dimension_mismatch():
 def test_scaled_theta_profile_normalization():
     with pytest.raises(ValueError):
         ScaledTheta(a=1.0, profile=lambda r: 2.0 * np.exp(-np.asarray(r) ** 2))
-    assert gaussian_profile(0.0) == 1.0
+    assert GaussianProfile()(0.0) == 1.0
+    assert ScaledTheta(2.0).profile == GaussianProfile(1.0)
 
 
-def test_tabulated_from_file(tmp_path):
-    path = tmp_path / "kern.txt"
-    path.write_text("0.0 1.0\n1.0 0.5\n2.0 0.0\n")
-    kern = Tabulated.from_file(path)
-    assert kern(np.zeros(1), np.array([0.5])) == 0.75  # linear interpolation
-    assert kern(np.zeros(1), np.array([3.0])) == 0.0  # beyond the table
-    bad = tmp_path / "bad.txt"
-    bad.write_text("0.0 1.0 2.0\n1.0 0.5 0.1\n")
-    with pytest.raises(ValueError):
-        Tabulated.from_file(bad)
+def test_gaussian_profiles_of_every_width_have_known_traits():
+    # riesz_potential_sup reads these instead of probing the envelope
+    for kern in (ScaledTheta(1.0), ScaledTheta(1.0, GaussianProfile(2.0))):
+        traits = kern.envelope_traits()
+        assert traits.divergent_potential is False
+        assert traits.nonincreasing is True
 
 
 def test_zero_kernel_factor_is_zero():
@@ -176,7 +170,7 @@ def test_sample_scatters_through_the_index_map(factor):
         assert np.array_equal(draw, ref if batch is not None else ref[0])
 
 
-@pytest.mark.parametrize("profile", [gaussian_profile, GaussianProfile(0.3),
+@pytest.mark.parametrize("profile", [GaussianProfile(1.0), GaussianProfile(0.3),
                                      GaussianProfile(4.0)])
 def test_gaussian_sup_bound_equals_the_probe(profile):
     for a in (0.0, 0.7, 3.0, 16):

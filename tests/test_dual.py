@@ -163,7 +163,6 @@ def test_state_nonnegative_finite_and_replayable():
     assert np.min(a.y.values) >= 0.0
     assert np.all(np.isfinite(a.y.values))
     assert a.jump_count == len(a.jump_times)
-    assert a.mark_key(3) == (3, 1, 3)
     with pytest.raises(ValueError):
         evolve_dual(GridFunction(grid, np.full(grid.shape, -0.1)), 0.5, 4.0,
                     Constant(0.0), SEED)

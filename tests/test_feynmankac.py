@@ -10,23 +10,20 @@ import math
 import numpy as np
 import pytest
 
-from sbmre.covariance import Constant, ScaledTheta
-from sbmre.ensemble import mean_se, stream_rng
+from sbmre.covariance import Constant, ScaledTheta, points_covariance_factor
+from sbmre.ensemble import batch_ranges, mean_se, stream_rng
 from sbmre.feynmankac import (
     AtomicMeasure,
     MCConfig,
     _diagonal_time_integral,
     _pair_paths,
-    annealed_moment_bruteforce,
     annealed_moment_w,
     first_moment_rhs,
     ldp_tail_probe,
     ldp_tail_probes,
-    log_gradient_quantiles,
     lyapunov_estimate,
     pair_product,
     pam_second_moment_oracle,
-    pi_diagonal,
     qtc,
     second_moment_rhs,
     wilson_interval,
@@ -66,14 +63,7 @@ def test_pair_helpers():
     x = np.array([[0.1], [0.5]])
     y = np.array([[-0.3], [0.9]])
     assert np.allclose(F(x, y), f(x) * f(y))
-    diag = pi_diagonal(F)
-    assert np.allclose(diag(x), f(x) ** 2)
-    kern = ScaledTheta(2.5)
-
-    def pair_cov(bx, by):
-        return kern.envelope(np.linalg.norm(bx - by, axis=-1))
-
-    assert np.allclose(pi_diagonal(pair_cov)(x), 2.5)
+    assert np.allclose(F(x, x), f(x) ** 2)
 
 
 def test_qtc_deterministic_cases_and_replay():
@@ -254,6 +244,32 @@ def test_annealed_moments_closed_forms():
         annealed_moment_w(ScaledTheta(0.0), 0.5, 2, MCConfig(100, 0.1, SEED))
 
 
+def annealed_moment_bruteforce(kernel: ScaledTheta, t: float, k: int, mc: MCConfig,
+                               dim: int = 1) -> tuple:
+    """Double Monte Carlo oracle for annealed_moment_w: sample the environment along the paths.
+
+    For each replica, k independent slow paths (diffusivity 1/a) are drawn
+    and the white-in-time field is sampled slice by slice at the current
+    positions, jointly Gaussian with the profile covariance; the product of
+    the k exponentials estimates the same moment by an independent mechanism.
+    """
+    profile_kernel = ScaledTheta(1.0, kernel.profile)
+    m = mc.steps_for(t)
+    root_dt = math.sqrt(mc.dt / kernel.a)
+    values = []
+    for c, lo, hi in batch_ranges(mc.n_paths, 4096):
+        rng = stream_rng(mc.seed, (3, c))
+        for _ in range(lo, hi):
+            inc = rng.standard_normal((k, m, dim)) * root_dt
+            left = np.concatenate([np.zeros((k, 1, dim)), np.cumsum(inc[:, :-1], axis=1)],
+                                  axis=1)
+            eta = np.zeros(k)
+            for step in range(m):
+                eta += points_covariance_factor(profile_kernel, left[:, step]).sample(rng, mc.dt)
+            values.append(math.exp(eta.sum()))
+    return mean_se(np.array(values))
+
+
 def test_annealed_bruteforce_double_mc_agrees():
     kern = ScaledTheta(2.0)
     mc_fast = MCConfig(20000, 0.025, SEED)
@@ -343,13 +359,3 @@ def test_tail_probes_from_one_march_equal_per_time_probes():
     assert len({p.fraction for p in probes}) > 1
     with pytest.raises(ValueError):
         ldp_tail_probes(kern, grid, (0.1, 0.0123), L=2.0, dt=5e-3, seed=31, n_replicas=4)
-
-
-def test_log_gradient_quantiles_reports_scales():
-    rng = np.random.default_rng(3)
-    field = np.exp(rng.normal(size=(4, 32)))
-    scan = log_gradient_quantiles(field, spacing=0.25)
-    assert set(scan) == {0.5, 0.9, 0.99}
-    assert 0 < scan[0.5] <= scan[0.9] <= scan[0.99]
-    with pytest.raises(ValueError):
-        log_gradient_quantiles(np.zeros((2, 8)), spacing=0.5)

@@ -22,7 +22,6 @@ from sbmre.covariance import (
     IndicatorBall,
     ScaledTheta,
     StationaryPower,
-    Tabulated,
 )
 from sbmre.grids import Grid, GridFunction, PolynomialWeight
 from sbmre.heatkernel import (
@@ -229,7 +228,7 @@ def test_riesz_potential_unit_ball():
 
 
 def test_riesz_potential_zero_and_monotone_probes():
-    zero = Tabulated([0.0, 1.0], [0.0, 0.0])
+    zero = Constant(0.0)
     assert riesz_potential_sup(zero, 3) == 0.0
     ball = IndicatorBall(radius=1.0, height=1.0)
     at0 = riesz_potential(ball, 3, 0.0)
@@ -333,7 +332,7 @@ def test_bridge_potential_ball_case():
 
 def test_bridge_potential_properties():
     ball = IndicatorBall(radius=1.0, height=1.0)
-    zero = Tabulated([0.0, 1.0], [0.0, 0.0])
+    zero = Constant(0.0)
     x = np.array([0.3, 0.0, 0.0])
     y = np.array([1.4, 0.5, 0.0])
     assert bridge_potential(x, y, zero, 3, spacing=0.2) == 0.0

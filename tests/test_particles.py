@@ -19,8 +19,6 @@ from sbmre.particles import (
     PopulationBlowupError,
     empirical_pairing,
     martingale_residual,
-    pair_kernel_pairing,
-    residual_variance_predictor,
     run,
     run_ensemble,
     snap_to_epoch,
@@ -211,12 +209,6 @@ def test_pairing_formulas_exact():
     assert abs(second - fx * fx / 100) < 1e-15
     two = ParticlePopulation(0, np.array([[0.0], [1.0]]), 7)
     assert empirical_pairing(two, ConstantReadout(1.0)) == (2 / 7, 4 / 49)
-    # kernel-weighted double pairing
-    kern = ScaledTheta(2.0)
-    expect = (2 * kern.diagonal_value() + 2 * float(kern.envelope(np.ones(1))[0])) / 49
-    assert abs(pair_kernel_pairing(two, ConstantReadout(1.0), kern) - expect) < 1e-12
-    assert pair_kernel_pairing(ParticlePopulation(0, np.zeros((0, 1)), 7),
-                               ConstantReadout(1.0), kern) == 0.0
 
 
 def test_mass_martingale_and_mean_measure():
@@ -275,8 +267,13 @@ def test_martingale_residual_zero_readout_and_centering():
     save = np.linspace(0.0, 0.5, 6)
 
     def stat(snaps):
-        _, resid = martingale_residual(snaps, f)
-        _, pred = residual_variance_predictor(snaps, f, cfg.kernel)
+        # the variance predictor int_0^t <f^2, X_s> + c <f, X_s>^2 ds of the
+        # constant kernel c, by the trapezoid rule over the snapshot times
+        times, resid = martingale_residual(snaps, f)
+        rate = [float(np.sum(f(s.positions) ** 2)) / s.n
+                + cfg.kernel.level * empirical_pairing(s, f)[0] ** 2 for s in snaps]
+        pred = np.concatenate([[0.0], np.cumsum(
+            0.5 * (np.array(rate)[1:] + np.array(rate)[:-1]) * np.diff(times))])
         return np.concatenate([resid, pred])
 
     rows, blow = run_ensemble(cfg, save, seed=SEED + 5, n_replicas=500,
@@ -294,17 +291,3 @@ def test_martingale_residual_zero_readout_and_centering():
         mean_pred = pred[:, j].mean()
         se_pred = pred[:, j].std(ddof=1) / math.sqrt(len(rows))
         assert abs(var - mean_pred) < 5 * math.hypot(se_var, se_pred)
-
-
-def test_variance_predictor_reduces_without_kernel_term():
-    cfg = config(n=30, k_start=30, kernel=Constant(0.0), horizon=0.2)
-    f = GaussianBump(width=0.8)
-    snaps = run(cfg, np.linspace(0, 0.2, 5), SEED)
-    _, with_zero_kernel = residual_variance_predictor(snaps, f, Constant(0.0))
-    sq_only = [
-        float(np.sum(f(s.positions) ** 2)) / s.n if s.count else 0.0 for s in snaps
-    ]
-    times = np.array([s.time for s in snaps])
-    expect = np.concatenate([[0.0], np.cumsum(
-        0.5 * (np.array(sq_only)[1:] + np.array(sq_only)[:-1]) * np.diff(times))])
-    assert np.allclose(with_zero_kernel, expect, atol=1e-15)

@@ -1,0 +1,59 @@
+"""The benchmark's tracer wraps sbmre functions by name; every name must resolve.
+
+perfbench/tracing.py is loaded by path and only read: the tracer is never
+installed, so no sbmre function is patched.  A rename or deletion in the
+library that the tracer still names fails here instead of in a traced pass.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+from sbmre import dual, spde
+
+ROOT = Path(__file__).resolve().parents[1]
+# the modules perfbench/passrun.py hands to Tracer.install
+INSTALLED = ("covariance", "heatkernel", "spde", "particles", "feynmankac", "dual", "cli")
+# (module, function or Class.method, parameters a counter of tracing.py reads)
+COUNTED_PARAMETERS = (
+    ("particles", "points_covariance_factor", ("points",)),
+    ("covariance", "GaussianFieldFactor.sample", ("self", "batch")),
+    ("heatkernel", "apply_spectral_multiplier", ("values",)),
+    ("particles", "step_epoch", ("pop",)),
+    ("feynmankac", "qtc", ("F", "mc", "t")),
+    ("dual", "evolve_dual", ("t", "dt")),
+)
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _resolve(module: str, dotted: str):
+    obj = importlib.import_module(f"sbmre.{module}")
+    for part in dotted.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_every_traced_function_and_method_resolves():
+    tracing = _tracing()
+    for _, module, attr, bound_in in tracing._FUNCTIONS:
+        assert module in INSTALLED and set(bound_in) <= set(INSTALLED)
+        assert callable(_resolve(module, attr)), f"{module}.{attr}"
+    for _, module, cls, attr in tracing._METHODS:
+        assert module in INSTALLED
+        assert callable(_resolve(module, f"{cls}.{attr}")), f"{module}.{cls}.{attr}"
+
+
+def test_counted_parameters_and_results_exist():
+    for module, dotted, names in COUNTED_PARAMETERS:
+        params = inspect.signature(_resolve(module, dotted)).parameters
+        assert set(names) <= set(params), f"{module}.{dotted} lacks {names}"
+    assert "batch_size" in inspect.signature(spde.ensemble_noise).parameters
+    assert isinstance(inspect.getattr_static(dual.DualState, "jump_count"), property)

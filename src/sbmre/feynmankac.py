@@ -22,7 +22,14 @@ Conventions fixed here:
     the sum's endpoint S and the difference's endpoint D;
   - sampling is chunked with fixed-size chunks, chunk c of sampler tag drawn
     from ensemble.stream_rng(seed, (tag, c)), so estimates are byte-identical
-    regardless of how work is split.
+    regardless of how work is split;
+  - _CHUNK keys the streams, while blocks only split the arithmetic: a chunk
+    of qtc, or a stratum of the diagonal time integral, is drawn and reduced
+    in row blocks of about _BLOCK values, so each block's arrays stay in
+    cache.  Paths are drawn in C order, so consecutive blocks take exactly the
+    normals one draw of the whole chunk would, and the blocks' values are
+    concatenated in order before the reduction: the estimates and their
+    standard errors are the unblocked ones, bit for bit.
 
 Estimates are (value, standard error) pairs from ensemble.mean_se; a
 non-finite path value raises FloatingPointError instead of being dropped.
@@ -57,6 +64,7 @@ __all__ = [
 ]
 
 _CHUNK = 4096
+_BLOCK = 32768  # values per row block: 256 KB per float64 array
 
 
 @dataclass(frozen=True)
@@ -117,10 +125,11 @@ def pair_product(f):
     return F
 
 
-def _path_mean_se(chunks) -> tuple:
-    """mean_se of the chunks' values; a non-finite value raises, since mean_se
-    would drop it and so hide an overflow of the exponential weight."""
-    values = np.concatenate(chunks)
+def _path_mean_se(blocks) -> tuple:
+    """mean_se of the blocks' values, concatenated in order; a non-finite
+    value raises, since mean_se would drop it and so hide an overflow of the
+    exponential weight."""
+    values = np.concatenate(blocks)
     if not np.all(np.isfinite(values)):
         raise FloatingPointError("non-finite functional values in Monte Carlo batch")
     return mean_se(values)
@@ -133,6 +142,12 @@ def _left_points(inc: np.ndarray) -> np.ndarray:
     left[..., 0, :] = 0.0
     np.cumsum(inc[..., :-1, :], axis=-2, out=left[..., 1:, :])
     return left
+
+
+def _row_blocks(rows: int, width: int) -> list:
+    """[(b, lo, hi), ...] cutting rows of `width` values into blocks of at most
+    _BLOCK values (one row at least)."""
+    return batch_ranges(rows, max(1, _BLOCK // width))
 
 
 def _pair_paths(rng, diff_scale, sum_scale, shape: tuple) -> tuple:
@@ -168,16 +183,17 @@ def qtc(F, x, y, t: float, kernel: CovarianceKernel, mc: MCConfig) -> tuple:
         raise ValueError("x and y must be points of the same dimension")
     m = mc.steps_for(t)
     dim = len(x)
-    chunks = []
+    blocks = []
     for c, lo, hi in batch_ranges(mc.n_paths, _CHUNK):
         rng = stream_rng(mc.seed, (0, c))
-        left, end_b, end_bp = _pair_paths(rng, math.sqrt(2.0 * mc.dt),
-                                          math.sqrt(2.0 * t), (hi - lo, m, dim))
-        left += x - y
-        radii = np.sqrt(np.sum(left * left, axis=-1))
-        exponent = mc.dt * np.sum(kernel.envelope(radii), axis=1)
-        chunks.append(np.exp(exponent) * np.asarray(F(x + end_b, y + end_bp), dtype=float))
-    return _path_mean_se(chunks)
+        for _, b_lo, b_hi in _row_blocks(hi - lo, (m + 1) * dim):
+            left, end_b, end_bp = _pair_paths(rng, math.sqrt(2.0 * mc.dt),
+                                              math.sqrt(2.0 * t), (b_hi - b_lo, m, dim))
+            left += x - y
+            radii = np.sqrt(np.sum(left * left, axis=-1))
+            exponent = mc.dt * np.sum(kernel.envelope(radii), axis=1)
+            blocks.append(np.exp(exponent) * np.asarray(F(x + end_b, y + end_bp), dtype=float))
+    return _path_mean_se(blocks)
 
 
 def first_moment_rhs(f, nu: AtomicMeasure, t: float) -> float:
@@ -213,12 +229,17 @@ def _diagonal_time_integral(F, x: np.ndarray, t: float,
         # pair phase: j full steps of dt plus one partial step of u dt
         widths = np.concatenate(
             [np.full((n_j, j), mc.dt), (u * mc.dt)[:, None]], axis=1)
-        left, end_b, end_bp = _pair_paths(rng, np.sqrt(2.0 * widths)[..., None],
-                                          np.sqrt(2.0 * s)[:, None], (n_j, j + 1, dim))
-        radii = np.sqrt(np.sum(left * left, axis=-1))
-        exponent = np.sum(kernel.envelope(radii) * widths, axis=1)
-        values = np.exp(exponent) * np.asarray(F(common + end_b, common + end_bp), dtype=float)
-        mean, se = _path_mean_se([values])
+        blocks = []
+        for _, lo, hi in _row_blocks(n_j, (j + 2) * dim):
+            w = widths[lo:hi]
+            left, end_b, end_bp = _pair_paths(rng, np.sqrt(2.0 * w)[..., None],
+                                              np.sqrt(2.0 * s[lo:hi])[:, None],
+                                              (hi - lo, j + 1, dim))
+            radii = np.sqrt(np.sum(left * left, axis=-1))
+            exponent = np.sum(kernel.envelope(radii) * w, axis=1)
+            blocks.append(np.exp(exponent) * np.asarray(
+                F(common[lo:hi] + end_b, common[lo:hi] + end_bp), dtype=float))
+        mean, se = _path_mean_se(blocks)
         value += mc.dt * mean
         variance += (mc.dt * se) ** 2
     return value, math.sqrt(variance)

@@ -13,11 +13,22 @@ root of the all-level matrix would take.  Any other kernel factors the dense
 covariance of the distinct sites each epoch, so its population is capped at
 DENSE_LIMIT (see BranchingConfig.population_cap).
 
+Replicas march in batches.  A batch is one ragged population: the replicas'
+particles concatenated in replica order, with one count per replica.  Each
+replica draws from its own generator, and in each epoch a replica with
+particles draws, in this order: its displacement normals, its field value
+(the one shared normal, or the site factor's draw) and one branching uniform
+per particle.  A replica with no particles draws nothing.  Moving, truncation,
+the split test and the offspring then run as one vectorised pass over the
+batch, so a replica's draws and results do not depend on the batch it marches
+in.  A replica above the population cap leaves its batch as a counted blowup.
+
 The empirical measure puts mass 1/n on each particle.  Criticality makes
 the total mass a martingale, which the moment checks lean on.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,14 +109,25 @@ class BranchingConfig:
 
 @dataclass
 class ParticlePopulation:
-    """Positions at one epoch; the empirical measure weights each by 1/n."""
+    """Positions of a replica batch at one epoch; a replica's empirical
+    measure weights each of its particles by 1/n.
+
+    positions holds the replicas' particles concatenated in replica order and
+    counts the particles of each replica; counts=None is a batch of one.
+    """
 
     epoch: int
     positions: np.ndarray  # (count, dim)
     n: int
+    counts: np.ndarray = None  # (replicas,)
+
+    def __post_init__(self):
+        if self.counts is None:
+            self.counts = np.array([self.positions.shape[0]])
 
     @property
     def count(self) -> int:
+        """Particles in the whole batch."""
         return self.positions.shape[0]
 
     @property
@@ -116,62 +138,114 @@ class ParticlePopulation:
     def mass(self) -> float:
         return self.count / self.n
 
+    @property
+    def bounds(self) -> np.ndarray:
+        """Replica i owns positions[bounds[i]:bounds[i + 1]]."""
+        return np.concatenate([[0], np.cumsum(self.counts)])
+
 
 def snap_to_epoch(t: float, n: int) -> int:
     """Nearest epoch index to time t (half-up); readouts never interpolate."""
     return int(math.floor(t * n + 0.5))
 
 
-def step_epoch(pop: ParticlePopulation, config: BranchingConfig, rng,
+def step_epoch(pop: ParticlePopulation, config: BranchingConfig, rngs,
                field_override=None) -> ParticlePopulation:
-    """Advance one epoch: diffuse, sample the field, branch.
+    """Advance every replica of the batch one epoch: diffuse, sample the field, branch.
 
+    rngs holds one generator per replica, in replica order.
     field_override(positions) -> values replaces the joint Gaussian draw
-    (still truncated); it exists for forced-environment checks.  A population
-    above config.population_cap raises PopulationBlowupError.
+    (still truncated); it is called once per replica with particles, on that
+    replica's moved positions, and exists for forced-environment checks.  A
+    replica above config.population_cap raises PopulationBlowupError before
+    anything is drawn (run_ensemble takes such replicas out of the batch).
     """
+    if len(rngs) != len(pop.counts):
+        raise ValueError(f"need one generator per replica, got {len(rngs)} "
+                         f"for {len(pop.counts)} replicas")
     cap = config.population_cap
-    if pop.count > cap:
-        raise PopulationBlowupError(pop.count, pop.epoch, cap)
-    if pop.count == 0:
-        return ParticlePopulation(pop.epoch + 1, pop.positions.copy(), pop.n)
+    if pop.counts.size and pop.counts.max() > cap:
+        raise PopulationBlowupError(int(pop.counts.max()), pop.epoch, cap)
     root_n = config.truncation
-    moved = pop.positions + rng.standard_normal(pop.positions.shape) / root_n
-    if field_override is not None:
-        xi = np.asarray(field_override(moved), dtype=float).reshape(pop.count)
-    elif isinstance(config.kernel, Constant):
-        xi = math.sqrt(config.kernel.level) * rng.standard_normal()  # every site's value
-    else:
-        factor = points_covariance_factor(config.kernel, moved)
-        xi = factor.sample(rng).reshape(pop.count)
+    bounds = pop.bounds
+    z = np.empty(pop.positions.shape)
+    xi = np.empty(pop.count)
+    u = np.empty(pop.count)
+    shared = field_override is None and isinstance(config.kernel, Constant)
+    for rng, lo, hi in zip(rngs, bounds[:-1].tolist(), bounds[1:].tolist()):
+        if lo == hi:
+            continue
+        rng.standard_normal(out=z[lo:hi])
+        if shared:
+            xi[lo:hi] = math.sqrt(config.kernel.level) * rng.standard_normal()  # every site's value
+        else:
+            moved = pop.positions[lo:hi] + z[lo:hi] / root_n
+            if field_override is not None:
+                values = field_override(moved)
+            else:
+                values = points_covariance_factor(config.kernel, moved).sample(rng)
+            xi[lo:hi] = np.asarray(values, dtype=float).reshape(hi - lo)
+        rng.random(out=u[lo:hi])
+    moved = pop.positions + z / root_n
     xi = np.minimum(np.maximum(xi, -root_n), root_n)
-    p_split = 0.5 + xi / (2.0 * root_n)
-    split = rng.random(pop.count) < p_split
-    offspring = np.repeat(moved[split], 2, axis=0)
-    out = ParticlePopulation(pop.epoch + 1, offspring, pop.n)
-    if out.count > cap:
-        raise PopulationBlowupError(out.count, out.epoch, cap)
-    return out
+    split = np.flatnonzero(u < 0.5 + xi / (2.0 * root_n))
+    counts = 2 * np.diff(np.searchsorted(split, bounds))  # splits per replica, doubled
+    offspring = np.repeat(moved.take(split, axis=0), 2, axis=0)
+    return ParticlePopulation(pop.epoch + 1, offspring, pop.n, counts)
 
 
-def run(config: BranchingConfig, save_times, rng, field_override=None) -> list:
-    """Snapshots at the epochs nearest to save_times (deterministic per rng).
+def _march(config: BranchingConfig, save_times, rngs, field_override=None) -> tuple:
+    """(snapshots, blowups) of one replica per generator, marched as one batch.
 
-    Epochs are simulated sequentially up to the largest requested time; a
-    save time may repeat an epoch, in which case the same snapshot object
-    count is reported once per request.
+    snapshots[i] holds replica i's own copies at the epochs nearest to the
+    sorted save_times; a save time may repeat an epoch, in which case the same
+    snapshot object is reported once per request.  When any epoch is
+    stepped, a replica above the cap at the start or after an epoch leaves
+    the batch and is listed in blowups as (i, epoch, population), in replica
+    order; its snapshots stop there.
     """
-    rng = np.random.default_rng(rng)
     times = sorted(float(t) for t in save_times)
     if times and (times[0] < 0 or times[-1] > config.horizon + 1e-12):
         raise ValueError("save_times must lie in [0, horizon]")
-    targets = [snap_to_epoch(t, config.n) for t in times]
-    pop = ParticlePopulation(0, config.initial.copy(), config.n)
-    snapshots = [pop for _ in range(targets.count(0))]
-    for epoch in range(1, (max(targets) if targets else 0) + 1):
-        pop = step_epoch(pop, config, rng, field_override=field_override)
-        snapshots.extend(pop for _ in range(targets.count(epoch)))
-    return snapshots
+    saves = Counter(snap_to_epoch(t, config.n) for t in times)
+    last = max(saves, default=0)
+    cap = config.population_cap
+    live, rngs = list(range(len(rngs))), list(rngs)
+    pop = ParticlePopulation(0, np.tile(config.initial, (len(live), 1)), config.n,
+                             np.full(len(live), len(config.initial)))
+    snapshots = [[] for _ in live]
+    blowups = []
+    for epoch in range(last + 1):
+        if epoch:
+            pop = step_epoch(pop, config, rngs, field_override=field_override)
+        over = pop.counts > cap
+        if last and over.any():
+            blowups.extend((live[j], epoch, int(pop.counts[j])) for j in np.flatnonzero(over))
+            keep = ~over
+            live = [r for r, kept in zip(live, keep) if kept]
+            rngs = [rng for rng, kept in zip(rngs, keep) if kept]
+            pop = ParticlePopulation(epoch, pop.positions[np.repeat(keep, pop.counts)],
+                                     pop.n, pop.counts[keep])
+            if not live:
+                break
+        if saves[epoch]:
+            bounds = pop.bounds
+            for j, r in enumerate(live):
+                snap = ParticlePopulation(epoch, pop.positions[bounds[j]:bounds[j + 1]].copy(),
+                                          pop.n)
+                snapshots[r].extend(snap for _ in range(saves[epoch]))
+    return snapshots, sorted(blowups)
+
+
+def run(config: BranchingConfig, save_times, rng, field_override=None) -> list:
+    """Snapshots of one replica at the epochs nearest to save_times
+    (deterministic per rng); a cap breach raises PopulationBlowupError."""
+    snapshots, blowups = _march(config, save_times, [np.random.default_rng(rng)],
+                                field_override=field_override)
+    if blowups:
+        _, epoch, population = blowups[0]
+        raise PopulationBlowupError(population, epoch, config.population_cap)
+    return snapshots[0]
 
 
 def empirical_pairing(snapshot: ParticlePopulation, f) -> tuple:
@@ -202,30 +276,22 @@ def run_ensemble(config: BranchingConfig, save_times, seed: int, n_replicas: int
 
     Returns (rows, blowups): rows is (n_replicas, stat_width) with NaN rows
     for replicas whose population crossed the cap, and blowups the list of
-    (replica index, epoch, population) describing those events.  Replica r
-    draws from stream_rng(seed, (r,)), so results do not depend
-    on how replicas are later grouped into workers; first_replica shifts the
-    index range so a worker can own the slice [first, first + count).
+    (replica index, epoch, population) describing those events, in replica
+    order.  The replicas [first_replica, first_replica + n_replicas) march as
+    one batch, and replica r draws from stream_rng(seed, (r,)), so results do
+    not depend on how replicas are grouped into batches or workers.
     """
     if n_replicas < 1:
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
-    rows, blowups = [], []
-    width = None
-    for r in range(first_replica, first_replica + n_replicas):
-        rng = stream_rng(seed, (r,))
-        try:
-            stat = np.atleast_1d(np.asarray(statistic(run(config, save_times, rng)),
-                                            dtype=float))
-            width = stat.size if width is None else width
-            rows.append(stat)
-        except PopulationBlowupError as err:
-            blowups.append((r, err.epoch, err.population))
-            rows.append(None)
-    if width is None:
+    rngs = [stream_rng(seed, (first_replica + i,)) for i in range(n_replicas)]
+    snapshots, blowups = _march(config, save_times, rngs)
+    lost = {i for i, _, _ in blowups}
+    rows = {i: np.atleast_1d(np.asarray(statistic(snaps), dtype=float))
+            for i, snaps in enumerate(snapshots) if i not in lost}
+    if not rows:
         raise PopulationBlowupError(blowups[-1][2], blowups[-1][1],
                                     config.population_cap)
-    out = np.full((n_replicas, width), np.nan)
-    for r, stat in enumerate(rows):
-        if stat is not None:
-            out[r] = stat
-    return out, blowups
+    out = np.full((n_replicas, next(iter(rows.values())).size), np.nan)
+    for i, stat in rows.items():
+        out[i] = stat
+    return out, [(first_replica + i, epoch, population) for i, epoch, population in blowups]

@@ -75,7 +75,7 @@ def test_config_validation_errors(tmp_path):
     with pytest.raises(ConfigError, match=r"\[grid\] dim"):
         load_config(write_config(tmp_path, **{"grid.d": "4"}))
     with pytest.raises(ConfigError, match=r"\[grid\] need at least 2 cells"):
-        load_config(write_config(tmp_path, **{"grid.h": "inf"}))
+        load_config(write_config(tmp_path, **{"grid.h": "1e12"}))
 
 
 def test_hash_covers_seed_but_not_output_dir(tmp_path):
@@ -118,6 +118,27 @@ def test_validate_rejects_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["validate", "--config", str(tmp_path / "missing.ini")]) == 2
     capsys.readouterr()
+
+
+SCALED = {"kernel.type": "scaled", "kernel.level": None, "kernel.a": "1.0"}
+
+
+@pytest.mark.parametrize("key, value, extra", [
+    ("grid.L", "inf", {}),  # was an OverflowError traceback, exit 1
+    ("grid.h", "inf", {}),  # was the Grid constructor's "need at least 2 cells"
+    ("kernel.level", "nan", {}),  # was "config ok", then exit 3 in a run
+    ("kernel.width", "inf", SCALED),
+    ("kernel.a", "nan", SCALED),
+    ("scheme.dt", "nan", {}),
+    ("params.t", "inf", {}),
+])
+def test_non_finite_config_numbers_exit_2_with_one_line(tmp_path, capsys, key, value, extra):
+    cfg_path = write_config(tmp_path, **{**extra, key: value})
+    assert main(["validate", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    section, name = key.split(".")
+    assert err.startswith(f"error: [{section}] {name.lower()}") and value in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_env_overrides(tmp_path, capsys, monkeypatch):

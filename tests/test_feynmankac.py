@@ -10,10 +10,13 @@ import math
 import numpy as np
 import pytest
 
+from sbmre import feynmankac
 from sbmre.covariance import Constant, ScaledTheta, points_covariance_factor
 from sbmre.ensemble import batch_ranges, mean_se, stream_rng
 from sbmre.feynmankac import (
     AtomicMeasure,
+    _BLOCK,
+    _CHUNK,
     MCConfig,
     _diagonal_time_integral,
     _pair_paths,
@@ -115,6 +118,71 @@ def test_diagonal_pair_phase_endpoints_are_independent_brownian():
     for F, target in cases:
         est, se = _diagonal_time_integral(F, x, t, Constant(0.0), mc)
         assert se > 0 and abs(est - target) < 4 * se
+
+
+def _record_reductions(monkeypatch) -> list:
+    """The values each _path_mean_se call reduces, in call order."""
+    seen = []
+    reduce = feynmankac._path_mean_se
+
+    def record(blocks):
+        seen.append(np.concatenate(blocks))
+        return reduce(blocks)
+
+    monkeypatch.setattr(feynmankac, "_path_mean_se", record)
+    return seen
+
+
+def test_qtc_blocks_equal_one_draw_per_chunk(monkeypatch):
+    # each chunk is drawn and reduced in row blocks; the values must be those
+    # of one _pair_paths draw of the whole chunk, bit for bit
+    kernel, F = ScaledTheta(1.0), pair_product(GaussianBump(center=0.1, width=0.8))
+    x, y, t, dt = np.array([0.2]), np.array([-0.3]), 0.5, 0.0125
+    m, n_paths = 40, _CHUNK + 904
+    rows = _BLOCK // (m + 1)
+    assert _CHUNK % rows and 904 % rows  # a partial last block in both chunks
+    seen = _record_reductions(monkeypatch)
+    est = qtc(F, x, y, t, kernel, MCConfig(n_paths, dt, SEED))
+    reference = []
+    for c, lo, hi in batch_ranges(n_paths, _CHUNK):
+        left, end_b, end_bp = _pair_paths(stream_rng(SEED, (0, c)), math.sqrt(2.0 * dt),
+                                          math.sqrt(2.0 * t), (hi - lo, m, 1))
+        left += x - y
+        radii = np.sqrt(np.sum(left * left, axis=-1))
+        exponent = dt * np.sum(kernel.envelope(radii), axis=1)
+        reference.append(np.exp(exponent) * F(x + end_b, y + end_bp))
+    reference = np.concatenate(reference)
+    assert len(seen) == 1 and np.array_equal(seen[0], reference)
+    assert est == mean_se(reference)
+
+
+def test_diagonal_strata_blocks_equal_one_draw_per_stratum(monkeypatch):
+    # two strata of 20000 paths: 16384-row blocks in stratum 0 (2 values a
+    # row) and 10922-row blocks in stratum 1 (3 values a row), neither exact
+    kernel, F = ScaledTheta(1.0), pair_product(GaussianBump(center=0.1, width=0.8))
+    x, t, dt, n_paths = np.array([0.2]), 0.1, 0.05, 40000
+    seen = _record_reductions(monkeypatch)
+    value, se = _diagonal_time_integral(F, x, t, kernel, MCConfig(n_paths, dt, SEED))
+    assert len(seen) == 2
+    total, variance = 0.0, 0.0
+    for j in range(2):
+        rows = n_paths // 2
+        assert rows % (_BLOCK // (j + 2)) and rows > _BLOCK // (j + 2)
+        rng = stream_rng(SEED, (1, j))
+        u = rng.random(rows)
+        s = (j + u) * dt
+        common = x + rng.standard_normal((rows, 1)) * np.sqrt(t - s)[:, None]
+        widths = np.concatenate([np.full((rows, j), dt), (u * dt)[:, None]], axis=1)
+        left, end_b, end_bp = _pair_paths(rng, np.sqrt(2.0 * widths)[..., None],
+                                          np.sqrt(2.0 * s)[:, None], (rows, j + 1, 1))
+        radii = np.sqrt(np.sum(left * left, axis=-1))
+        exponent = np.sum(kernel.envelope(radii) * widths, axis=1)
+        reference = np.exp(exponent) * F(common + end_b, common + end_bp)
+        assert np.array_equal(seen[j], reference)
+        mean, stratum_se = mean_se(reference)
+        total += dt * mean
+        variance += (dt * stratum_se) ** 2
+    assert (value, se) == (total, math.sqrt(variance))
 
 
 def test_qtc_standard_error_survives_a_large_shift():

@@ -62,14 +62,14 @@ def test_forced_doubling_and_extinction():
     pop = ParticlePopulation(0, cfg.initial.copy(), cfg.n)
     up = lambda pts: np.full(len(pts), 1e9)  # clipped to +sqrt(n): all split
     for epoch in range(1, 5):
-        pop = step_epoch(pop, cfg, rng, field_override=up)
+        pop = step_epoch(pop, cfg, [rng], field_override=up)
         assert pop.count == 5 * 2**epoch
         assert pop.epoch == epoch
     down = lambda pts: np.full(len(pts), -1e9)  # all die
-    pop = step_epoch(pop, cfg, rng, field_override=down)
+    pop = step_epoch(pop, cfg, [rng], field_override=down)
     assert pop.count == 0
     # empty populations stay empty and keep advancing the clock
-    pop = step_epoch(pop, cfg, rng)
+    pop = step_epoch(pop, cfg, [rng])
     assert pop.count == 0 and pop.epoch == 6
     assert empirical_pairing(pop, ConstantReadout(1.0)) == (0.0, 0.0)
 
@@ -84,7 +84,7 @@ def test_field_override_sees_displaced_positions():
 
     rng = np.random.default_rng(1)
     pop = ParticlePopulation(0, cfg.initial.copy(), cfg.n)
-    step_epoch(pop, cfg, rng, field_override=probe)
+    step_epoch(pop, cfg, [rng], field_override=probe)
     assert seen["pts"].shape == (3, 1)
     # displacement variance 1/n per axis: moved points differ from start
     assert np.all(seen["pts"] != 0.0)
@@ -96,7 +96,7 @@ def test_population_bookkeeping_splits_plus_deaths():
     rng = np.random.default_rng(2)
     pop = ParticlePopulation(0, cfg.initial.copy(), cfg.n)
     for _ in range(10):
-        new = step_epoch(pop, cfg, rng)
+        new = step_epoch(pop, cfg, [rng])
         assert new.count % 2 == 0  # offspring come in pairs
         assert 0 <= new.count <= 2 * pop.count
         # offspring sit exactly at parent positions, duplicated
@@ -114,7 +114,7 @@ def test_split_frequency_truncated_standard_normal():
     splits = 0
     start = ParticlePopulation(0, cfg.initial.copy(), cfg.n)
     for _ in range(trials):
-        splits += step_epoch(start, cfg, rng).count == 2
+        splits += step_epoch(start, cfg, [rng]).count == 2
     freq = splits / trials
     assert abs(freq - 0.5) < 3 * 0.5 / math.sqrt(trials)
 
@@ -124,10 +124,12 @@ def test_cap_breach_raises_and_is_recorded_by_ensemble():
     up = lambda pts: np.full(len(pts), 1e9)
     rng = np.random.default_rng(3)
     pop = ParticlePopulation(0, cfg.initial.copy(), cfg.n)
-    pop = step_epoch(pop, cfg, rng, field_override=up)  # 16
+    pop = step_epoch(pop, cfg, [rng], field_override=up)  # 16
+    pop = step_epoch(pop, cfg, [rng], field_override=up)  # 32 > 30
     with pytest.raises(PopulationBlowupError) as exc:
-        step_epoch(pop, cfg, rng, field_override=up)  # 32 > 30
+        step_epoch(pop, cfg, [rng], field_override=up)  # refused before any draw
     assert exc.value.population == 32 and exc.value.cap == 30
+    assert exc.value.epoch == 2
 
     # supercritical-by-chance replicas show up as recorded blowups, not raises
     wild = config(n=2, k_start=20, kernel=Constant(40.0), horizon=3.0, cap=60)
@@ -139,6 +141,59 @@ def test_cap_breach_raises_and_is_recorded_by_ensemble():
         assert np.isnan(rows[r]).all()
     finite = rows[~np.isnan(rows[:, 0])]
     assert len(finite) == 40 - len(blowups)
+
+
+def test_batch_step_draws_per_replica_and_skips_empty_replicas():
+    # a ragged batch of 2, 0 and 3 particles: the override sees each nonempty
+    # replica's own slice, the empty replica draws nothing, and every replica
+    # ends where its own batch-of-one step ends
+    cfg = config(n=4)
+    starts = [np.full((2, 1), -1.0), np.zeros((0, 1)), np.full((3, 1), 1.0)]
+    pop = ParticlePopulation(0, np.concatenate(starts), cfg.n, np.array([2, 0, 3]))
+    seen = []
+
+    def up(pts):
+        seen.append(pts.copy())
+        return np.full(len(pts), 1e9)
+
+    rngs = [np.random.default_rng(i) for i in range(3)]
+    out = step_epoch(pop, cfg, rngs, field_override=up)
+    assert [len(pts) for pts in seen] == [2, 3]
+    assert out.counts.tolist() == [4, 0, 6] and out.count == 10 and out.epoch == 1
+    assert rngs[1].random() == np.random.default_rng(1).random()
+    bounds = out.bounds
+    for i, start in enumerate(starts):
+        alone = step_epoch(ParticlePopulation(0, start, cfg.n), cfg,
+                           [np.random.default_rng(i)], field_override=up)
+        assert np.array_equal(alone.positions, out.positions[bounds[i]:bounds[i + 1]])
+    with pytest.raises(ValueError):
+        step_epoch(pop, cfg, rngs[:2])
+
+
+@pytest.mark.parametrize("kernel", [Constant(4.0), ScaledTheta(4.0)])
+def test_batch_rows_equal_single_replica_runs(kernel):
+    # replicas [2, 10) march as one batch; every row is the row of the replica
+    # run alone, and a replica past the cap inside the batch leaves it
+    # without touching its neighbours
+    cfg = config(n=4, k_start=8, kernel=kernel, horizon=2.0, cap=24)
+    times = [0.5, 1.0, 2.0]
+
+    def stat(snaps):
+        return [s.mass for s in snaps] + [float(snaps[-1].positions.sum())]
+
+    rows, blowups = run_ensemble(cfg, times, SEED, 8, stat, first_replica=2)
+    lost = {r: (epoch, population) for r, epoch, population in blowups}
+    assert [r for r, _, _ in blowups] == sorted(lost)  # replica order
+    assert 0 < len(lost) < 8 and any(2 < r < 9 for r in lost)
+    for r in range(2, 10):
+        if r in lost:
+            assert np.isnan(rows[r - 2]).all()
+            with pytest.raises(PopulationBlowupError) as exc:
+                run_ensemble(cfg, times, SEED, 1, stat, first_replica=r)
+            assert (exc.value.epoch, exc.value.population) == lost[r]
+        else:
+            alone, none = run_ensemble(cfg, times, SEED, 1, stat, first_replica=r)
+            assert none == [] and np.array_equal(alone[0], rows[r - 2])
 
 
 def test_constant_field_takes_the_rank_one_draw():
@@ -154,7 +209,7 @@ def test_constant_field_takes_the_rank_one_draw():
                      -root_n, root_n)[:, 0]
         split = ref.random(7) < 0.5 + xi / (2.0 * root_n)
         rng = np.random.default_rng(SEED)
-        out = step_epoch(pop, cfg, rng)
+        out = step_epoch(pop, cfg, [rng])
         assert np.array_equal(out.positions, np.repeat(moved[split], 2, axis=0))
         assert rng.random() == ref.random()  # the stream is left where it was
 
@@ -167,7 +222,7 @@ def test_dense_site_cap_is_a_counted_blowup(monkeypatch):
     assert config(n=4, kernel=Constant(1.0), cap=50).population_cap == 50
     pop = ParticlePopulation(0, scaled.initial.copy(), scaled.n)
     with pytest.raises(PopulationBlowupError) as exc:
-        step_epoch(pop, scaled, np.random.default_rng(0))
+        step_epoch(pop, scaled, [np.random.default_rng(0)])
     assert exc.value.population == 25 and exc.value.cap == 20
     # the site count never reaches the factor's limit; breaches are counted
     wild = config(n=2, k_start=12, kernel=ScaledTheta(40.0), horizon=3.0)

@@ -147,9 +147,13 @@ def _finite(parser, section, key, fallback: float) -> float:
 
 
 def _positive(parser, section, key, cast=float):
+    """[section] key, positive and finite; key is named in messages as given
+    (configparser matches it case-insensitively)."""
     try:
         value = cast(parser.get(section, key))
-    except (configparser.NoOptionError, ValueError) as err:
+    except configparser.NoOptionError as err:
+        raise ConfigError(f"[{section}] {key} is missing") from err
+    except ValueError as err:
         raise ConfigError(f"[{section}] {key}: {err}") from err
     if not (math.isfinite(value) and value > 0):
         raise ConfigError(f"[{section}] {key} must be positive and finite, got {value}")
@@ -174,7 +178,7 @@ def _build_kernel(parser) -> CovarianceKernel:
 
 def _build_grid(parser) -> Grid:
     d = _positive(parser, "grid", "d", cast=int)
-    extent = _positive(parser, "grid", "l")
+    extent = _positive(parser, "grid", "L")
     h = _positive(parser, "grid", "h")
     cells = extent / h
     if abs(cells - round(cells)) > 1e-9 * max(1.0, cells):

@@ -62,15 +62,10 @@ class Grid:
         idx = np.rint((x + self.extent / 2.0) / self.spacing).astype(int)
         return tuple(int(i) % self.cells for i in idx)
 
-    def angular_frequencies(self) -> list:
-        """Per-axis angular frequencies for a real FFT layout.
-
-        Axes 0..dim-2 use the full FFT frequencies, the last axis the rfft
-        half-spectrum, matching ``np.fft.rfftn`` output.
-        """
-        full = 2.0 * np.pi * np.fft.fftfreq(self.cells, d=self.spacing)
-        half = 2.0 * np.pi * np.fft.rfftfreq(self.cells, d=self.spacing)
-        return [full] * (self.dim - 1) + [half]
+    def angular_frequencies(self) -> np.ndarray:
+        """Angular frequencies of one axis on the rfft half-spectrum, the
+        layout of ``np.fft.rfft`` output; every axis has the same ones."""
+        return 2.0 * np.pi * np.fft.rfftfreq(self.cells, d=self.spacing)
 
 
 @dataclass

@@ -12,7 +12,10 @@ one, so ensemble means of the linear solver reproduce the discrete heat
 semigroup identically, not just as dt -> 0.  A march fuses the trailing
 half heat step of one step with the leading one of the next into a single
 full heat step H(dt) (the half steps compose exactly on the torus), so it
-takes one heat transform pair per step, plus one per save.  The pointwise
+takes one heat application per step, plus one per save.  A heat application
+is an rfft/irfft pair on a 1-d grid and, on a grid of dim >= 2, one
+contraction per axis with a single (n, n) circulant matrix (the symbol is a
+product over the axes; see heatkernel.heat_multiplier).  The pointwise
 substep preserves nonnegativity exactly; the spectral heat substep can
 undershoot zero at the scale of its truncation lobes, so production solvers
 floor each heat output at zero; saved slices of nonnegative data are then
@@ -30,7 +33,7 @@ comparison inequalities between the two equations testable at 1e-12.
 
 Routes that share a NoisePath march as one stack (solve_routes): a state
 shaped (n_routes, n_replicas, *grid.shape) takes, per step, one increment,
-one heat transform pair and one exponential per distinct Ito drift, and each
+one heat application and one exponential per distinct Ito drift, and each
 route's trajectory is bit for bit that of its march alone.  The linear and
 log-Laplace solvers, the derivative quotient and both Stratonovich routes are
 callers of that one march; pam_states_at and pam_log_max_series keep the
@@ -173,7 +176,9 @@ class Splitting:
     two half heat steps, enter = leave = H(dt/2).  The leave of one step and
     the enter of the next compose to bridge = H(dt), so a march (_evolve)
     enters once, bridges between pointwise substeps and leaves only where it
-    reads the state.
+    reads the state.  H(dt/2) and H(dt) are built once per Splitting
+    (heat_multiplier): the rfft symbol on a 1-d grid, the symmetric (n, n)
+    circulant matrix contracted along every axis on a grid of dim >= 2.
 
     The pointwise substep is the exact flow u <- u/(1 + u dt/2) of the
     quadratic sink, then exact nonnegative multiplicative factors: the noise
@@ -212,7 +217,7 @@ class Splitting:
         return self._heat(v, self._half)
 
     def bridge(self, v):
-        """H(dt): one step's leave and the next step's enter in one transform pair."""
+        """H(dt): one step's leave and the next step's enter in one heat application."""
         return self._heat(v, self._full)
 
     def leave(self, v):
@@ -344,7 +349,7 @@ def _evolve(states: np.ndarray, grid: Grid, dt: float, factors, save_idx,
     steps are fused: the march enters once, then per step applies the
     pointwise substep and the bridge to the next one, and takes the leave
     only for a save, so a march of n steps with s saves after step 0 costs
-    at most n + s + 1 heat transform pairs.  A state leaving the finite
+    at most n + s + 1 heat applications.  A state leaving the finite
     range stops the march with SchemeOverflowError(k).  Saves are fresh
     arrays shaped like states, in the order of save_idx (repeats allowed).
     When track_log_max is set, states are a stack (n_routes, n_replicas,
@@ -388,7 +393,7 @@ def solve_routes(f: GridFunction, T: float, noise: NoisePath, routes, save_every
 
     Returns (times, values) with values[i] route i's trajectory, shaped
     (n_saves, n_replicas, *grid.shape) and bit for bit what route i marched
-    alone gives: the stack shares the increments, the heat transforms and
+    alone gives: the stack shares the increments, the heat applications and
     the exponentials, not the arithmetic of any one route.
     """
     routes = tuple(routes)

@@ -137,8 +137,19 @@ def test_non_finite_config_numbers_exit_2_with_one_line(tmp_path, capsys, key, v
     assert main(["validate", "--config", cfg_path]) == 2
     err = capsys.readouterr().err
     section, name = key.split(".")
-    assert err.startswith(f"error: [{section}] {name.lower()}") and value in err
+    assert err.startswith(f"error: [{section}] {name}") and value in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("value, reason", [
+    ("inf", "must be positive and finite, got inf"),
+    ("-1", "must be positive and finite, got -1.0"),
+    (None, "is missing"),
+], ids=["inf", "negative", "missing"])
+def test_grid_extent_errors_name_the_key_as_written(tmp_path, capsys, value, reason):
+    cfg_path = write_config(tmp_path, **{"grid.L": value})
+    assert main(["validate", "--config", cfg_path]) == 2
+    assert capsys.readouterr().err.strip() == f"error: [grid] L {reason}"
 
 
 def test_env_overrides(tmp_path, capsys, monkeypatch):

@@ -187,6 +187,43 @@ def test_one_dimensional_spectral_step_is_the_nd_transform(shape):
     assert np.array_equal(apply_spectral_multiplier(values, mult, grid.shape), reference)
 
 
+def rfftn_heat_reference(values, grid, t):
+    """The d-dimensional heat step as one rfftn/irfftn pair over the grid axes."""
+    full = 2.0 * np.pi * np.fft.fftfreq(grid.cells, d=grid.spacing)
+    half = 2.0 * np.pi * np.fft.rfftfreq(grid.cells, d=grid.spacing)
+    sq = np.zeros((grid.cells,) * (grid.dim - 1) + (len(half),))
+    for ax, w in enumerate([full] * (grid.dim - 1) + [half]):
+        shape = [1] * grid.dim
+        shape[ax] = len(w)
+        sq = sq + (w * w).reshape(shape)
+    axes = tuple(range(values.ndim - grid.dim, values.ndim))
+    spec = np.fft.rfftn(values, axes=axes)
+    spec *= np.exp(-0.5 * t * sq)
+    return np.fft.irfftn(spec, s=grid.shape, axes=axes)
+
+
+@pytest.mark.parametrize("grid", [Grid(2, 4.0, 8), Grid(2, 4.0, 7), Grid(3, 4.0, 6),
+                                  Grid(3, 8.0, 16)], ids=["2d-8", "2d-7", "3d-6", "3d-16"])
+def test_axis_contractions_are_the_nd_transform(grid):
+    rng = np.random.default_rng(grid.cells)
+    values = rng.standard_normal((33,) + grid.shape) + 0.5
+    for t in (1e-3, 0.1, 1.0):
+        mult = heat_multiplier(grid, t)
+        assert mult.shape == (grid.cells, grid.cells)
+        assert np.array_equal(mult, mult.T)
+        out = apply_spectral_multiplier(values, mult, grid.shape)
+        reference = rfftn_heat_reference(values, grid, t)
+        assert np.abs(out - reference).max() <= 1e-13 * np.abs(values).max()
+        # a field's bits do not depend on the fields stacked with it
+        one_by_one = np.stack([apply_spectral_multiplier(v, mult, grid.shape) for v in values])
+        for batch in (1, 2, 5, 33):
+            assert np.array_equal(
+                apply_spectral_multiplier(values[:batch], mult, grid.shape), one_by_one[:batch])
+        for level in (1.0, 0.5, 3.0, 0.7):
+            flat = np.full((3,) + grid.shape, level)
+            assert np.array_equal(apply_spectral_multiplier(flat, mult, grid.shape), flat)
+
+
 def test_semigroup_mass_and_positivity():
     for dim, cells in ((1, 256), (2, 64), (3, 16)):
         grid = Grid(dim, 8.0, cells)

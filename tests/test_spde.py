@@ -103,7 +103,8 @@ def test_states_at_times_equal_final_states_of_separate_solves():
     with pytest.raises(ValueError):
         pam_states_at(f, (), noise)
 
-@pytest.mark.parametrize("grid", [Grid(1, 8.0, 32), Grid(2, 4.0, 8)], ids=["1d", "2d"])
+@pytest.mark.parametrize("grid", [Grid(1, 8.0, 32), Grid(2, 4.0, 8), Grid(3, 4.0, 6)],
+                         ids=["1d", "2d", "3d"])
 def test_stacked_routes_equal_separate_solves(grid):
     f = bump(grid, width=0.7)
     noise = NoisePath(grid, ScaledTheta(1.3), dt=1e-2, seed=21, n_replicas=3, chunk_steps=7)
@@ -430,8 +431,8 @@ def test_fused_symmetric_march_equals_step_loop(save_every):
         assert gap <= 1e-12
 
 
-def test_fused_march_takes_one_heat_transform_per_step(monkeypatch):
-    grid = Grid(1, 8.0, 32)
+@pytest.mark.parametrize("grid", [Grid(1, 8.0, 32), Grid(2, 4.0, 8)], ids=["1d", "2d"])
+def test_fused_march_takes_one_heat_transform_per_step(monkeypatch, grid):
     f = bump(grid, width=0.7)
     noise = NoisePath(grid, ScaledTheta(1.3), dt=1e-2, seed=21, n_replicas=3)
     calls = []

@@ -4,12 +4,13 @@ Free-space objects (heat kernel, Green function, Riesz potentials) are exact
 closed forms or one-dimensional quadratures.  Field evolution happens on the
 periodic torus of a Grid via the spectral heat semigroup, which is exact for
 the lattice Laplacian's continuum symbol: multiplication by exp(-t|w|^2/2) in
-Fourier space.  That symbol is a product over the axes, so on a grid of
-dim >= 2 the same operator is the Kronecker power of one 1-d circulant
-matrix, applied as one (n, n) contraction per axis; a 1-d grid keeps the
-rfft/irfft pair.  Periodization error against whole-space claims is
-controlled by choosing the extent large against sqrt(t); experiments record
-grid metadata so refinement sensitivity can be checked by rerunning.
+Fourier space.  That symbol is a product over the axes, so the same operator
+is the Kronecker power of one 1-d circulant matrix, applied as one (n, n)
+contraction per axis; only a 1-d grid of more than 128 cells keeps the
+rfft/irfft pair, which is faster there.  Periodization error against
+whole-space claims is controlled by choosing the extent large against
+sqrt(t); experiments record grid metadata so refinement sensitivity can be
+checked by rerunning.
 
 The persistence check compares the supremum of the Riesz potential of the
 correlation envelope g,
@@ -54,6 +55,7 @@ __all__ = [
 ]
 
 _HERMITE_NODES = 40  # Gauss-Hermite nodes per axis in heat_at_points
+_CONTRACTION_MAX_CELLS = 128  # longest 1-d grid whose heat step is a matrix contraction
 
 
 class QuadratureError(RuntimeError):
@@ -81,17 +83,19 @@ def heat_multiplier(grid: Grid, t: float) -> np.ndarray:
     """The torus heat operator exp(-t |omega|^2 / 2) in the form
     apply_spectral_multiplier takes.
 
-    A 1-d grid gets the symbol on the rfft half-spectrum.  A grid of
-    dim >= 2 gets the (n, n) circulant matrix of the 1-d symbol, whose
+    Every grid gets the (n, n) circulant matrix of the 1-d symbol, whose
     Kronecker power over the axes is the operator; its kernel is averaged
     with its reflection, so the matrix is exactly symmetric and a row
-    contraction applies the same matrix as a column contraction.
+    contraction applies the same matrix as a column contraction.  A 1-d grid
+    of more than _CONTRACTION_MAX_CELLS cells gets the symbol on the rfft
+    half-spectrum instead: there the transform pair is faster, and the
+    matrix would take O(n^2) memory.
     """
     w = grid.angular_frequencies()
     symbol = np.exp(-0.5 * t * (w * w))
-    if grid.dim == 1:
-        return symbol
     n = grid.cells
+    if grid.dim == 1 and n > _CONTRACTION_MAX_CELLS:
+        return symbol
     kernel = np.fft.irfft(symbol, n=n)
     offsets = np.arange(n)
     kernel = 0.5 * (kernel + kernel[-offsets % n])
@@ -102,10 +106,11 @@ def apply_heat_semigroup(f: GridFunction, t: float) -> GridFunction:
     """Exact torus heat flow of f for time t (generator Laplacian/2).
 
     t = 0 returns a copy of the input.  Mass is conserved to roundoff (the
-    zero mode has multiplier 1, and in dim >= 2 the mean is carried past the
-    contractions exactly) and nonnegative inputs stay nonnegative: roundoff
-    of order 1e-16 * max|f| is clamped away, which
-    keeps the positivity of the underlying operator machine-exact.
+    zero mode has multiplier 1: the mean is carried past the contractions
+    exactly, or is the transform's untouched zero mode) and nonnegative
+    inputs stay nonnegative: roundoff and the discrete kernel's small
+    negative truncation lobes are clamped away, which keeps the positivity of
+    the underlying operator machine-exact.
     """
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
@@ -120,32 +125,45 @@ def apply_heat_semigroup(f: GridFunction, t: float) -> GridFunction:
 def apply_spectral_multiplier(values: np.ndarray, multiplier: np.ndarray, shape) -> np.ndarray:
     """Apply heat_multiplier's operator to the trailing grid axes of values.
 
-    A 1-d grid takes rfft/irfft along the last axis.  A grid of dim >= 2
-    subtracts each field's mean, contracts the (n, n) matrix along every grid
-    axis and adds the mean back, so a constant field returns bit for bit.
-    Each contraction is a stack of matmuls of one fixed shape per field, so a
-    field's output bits do not depend on how many fields are stacked with it.
+    A 1-d symbol (a 1-d grid above _CONTRACTION_MAX_CELLS cells) takes
+    rfft/irfft along the last axis.  An (n, n) matrix is applied by
+    subtracting each field's mean, contracting the matrix along every grid
+    axis and adding the mean back, so a constant field returns bit for bit.
+    Each contraction is a matrix product of one fixed shape per field, so a
+    field's output bits do not depend on how many fields are stacked with it;
+    a lone 1-d field is stacked with a copy of itself for that reason.
     The contractions cost O(n) per value per axis against the transform's
-    O(log n), so in 2-d they lose to an rfftn/irfftn pair from about n = 256
-    per axis; in 3-d they still win at 128^3.  Measured on a 2-vCPU Xeon with
-    one BLAS thread, contractions against the pair: 8 fields of 128^2,
-    2.4 against 2.6 ms; of 256^2, 11.4 against 9.7 ms; of 512^2, 88 against
-    47 ms; 32 fields of 16^3, 0.63 against 2.7 ms; one field of 128^3, 37
-    against 66 ms.
+    O(log n).  Measured on a 2-vCPU Xeon with one BLAS thread, contractions
+    against the pair, in 1-d: one field of 64 cells, 9.8 against 17 us; 32
+    fields of 64, 16 against 29 us; 160 fields of 64, 48 against 75 us; 32
+    fields of 128, 33 against 58 us; of 256, 143 against 89 us; of 1024, 2039
+    against 301 us; hence the cutoff at 128 cells.  In 2-d they lose to
+    an rfftn/irfftn pair from about n = 256 per axis: 8 fields of 128^2, 2.4
+    against 2.6 ms; of 256^2, 11.4 against 9.7 ms; of 512^2, 88 against
+    47 ms.  In 3-d they still win at 128^3: 32 fields of 16^3, 0.63 against
+    2.7 ms; one field of 128^3, 37 against 66 ms.
     """
-    dim = len(shape)
-    if dim == 1:
+    if multiplier.ndim == 1:
         spec = np.fft.rfft(values, axis=-1)
         spec *= multiplier
         return np.fft.irfft(spec, n=shape[0], axis=-1)
+    dim = len(shape)
     n = shape[0]
     fields = values.reshape(-1, n**dim)
-    mean = fields.mean(axis=1, keepdims=True)
-    # last axis first, as rows against the symmetric matrix, then axes 0..dim-2
-    out = np.matmul((fields - mean).reshape(-1, n ** (dim - 1), n), multiplier)
-    for k in range(dim - 1):
-        out = np.matmul(multiplier, out.reshape(-1, n, n ** (dim - 1 - k)))
-    out = out.reshape(fields.shape)
+    # np.mean's own reduce and divide, without its wrapper's overhead
+    mean = np.add.reduce(fields, axis=1, keepdims=True)
+    mean /= n**dim
+    centered = fields - mean
+    if dim == 1:
+        # numpy hands a lone row to gemv, whose bits differ from gemm's
+        rows = np.concatenate((centered, centered)) if len(centered) == 1 else centered
+        out = np.matmul(rows, multiplier)[: len(centered)]
+    else:
+        # last axis first, as rows against the symmetric matrix, then axes 0..dim-2
+        out = np.matmul(centered.reshape(-1, n ** (dim - 1), n), multiplier)
+        for k in range(dim - 1):
+            out = np.matmul(multiplier, out.reshape(-1, n, n ** (dim - 1 - k)))
+        out = out.reshape(fields.shape)
     out += mean
     return out.reshape(values.shape)
 

@@ -13,12 +13,12 @@ semigroup identically, not just as dt -> 0.  A march fuses the trailing
 half heat step of one step with the leading one of the next into a single
 full heat step H(dt) (the half steps compose exactly on the torus), so it
 takes one heat application per step, plus one per save.  A heat application
-is an rfft/irfft pair on a 1-d grid and, on a grid of dim >= 2, one
-contraction per axis with a single (n, n) circulant matrix (the symbol is a
-product over the axes; see heatkernel.heat_multiplier).  The pointwise
-substep preserves nonnegativity exactly; the spectral heat substep can
-undershoot zero at the scale of its truncation lobes, so production solvers
-floor each heat output at zero; saved slices of nonnegative data are then
+is one contraction per axis with a single (n, n) circulant matrix (the symbol
+is a product over the axes; see heatkernel.heat_multiplier), or an rfft/irfft
+pair on a 1-d grid of more than 128 cells.  The pointwise substep preserves
+nonnegativity exactly; the spectral heat substep can undershoot zero at the
+scale of its truncation lobes, so production solvers floor each heat output
+at zero; saved slices of nonnegative data are then
 >= 0 machine-exactly, at the cost of additivity of the linear flow holding
 only to the lobe scale rather than roundoff (see Splitting).  Fusion drops
 only the floor between the two halves of a merged step, a state no save and
@@ -177,8 +177,8 @@ class Splitting:
     the enter of the next compose to bridge = H(dt), so a march (_evolve)
     enters once, bridges between pointwise substeps and leaves only where it
     reads the state.  H(dt/2) and H(dt) are built once per Splitting
-    (heat_multiplier): the rfft symbol on a 1-d grid, the symmetric (n, n)
-    circulant matrix contracted along every axis on a grid of dim >= 2.
+    (heat_multiplier): the symmetric (n, n) circulant matrix contracted along
+    every axis, or the rfft symbol on a 1-d grid of more than 128 cells.
 
     The pointwise substep is the exact flow u <- u/(1 + u dt/2) of the
     quadratic sink, then exact nonnegative multiplicative factors: the noise

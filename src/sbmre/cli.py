@@ -108,6 +108,13 @@ class ExperimentConfig:
             raise ConfigError(f"param {key} must be a single number")
         return float(value)
 
+    def param_count(self, key: str, default: int) -> int:
+        """param(key, default) as an int; a ConfigError unless a positive whole number."""
+        value = self.param(key, default)
+        if not (value >= 1 and value.is_integer()):
+            raise ConfigError(f"[params] {key} must be a positive whole number, got {value}")
+        return int(value)
+
     def param_tuple(self, key: str, default: tuple) -> tuple:
         value = self.params.get(key, default)
         if not isinstance(value, tuple):

@@ -143,7 +143,7 @@ def march_dual(phi: GridFunction, times, n: float, kernel: CovarianceKernel,
 
     y = np.repeat(phi.values[np.newaxis], len(streams), axis=0)
     try:
-        return _evolve(y, grid, dt, marks, save_steps, reaction=True), jump_times
+        return _evolve(y, grid, dt, marks, save_steps, [slice(None)]), jump_times
     except SchemeOverflowError as err:
         raise DualEvolutionError(err.step + 1) from err
 

@@ -98,13 +98,13 @@ def _particle_batch(bc, t, readout, seed, b, lo, hi):
 @_experiment("moments-triangle")
 def _moments_triangle(cfg, pool: WorkerPool) -> list:
     t = cfg.param("t", 1.0)
-    scale_n = int(cfg.param("n", 200))
+    scale_n = cfg.param_count("n", 200)
     f = cfg.readout
     d = cfg.grid.dim
     # unit point mass at the origin is n particles at branching scale n
     bc = particles.BranchingConfig(n=scale_n, dim=d, kernel=cfg.kernel,
                                    initial=np.zeros((scale_n, d)), horizon=t,
-                                   max_population=int(cfg.param("cap", 2_000_000)))
+                                   max_population=cfg.param_count("cap", 2_000_000))
     parts = map_batches(_particle_batch, cfg.replicas, (bc, t, f, cfg.seed), pool)
     stats = np.concatenate([rows for rows, _ in parts], axis=0)
     breaches = sum(b for _, b in parts)
@@ -296,6 +296,7 @@ def _persistence_scan(cfg, pool: WorkerPool) -> list:
 def _duality_ladder(cfg, pool: WorkerPool) -> list:
     t = cfg.param("t", 0.5)
     ladder = cfg.param_tuple("n_ladder", (10.0, 40.0, 160.0))
+    tm_replicas = cfg.param_count("tm_replicas", min(cfg.replicas, 40))
     phi = GridFunction.from_callable(cfg.grid, cfg.readout)
     mu = (np.array([1.0]), np.zeros((1, cfg.grid.dim)))
     left_seed, right_seed = cfg.seed + _SEED_LEFT, cfg.seed + _SEED_RIGHT
@@ -336,8 +337,7 @@ def _duality_ladder(cfg, pool: WorkerPool) -> list:
     probes[1, 0] = 1.0
     report = dual.third_moment_scan(phi, [t], ladder, cfg.kernel, probes,
                                     rho=cfg.param("rho", 2.0), seed=right_seed,
-                                    n_replicas=int(cfg.param("tm_replicas",
-                                                             min(cfg.replicas, 40))),
+                                    n_replicas=tm_replicas,
                                     dt=cfg.dt)
     rows.append(CheckRow("third-moment-spread", report.spread(), 0.5,
                          report.spread() < 0.5))
@@ -351,6 +351,7 @@ def _lyapunov_ladder(cfg, pool: WorkerPool) -> list:
     profile = cfg.kernel.profile
     a_ladder = cfg.param_tuple("a_ladder", (1.0, 4.0, 16.0, 64.0))
     T = cfg.param("t", 6.0)
+    tail_reps = cfg.param_count("tail_replicas", cfg.replicas)
     rows = []
     slope_sets = []
     for a in a_ladder:
@@ -369,7 +370,6 @@ def _lyapunov_ladder(cfg, pool: WorkerPool) -> list:
 
     tail_a = cfg.param_tuple("tail_a", (2.0, 32.0))
     tail_t = cfg.param_tuple("tail_t", (0.5, 6.0))
-    tail_reps = int(cfg.param("tail_replicas", cfg.replicas))
     L = cfg.param("window", 2.0)
     probes = {}
     for a in tail_a:

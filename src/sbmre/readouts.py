@@ -10,6 +10,7 @@ Catalog names accepted by parse_readout: ``constant``, ``constant(v)``,
 Scalar centers are broadcast across axes.
 """
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -95,6 +96,8 @@ def parse_readout(text: str):
         raise ValueError(f"unparseable readout: {text!r}")
     name, raw = match.group(1), match.group(2)
     args = [float(a) for a in raw.split(",")] if raw else []
+    if not all(math.isfinite(a) for a in args):
+        raise ValueError(f"readout arguments must be finite, got {text!r}")
     if name == "constant":
         if len(args) > 1:
             raise ValueError(f"constant takes at most one argument, got {text!r}")

@@ -15,16 +15,18 @@ full heat step H(dt) (the half steps compose exactly on the torus), so it
 takes one heat application per step, plus one per save.  A heat application
 is one contraction per axis with a single (n, n) circulant matrix (the symbol
 is a product over the axes; see heatkernel.heat_multiplier), or an rfft/irfft
-pair on a 1-d grid of more than 128 cells.  The pointwise substep preserves
-nonnegativity exactly; the spectral heat substep can undershoot zero at the
-scale of its truncation lobes, so production solvers floor each heat output
-at zero; saved slices of nonnegative data are then
->= 0 machine-exactly, at the cost of additivity of the linear flow holding
-only to the lobe scale rather than roundoff (see Splitting).  Fusion drops
-only the floor between the two halves of a merged step, a state no save and
-no pointwise substep reads; every heat output is still floored, so saves
-stay >= 0, and every route of a stack takes the same heat steps and floors,
-so the pathwise comparisons between routes hold as before.
+pair on a 1-d grid of more than 128 cells.
+
+The pointwise substep preserves nonnegativity exactly; the spectral heat
+substep can undershoot zero at the scale of its truncation lobes, so the
+march floors every heat output at zero and saves of nonnegative data are
+>= 0 machine-exactly.  Flooring is monotone and 1-Lipschitz, hence every
+pathwise comparison inequality survives it; the price is that additivity of
+the linear flow holds only to the lobe scale (~1e-9 at default resolution)
+instead of roundoff.  Fusion drops only the floor between the two halves of
+a merged step, a state no save and no pointwise substep reads; every route
+of a stack takes the same heat steps and floors, so the pathwise comparisons
+between routes hold as in a loop of whole steps.
 
 Noise is generated in chunks keyed by (seed, stream_key, chunk index) and is
 regenerable: replaying a NoisePath, or sharing one between solvers, yields
@@ -167,81 +169,6 @@ class Route:
             raise ValueError(f"scale must be nonnegative, got {self.scale}")
 
 
-class Splitting:
-    """The substeps of one Strang step of length dt on states shaped
-    (n_replicas, *grid.shape), or on a stack of routes shaped
-    (n_routes, n_replicas, *grid.shape).
-
-    A step is leave(pointwise(enter(states))): a pointwise substep between
-    two half heat steps, enter = leave = H(dt/2).  The leave of one step and
-    the enter of the next compose to bridge = H(dt), so a march (_evolve)
-    enters once, bridges between pointwise substeps and leaves only where it
-    reads the state.  H(dt/2) and H(dt) are built once per Splitting
-    (heat_multiplier): the symmetric (n, n) circulant matrix contracted along
-    every axis, or the rfft symbol on a 1-d grid of more than 128 cells.
-
-    The pointwise substep is the exact flow u <- u/(1 + u dt/2) of the
-    quadratic sink, then exact nonnegative multiplicative factors: the noise
-    factor of each slice of routes, or the marks of the jump dual, whose
-    jumps ride this substep of the step they arrive in (see pointwise).
-    `reaction` is one flag for the whole state or, for a stack, a tuple with
-    one flag per route.  The spectral heat substep is the one place
-    positivity can leak: its discrete kernel has small negative truncation
-    lobes, so with clamp=True (production default) each heat output is
-    floored at zero.  Flooring is monotone and 1-Lipschitz, hence every
-    pathwise comparison inequality survives it; the price is that additivity
-    of the linear flow holds only to the lobe scale (~1e-9 at default
-    resolution) instead of roundoff.  A fused march floors each bridge
-    output but not the state between the two halves of a merged step; it
-    agrees with a loop of whole steps to roundoff with clamp=False and to
-    the lobe scale with it.  clamp=False keeps the exactly linear flow.
-    """
-
-    def __init__(self, grid: Grid, dt: float, reaction=False, clamp: bool = True):
-        self.shape = grid.shape
-        self.dt = dt
-        self.clamp = clamp
-        if isinstance(reaction, tuple):
-            self._reacting = [sl for on, sl in _runs(reaction) if on]
-        else:
-            self._reacting = [slice(None)] if reaction else []
-        self._half = heat_multiplier(grid, dt / 2.0)
-        self._full = heat_multiplier(grid, dt)
-
-    def _heat(self, v, multiplier):
-        out = apply_spectral_multiplier(v, multiplier, self.shape)
-        return np.maximum(out, 0.0, out=out) if self.clamp else out
-
-    def enter(self, v):
-        """H(dt/2), the half heat step before a step's pointwise substep."""
-        return self._heat(v, self._half)
-
-    def bridge(self, v):
-        """H(dt): one step's leave and the next step's enter in one heat application."""
-        return self._heat(v, self._full)
-
-    def leave(self, v):
-        """H(dt/2), the half heat step after a step's pointwise substep."""
-        return self._heat(v, self._half)
-
-    def pointwise(self, v, factors=(), k: int = 0):
-        """Reaction, then the factors, in place; raise if the state left the finite range.
-
-        factors holds the multipliers of step k as (index into the leading
-        axis, factor) pairs, an index being a slice of routes or one
-        replica; each factor broadcasts over what its index selects.
-        """
-        for sl in self._reacting:
-            block = v[sl]
-            np.divide(block, 1.0 + block * (self.dt / 2.0), out=block)
-        with np.errstate(over="ignore"):
-            for index, factor in factors:
-                np.multiply(v[index], factor, out=v[index])
-        if not np.all(np.isfinite(v)):
-            raise SchemeOverflowError(f"state left the finite range at step {k}", k)
-        return v
-
-
 @dataclass
 class PamSolution:
     """Trajectory of the linear solver at save times.
@@ -340,39 +267,53 @@ def _noise_factors(noise: NoisePath, routes: tuple):
 
 
 def _evolve(states: np.ndarray, grid: Grid, dt: float, factors, save_idx,
-            reaction=False, track_log_max: bool = False, clamp: bool = True) -> list:
+            reacting=(), track_log_max: bool = False) -> list:
     """March states to step max(save_idx); return the state at each step of save_idx.
 
-    The one step loop of the lab.  Step k reacts where Splitting's
-    `reaction` says, then multiplies by factors(k), (index, factor) pairs as
-    Splitting.pointwise takes them.  The half heat steps of consecutive
-    steps are fused: the march enters once, then per step applies the
-    pointwise substep and the bridge to the next one, and takes the leave
-    only for a save, so a march of n steps with s saves after step 0 costs
-    at most n + s + 1 heat applications.  A state leaving the finite
-    range stops the march with SchemeOverflowError(k).  Saves are fresh
-    arrays shaped like states, in the order of save_idx (repeats allowed).
-    When track_log_max is set, states are a stack (n_routes, n_replicas,
-    *shape), renormalized per route and replica whenever they exceed
-    _RENORM_LIMIT after a pointwise substep, and each save is instead the
-    (n_routes, n_replicas) row of log(max) with the offset folded back in.
+    The one step loop of the lab.  Step k is the pointwise substep: the exact
+    flow u <- u/(1 + u dt/2) of the quadratic sink on each slice of the
+    leading axis in reacting, then the multiplicative factors(k), (index into
+    the leading axis, factor) pairs, an index being a slice of routes or one
+    replica, each factor broadcasting over what its index selects.  The half
+    heat steps H(dt/2) of consecutive steps are fused into one H(dt): the
+    march takes H(dt/2) once, then per step the pointwise substep and H(dt)
+    to the next one, and takes the closing H(dt/2) only for a save, so a
+    march of n steps with s saves after step 0 costs n + s + 1 heat
+    applications.  A state leaving the finite range stops the march with
+    SchemeOverflowError(k).  Saves are fresh arrays shaped like states, in
+    the order of save_idx (repeats allowed).  When track_log_max is set,
+    states are a stack (n_routes, n_replicas, *shape), renormalized per route
+    and replica whenever they exceed _RENORM_LIMIT after a pointwise substep,
+    and each save is instead the (n_routes, n_replicas) row of log(max) with
+    the offset folded back in.
     """
-    scheme = Splitting(grid, dt, reaction=reaction, clamp=clamp)
+    half, full = heat_multiplier(grid, dt / 2.0), heat_multiplier(grid, dt)
     axes = tuple(range(2, states.ndim))
     wanted = set(int(i) for i in save_idx)
     n_steps = max(wanted)
     saved = {}
     log_offset = np.zeros(states.shape[:2])
 
+    def heat(v, multiplier):
+        out = apply_spectral_multiplier(v, multiplier, grid.shape)
+        return np.maximum(out, 0.0, out=out)
+
     def record(step, out):
-        # out is never written again: it is a copy or a fresh output of leave
+        # out is never written again: it is a copy or a fresh output of heat
         saved[step] = np.log(out.max(axis=axes)) + log_offset if track_log_max else out
 
     if 0 in wanted:
         record(0, states.copy())
-    pending = scheme.enter(states)
+    pending = heat(states, half)
     for k in range(n_steps):
-        pending = scheme.pointwise(pending, factors(k), k)
+        for sl in reacting:
+            block = pending[sl]
+            np.divide(block, 1.0 + block * (dt / 2.0), out=block)
+        with np.errstate(over="ignore"):
+            for index, factor in factors(k):
+                np.multiply(pending[index], factor, out=pending[index])
+        if not np.all(np.isfinite(pending)):
+            raise SchemeOverflowError(f"state left the finite range at step {k}", k)
         if track_log_max:
             peak = pending.max(axis=axes)
             big = peak > _RENORM_LIMIT
@@ -381,14 +322,14 @@ def _evolve(states: np.ndarray, grid: Grid, dt: float, factors, save_idx,
                 pending = pending / scale.reshape(scale.shape + (1,) * len(axes))
                 log_offset = log_offset + np.log(scale)
         if k + 1 in wanted:
-            record(k + 1, scheme.leave(pending))
+            record(k + 1, heat(pending, half))
         if k + 1 < n_steps:
-            pending = scheme.bridge(pending)
+            pending = heat(pending, full)
     return [saved[int(i)] for i in save_idx]
 
 
-def solve_routes(f: GridFunction, T: float, noise: NoisePath, routes, save_every=None,
-                 clamp: bool = True) -> tuple:
+def solve_routes(f: GridFunction, T: float, noise: NoisePath, routes,
+                 save_every=None) -> tuple:
     """March several routes from f along one noise path as one stack.
 
     Returns (times, values) with values[i] route i's trajectory, shaped
@@ -402,22 +343,20 @@ def solve_routes(f: GridFunction, T: float, noise: NoisePath, routes, save_every
     n = _resolve_steps(T, noise.dt)
     idx = _save_indices(n, save_every)
     states = _initial_states(f, noise, [r.scale for r in routes])
-    saves = _evolve(states, noise.grid, noise.dt, _noise_factors(noise, routes), idx,
-                    reaction=tuple(r.reaction for r in routes), clamp=clamp)
+    reacting = [sl for on, sl in _runs([r.reaction for r in routes]) if on]
+    saves = _evolve(states, noise.grid, noise.dt, _noise_factors(noise, routes), idx, reacting)
     return idx * noise.dt, np.stack(saves, axis=1)
 
 
 def solve_pam(f: GridFunction, T: float, noise: NoisePath, save_every=None,
-              correction: bool = True, clamp_negatives: bool = True) -> PamSolution:
+              correction: bool = True) -> PamSolution:
     """Evolve the linear equation from f >= 0 along the given noise path.
 
     With the default Ito correction the ensemble mean of the output equals
     the heat flow of f discretely; correction=False drops the compensator
-    (the direct route of the Stratonovich scheme study).  clamp_negatives
-    trades exact additivity for exact positivity; see Splitting.
+    (the direct route of the Stratonovich scheme study).
     """
-    times, vals = solve_routes(f, T, noise, [Route(correction=correction)], save_every,
-                               clamp=clamp_negatives)
+    times, vals = solve_routes(f, T, noise, [Route(correction=correction)], save_every)
     return _solution(noise, times, vals[0], correction)
 
 

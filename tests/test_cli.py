@@ -131,6 +131,8 @@ SCALED = {"kernel.type": "scaled", "kernel.level": None, "kernel.a": "1.0"}
     ("kernel.a", "nan", SCALED),
     ("scheme.dt", "nan", {}),
     ("params.t", "inf", {}),
+    ("readouts.f", "gaussian_bump(nan, 1.0)", {}),  # was "config ok", then exit 3 in a run
+    ("readouts.f", "constant(inf)", {}),
 ])
 def test_non_finite_config_numbers_exit_2_with_one_line(tmp_path, capsys, key, value, extra):
     cfg_path = write_config(tmp_path, **{**extra, key: value})
@@ -139,6 +141,22 @@ def test_non_finite_config_numbers_exit_2_with_one_line(tmp_path, capsys, key, v
     section, name = key.split(".")
     assert err.startswith(f"error: [{section}] {name}") and value in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("key, value, extra", [
+    ("params.n", "0.5", {"experiment.name": "moments-triangle"}),  # was exit 3 at n = 0
+    ("params.n", "200.5", {"experiment.name": "moments-triangle"}),  # ran n = 200
+    ("params.cap", "2000000.5", {"experiment.name": "moments-triangle"}),
+    ("params.tm_replicas", "2.5", {"experiment.name": "duality-ladder"}),
+    ("params.tail_replicas", "0.5", {**SCALED, "experiment.name": "lyapunov-ladder"}),
+])
+def test_fractional_count_params_exit_2_before_the_run(tmp_path, capsys, key, value, extra):
+    cfg_path = write_config(tmp_path, **{**extra, key: value})
+    name = extra["experiment.name"]
+    assert main([name, "--config", cfg_path, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == f"error: [params] {key.split('.')[1]} must be a positive whole number, got {value}"
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("value, reason", [

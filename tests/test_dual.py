@@ -26,7 +26,8 @@ from sbmre.dual import (
 )
 from sbmre import spde
 from sbmre.grids import Grid, GridFunction
-from sbmre.spde import NoisePath, Splitting, solve_log_laplace
+from sbmre.heatkernel import apply_spectral_multiplier, heat_multiplier
+from sbmre.spde import NoisePath, solve_log_laplace
 
 SEED = 20260814
 
@@ -98,8 +99,9 @@ def test_march_takes_one_heat_transform_per_step(monkeypatch):
     ys, jump_times = march_dual(phi, (0.1, 0.3, 0.5), 40.0, ScaledTheta(1.0), SEED,
                                 [(r,) for r in range(3)], dt=1e-3)
     assert sum(len(times) for times in jump_times) > 0
-    # 500 steps, 2 saves before the last: an unfused march of whole steps takes 1000
-    assert len(calls) <= 500 + 2 + 1
+    # 500 steps, 2 saves before the last: an unfused march of whole steps takes
+    # 1000, and a march that bypasses spde.apply_spectral_multiplier records none
+    assert len(calls) == 500 + 2 + 1
 
 
 def test_jump_rides_the_pointwise_substep():
@@ -115,13 +117,18 @@ def test_jump_rides_the_pointwise_substep():
                                    field_override=mark)
     assert len(arrivals) > 1
     step_of = np.maximum(np.ceil(arrivals / dt - 1e-12).astype(int), 1) - 1
-    scheme = Splitting(grid, dt, reaction=True)
+    half, full = heat_multiplier(grid, dt / 2.0), heat_multiplier(grid, dt)
+
+    def heat(v, multiplier):
+        return np.maximum(apply_spectral_multiplier(v, multiplier, grid.shape), 0.0)
+
     steps = int(round(t / dt))
-    state = scheme.enter(phi.values[np.newaxis].copy())
+    state = heat(phi.values[np.newaxis], half)
     for k in range(steps):
-        factors = [(0, 1.0 + mark(j) / math.sqrt(n)) for j in np.flatnonzero(step_of == k)]
-        state = scheme.pointwise(state, factors, k)
-        state = scheme.bridge(state) if k + 1 < steps else scheme.leave(state)
+        state = state / (1.0 + state * (dt / 2.0))
+        for j in np.flatnonzero(step_of == k):
+            state = state * (1.0 + mark(j) / math.sqrt(n))
+        state = heat(state, full if k + 1 < steps else half)
     assert np.array_equal(y, state)
 
 

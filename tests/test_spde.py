@@ -16,13 +16,12 @@ import pytest
 from sbmre import spde
 from sbmre.covariance import Constant, ScaledTheta
 from sbmre.grids import Grid, GridFunction
-from sbmre.heatkernel import apply_heat_semigroup
+from sbmre.heatkernel import apply_heat_semigroup, apply_spectral_multiplier, heat_multiplier
 from sbmre.spde import (
     NoisePath,
     Route,
     RouteDisagreementError,
     SchemeOverflowError,
-    Splitting,
     derivative_quotient,
     ensemble_noise,
     pam_log_max_series,
@@ -263,9 +262,11 @@ def test_pam_is_linear_on_shared_noise():
     f2 = bump(grid, center=1.3, width=0.4, height=0.7)
     both = GridFunction(grid, f1.values + f2.values)
     noise = NoisePath(grid, ScaledTheta(1.0), dt=1e-3, seed=6)
-    # the raw linear flow is additive to roundoff
-    raw = [solve_pam(f, 0.25, noise, clamp_negatives=False).values
-           for f in (f1, f2, both)]
+    # lifted off zero the floor never acts, and the linear flow is additive to roundoff
+    lifted = [GridFunction(grid, 1.0 + f.values) for f in (f1, f2)]
+    lifted.append(GridFunction(grid, lifted[0].values + lifted[1].values))
+    raw = [solve_pam(f, 0.25, noise).values for f in lifted]
+    assert min(r.min() for r in raw) > 0.5
     assert np.abs(raw[2] - (raw[0] + raw[1])).max() / raw[2].max() <= 1e-12
     # the positivity floor acts at the heat kernel's truncation-lobe scale,
     # so the production solver is additive only to that scale
@@ -397,34 +398,50 @@ def test_log_max_series_renormalizes_and_shifts_exactly():
 FUSION_ROUTES = (Route(), Route(0.7, reaction=True), Route(correction=False))
 
 
-def step_loop(f, T, noise, routes, save_every, clamp):
-    """solve_routes by a loop of whole Strang steps, each with both half heat steps."""
-    scheme = Splitting(noise.grid, noise.dt, reaction=tuple(r.reaction for r in routes),
-                       clamp=clamp)
+def step_loop(f, T, noise, routes, save_every):
+    """solve_routes by a loop of whole Strang steps, each with both half heat steps.
+
+    Built from the heat primitives alone, with no positivity floor.
+    """
+    half = heat_multiplier(noise.grid, noise.dt / 2.0)
+    shape = noise.grid.shape
+
+    def heat(v):
+        return apply_spectral_multiplier(v, half, shape)
+
     n = int(round(T / noise.dt))
     idx = list(range(0, n + 1, save_every or n))
-    states = np.stack([r.scale * np.broadcast_to(f.values, (noise.n_replicas,) + f.grid.shape)
+    states = np.stack([r.scale * np.broadcast_to(f.values, (noise.n_replicas,) + shape)
                        for r in routes])
     saves = [states.copy()]
     for k in range(n):
         dW = noise.increment(k)
-        factors = [(slice(i, i + 1), np.exp(dW - (0.5 * noise.diagonal * noise.dt
-                                                   if r.correction else 0.0)))
-                   for i, r in enumerate(routes)]
-        states = scheme.leave(scheme.pointwise(scheme.enter(states), factors, k))
+        states = heat(states)
+        for i, r in enumerate(routes):
+            if r.reaction:
+                states[i] = states[i] / (1.0 + states[i] * (noise.dt / 2.0))
+            drift = 0.5 * noise.diagonal * noise.dt if r.correction else 0.0
+            states[i] = states[i] * np.exp(dW - drift)
+        states = heat(states)
         if k + 1 in idx:
             saves.append(states.copy())
     return np.stack(saves, axis=1)
 
 
-@pytest.mark.parametrize("save_every", [None, 1, 7])
-def test_fused_symmetric_march_equals_step_loop(save_every):
-    grid = Grid(1, 8.0, 32)
-    f = bump(grid, width=0.7)
+FUSION_GRIDS = (("", Grid(1, 8.0, 32)), ("2d-", Grid(2, 4.0, 8)), ("3d-", Grid(3, 4.0, 6)))
+
+
+@pytest.mark.parametrize("grid, save_every", [
+    pytest.param(grid, save_every, id=f"{tag}{save_every}")
+    for tag, grid in FUSION_GRIDS for save_every in (None, 1, 7)])
+def test_fused_symmetric_march_equals_step_loop(grid, save_every):
+    # lifted off zero, so the fused march's floor never acts and the loop needs none
+    f = GridFunction(grid, 1.0 + bump(grid, width=0.7).values)
     noise = NoisePath(grid, ScaledTheta(1.3), dt=1e-2, seed=21, n_replicas=3)
     # 21 steps: save_every=7 saves the final step
-    _, fused = solve_routes(f, 0.21, noise, FUSION_ROUTES, save_every, clamp=False)
-    loop = step_loop(f, 0.21, noise, FUSION_ROUTES, save_every, clamp=False)
+    _, fused = solve_routes(f, 0.21, noise, FUSION_ROUTES, save_every)
+    loop = step_loop(f, 0.21, noise, FUSION_ROUTES, save_every)
+    assert loop.min() > 0.0
     assert fused.shape == loop.shape
     for i in range(fused.shape[1]):
         gap = np.abs(fused[:, i] - loop[:, i]).max() / np.abs(loop[:, i]).max()
@@ -447,8 +464,9 @@ def test_fused_march_takes_one_heat_transform_per_step(monkeypatch, grid):
     for save_every, inner_saves in ((None, 0), (7, 2), (1, n - 1)):
         calls.clear()
         solve_routes(f, n * noise.dt, noise, FUSION_ROUTES, save_every)
-        # an unfused march of whole steps takes 2 n
-        assert len(calls) <= n + inner_saves + 1
+        # an unfused march of whole steps takes 2 n; a march that bypasses
+        # spde.apply_spectral_multiplier records none
+        assert len(calls) == n + inner_saves + 1
 
 
 def test_log_max_renormalizes_and_matches_unrenormalized_march(monkeypatch):
@@ -457,16 +475,16 @@ def test_log_max_renormalizes_and_matches_unrenormalized_march(monkeypatch):
     noise = NoisePath(grid, ScaledTheta(400.0), dt=1e-3, seed=17, n_replicas=4)
     T, save_every = 4.0, 250
     held = []
-    leave = Splitting.leave
+    inner = spde.apply_spectral_multiplier
 
-    def spy(self, v):
-        held.append(float(v.max()))
-        return leave(self, v)
+    def spy(values, multiplier, shape):
+        held.append(float(values.max()))
+        return inner(values, multiplier, shape)
 
-    monkeypatch.setattr(Splitting, "leave", spy)
+    monkeypatch.setattr(spde, "apply_spectral_multiplier", spy)
     _, rows = pam_log_max_series(f, T, noise, save_every, correction=False)
-    monkeypatch.setattr(Splitting, "leave", leave)
-    # the log-max passes the renormalization limit while the held state stays below it
+    monkeypatch.setattr(spde, "apply_spectral_multiplier", inner)
+    # the log-max passes the renormalization limit while every heat input stays below it
     assert rows.max() > math.log(spde._RENORM_LIMIT)
     assert max(held) <= spde._RENORM_LIMIT
     with np.errstate(over="ignore", divide="ignore"):

@@ -22,6 +22,18 @@ Point sets are deduplicated before factoring, so coincident points share one
 field value; in d = 1 the dedup is a plain 1-d np.unique, which gives the
 same rows and inverse as np.unique(axis=0) without its structured-dtype sort.
 
+Draw layout: a draw of k fields takes its normals as z of shape (k, r), one
+row per field, and returns the rows of z @ root^T, shape (k, m), with no
+transpose.  So the normals of k fields are exactly the first k rows of a
+longer draw's, and two consecutive draws on one generator take the normals of
+one draw of the summed width.  The fields follow bit for bit wherever the
+BLAS product computes a row alike whatever the row count.  numpy hands a lone
+row to gemv, whose bits differ from gemm's, so a batch of one field is
+stacked with a copy of itself.  OpenBLAS may still pick another kernel for
+the last m mod 8 columns of a long draw (seen at m = 17, 100 and 500, never at a
+multiple of 8); spde.NoisePath does not rely on it, as its blocks fall at
+fixed steps.  A single field (batch=None) stays a matrix-vector product.
+
 Separable kernels on grids: when C(x, y) = prod_i c(x_i - y_i) over the d axes
 (the Gaussian ScaledTheta; see CovarianceKernel.axis_kernel), the covariance
 over a d-dimensional grid is the Kronecker power c_mat ⊗ ... ⊗ c_mat of the
@@ -38,6 +50,7 @@ for byte.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dpstrf
@@ -266,15 +279,22 @@ class KroneckerRoot:
         self.dim = int(dim)
         n, r = axis_root.shape
         self.shape = (n**self.dim, r**self.dim)
+        self._axis_root_t = np.ascontiguousarray(axis_root.T)
 
-    def __matmul__(self, z: np.ndarray) -> np.ndarray:
-        """root @ z for z of shape (r**dim, cols): one axis contraction per axis."""
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        """z @ root.T for z of shape (cols, r**dim): the root applied to each row.
+
+        The last axis is one GEMM over all rows; each other axis, from the
+        back, is one batch of (n, r) @ (r, n**k) products, k the number of
+        axes already contracted behind it.
+        """
         n, r = self.axis_root.shape
-        out = z
-        for k in range(self.dim):
-            # axes before k are contracted (length n), axis k is next (length r)
-            out = np.matmul(self.axis_root, out.reshape(n**k, r, -1))
-        return out.reshape(self.shape[0], -1)
+        cols = len(z)
+        out = z.reshape(-1, r) @ self._axis_root_t
+        for k in range(1, self.dim):
+            # axis dim-1-k is next (length r); the k axes behind it are done (length n)
+            out = np.matmul(self.axis_root, out.reshape(cols * r ** (self.dim - 1 - k), r, n**k))
+        return out.reshape(cols, self.shape[0])
 
 
 class GaussianFieldFactor:
@@ -303,23 +323,38 @@ class GaussianFieldFactor:
     def n_points(self) -> int:
         return len(self.index_map)
 
+    @cached_property
+    def _root_t(self) -> np.ndarray:
+        return np.ascontiguousarray(self.root.T)
+
+    def fields(self, z: np.ndarray) -> np.ndarray:
+        """root @ z_i for each row z_i of z (cols, r): (cols, m) values on the distinct points.
+
+        A 1-d z (one field) is a matrix-vector product with the root as built.
+        """
+        if isinstance(self.root, KroneckerRoot):
+            return self.root.apply(z.reshape(-1, z.shape[-1])).reshape(z.shape[:-1] + (-1,))
+        if z.ndim == 1:
+            return self.root @ z
+        if len(z) == 1:  # numpy hands a lone row to gemv, whose bits differ from gemm's
+            return (np.concatenate((z, z)) @ self._root_t)[:1]
+        return z @ self._root_t
+
     def sample(self, rng, dt: float = 1.0, batch: int = None) -> np.ndarray:
         """Draw a centered Gaussian field with covariance C * dt.
 
         Returns out_shape for batch=None, else (batch,) + out_shape.  Each call
-        is an independent draw (white in time).
+        is an independent draw (white in time), with one row of normals per
+        field (see the draw layout in the module docstring).
         """
         if dt < 0:
             raise ValueError(f"dt must be nonnegative, got {dt}")
         rank = self.root.shape[1]
-        cols = 1 if batch is None else int(batch)
-        z = rng.standard_normal((rank, cols))
-        vals = math.sqrt(dt) * (self.root @ z)  # (m, cols)
+        z = rng.standard_normal(rank if batch is None else (int(batch), rank))
+        vals = math.sqrt(dt) * self.fields(z)  # (m,) or (batch, m)
         if self._scatter:
-            vals = vals[self.index_map, :]
-        if batch is None:
-            return vals[:, 0].reshape(self.out_shape)
-        return np.moveaxis(vals, -1, 0).reshape((cols,) + self.out_shape)
+            vals = vals[..., self.index_map]
+        return vals.reshape(vals.shape[:-1] + self.out_shape)
 
 
 def _factor_matrix(matrix, sup_bound):

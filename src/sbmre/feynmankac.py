@@ -39,6 +39,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import stdtrit
 
 from .covariance import CovarianceKernel, ScaledTheta
 from .ensemble import batch_ranges, mean_se, stream_rng
@@ -319,6 +320,9 @@ class LyapunovEstimate:
     conclusive: bool
 
 
+PLATEAU_LEVEL = 0.01  # false-alarm rate of the plateau verdict
+
+
 def _window_slopes(times: np.ndarray, rows: np.ndarray, lo: float, hi: float) -> np.ndarray:
     mask = (times >= lo - 1e-12) & (times <= hi + 1e-12)
     if mask.sum() < 2:
@@ -334,9 +338,13 @@ def lyapunov_estimate(kernel: CovarianceKernel, grid: Grid, T: float, dt: float,
     """Least-squares slope of log max_x of the multiplicative flow over [T/2, T].
 
     Fits each replica separately and reports the median with the interquartile
-    band.  The verdict is conclusive only when the late-window median agrees
-    with the [T/4, T/2] median within the late interquartile range; otherwise
-    the slope has not stabilized and the numbers are exploratory.
+    band.  The verdict is a two-sided paired t-test at level PLATEAU_LEVEL of
+    equal mean slopes over [T/4, T/2] and [T/2, T]: both windows of a replica
+    ride one path, and replicas are independent, so the late-minus-early
+    differences d_i are i.i.d.  It is conclusive when |mean d| is within the
+    Student-t quantile times the standard error of mean d; otherwise the slope
+    has not stabilized and the numbers are exploratory.  On a plateau with
+    Gaussian d, a run reads inconclusive with probability PLATEAU_LEVEL.
     """
     if n_replicas < 2:
         raise ValueError("need at least 2 replicas for a band")
@@ -348,8 +356,10 @@ def lyapunov_estimate(kernel: CovarianceKernel, grid: Grid, T: float, dt: float,
     late = _window_slopes(times, rows, T / 2.0, T)
     early = _window_slopes(times, rows, T / 4.0, T / 2.0)
     q25, q75 = np.percentile(late, [25.0, 75.0])
-    iqr = max(q75 - q25, 1e-12)
-    conclusive = abs(float(np.median(late)) - float(np.median(early))) <= iqr
+    d = late - early
+    se = float(np.std(d, ddof=1)) / math.sqrt(d.size)
+    k = float(stdtrit(d.size - 1, 1.0 - PLATEAU_LEVEL / 2.0))  # Student-t quantile
+    conclusive = abs(float(np.mean(d))) <= k * se
     return LyapunovEstimate(slopes=late, early_slopes=early,
                             median=float(np.median(late)), band=(float(q25), float(q75)),
                             conclusive=bool(conclusive))

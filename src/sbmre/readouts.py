@@ -5,7 +5,7 @@ The smooth entries also expose their Laplacian and their exact heat flow;
 the martingale-residual and mean-measure checks consume those directly, so
 closed forms here double as oracles for the quadrature-based heat tools.
 
-Catalog names accepted by parse_readout: ``constant``, ``constant(v)``,
+Catalog names accepted by parse_readout: ``constant``, ``constant(v)`` (v >= 0),
 ``gaussian_bump(center, width)``, ``indicator_ball(center, radius)``.
 Scalar centers are broadcast across axes.
 """
@@ -101,6 +101,8 @@ def parse_readout(text: str):
     if name == "constant":
         if len(args) > 1:
             raise ValueError(f"constant takes at most one argument, got {text!r}")
+        if args and args[0] < 0:  # readouts seed the routes' initial data, which are >= 0
+            raise ValueError(f"constant must be nonnegative, got {text!r}")
         return ConstantReadout(*args)
     if name == "gaussian_bump":
         if len(args) != 2:

@@ -31,7 +31,9 @@ between routes hold as in a loop of whole steps.
 Noise is generated in chunks keyed by (seed, stream_key, chunk index) and is
 regenerable: replaying a NoisePath, or sharing one between solvers, yields
 bit-identical increments.  That determinism is what makes the pathwise
-comparison inequalities between the two equations testable at 1e-12.
+comparison inequalities between the two equations testable at 1e-12.  Only
+the steps a march reads are drawn, in blocks that double from the start of
+each chunk, so a march of n steps draws at most n steps plus its last block.
 
 Routes that share a NoisePath march as one stack (solve_routes): a state
 shaped (n_routes, n_replicas, *grid.shape) takes, per step, one increment,
@@ -73,12 +75,18 @@ class NoisePath:
 
     Increments over [k dt, (k+1) dt) are centered Gaussian fields with
     covariance C(x, y) dt, independent across steps and across the
-    `n_replicas` leading axis.  Generation is lazy and chunked, and only the
-    chunk read last is kept, so memory stays at one chunk however long the
-    path; chunk c is a pure function of (seed, stream_key, c), so reading an
-    earlier step again regenerates its chunk bit-identically, and any
-    increment replays bit-identically in another NoisePath.  Routes that
-    need the same steps should therefore march together (solve_routes).
+    `n_replicas` leading axis.  Steps come in chunks of chunk_steps, and
+    chunk c draws from the stream (seed, stream_key, c), one row of normals
+    per step and replica, so its steps are a prefix-stable sequence.  Only
+    the steps read are drawn: the path keeps the live generator of the chunk
+    it is reading and draws that chunk in blocks of 1, 2, 4, ... steps from
+    its start, never past its end, keeping only the block drawn last, so
+    memory stays at one block however long the path.  The blocks of a chunk
+    always fall at the same steps, so an increment does not depend on how it
+    was reached: reading a step before the kept block, or in another chunk,
+    regenerates that chunk from its key, and any increment replays
+    bit-identically, in this NoisePath or another one.  Routes that need the
+    same steps should therefore march together (solve_routes).
     """
 
     def __init__(self, grid: Grid, kernel: CovarianceKernel, dt: float, seed: int,
@@ -94,31 +102,34 @@ class NoisePath:
         self.n_replicas = int(n_replicas)
         self.stream_key = tuple(int(k) for k in stream_key)
         if chunk_steps is None:
-            # keep a chunk around 2M floats regardless of replica count
+            # a new stream key about every 2M values, regardless of replica count
             chunk_steps = max(1, 2_000_000 // (self.n_replicas * grid.n_points))
         self.chunk_steps = int(chunk_steps)
         self.factor = grid_covariance_factor(kernel, grid)
-        self._memo = (None, None)  # (chunk index, block) of the chunk read last
+        self._chunk = None  # index of the chunk whose generator is live
+        self._rng = None
+        self._drawn = 0  # steps of that chunk drawn so far; the block ends there
+        self._block = None  # the block drawn last, (steps, n_replicas, *grid.shape)
 
     @property
     def diagonal(self) -> float:
         """C(x, x), the constant variance rate entering the Ito correction."""
         return self.kernel.diagonal_value()
 
-    def _chunk(self, c: int) -> np.ndarray:
-        if self._memo[0] != c:
-            flat = self.factor.sample(stream_rng(self.seed, self.stream_key + (c,)), dt=self.dt,
-                                      batch=self.chunk_steps * self.n_replicas)
-            block = flat.reshape((self.chunk_steps, self.n_replicas) + self.grid.shape)
-            self._memo = (c, block)
-        return self._memo[1]
-
     def increment(self, step: int) -> np.ndarray:
         """Increment dW for the given step, shaped (n_replicas, *grid.shape)."""
         if step < 0:
             raise ValueError(f"step must be nonnegative, got {step}")
         c, offset = divmod(int(step), self.chunk_steps)
-        return self._chunk(c)[offset]
+        if c != self._chunk or offset < self._drawn - len(self._block):
+            self._rng, self._drawn = stream_rng(self.seed, self.stream_key + (c,)), 0
+        while offset >= self._drawn:
+            self._chunk = None  # until the block is in: a draw that raises leaves no half state
+            size = min(2 * len(self._block) if self._drawn else 1, self.chunk_steps - self._drawn)
+            flat = self.factor.sample(self._rng, dt=self.dt, batch=size * self.n_replicas)
+            self._block = flat.reshape((size, self.n_replicas) + self.grid.shape)
+            self._chunk, self._drawn = c, self._drawn + size
+        return self._block[offset - self._drawn + len(self._block)]
 
 
 def batch_noise(grid: Grid, kernel: CovarianceKernel, dt: float, seed: int,
@@ -259,8 +270,7 @@ def _noise_factors(noise: NoisePath, routes: tuple):
 
     def factors(k):
         dW = noise.increment(k)
-        with np.errstate(over="ignore"):
-            exps = {d: np.exp(dW - d) for d in set(drifts)}
+        exps = {d: np.exp(dW - d) for d in set(drifts)}
         return [(sl, exps[d]) for d, sl in drift_runs]
 
     return factors
@@ -305,26 +315,26 @@ def _evolve(states: np.ndarray, grid: Grid, dt: float, factors, save_idx,
     if 0 in wanted:
         record(0, states.copy())
     pending = heat(states, half)
-    for k in range(n_steps):
-        for sl in reacting:
-            block = pending[sl]
-            np.divide(block, 1.0 + block * (dt / 2.0), out=block)
-        with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # an overflow is caught below, with its step
+        for k in range(n_steps):
+            for sl in reacting:
+                block = pending[sl]
+                np.divide(block, 1.0 + block * (dt / 2.0), out=block)
             for index, factor in factors(k):
                 np.multiply(pending[index], factor, out=pending[index])
-        if not np.all(np.isfinite(pending)):
-            raise SchemeOverflowError(f"state left the finite range at step {k}", k)
-        if track_log_max:
-            peak = pending.max(axis=axes)
-            big = peak > _RENORM_LIMIT
-            if np.any(big):
-                scale = np.where(big, peak, 1.0)
-                pending = pending / scale.reshape(scale.shape + (1,) * len(axes))
-                log_offset = log_offset + np.log(scale)
-        if k + 1 in wanted:
-            record(k + 1, heat(pending, half))
-        if k + 1 < n_steps:
-            pending = heat(pending, full)
+            if not np.isfinite(pending.max()):  # states are >= 0: one reduction sees inf and nan
+                raise SchemeOverflowError(f"state left the finite range at step {k}", k)
+            if track_log_max:
+                peak = pending.max(axis=axes)
+                big = peak > _RENORM_LIMIT
+                if np.any(big):
+                    scale = np.where(big, peak, 1.0)
+                    pending = pending / scale.reshape(scale.shape + (1,) * len(axes))
+                    log_offset = log_offset + np.log(scale)
+            if k + 1 in wanted:
+                record(k + 1, heat(pending, half))
+            if k + 1 < n_steps:
+                pending = heat(pending, full)
     return [saved[int(i)] for i in save_idx]
 
 

@@ -133,6 +133,7 @@ SCALED = {"kernel.type": "scaled", "kernel.level": None, "kernel.a": "1.0"}
     ("params.t", "inf", {}),
     ("readouts.f", "gaussian_bump(nan, 1.0)", {}),  # was "config ok", then exit 3 in a run
     ("readouts.f", "constant(inf)", {}),
+    ("readouts.f", "constant(-1.0)", {}),  # was "config ok", then exit 3 in a run
 ])
 def test_non_finite_config_numbers_exit_2_with_one_line(tmp_path, capsys, key, value, extra):
     cfg_path = write_config(tmp_path, **{**extra, key: value})

@@ -160,14 +160,34 @@ def test_duplicated_points_share_field_value():
     points_covariance_factor(ScaledTheta(1.0), [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]),
 ], ids=["grid-1d", "kronecker-2d", "dense-2d", "constant", "dedup", "dedup-unsorted"])
 def test_sample_scatters_through_the_index_map(factor):
-    # reference: the full gather root @ z -> values[index_map] of every draw
+    # reference: the full gather of the fields, values[..., index_map], of every draw
+    rank = factor.root.shape[1]
     for batch in (None, 5):
-        cols = 1 if batch is None else batch
-        z = np.random.default_rng(11).standard_normal((factor.root.shape[1], cols))
-        ref = (math.sqrt(0.3) * (factor.root @ z))[factor.index_map, :]
-        ref = np.moveaxis(ref, -1, 0).reshape((cols,) + factor.out_shape)
+        lead = () if batch is None else (batch,)
+        z = np.random.default_rng(11).standard_normal(lead + (rank,))
+        ref = (math.sqrt(0.3) * factor.fields(z))[..., factor.index_map]
         draw = factor.sample(np.random.default_rng(11), dt=0.3, batch=batch)
-        assert np.array_equal(draw, ref if batch is not None else ref[0])
+        assert np.array_equal(draw, ref.reshape(lead + factor.out_shape))
+
+
+PREFIX_CASES = {
+    "dense-1d": grid_covariance_factor(ScaledTheta(1.3), Grid(1, 8.0, 32)),
+    "dense-2d": grid_covariance_factor(StationaryPower(0.5, 2.0), Grid(2, 4.0, 6)),
+    "kronecker-2d": grid_covariance_factor(ScaledTheta(0.8, GaussianProfile(0.7)), Grid(2, 4.0, 8)),
+    "kronecker-3d": grid_covariance_factor(ScaledTheta(1.0), Grid(3, 8.0, 16)),
+    "dedup-scatter": points_covariance_factor(
+        ScaledTheta(1.0), [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.5, 0.5]]),
+}
+
+
+@pytest.mark.parametrize("factor", PREFIX_CASES.values(), ids=PREFIX_CASES.keys())
+@pytest.mark.parametrize("widths", [(3, 5), (8, 1, 4)], ids=["3+5", "8+1+4"])
+def test_consecutive_draws_equal_one_wide_draw(factor, widths):
+    # one row of normals per field: k fields are the first k of a longer draw
+    rng = np.random.default_rng(5)
+    parts = [factor.sample(rng, dt=0.7, batch=w) for w in widths]
+    wide = factor.sample(np.random.default_rng(5), dt=0.7, batch=sum(widths))
+    assert np.array_equal(np.concatenate(parts), wide)
 
 
 @pytest.mark.parametrize("profile", [GaussianProfile(1.0), GaussianProfile(0.3),
@@ -264,8 +284,8 @@ def test_separable_root_applies_the_dense_cholesky(kern, grid):
     axis_root = _axis_factor(kern, grid).root
     assert np.array_equal(factor.root.axis_root, axis_root)
     dense = functools.reduce(np.kron, [axis_root] * grid.dim)
-    z = np.random.default_rng(8).standard_normal((dense.shape[1], 7))
-    assert np.max(np.abs(factor.root @ z - dense @ z)) < 1e-12
+    z = np.random.default_rng(8).standard_normal((7, dense.shape[1]))
+    assert np.max(np.abs(factor.root.apply(z) - z @ dense.T)) < 1e-12
 
 
 def test_separable_jitter_is_the_diagonal_change():

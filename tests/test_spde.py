@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from sbmre import spde
-from sbmre.covariance import Constant, ScaledTheta
+from sbmre.covariance import Constant, GaussianFieldFactor, ScaledTheta
 from sbmre.grids import Grid, GridFunction
 from sbmre.heatkernel import apply_heat_semigroup, apply_spectral_multiplier, heat_multiplier
 from sbmre.spde import (
@@ -74,18 +74,62 @@ def test_noise_path_replay_and_layout():
         NoisePath(grid, kern, dt=0.01, seed=1, n_replicas=0)
 
 
-def test_noise_path_keeps_one_chunk():
+def test_noise_path_keeps_one_block():
     grid = Grid(1, 8.0, 32)
-    path = NoisePath(grid, ScaledTheta(0.7), dt=0.01, seed=123, n_replicas=2, chunk_steps=4)
+    path = NoisePath(grid, ScaledTheta(0.7), dt=0.01, seed=123, n_replicas=2, chunk_steps=9)
     first = path.increment(0).copy()
-    # each increment is a view of its chunk; a chunk no longer held is freed
-    chunks = [weakref.ref(path.increment(c * path.chunk_steps).base) for c in range(4)]
-    solve_pam(GridFunction.constant(grid, 1.0), 0.14, path)  # 14 steps: chunks 0..3
+    # each increment is a view of its block; a block no longer held is freed
+    blocks = [weakref.ref(path.increment(s).base) for s in range(22)]
+    assert len({id(ref()) for ref in blocks if ref() is not None}) <= 1
+    solve_pam(GridFunction.constant(grid, 1.0), 0.22, path)  # 22 steps: chunks 0..2
     gc.collect()
-    assert sum(ref() is not None for ref in chunks) <= 1
+    assert sum(ref() is not None for ref in blocks) <= 1
     assert np.array_equal(path.increment(0), first)
-    fresh = NoisePath(grid, ScaledTheta(0.7), dt=0.01, seed=123, n_replicas=2, chunk_steps=4)
-    assert np.array_equal(fresh.increment(13), path.increment(13))
+    fresh = NoisePath(grid, ScaledTheta(0.7), dt=0.01, seed=123, n_replicas=2, chunk_steps=9)
+    assert np.array_equal(fresh.increment(21), path.increment(21))
+
+
+@pytest.mark.parametrize("grid, replicas", [(Grid(1, 8.0, 32), 1), (Grid(1, 8.0, 32), 3),
+                                            (Grid(2, 4.0, 8), 2), (Grid(3, 4.0, 6), 2)],
+                         ids=["1d-1", "1d-3", "2d-2", "3d-2"])
+def test_noise_path_increments_do_not_depend_on_the_reading_order(grid, replicas):
+    def path():
+        return NoisePath(grid, ScaledTheta(1.3), dt=1e-2, seed=21, n_replicas=replicas,
+                         chunk_steps=11)
+
+    forward = path()
+    steps = range(30)  # chunks 0..2, the last one cut short
+    ref = [forward.increment(k).copy() for k in steps]
+    back = path()
+    for k in (17, 4, 29, 0, 12, 11, 10, 28, 3):  # jumps back within and across chunks
+        assert np.array_equal(back.increment(k), ref[k])
+    for k in reversed(steps):
+        assert np.array_equal(path().increment(k), ref[k])
+        assert np.array_equal(forward.increment(k), ref[k])
+
+
+def test_march_draws_at_most_its_reads_plus_the_last_block(monkeypatch):
+    grid = Grid(1, 8.0, 64)
+    drawn = []
+    inner = GaussianFieldFactor.sample
+
+    def spy(self, rng, dt=1.0, batch=None):
+        out = inner(self, rng, dt, batch)
+        drawn.append(out.size)
+        return out
+
+    monkeypatch.setattr(GaussianFieldFactor, "sample", spy)
+    for T, replicas, chunk_steps in ((0.05, 3, None), (1.0, 4, None), (0.3, 2, 64)):
+        drawn.clear()
+        noise = NoisePath(grid, ScaledTheta(1.0), dt=1e-3, seed=4, n_replicas=replicas,
+                          chunk_steps=chunk_steps)
+        solve_pam(bump(grid), T, noise)
+        read = round(T / noise.dt) * replicas * grid.n_points  # steps 0..n-1
+        assert read <= sum(drawn) <= read + drawn[-1]
+        # the first block is one step; whole chunks are drawn only when read through
+        assert drawn[0] == replicas * grid.n_points
+        chunks = -(-round(T / noise.dt) // noise.chunk_steps)
+        assert sum(drawn) < chunks * noise.chunk_steps * replicas * grid.n_points
 
 
 def test_states_at_times_equal_final_states_of_separate_solves():
@@ -256,7 +300,7 @@ def test_quotient_closed_form_and_delta_ladder():
     assert gaps[0] > gaps[1] > gaps[2]
 
 
-def test_pam_is_linear_on_shared_noise():
+def test_pam_is_linear_on_shared_noise(monkeypatch):
     grid = Grid(1, 8.0, 64)
     f1 = bump(grid, center=-1.0, width=0.5)
     f2 = bump(grid, center=1.3, width=0.4, height=0.7)
@@ -265,8 +309,18 @@ def test_pam_is_linear_on_shared_noise():
     # lifted off zero the floor never acts, and the linear flow is additive to roundoff
     lifted = [GridFunction(grid, 1.0 + f.values) for f in (f1, f2)]
     lifted.append(GridFunction(grid, lifted[0].values + lifted[1].values))
+    lows = []
+    inner = spde.apply_spectral_multiplier
+
+    def spy(values, multiplier, shape):
+        out = inner(values, multiplier, shape)
+        lows.append(float(out.min()))  # before the march floors it
+        return out
+
+    monkeypatch.setattr(spde, "apply_spectral_multiplier", spy)
     raw = [solve_pam(f, 0.25, noise).values for f in lifted]
-    assert min(r.min() for r in raw) > 0.5
+    monkeypatch.setattr(spde, "apply_spectral_multiplier", inner)
+    assert len(lows) == 3 * (250 + 1) and min(lows) >= 0.0
     assert np.abs(raw[2] - (raw[0] + raw[1])).max() / raw[2].max() <= 1e-12
     # the positivity floor acts at the heat kernel's truncation-lobe scale,
     # so the production solver is additive only to that scale

@@ -4,7 +4,7 @@ spatially correlated random environment.
 Modules
 -------
 covariance   noise kernels and exact Gaussian field sampling
-heatkernel   deterministic heat-flow toolkit and regime classification
+heatkernel   torus heat semigroup, Riesz and Green potentials, persistence threshold
 spde         splitting-scheme solvers for the linear and log-Laplace equations
 particles    branching random walk with environment-tilted offspring law
 feynmankac   Brownian-pair moment formulas, annealed moments, growth probes

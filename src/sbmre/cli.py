@@ -105,7 +105,7 @@ class ExperimentConfig:
     def param(self, key: str, default: float) -> float:
         value = self.params.get(key, default)
         if isinstance(value, tuple):
-            raise ConfigError(f"param {key} must be a single number")
+            raise ConfigError(f"[params] {key} must be a single number, got {value}")
         return float(value)
 
     def param_count(self, key: str, default: int) -> int:

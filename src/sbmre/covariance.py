@@ -73,7 +73,8 @@ class IndefiniteKernelError(np.linalg.LinAlgError):
 class EnvelopeTraits:
     """Analytic facts about a radial envelope that quadratures can rely on.
 
-    ``None`` means unknown; numerical checks take over in that case.
+    ``None`` means unknown; the potential routines refuse an envelope that
+    declares neither a divergent potential nor a nonincreasing profile.
     """
 
     divergent_potential: bool = None  # integral of r * g(r) diverges

@@ -357,9 +357,9 @@ def lyapunov_estimate(kernel: CovarianceKernel, grid: Grid, T: float, dt: float,
     early = _window_slopes(times, rows, T / 4.0, T / 2.0)
     q25, q75 = np.percentile(late, [25.0, 75.0])
     d = late - early
-    se = float(np.std(d, ddof=1)) / math.sqrt(d.size)
+    mean, se = mean_se(d)
     k = float(stdtrit(d.size - 1, 1.0 - PLATEAU_LEVEL / 2.0))  # Student-t quantile
-    conclusive = abs(float(np.mean(d))) <= k * se
+    conclusive = abs(mean) <= k * se
     return LyapunovEstimate(slopes=late, early_slopes=early,
                             median=float(np.median(late)), band=(float(q25), float(q75)),
                             conclusive=bool(conclusive))

@@ -1,16 +1,16 @@
-"""Deterministic heat-flow toolkit: kernels, semigroup, potentials, regime tests.
+"""Deterministic heat flow and the persistence potential.
 
-Free-space objects (heat kernel, Green function, Riesz potentials) are exact
-closed forms or one-dimensional quadratures.  Field evolution happens on the
-periodic torus of a Grid via the spectral heat semigroup, which is exact for
-the lattice Laplacian's continuum symbol: multiplication by exp(-t|w|^2/2) in
-Fourier space.  That symbol is a product over the axes, so the same operator
-is the Kronecker power of one 1-d circulant matrix, applied as one (n, n)
-contraction per axis; only a 1-d grid of more than 128 cells keeps the
-rfft/irfft pair, which is faster there.  Periodization error against
-whole-space claims is controlled by choosing the extent large against
-sqrt(t); experiments record grid metadata so refinement sensitivity can be
-checked by rerunning.
+Riesz and Green potentials are one-dimensional quadratures, and free-space
+heat flow at points is a Gauss-Hermite quadrature.  Field evolution happens
+on the periodic torus of a Grid via the spectral heat semigroup, which is
+exact for the lattice Laplacian's continuum symbol: multiplication by
+exp(-t|w|^2/2) in Fourier space.  That symbol is a product over the axes, so
+the same operator is the Kronecker power of one 1-d circulant matrix,
+applied as one (n, n) contraction per axis; only a 1-d grid of more than 128
+cells keeps the rfft/irfft pair, which is faster there.  Periodization error
+against whole-space claims is controlled by choosing the extent large
+against sqrt(t); experiments record grid metadata so refinement sensitivity
+can be checked by rerunning.
 
 The persistence check compares the supremum of the Riesz potential of the
 correlation envelope g,
@@ -23,35 +23,31 @@ radial g the potential at radius r reduces by the Newton shell average
 
     I(r) = omega_{d-1} [ r^(2-d) int_0^r g(s) s^(d-1) ds + int_r^inf g(s) s ds ],
 
-leaving only one-dimensional quadratures.
+leaving only one-dimensional quadratures.  The potential routines take a
+CovarianceKernel and read its EnvelopeTraits: a declared-divergent envelope
+has theta = inf, a declared radially nonincreasing one has its supremum at
+the origin, theta = I(0), and any other envelope is refused.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.optimize import minimize_scalar
 
 from . import covariance as cov
 from .grids import Grid, GridFunction, PolynomialWeight
 
 __all__ = [
-    "heat_kernel",
     "apply_heat_semigroup",
     "heat_at_points",
-    "green_function",
     "persistence_threshold",
     "riesz_potential",
     "riesz_potential_sup",
     "green_potential_sup",
-    "bridge_potential",
     "khasminskii_bound",
-    "classify_regime",
     "weight_domination_constant",
     "surface_area",
     "QuadratureError",
-    "RegimeReport",
 ]
 
 _HERMITE_NODES = 40  # Gauss-Hermite nodes per axis in heat_at_points
@@ -67,18 +63,6 @@ def surface_area(dim: int) -> float:
     return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
 
 
-def heat_kernel(t: float, x, dim: int):
-    """Gaussian transition density (2 pi t)^(-dim/2) exp(-|x|^2 / (2t))."""
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
-    x = np.asarray(x, dtype=float)
-    if x.ndim > 0 and x.shape[-1] == dim:
-        sq = np.sum(x * x, axis=-1)  # points with a coordinate axis
-    else:
-        sq = x * x  # scalar radius or an array of radii
-    return (2.0 * math.pi * t) ** (-dim / 2.0) * np.exp(-sq / (2.0 * t))
-
-
 def heat_multiplier(grid: Grid, t: float) -> np.ndarray:
     """The torus heat operator exp(-t |omega|^2 / 2) in the form
     apply_spectral_multiplier takes.
@@ -86,10 +70,12 @@ def heat_multiplier(grid: Grid, t: float) -> np.ndarray:
     Every grid gets the (n, n) circulant matrix of the 1-d symbol, whose
     Kronecker power over the axes is the operator; its kernel is averaged
     with its reflection, so the matrix is exactly symmetric and a row
-    contraction applies the same matrix as a column contraction.  A 1-d grid
-    of more than _CONTRACTION_MAX_CELLS cells gets the symbol on the rfft
-    half-spectrum instead: there the transform pair is faster, and the
-    matrix would take O(n^2) memory.
+    contraction applies the same matrix as a column contraction.  A 1-d
+    grid's matrix carries zero columns up to a multiple of 8 (see
+    apply_spectral_multiplier).  A 1-d grid of more than
+    _CONTRACTION_MAX_CELLS cells gets the symbol on the rfft half-spectrum
+    instead: there the transform pair is faster, and the matrix would take
+    O(n^2) memory.
     """
     w = grid.angular_frequencies()
     symbol = np.exp(-0.5 * t * (w * w))
@@ -99,7 +85,8 @@ def heat_multiplier(grid: Grid, t: float) -> np.ndarray:
     kernel = np.fft.irfft(symbol, n=n)
     offsets = np.arange(n)
     kernel = 0.5 * (kernel + kernel[-offsets % n])
-    return kernel[(offsets[:, None] - offsets[None, :]) % n]
+    matrix = kernel[(offsets[:, None] - offsets[None, :]) % n]
+    return np.pad(matrix, ((0, 0), (0, -n % 8))) if grid.dim == 1 and n % 8 else matrix
 
 
 def apply_heat_semigroup(f: GridFunction, t: float) -> GridFunction:
@@ -126,12 +113,15 @@ def apply_spectral_multiplier(values: np.ndarray, multiplier: np.ndarray, shape)
     """Apply heat_multiplier's operator to the trailing grid axes of values.
 
     A 1-d symbol (a 1-d grid above _CONTRACTION_MAX_CELLS cells) takes
-    rfft/irfft along the last axis.  An (n, n) matrix is applied by
-    subtracting each field's mean, contracting the matrix along every grid
-    axis and adding the mean back, so a constant field returns bit for bit.
-    Each contraction is a matrix product of one fixed shape per field, so a
-    field's output bits do not depend on how many fields are stacked with it;
-    a lone 1-d field is stacked with a copy of itself for that reason.
+    rfft/irfft along the last axis.  A matrix is applied by subtracting each
+    field's mean, contracting the matrix along every grid axis and adding the
+    mean back, so a constant field returns bit for bit.  A field's output
+    bits do not depend on how many fields are stacked with it: in d >= 2 each
+    contraction is a product of one fixed shape per field; in 1-d the fields
+    are the rows of one product, so a lone field is stacked with a copy of
+    itself, and the matrix's zero columns keep the output width a multiple
+    of 8, since OpenBLAS picks the kernel for the last n mod 8 columns by the
+    row count.
     The contractions cost O(n) per value per axis against the transform's
     O(log n).  Measured on a 2-vCPU Xeon with one BLAS thread, contractions
     against the pair, in 1-d: one field of 64 cells, 9.8 against 17 us; 32
@@ -157,7 +147,7 @@ def apply_spectral_multiplier(values: np.ndarray, multiplier: np.ndarray, shape)
     if dim == 1:
         # numpy hands a lone row to gemv, whose bits differ from gemm's
         rows = np.concatenate((centered, centered)) if len(centered) == 1 else centered
-        out = np.matmul(rows, multiplier)[: len(centered)]
+        out = np.matmul(rows, multiplier)[: len(centered), :n]
     else:
         # last axis first, as rows against the symmetric matrix, then axes 0..dim-2
         out = np.matmul(centered.reshape(-1, n ** (dim - 1), n), multiplier)
@@ -191,50 +181,13 @@ def heat_at_points(fn, t: float, points, dim: int) -> np.ndarray:
     return (vals @ weights) / math.pi ** (dim / 2.0)
 
 
-def green_function(x, y, dim: int) -> float:
-    """Green function of Brownian motion run at speed 2 (difference of two
-    independent unit Brownian motions):
-
-        G(x, y) = Gamma(dim/2 - 1) / (4 pi^(dim/2)) * |x - y|^(2 - dim),
-
-    defined for dim >= 3 and x != y.
-    """
-    if dim < 3:
-        raise ValueError(f"Green function requires dim >= 3, got {dim}")
-    r = float(np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
-    if r == 0:
-        raise ValueError("Green function diverges at coincident points")
-    return green_constant(dim) * r ** (2 - dim)
-
-
-def green_constant(dim: int) -> float:
-    return math.gamma(dim / 2.0 - 1.0) / (4.0 * math.pi ** (dim / 2.0))
-
-
 def persistence_threshold(dim: int) -> float:
     """Dimension constant 8(d-2) pi^(d/2) / (d 2^d Gamma(d/2-1)); the
     persistence regime is theta < threshold, available for d >= 3."""
     if dim < 3:
         raise ValueError(f"persistence threshold requires dim >= 3, got {dim}")
-    return (
-        8.0
-        * (dim - 2)
-        * math.pi ** (dim / 2.0)
-        / (dim * 2.0**dim * math.gamma(dim / 2.0 - 1.0))
-    )
-
-
-def _envelope_and_traits(g):
-    if isinstance(g, cov.CovarianceKernel):
-        return g.envelope, g.envelope_traits()
-    return g, cov.EnvelopeTraits()
-
-
-def _scalar_envelope(envelope):
-    def g(s):
-        return float(np.asarray(envelope(np.asarray([s], dtype=float)))[0])
-
-    return g
+    gamma = math.gamma(dim / 2.0 - 1.0)
+    return 8.0 * (dim - 2) * math.pi ** (dim / 2.0) / (dim * 2.0**dim * gamma)
 
 
 def _quad(fn, a, b, breakpoints=()):
@@ -259,59 +212,53 @@ def _quad(fn, a, b, breakpoints=()):
     return val
 
 
-def riesz_potential(g, dim: int, r: float) -> float:
+def riesz_potential(kernel: cov.CovarianceKernel, dim: int, r: float) -> float:
     """Shell-reduced radial potential I(r) = int |x-y|^(2-dim) g(|y|) dy at |x| = r."""
     if dim < 3:
         raise ValueError(f"Riesz potential requires dim >= 3, got {dim}")
-    envelope, traits = _envelope_and_traits(g)
-    ge = _scalar_envelope(envelope)
+    traits = kernel.envelope_traits()
+
+    def g(s):
+        return float(np.asarray(kernel.envelope(np.asarray([s], dtype=float)))[0])
+
     upper = traits.support_radius if traits.support_radius is not None else np.inf
     breaks = (traits.support_radius,) if traits.support_radius is not None else ()
     omega = surface_area(dim)
-    tail = _quad(lambda s: ge(s) * s, r, max(upper, r), breaks) if upper > r else 0.0
+    tail = _quad(lambda s: g(s) * s, r, max(upper, r), breaks) if upper > r else 0.0
     if r == 0:
         return omega * tail
-    inner = _quad(lambda s: ge(s) * s ** (dim - 1), 0.0, min(r, upper), breaks)
+    inner = _quad(lambda s: g(s) * s ** (dim - 1), 0.0, min(r, upper), breaks)
     return omega * (r ** (2 - dim) * inner + tail)
 
 
-def riesz_potential_sup(g, dim: int) -> float:
-    """Supremum over x of the Riesz potential of a radial envelope.
+def riesz_potential_sup(kernel: cov.CovarianceKernel, dim: int) -> float:
+    """Supremum over x of the Riesz potential of the kernel's radial envelope.
 
     Returns inf for envelopes whose potential provably diverges (constant
-    level, power decay with exponent <= 2).  For radially nonincreasing
-    envelopes the supremum sits at the origin; otherwise the radius line is
-    scanned and refined.
+    level, power decay with exponent <= 2), and I(0) for radially
+    nonincreasing ones, whose supremum sits at the origin.  An envelope that
+    declares neither trait raises ValueError.
     """
-    envelope, traits = _envelope_and_traits(g)
+    traits = kernel.envelope_traits()
     if traits.divergent_potential:
         return math.inf
-    if traits.nonincreasing is None:
-        probe_max = traits.support_radius if traits.support_radius is not None else 32.0
-        probe = np.linspace(0.0, probe_max, 513)
-        traits_nonincr = bool(np.all(np.diff(np.asarray(envelope(probe))) <= 1e-12))
-    else:
-        traits_nonincr = traits.nonincreasing
-    if traits_nonincr:
-        return riesz_potential(g, dim, 0.0)
-    r_max = traits.support_radius + 1.0 if traits.support_radius else 16.0
-    radii = np.linspace(0.0, r_max, 65)
-    vals = [riesz_potential(g, dim, float(r)) for r in radii]
-    k = int(np.argmax(vals))
-    lo = radii[max(k - 1, 0)]
-    hi = radii[min(k + 1, len(radii) - 1)]
-    res = minimize_scalar(
-        lambda r: -riesz_potential(g, dim, float(r)),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-6},
-    )
-    return max(max(vals), -float(res.fun))
+    if not traits.nonincreasing:
+        raise ValueError(f"{kernel!r} does not declare a radially nonincreasing envelope; "
+                         "its potential supremum need not sit at the origin")
+    return riesz_potential(kernel, dim, 0.0)
 
 
-def green_potential_sup(g, dim: int) -> float:
-    """sup_x int G(x, y) g(|y|) dy, the Green-normalized potential."""
-    return green_constant(dim) * riesz_potential_sup(g, dim)
+def green_potential_sup(kernel: cov.CovarianceKernel, dim: int) -> float:
+    """sup_x int G(x, y) g(|y|) dy, the Green-normalized potential.
+
+    G(x, y) = Gamma(dim/2 - 1) / (4 pi^(dim/2)) |x - y|^(2 - dim) is the Green
+    function of Brownian motion run at speed 2 (the difference of two
+    independent unit Brownian motions), defined for dim >= 3.
+    """
+    if dim < 3:
+        raise ValueError(f"Green potential requires dim >= 3, got {dim}")
+    constant = math.gamma(dim / 2.0 - 1.0) / (4.0 * math.pi ** (dim / 2.0))
+    return constant * riesz_potential_sup(kernel, dim)
 
 
 def khasminskii_bound(s: float) -> float:
@@ -320,89 +267,6 @@ def khasminskii_bound(s: float) -> float:
     if not 0 <= s < 1:
         raise ValueError(f"bound requires 0 <= s < 1, got {s}")
     return 1.0 / (1.0 - s)
-
-
-def bridge_potential(x, y, g, dim: int, spacing: float = 0.125) -> float:
-    """Expected potential along the Green bridge from x conditioned to hit y:
-
-        int G(x, z) G(z, y) / G(x, y) * g(|z|) dz.
-
-    Lattice sum with spherical patches over the two integrable singularities.
-    The triangle-inequality bound value <= 2^(dim-2) * green_potential_sup(g)
-    holds for every pair (x, y).
-    """
-    if dim < 3:
-        raise ValueError(f"bridge potential requires dim >= 3, got {dim}")
-    x = np.asarray(x, dtype=float).reshape(dim)
-    y = np.asarray(y, dtype=float).reshape(dim)
-    if np.array_equal(x, y):
-        raise ValueError("bridge endpoints must differ")
-    envelope, traits = _envelope_and_traits(g)
-    support = traits.support_radius if traits.support_radius is not None else 6.0
-    box_radius = max(support + 0.5, np.linalg.norm(x) + 1, np.linalg.norm(y) + 1)
-    axis = np.arange(-box_radius + spacing / 2, box_radius, spacing)
-    mesh = np.meshgrid(*(axis,) * dim, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    gv = np.asarray(envelope(np.linalg.norm(pts, axis=-1)))
-    live = gv != 0.0
-    pts, gv = pts[live], gv[live]
-    dx = np.linalg.norm(pts - x, axis=-1)
-    dy = np.linalg.norm(pts - y, axis=-1)
-    r0 = 1.5 * spacing
-    keep = (dx > r0) & (dy > r0)
-    rxy = float(np.linalg.norm(x - y))
-    c = green_constant(dim)
-    body = c * rxy ** (dim - 2) * np.sum(
-        gv[keep] / (dx[keep] ** (dim - 2) * dy[keep] ** (dim - 2))
-    ) * spacing**dim
-    # near z = x the ratio G(z,y)/G(x,y) -> 1, leaving g(|x|) int G(x,z) dz
-    # over the excluded ball; same at z = y by symmetry of the integrand
-    ge = _scalar_envelope(envelope)
-    patch_scale = c * surface_area(dim) * r0**2 / 2.0
-    patch = 0.0
-    if np.linalg.norm(x) <= box_radius:
-        patch += patch_scale * ge(float(np.linalg.norm(x)))
-    if np.linalg.norm(y) <= box_radius:
-        patch += patch_scale * ge(float(np.linalg.norm(y)))
-    return float(body + patch)
-
-
-@dataclass(frozen=True)
-class RegimeReport:
-    classification: str  # PersistenceSufficient | ExtinctionSufficient | Inconclusive
-    theta: float = None
-    threshold: float = None
-    gap: float = None
-    caveat: str = ""
-
-
-def classify_regime(kernel: cov.CovarianceKernel, dim: int) -> RegimeReport:
-    """Sufficient-condition check, reporting the raw numbers behind it.
-
-    PersistenceSufficient iff dim >= 3 and the envelope's potential supremum
-    is strictly below the dimension threshold.  Amplitude-scaled profiles that
-    fail the persistence check carry the extinction flag, which is only a
-    large-amplitude statement: the amplitude floor is non-constructive, hence
-    the caveat string.  Everything else is Inconclusive.
-    """
-    theta = threshold = gap = None
-    persistence = False
-    if dim >= 3:
-        threshold = persistence_threshold(dim)
-        theta = riesz_potential_sup(kernel, dim)
-        gap = theta - threshold
-        persistence = theta < threshold
-    if persistence:
-        return RegimeReport("PersistenceSufficient", theta, threshold, gap)
-    if isinstance(kernel, cov.ScaledTheta):
-        return RegimeReport(
-            "ExtinctionSufficient",
-            theta,
-            threshold,
-            gap,
-            caveat="requires a >= N_0, N_0 unknown",
-        )
-    return RegimeReport("Inconclusive", theta, threshold, gap)
 
 
 def weight_domination_constant(rho: float, t_max: float, dim: int) -> float:

@@ -71,11 +71,15 @@ def test_config_validation_errors(tmp_path):
         load_config(write_config(tmp_path, **{"params.t": "0, -1"}))
     with pytest.raises(ConfigError, match="seed"):
         load_config(write_config(tmp_path, **{"mc.seed": "-3"}))
-    # constructor rejections: dim 4, and L/h = 0 cells
+    # constructor rejections: dim 4, L/h = 0 cells, a negative level, a zero width
     with pytest.raises(ConfigError, match=r"\[grid\] dim"):
         load_config(write_config(tmp_path, **{"grid.d": "4"}))
     with pytest.raises(ConfigError, match=r"\[grid\] need at least 2 cells"):
         load_config(write_config(tmp_path, **{"grid.h": "1e12"}))
+    with pytest.raises(ConfigError, match=r"^\[kernel\] level must be nonnegative, got -1.0$"):
+        load_config(write_config(tmp_path, **{"kernel.level": "-1"}))
+    with pytest.raises(ConfigError, match=r"^\[kernel\] width must be positive, got 0.0$"):
+        load_config(write_config(tmp_path, **{**SCALED, "kernel.width": "0"}))
 
 
 def test_hash_covers_seed_but_not_output_dir(tmp_path):
@@ -157,6 +161,14 @@ def test_fractional_count_params_exit_2_before_the_run(tmp_path, capsys, key, va
     assert main([name, "--config", cfg_path, "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err.strip()
     assert err == f"error: [params] {key.split('.')[1]} must be a positive whole number, got {value}"
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_list_where_one_number_is_needed_exits_2_naming_the_section(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, **{"params.t": "1.0, 2.0"})
+    assert main(["pam-oracle", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == "error: [params] t must be a single number, got (1.0, 2.0)"
     assert not (tmp_path / "run").exists()
 
 

@@ -69,7 +69,7 @@ def test_scaled_theta_profile_normalization():
 
 
 def test_gaussian_profiles_of_every_width_have_known_traits():
-    # riesz_potential_sup reads these instead of probing the envelope
+    # riesz_potential_sup reads these and refuses an envelope that declares neither
     for kern in (ScaledTheta(1.0), ScaledTheta(1.0, GaussianProfile(2.0))):
         traits = kern.envelope_traits()
         assert traits.divergent_potential is False

@@ -178,17 +178,18 @@ def test_state_nonnegative_finite_and_replayable():
 
 
 def test_batched_march_equals_single_replicas():
-    grid = small_grid()
-    phi = bump(grid)
     streams = [(r,) for r in range(5)] + [(2, 7)]
-    (y,), jump_times = march_dual(phi, (0.5,), 40.0, ScaledTheta(1.0), SEED, streams, dt=2e-3)
-    assert y.shape == (len(streams),) + grid.shape
-    assert sum(len(times) for times in jump_times) > 0
-    for r, stream in enumerate(streams):
-        single = evolve_dual(phi, 0.5, 40.0, ScaledTheta(1.0), SEED, dt=2e-3, stream=stream)
-        assert np.array_equal(y[r], single.y.values)
-        assert np.array_equal(jump_times[r], single.jump_times)
-        assert len(jump_times[r]) == single.jump_count
+    for grid in (small_grid(), small_grid(18)):  # 18 cells: a width that is not a multiple of 8
+        phi = bump(grid)
+        (y,), jump_times = march_dual(phi, (0.5,), 40.0, ScaledTheta(1.0), SEED, streams,
+                                      dt=2e-3)
+        assert y.shape == (len(streams),) + grid.shape
+        assert sum(len(times) for times in jump_times) > 0
+        for r, stream in enumerate(streams):
+            single = evolve_dual(phi, 0.5, 40.0, ScaledTheta(1.0), SEED, dt=2e-3, stream=stream)
+            assert np.array_equal(y[r], single.y.values)
+            assert np.array_equal(jump_times[r], single.jump_times)
+            assert len(jump_times[r]) == single.jump_count
 
 
 def test_march_saves_equal_separate_marches():

@@ -1,10 +1,10 @@
-"""Heat-flow toolkit tests.
+"""Heat semigroup and persistence-potential tests.
 
 Expected values are frozen from independent oracles: symbolic Gamma-function
 simplification (sympy) for the dimension constants and Green normalizations,
-brute-force 3-d lattice sums for the radial potentials, and direct quadrature
-for kernel normalization and the time-integral representation of the Green
-function.
+brute-force 3-d lattice sums for the radial potentials, closed-form Gaussian
+convolutions for the heat flow, and direct quadrature of the heat density for
+the time-integral representation of the Green function.
 """
 
 import math
@@ -19,21 +19,17 @@ from sbmre.covariance import (
     Constant,
     CovarianceKernel,
     EnvelopeTraits,
+    GaussianProfile,
     IndicatorBall,
     ScaledTheta,
     StationaryPower,
 )
 from sbmre.grids import Grid, GridFunction, PolynomialWeight
 from sbmre.heatkernel import (
-    QuadratureError,
     apply_heat_semigroup,
     apply_spectral_multiplier,
-    bridge_potential,
-    classify_regime,
-    green_function,
     green_potential_sup,
     heat_at_points,
-    heat_kernel,
     heat_multiplier,
     khasminskii_bound,
     persistence_threshold,
@@ -44,11 +40,7 @@ from sbmre.heatkernel import (
 )
 
 # frozen oracle values (mpmath/sympy, 30 digits, rounded to double)
-HEAT_D1_T1_X0 = 0.3989422804014327  # (2 pi)^(-1/2)
-HEAT_D3_T2_X0 = 0.02244839026564582  # (4 pi)^(-3/2)
-GREEN_D3_R1 = 0.07957747154594767  # 1/(4 pi)
-GREEN_D3_R2 = 0.039788735772973836  # 1/(8 pi)
-GREEN_D4_R1 = 0.025330295910584444  # 1/(4 pi^2)
+GREEN_UNIT_BALL = {3: 0.5, 4: 0.25}  # Gamma(d/2-1)/(4 pi^(d/2)) * omega_(d-1)/2
 THRESHOLD = {3: 1.0471975511965976, 4: 2.4674011002723395, 5: 2.9608813203268074}
 UNIT_BALL_THETA_D3 = 6.283185307179586  # 2 pi
 POWER_THETA = {0.1: 1.519525002070415, 0.05: 0.7597625010352075}
@@ -112,57 +104,6 @@ def test_threshold_rejects_low_dimension():
             persistence_threshold(dim)
 
 
-def test_heat_kernel_frozen_values():
-    assert abs(heat_kernel(1.0, 0.0, 1) - HEAT_D1_T1_X0) < 1e-9
-    assert abs(heat_kernel(2.0, np.zeros(3), 3) - HEAT_D3_T2_X0) < 1e-9
-    with pytest.raises(ValueError):
-        heat_kernel(0.0, 0.0, 1)
-    with pytest.raises(ValueError):
-        heat_kernel(-1.0, 0.0, 1)
-
-
-def test_heat_kernel_normalization():
-    for t in (0.25, 1.0, 3.0):
-        val, _ = quad(lambda x: heat_kernel(t, x, 1), -40, 40)
-        assert abs(val - 1.0) < 1e-6
-    # d = 3 radial normalization: int_0^inf p(t, r) 4 pi r^2 dr = 1
-    val, _ = quad(lambda r: heat_kernel(2.0, r, 3) * 4 * math.pi * r**2, 0, 50)
-    assert abs(val - 1.0) < 1e-6
-
-
-def test_green_frozen_values_and_time_integral():
-    assert abs(green_function([0.0] * 3, [1.0, 0, 0], 3) - GREEN_D3_R1) < 1e-12
-    assert abs(green_function([0.0] * 3, [2.0, 0, 0], 3) - GREEN_D3_R2) < 1e-12
-    assert abs(green_function([0.0] * 4, [1.0, 0, 0, 0], 4) - GREEN_D4_R1) < 1e-12
-    # G(x, y) = int_0^inf p(2t, x - y) dt.  The head is integrated directly;
-    # the algebraic tail under t -> 1/u, where it becomes a tame Gamma-type
-    # integrand.  T is grown until the tail bound
-    # (4 pi)^(-d/2) T^(1-d/2)/(d/2-1) drops below 1e-4 of the target.
-    for dim, r in ((3, 1.0), (4, 1.5), (5, 0.8)):
-        target = green_function(np.zeros(dim), np.r_[r, np.zeros(dim - 1)], dim)
-
-        def partial(T, dim=dim, r=r):
-            peak = r * r / (2 * dim)
-            head, _ = quad(
-                lambda t: heat_kernel(2 * t, r, dim), 0, 10, points=[peak, 10 * peak]
-            )
-            tail, _ = quad(
-                lambda u: heat_kernel(2.0 / u, r, dim) / u**2, 1.0 / T, 0.1, limit=200
-            )
-            return head + tail
-
-        T = 100.0
-        while (4 * math.pi) ** (-dim / 2) * T ** (1 - dim / 2) / (dim / 2 - 1) > 1e-4 * target:
-            T *= 4
-        coarse, fine = partial(T / 16), partial(T)
-        assert coarse <= fine + 1e-12  # monotone in the truncation horizon
-        assert abs(fine - target) / target < 1e-3
-    with pytest.raises(ValueError):
-        green_function([0.0, 0.0], [1.0, 0.0], 2)
-    with pytest.raises(ValueError):
-        green_function([1.0, 0, 0], [1.0, 0, 0], 3)
-
-
 def test_semigroup_identity_and_composition():
     grid = Grid(1, 8.0, 256)
     rng = np.random.default_rng(7)
@@ -212,16 +153,18 @@ def test_long_one_dimensional_grid_gets_the_symbol_not_a_matrix():
 
 @pytest.mark.parametrize(
     "grid",
-    [Grid(1, 8.0, 64), Grid(1, 8.0, 32), Grid(1, 2.0, 7), Grid(1, 16.0, 128), Grid(2, 4.0, 8),
-     Grid(2, 4.0, 7), Grid(3, 4.0, 6), Grid(3, 8.0, 16)],
-    ids=["1d-64", "1d-32", "1d-7", "1d-128", "2d-8", "2d-7", "3d-6", "3d-16"])
+    [Grid(1, 8.0, 64), Grid(1, 8.0, 32), Grid(1, 2.0, 7), Grid(1, 16.0, 128), Grid(1, 8.0, 18),
+     Grid(2, 4.0, 8), Grid(2, 4.0, 7), Grid(3, 4.0, 6), Grid(3, 8.0, 16)],
+    ids=["1d-64", "1d-32", "1d-7", "1d-128", "1d-18", "2d-8", "2d-7", "3d-6", "3d-16"])
 def test_axis_contractions_are_the_nd_transform(grid):
     rng = np.random.default_rng(grid.cells)
     values = rng.standard_normal((33,) + grid.shape) + 0.5
+    n = grid.cells
     for t in (1e-3, 0.1, 1.0):
         mult = heat_multiplier(grid, t)
-        assert mult.shape == (grid.cells, grid.cells)
-        assert np.array_equal(mult, mult.T)
+        # a 1-d matrix carries zero columns up to a multiple of 8
+        assert mult.shape == (n, n + (-n % 8 if grid.dim == 1 else 0))
+        assert np.array_equal(mult[:, :n], mult[:, :n].T) and not mult[:, n:].any()
         out = apply_spectral_multiplier(values, mult, grid.shape)
         reference = rfftn_heat_reference(values, grid, t)
         assert np.abs(out - reference).max() <= 1e-13 * np.abs(values).max()
@@ -305,38 +248,70 @@ def test_riesz_potential_power_envelope_against_lattice():
     assert abs((theta - theta_t) - lost) < 1e-8
 
 
+def test_riesz_potential_of_the_gaussian_profile_is_two_pi_a():
+    # d = 3: a * 4 pi * int_0^inf s exp(-(s/w)^2) ds = 2 pi a w^2, so a < 1/6 persists
+    for a in (0.1, 1.0, 50.0):
+        assert abs(riesz_potential_sup(ScaledTheta(a), 3) - 2 * math.pi * a) < 1e-8 * a
+    assert riesz_potential_sup(ScaledTheta(0.1), 3) < THRESHOLD[3]
+    assert riesz_potential_sup(ScaledTheta(0.2), 3) > THRESHOLD[3]
+    wide = riesz_potential_sup(ScaledTheta(1.0, GaussianProfile(2.0)), 3)
+    assert abs(wide - 8 * math.pi) < 1e-8
+
+
+def test_riesz_potential_sup_refuses_an_undeclared_envelope():
+    # a profile that is not radially nonincreasing may peak off the origin
+    def wavy(r):
+        r = np.asarray(r, dtype=float)
+        return np.exp(-r * r) * np.cos(3.0 * r)
+
+    kernel = ScaledTheta(1.0, wavy)
+    assert kernel.envelope_traits().nonincreasing is None
+    with pytest.raises(ValueError, match="nonincreasing"):
+        riesz_potential_sup(kernel, 3)
+    with pytest.raises(ValueError, match="nonincreasing"):
+        green_potential_sup(kernel, 3)
+
+
+def test_green_potential_of_the_unit_ball_and_the_time_integral():
+    ball = IndicatorBall(radius=1.0, height=1.0)
+    for dim, expected in GREEN_UNIT_BALL.items():
+        assert abs(green_potential_sup(ball, dim) - expected) < 1e-12
+    with pytest.raises(ValueError):
+        green_potential_sup(ball, 2)
+
+    def heat_density(t, r, dim):
+        return (2.0 * math.pi * t) ** (-dim / 2.0) * math.exp(-r * r / (2.0 * t))
+
+    # the Green constant is int_0^inf p(2t, r) dt * r^(dim-2): the head is
+    # integrated directly, the algebraic tail under t -> 1/u, where it becomes
+    # a tame Gamma-type integrand.  T is grown until the tail bound
+    # (4 pi)^(-d/2) T^(1-d/2)/(d/2-1) drops below 1e-4 of the target.
+    for dim, r in ((3, 1.0), (4, 1.5), (5, 0.8)):
+        constant = green_potential_sup(ball, dim) / riesz_potential_sup(ball, dim)
+        target = constant * r ** (2 - dim)
+
+        def partial(T, dim=dim, r=r):
+            peak = r * r / (2 * dim)
+            head, _ = quad(
+                lambda t: heat_density(2 * t, r, dim), 0, 10, points=[peak, 10 * peak]
+            )
+            tail, _ = quad(
+                lambda u: heat_density(2.0 / u, r, dim) / u**2, 1.0 / T, 0.1, limit=200
+            )
+            return head + tail
+
+        T = 100.0
+        while (4 * math.pi) ** (-dim / 2) * T ** (1 - dim / 2) / (dim / 2 - 1) > 1e-4 * target:
+            T *= 4
+        coarse, fine = partial(T / 16), partial(T)
+        assert coarse <= fine + 1e-12  # monotone in the truncation horizon
+        assert abs(fine - target) / target < 1e-3
+
+
 def test_riesz_potential_divergent_envelopes():
     assert riesz_potential_sup(Constant(1.0), 3) == math.inf
     assert riesz_potential_sup(StationaryPower(eps=0.1, alpha=2.0), 3) == math.inf
     assert riesz_potential_sup(Constant(0.0), 3) == 0.0
-
-
-def test_classify_regime_follows_computed_numbers():
-    for eps in (0.05, 0.1):
-        kern = StationaryPower(eps=eps, alpha=3.0)
-        report = classify_regime(kern, 3)
-        expect = "PersistenceSufficient" if report.theta < report.threshold else "Inconclusive"
-        assert report.classification == expect
-        assert abs(report.gap - (report.theta - report.threshold)) < 1e-14
-    assert classify_regime(StationaryPower(eps=0.05, alpha=3.0), 3).classification == (
-        "PersistenceSufficient"
-    )
-    assert classify_regime(StationaryPower(eps=0.1, alpha=3.0), 3).classification == (
-        "Inconclusive"
-    )
-
-
-def test_classify_regime_low_dimension_and_scaled_profiles():
-    assert classify_regime(StationaryPower(0.05, 3.0), 2).classification == "Inconclusive"
-    report = classify_regime(ScaledTheta(a=50.0), 3)
-    assert report.classification == "ExtinctionSufficient"
-    assert report.caveat == "requires a >= N_0, N_0 unknown"
-    # gaussian profile: theta = 2 pi a in d = 3, so a < 1/6 is persistence
-    small = classify_regime(ScaledTheta(a=0.1), 3)
-    assert small.classification == "PersistenceSufficient"
-    assert abs(classify_regime(ScaledTheta(a=1.0), 3).theta - 2 * math.pi) < 1e-8
-    assert classify_regime(ScaledTheta(a=50.0), 2).classification == "ExtinctionSufficient"
-    assert classify_regime(Constant(1.0), 3).classification == "Inconclusive"
 
 
 def test_khasminskii_bound():
@@ -345,64 +320,6 @@ def test_khasminskii_bound():
     for bad in (1.0, 1.5, -0.1):
         with pytest.raises(ValueError):
             khasminskii_bound(bad)
-
-
-def bridge_lattice_oracle(x, y, envelope, spacing, half_width=2.5):
-    """Independent coarse lattice sum with its own singular-cell patches."""
-    axis = np.arange(-half_width + spacing / 2, half_width, spacing)
-    zz = np.stack([m.ravel() for m in np.meshgrid(axis, axis, axis, indexing="ij")], -1)
-    g = envelope(np.linalg.norm(zz, axis=-1))
-    dx = np.linalg.norm(zz - x, axis=-1)
-    dy = np.linalg.norm(zz - y, axis=-1)
-    r0 = 1.5 * spacing
-    keep = (dx > r0) & (dy > r0) & (g != 0)
-    c = 1.0 / (4 * math.pi)
-    rxy = np.linalg.norm(x - y)
-    body = c * rxy * float(np.sum(g[keep] / (dx[keep] * dy[keep]))) * spacing**3
-    patch = c * 4 * math.pi * r0**2 / 2
-    gx = float(envelope(np.atleast_1d(np.linalg.norm(x)))[0])
-    gy = float(envelope(np.atleast_1d(np.linalg.norm(y)))[0])
-    return body + patch * (gx + gy)
-
-
-def test_bridge_potential_ball_case():
-    ball = IndicatorBall(radius=1.0, height=1.0)
-    x = np.zeros(3)
-    y = np.array([2.0, 0.0, 0.0])
-    val = bridge_potential(x, y, ball, 3, spacing=0.05)
-    oracle = bridge_lattice_oracle(x, y, ball.envelope, spacing=0.035)
-    assert abs(val - oracle) / oracle < 1e-2
-    # triangle-inequality bound, and the cruder 2 * theta bound implied by it
-    bound = 2.0 * green_potential_sup(ball, 3)
-    assert val <= bound * (1 + 1e-6)
-    assert val <= 2.0 * UNIT_BALL_THETA_D3
-
-
-def test_bridge_potential_properties():
-    ball = IndicatorBall(radius=1.0, height=1.0)
-    zero = Constant(0.0)
-    x = np.array([0.3, 0.0, 0.0])
-    y = np.array([1.4, 0.5, 0.0])
-    assert bridge_potential(x, y, zero, 3, spacing=0.2) == 0.0
-    a = bridge_potential(x, y, ball, 3, spacing=0.1)
-    b = bridge_potential(y, x, ball, 3, spacing=0.1)
-    assert abs(a - b) / a < 1e-10  # integrand is symmetric in the endpoints
-    with pytest.raises(ValueError):
-        bridge_potential(x, x, ball, 3)
-    with pytest.raises(ValueError):
-        bridge_potential([0.0, 0.0], [1.0, 0.0], ball, 2)
-
-
-def test_bridge_triangle_bound_random_pairs():
-    ball = IndicatorBall(radius=1.0, height=1.0)
-    bound = 2.0 * green_potential_sup(ball, 3) * (1 + 1e-6)
-    rng = np.random.default_rng(20260814)
-    for _ in range(100):
-        x = rng.uniform(-2, 2, 3)
-        y = rng.uniform(-2, 2, 3)
-        if np.linalg.norm(x - y) < 0.15:
-            y = x + np.array([0.3, 0.0, 0.0])
-        assert bridge_potential(x, y, ball, 3, spacing=0.1) <= bound
 
 
 def test_weight_domination_finite():

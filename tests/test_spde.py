@@ -146,8 +146,9 @@ def test_states_at_times_equal_final_states_of_separate_solves():
     with pytest.raises(ValueError):
         pam_states_at(f, (), noise)
 
-@pytest.mark.parametrize("grid", [Grid(1, 8.0, 32), Grid(2, 4.0, 8), Grid(3, 4.0, 6)],
-                         ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize(
+    "grid", [Grid(1, 8.0, 32), Grid(1, 9.0, 18), Grid(2, 4.0, 8), Grid(3, 4.0, 6)],
+    ids=["1d", "1d-18", "2d", "3d"])
 def test_stacked_routes_equal_separate_solves(grid):
     f = bump(grid, width=0.7)
     noise = NoisePath(grid, ScaledTheta(1.3), dt=1e-2, seed=21, n_replicas=3, chunk_steps=7)

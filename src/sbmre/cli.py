@@ -32,7 +32,7 @@ from . import __version__
 from .covariance import (Constant, CovarianceKernel, GaussianProfile, IndicatorBall,
                          ScaledTheta, StationaryPower)
 from .ensemble import WorkerPool
-from .experiments import EXPERIMENTS, CheckRow, ConfigError
+from .experiments import EXPERIMENTS, LIST_PARAMS, CheckRow, ConfigError
 from .grids import Grid
 from .readouts import parse_readout
 
@@ -103,10 +103,8 @@ class ExperimentConfig:
         return self.readouts[0][1]
 
     def param(self, key: str, default: float) -> float:
-        value = self.params.get(key, default)
-        if isinstance(value, tuple):
-            raise ConfigError(f"[params] {key} must be a single number, got {value}")
-        return float(value)
+        """[params] key as one number; only the experiment's LIST_PARAMS keys hold lists."""
+        return float(self.params.get(key, default))
 
     def param_count(self, key: str, default: int) -> int:
         """param(key, default) as an int; a ConfigError unless a positive whole number."""
@@ -206,7 +204,8 @@ def _built(section: str, build, parser):
         raise ConfigError(f"[{section}] {err}") from err
 
 
-def _parse_params(parser) -> dict:
+def _parse_params(parser, lists) -> dict:
+    """[params] as floats, or tuples of floats for the keys in `lists` only."""
     params = {}
     if not parser.has_section("params"):
         return params
@@ -222,6 +221,8 @@ def _parse_params(parser) -> dict:
         flat = value if isinstance(value, tuple) else (value,)
         if not all(math.isfinite(v) and v > 0 for v in flat):
             raise ConfigError(f"[params] {key} must be positive and finite, got {raw}")
+        if isinstance(value, tuple) and key not in lists:
+            raise ConfigError(f"[params] {key} must be a single number, got {value}")
         params[key] = value
     return params
 
@@ -280,7 +281,7 @@ def _config_from_parser(parser, out_override: str = None) -> ExperimentConfig:
         paths=_positive(parser, "mc", "paths", cast=int),
         seed=seed,
         readouts=tuple(readouts),
-        params=_parse_params(parser),
+        params=_parse_params(parser, LIST_PARAMS[name]),
         outdir=outdir,
         text=_canonical_text(parser),
         digest=hashlib.sha256(_canonical_text(parser).encode()).hexdigest(),

@@ -352,7 +352,8 @@ class GaussianFieldFactor:
             raise ValueError(f"dt must be nonnegative, got {dt}")
         rank = self.root.shape[1]
         z = rng.standard_normal(rank if batch is None else (int(batch), rank))
-        vals = math.sqrt(dt) * self.fields(z)  # (m,) or (batch, m)
+        vals = self.fields(z)  # (m,) or (batch, m), a fresh array
+        vals *= math.sqrt(dt)
         if self._scatter:
             vals = vals[..., self.index_map]
         return vals.reshape(vals.shape[:-1] + self.out_shape)

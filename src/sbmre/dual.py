@@ -23,8 +23,9 @@ default step (documented in the gap tests).
 
 Marks are read as i.i.d. field realizations, one independent draw per jump.
 
-The replica routes take ``workers`` as ensemble.map_batches does: a process
-count or a WorkerPool that several calls share.
+The replica routes and third_moment_scan take ``workers`` as
+ensemble.run_jobs does: a process count or a WorkerPool that several calls
+share.
 """
 
 import math
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import CovarianceKernel, grid_covariance_factor
-from .ensemble import map_batches, mean_se, stream_rng
+from .ensemble import batch_jobs, map_batches, mean_se, run_jobs, stream_rng
 from .grids import GridFunction, PolynomialWeight
 from .spde import SchemeOverflowError, _evolve, _resolve_steps, batch_noise, solve_log_laplace
 
@@ -227,13 +228,14 @@ class ThirdMomentReport:
 
 def third_moment_scan(phi: GridFunction, times, n_ladder, kernel: CovarianceKernel,
                       probes, rho: float, seed: int, n_replicas: int,
-                      dt: float = 1e-3) -> ThirdMomentReport:
+                      dt: float = 1e-3, workers=1) -> ThirdMomentReport:
     """Empirical E[Y_t(x)^3] / weight(x)^3 over an n-ladder and probe points.
 
     The weight is the polynomial reference weight; the scan reports the ratio
     surface and its per-n maxima so a ladder test can check boundedness in n.
     Replica r of rung i runs on stream (i, r); replicas march in batches,
-    each once, to the last of the times.
+    each once, to the last of the times.  The batches of every rung form one
+    job list on `workers`, reduced rung by rung in batch order.
     """
     times = tuple(float(s) for s in times)
     n_ladder = tuple(float(v) for v in n_ladder)
@@ -242,8 +244,11 @@ def third_moment_scan(phi: GridFunction, times, n_ladder, kernel: CovarianceKern
     w3 = weight(probes) ** 3
     cells = tuple(np.array(ix) for ix in zip(*(phi.grid.nearest_index(x) for x in probes)))
     ratios = np.zeros((len(n_ladder), len(times), len(probes)))
-    for i, n in enumerate(n_ladder):
-        parts = map_batches(_dual_batch, n_replicas, (phi, times, n, kernel, seed, dt, (i,)))
+    rungs = [batch_jobs(_dual_batch, n_replicas, (phi, times, n, kernel, seed, dt, (i,)))
+             for i, n in enumerate(n_ladder)]
+    results = run_jobs([job for jobs in rungs for job in jobs], workers)
+    for i, jobs in enumerate(rungs):
+        parts = results[i * len(jobs):(i + 1) * len(jobs)]
         for j in range(len(times)):
             cubes = np.zeros(len(probes))
             for ys, _ in parts:

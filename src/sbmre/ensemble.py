@@ -6,12 +6,17 @@ SeedSequence spawn key `key` of the root seed, so a draw depends only on
 what is drawn: a replica batch (b,), a replica (r,), a noise chunk, a dual
 clock or mark, a pair-path chunk (tag, c).
 
-Replicas are cut into batches of BATCH_SIZE; batch b covers replicas [lo, hi)
-and keys its streams by b or by absolute replica index, never by the worker
-that runs it.  Batches may run on a process pool, but results come back in
-batch order, so reductions depend only on the seed, not on the worker count.
-A WorkerPool carries one pool across many map_batches calls (an experiment
-run owns one), so the processes start once per run, not once per call.
+A job is a tuple (fn, *args) that draws only from its own keyed streams, and
+run_jobs runs a list of them, in-process or on a process pool, returning
+fn(*args) in job order; reductions therefore depend only on the seed, not on
+the worker count.  Jobs are replica batches, chunks of a pair-path sampler or
+strata of its time integral, or whole marches that share nothing with the
+rest of their experiment.  Replicas are cut into batches of BATCH_SIZE; batch
+b covers replicas [lo, hi) and keys its streams by b or by absolute replica
+index, never by the worker that runs it (map_batches).  A WorkerPool carries
+one pool across many run_jobs calls (an experiment run owns one), so the
+processes start once per run, not once per call; it is never an argument of
+a job, so a job never starts a pool of its own inside a worker.
 
 Every estimate is reduced by mean_se, a two-pass mean and standard error.
 It drops non-finite values, which only the particle ensembles produce (a
@@ -39,11 +44,16 @@ def batch_ranges(total: int, batch_size: int = BATCH_SIZE) -> list:
             for b, lo in enumerate(range(0, total, batch_size))]
 
 
-class WorkerPool:
-    """At most one process pool for many map_batches calls, started on first use.
+def _run(job):
+    fn, *args = job
+    return fn(*args)
 
-    Sized as one call's own pool would be, min(workers, batches); a later call
-    with more batches to spread replaces it by a larger one.  Close it, or use
+
+class WorkerPool:
+    """At most one process pool for many run_jobs calls, started on first use.
+
+    Sized as one call's own pool would be, min(workers, jobs); a later call
+    with more jobs to spread replaces it by a larger one.  Close it, or use
     it as a context manager, to stop the processes.
     """
 
@@ -53,16 +63,16 @@ class WorkerPool:
         self._pool = None
         self._stack = ExitStack()
 
-    def map(self, fn, jobs: list) -> list:
-        """[fn(*job) for job in jobs], in order; in-process when one process is enough."""
+    def run(self, jobs: list) -> list:
+        """[fn(*args) for fn, *args in jobs], in order; in-process when one process is enough."""
         size = min(self.workers, len(jobs))
         if size <= 1:
-            return [fn(*job) for job in jobs]
+            return [_run(job) for job in jobs]
         if size > self._size:
             self.close()
             self._pool = self._stack.enter_context(ProcessPoolExecutor(max_workers=size))
             self._size = size
-        return list(self._pool.map(fn, *zip(*jobs)))
+        return list(self._pool.map(_run, jobs))
 
     def close(self):
         self._stack.close()
@@ -76,19 +86,29 @@ class WorkerPool:
         return False
 
 
-def map_batches(fn, total: int, args: tuple = (), workers=1) -> list:
-    """[fn(*args, b, lo, hi) for every batch], in batch order.
+def run_jobs(jobs, workers=1) -> list:
+    """[fn(*args) for fn, *args in jobs], in job order.
 
     workers is a process count or a WorkerPool to run on; a count above 1
-    starts a pool for this call only.  fn and args must be picklable when
-    batches run on a pool; the pool only changes which process computes a
-    batch, and never starts more processes than there are batches.
+    starts a pool for this call only.  Each fn and its args must be picklable
+    when jobs run on a pool; the pool only changes which process computes a
+    job, and never starts more processes than there are jobs.
     """
-    jobs = [tuple(args) + batch for batch in batch_ranges(total)]
+    jobs = list(jobs)
     if isinstance(workers, WorkerPool):
-        return workers.map(fn, jobs)
+        return workers.run(jobs)
     with WorkerPool(workers) as pool:
-        return pool.map(fn, jobs)
+        return pool.run(jobs)
+
+
+def batch_jobs(fn, total: int, args: tuple = ()) -> list:
+    """[(fn, *args, b, lo, hi) for every batch of total replicas]: one job a batch."""
+    return [(fn, *args, *batch) for batch in batch_ranges(total)]
+
+
+def map_batches(fn, total: int, args: tuple = (), workers=1) -> list:
+    """[fn(*args, b, lo, hi) for every batch], in batch order: run_jobs of batch_jobs."""
+    return run_jobs(batch_jobs(fn, total, args), workers)
 
 
 def mean_se(values) -> tuple:

@@ -2,9 +2,13 @@
 
 An experiment takes a parsed config (sbmre.cli.ExperimentConfig) and the
 run's WorkerPool and returns CheckRows, one per summary-statistic check, in a
-fixed order.  Replica work goes through ensemble.map_batches in batches keyed
-by batch index, so the rows depend only on (config, seed), never on the
-worker count.  The batch functions live at module level so a process pool
+fixed order.  Every independent unit of work runs on that pool as an
+ensemble job: replica batches keyed by batch index, the pair-path oracle's
+chunks and strata (the feynmankac and dual routes take the pool as
+`workers`), and whole marches that share nothing with the rest of the
+experiment, handed to ensemble.run_jobs together with its batches.  Results
+come back in job order, so the rows depend only on (config, seed), never on
+the worker count.  The job functions live at module level so a process pool
 can pickle them.
 
 Each experiment calls the layers through their modules (`spde.solve_pam`,
@@ -21,7 +25,7 @@ import numpy as np
 
 from . import dual, feynmankac, heatkernel, particles, spde
 from .covariance import Constant, CovarianceKernel, IndicatorBall, ScaledTheta, StationaryPower
-from .ensemble import WorkerPool, map_batches, mean_se
+from .ensemble import WorkerPool, batch_jobs, map_batches, mean_se, run_jobs
 from .grids import GridFunction
 from .readouts import ConstantReadout
 
@@ -56,11 +60,13 @@ def _gate(gap: float, scale: float, k: float) -> bool:
 
 
 EXPERIMENTS = {}  # experiment name -> fn(cfg, pool) -> list of CheckRow
+LIST_PARAMS = {}  # experiment name -> the [params] keys it reads as lists
 
 
-def _experiment(name):
+def _experiment(name, lists=()):
     def register(fn):
         EXPERIMENTS[name] = fn
+        LIST_PARAMS[name] = frozenset(lists)
         return fn
 
     return register
@@ -115,7 +121,7 @@ def _moments_triangle(cfg, pool: WorkerPool) -> list:
     mc = feynmankac.MCConfig(n_paths=cfg.paths, dt=cfg.param("mc_dt", 0.0125),
                              seed=cfg.seed + _SEED_FK)
     rhs1 = feynmankac.first_moment_rhs(f, delta, t)
-    rhs2, rhs2_se = feynmankac.second_moment_rhs(f, delta, t, cfg.kernel, mc)
+    rhs2, rhs2_se = feynmankac.second_moment_rhs(f, delta, t, cfg.kernel, mc, pool)
 
     rows = [
         CheckRow("particle-cap-breaches", float(breaches), 0.0, breaches == 0),
@@ -157,7 +163,7 @@ def _pam_oracle(cfg, pool: WorkerPool) -> list:
     mc = feynmankac.MCConfig(n_paths=cfg.paths, dt=cfg.param("mc_dt", 0.0125),
                              seed=cfg.seed + _SEED_ORACLE)
     oracle, oracle_se = feynmankac.pam_second_moment_oracle(cfg.readout, t, origin, origin,
-                                                            cfg.kernel, mc)
+                                                            cfg.kernel, mc, pool)
     rows = [
         CheckRow("ensemble-mean", m1, se1, _gate(m1 - target1, se1, 3.0)),
         CheckRow("pair-oracle", oracle, oracle_se, True),
@@ -191,7 +197,20 @@ def _comparison_batch(f, kernel, t, dt, seed, lambdas, delta, save_every, b, lo,
     return np.array(agg)
 
 
-@_experiment("comparison-suite")
+def _zero_kernel_gap(f, t, dt, seed):
+    """Largest gap between the noise-off march and the heat semigroup."""
+    quiet = spde.NoisePath(f.grid, Constant(0.0), dt, seed, n_replicas=1)
+    flow = spde.solve_pam(f, t, quiet).values[-1][0]
+    heat = heatkernel.apply_heat_semigroup(f, t).values
+    return float(np.max(np.abs(flow - heat)))
+
+
+def _stratonovich_gap(f, kernel, t, dt, seed):
+    noise = spde.NoisePath(f.grid, kernel, dt, seed, n_replicas=1)
+    return spde.solve_stratonovich_pam(f, kernel, t, noise).route_gap
+
+
+@_experiment("comparison-suite", lists=("lambdas",))
 def _comparison_suite(cfg, pool: WorkerPool) -> list:
     t = cfg.param("t", 1.0)
     lambdas = cfg.param_tuple("lambdas", (0.5, 1.0))
@@ -199,7 +218,12 @@ def _comparison_suite(cfg, pool: WorkerPool) -> list:
     save_every = max(1, round(t / cfg.dt / 8))
     f = GridFunction.from_callable(cfg.grid, cfg.readout)
     args = (f, cfg.kernel, t, cfg.dt, cfg.seed, lambdas, delta, save_every)
-    margins = np.min(map_batches(_comparison_batch, cfg.replicas, args, pool), axis=0)
+    batches = batch_jobs(_comparison_batch, cfg.replicas, args)
+    marches = [(_zero_kernel_gap, f, t, cfg.dt, cfg.seed)]
+    if isinstance(cfg.kernel, ScaledTheta) and cfg.kernel.a > 0:
+        marches.append((_stratonovich_gap, f, cfg.kernel, t, cfg.dt, cfg.seed + 1))
+    results = run_jobs(batches + marches, pool)
+    margins = np.min(results[:len(batches)], axis=0)
     names = ("u-nonnegative", "u-below-lambda-linear", "u-monotone-in-lambda",
              "quotient-nonnegative", "quotient-below-linear")
     rows = []
@@ -208,16 +232,10 @@ def _comparison_suite(cfg, pool: WorkerPool) -> list:
             est = margins[i, j]
             rows.append(CheckRow(f"{name}-lam{lam:g}", est, 1e-12, est >= -1e-12))
 
-    quiet = spde.NoisePath(cfg.grid, Constant(0.0), cfg.dt, cfg.seed, n_replicas=1)
-    flow = spde.solve_pam(f, t, quiet).values[-1][0]
-    heat = heatkernel.apply_heat_semigroup(f, t).values
-    gap = float(np.max(np.abs(flow - heat)))
+    gap, *strat = results[len(batches):]
     rows.append(CheckRow("zero-kernel-matches-heat-flow", gap, 1e-8, gap <= 1e-8))
-    if isinstance(cfg.kernel, ScaledTheta) and cfg.kernel.a > 0:
-        noise = spde.NoisePath(cfg.grid, cfg.kernel, cfg.dt, cfg.seed + 1, n_replicas=1)
-        strat = spde.solve_stratonovich_pam(f, cfg.kernel, t, noise)
-        rows.append(CheckRow("stratonovich-route-gap", strat.route_gap, 1e-3,
-                             strat.route_gap <= 1e-3))
+    for route_gap in strat:
+        rows.append(CheckRow("stratonovich-route-gap", route_gap, 1e-3, route_gap <= 1e-3))
     return rows
 
 
@@ -229,24 +247,30 @@ def _log_laplace_mean_batch(f, kernel, routes, t, dt, seed, b, lo, hi):
     return np.stack([v[-1].mean(axis=axes) for v in vals])
 
 
-@_experiment("extinction-scan")
+def _noise_off_routes(f, routes, t, dt, seed, save_every):
+    """solve_routes from f with the noise off: the closed-form march."""
+    quiet = spde.NoisePath(f.grid, Constant(0.0), dt, seed, n_replicas=1)
+    return spde.solve_routes(f, t, quiet, routes, save_every=save_every)
+
+
+@_experiment("extinction-scan", lists=("ks",))
 def _extinction_scan(cfg, pool: WorkerPool) -> list:
     t = cfg.param("t", 4.0)
     ks = cfg.param_tuple("ks", (1.0, 10.0))
     rows = []
-    quiet = spde.NoisePath(cfg.grid, Constant(0.0), cfg.dt, cfg.seed, n_replicas=1)
     save_every = max(1, round(t / cfg.dt / 16))
     routes = [spde.Route(k, reaction=True) for k in ks]
     ones = GridFunction.constant(cfg.grid, 1.0)
-    times, vals = spde.solve_routes(ones, t, quiet, routes, save_every=save_every)
+    args = (ones, cfg.kernel, routes, t, cfg.dt, cfg.seed)
+    (times, vals), *parts = run_jobs(
+        [(_noise_off_routes, ones, routes, t, cfg.dt, cfg.seed, save_every)]
+        + batch_jobs(_log_laplace_mean_batch, cfg.replicas, args), pool)
     for k, values in zip(ks, vals):
         closed = 1.0 / (times / 2.0 + 1.0 / k)
         closed = closed.reshape((-1,) + (1,) * cfg.grid.dim)
         err = float(np.max(np.abs(values[:, 0] - closed)))
         rows.append(CheckRow(f"absorbing-closed-form-k{k:g}", err, 1e-6, err <= 1e-6))
-    args = (ones, cfg.kernel, routes, t, cfg.dt, cfg.seed)
-    all_means = np.concatenate(map_batches(_log_laplace_mean_batch, cfg.replicas, args, pool),
-                               axis=1)
+    all_means = np.concatenate(parts, axis=1)
     for k, means in zip(ks, all_means):
         mean, se = mean_se(means)
         bound = 1.0 / (t / 2.0 + 1.0 / k)
@@ -264,7 +288,7 @@ def _scale_kernel(kernel: CovarianceKernel, s: float) -> CovarianceKernel:
                       "(power or indicator)")
 
 
-@_experiment("persistence-scan")
+@_experiment("persistence-scan", lists=("strengths",))
 def _persistence_scan(cfg, pool: WorkerPool) -> list:
     d = cfg.grid.dim
     if d < 3:
@@ -292,7 +316,7 @@ def _persistence_scan(cfg, pool: WorkerPool) -> list:
     return rows
 
 
-@_experiment("duality-ladder")
+@_experiment("duality-ladder", lists=("n_ladder",))
 def _duality_ladder(cfg, pool: WorkerPool) -> list:
     t = cfg.param("t", 0.5)
     ladder = cfg.param_tuple("n_ladder", (10.0, 40.0, 160.0))
@@ -303,9 +327,10 @@ def _duality_ladder(cfg, pool: WorkerPool) -> list:
     rows = []
 
     zero = GridFunction.constant(cfg.grid, float(np.max(phi.values)))
-    l0, l0_se = dual.laplace_via_log_laplace(zero, mu, t, Constant(0.0), left_seed, 8, cfg.dt)
-    r0, r0_se = dual.laplace_via_dual(zero, mu, t, ladder[0], Constant(0.0), right_seed, 8,
-                                      cfg.dt)
+    (l0, l0_se), (r0, r0_se) = run_jobs([
+        (dual.laplace_via_log_laplace, zero, mu, t, Constant(0.0), left_seed, 8, cfg.dt),
+        (dual.laplace_via_dual, zero, mu, t, ladder[0], Constant(0.0), right_seed, 8, cfg.dt),
+    ], pool)
     gap0, gap0_se = abs(l0 - r0), math.hypot(l0_se, r0_se)
     rows.append(CheckRow("zero-kernel-gap", gap0, gap0_se,
                          gap0 <= 2.0 * gap0_se + 1e-12))
@@ -337,14 +362,13 @@ def _duality_ladder(cfg, pool: WorkerPool) -> list:
     probes[1, 0] = 1.0
     report = dual.third_moment_scan(phi, [t], ladder, cfg.kernel, probes,
                                     rho=cfg.param("rho", 2.0), seed=right_seed,
-                                    n_replicas=tm_replicas,
-                                    dt=cfg.dt)
+                                    n_replicas=tm_replicas, dt=cfg.dt, workers=pool)
     rows.append(CheckRow("third-moment-spread", report.spread(), 0.5,
                          report.spread() < 0.5))
     return rows
 
 
-@_experiment("lyapunov-ladder")
+@_experiment("lyapunov-ladder", lists=("a_ladder", "tail_a", "tail_t"))
 def _lyapunov_ladder(cfg, pool: WorkerPool) -> list:
     if not isinstance(cfg.kernel, ScaledTheta):
         raise ConfigError("lyapunov-ladder needs a scaled kernel")
@@ -352,11 +376,18 @@ def _lyapunov_ladder(cfg, pool: WorkerPool) -> list:
     a_ladder = cfg.param_tuple("a_ladder", (1.0, 4.0, 16.0, 64.0))
     T = cfg.param("t", 6.0)
     tail_reps = cfg.param_count("tail_replicas", cfg.replicas)
+    tail_a = cfg.param_tuple("tail_a", (2.0, 32.0))
+    tail_t = cfg.param_tuple("tail_t", (0.5, 6.0))
+    L = cfg.param("window", 2.0)
+    # every growth-rate march and every tail march is one job
+    marches = run_jobs(
+        [(feynmankac.lyapunov_estimate, ScaledTheta(a, profile), cfg.grid, T, cfg.dt,
+          cfg.seed, cfg.replicas) for a in a_ladder]
+        + [(feynmankac.ldp_tail_probes, ScaledTheta(a, profile), cfg.grid, tail_t, L, cfg.dt,
+            cfg.seed, tail_reps) for a in tail_a], pool)
     rows = []
     slope_sets = []
-    for a in a_ladder:
-        est = feynmankac.lyapunov_estimate(ScaledTheta(a, profile), cfg.grid, T, cfg.dt,
-                                           cfg.seed, cfg.replicas)
+    for a, est in zip(a_ladder, marches):
         slope_sets.append(est.slopes - a / 2.0)
         rows.append(CheckRow(f"strat-slope-median-a{a:g}", est.median,
                              est.band[1] - est.band[0], True))
@@ -368,13 +399,9 @@ def _lyapunov_ladder(cfg, pool: WorkerPool) -> list:
     rows.append(CheckRow("quenched-slope-decrease-fraction", frac, hi - lo,
                          frac >= 0.9))
 
-    tail_a = cfg.param_tuple("tail_a", (2.0, 32.0))
-    tail_t = cfg.param_tuple("tail_t", (0.5, 6.0))
-    L = cfg.param("window", 2.0)
     probes = {}
-    for a in tail_a:
-        for s, probe in zip(tail_t, feynmankac.ldp_tail_probes(
-                ScaledTheta(a, profile), cfg.grid, tail_t, L, cfg.dt, cfg.seed, tail_reps)):
+    for a, tail in zip(tail_a, marches[len(a_ladder):]):
+        for s, probe in zip(tail_t, tail):
             probes[a, s] = probe
             rows.append(CheckRow(f"tail-fraction-a{a:g}-t{s:g}", probe.fraction,
                                  0.5 * (probe.interval[1] - probe.interval[0]),

@@ -23,6 +23,10 @@ Conventions fixed here:
   - sampling is chunked with fixed-size chunks, chunk c of sampler tag drawn
     from ensemble.stream_rng(seed, (tag, c)), so estimates are byte-identical
     regardless of how work is split;
+  - the chunks of qtc and the strata of the diagonal time integral are
+    ensemble jobs: `workers` (a process count or an ensemble.WorkerPool)
+    says where they run, and their values come back and are reduced in
+    chunk or stratum order, so the estimates do not depend on it;
   - _CHUNK keys the streams, while blocks only split the arithmetic: a chunk
     of qtc, or a stratum of the diagonal time integral, is drawn and reduced
     in row blocks of about _BLOCK values, so each block's arrays stay in
@@ -42,7 +46,7 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .covariance import CovarianceKernel, ScaledTheta
-from .ensemble import batch_ranges, mean_se, stream_rng
+from .ensemble import batch_ranges, mean_se, run_jobs, stream_rng
 from .grids import Grid, GridFunction
 from .heatkernel import heat_at_points
 from .spde import NoisePath, pam_log_max_series, pam_states_at
@@ -117,13 +121,18 @@ class AtomicMeasure:
         return cls(np.ones(1), np.atleast_1d(np.asarray(x, dtype=float))[None, :])
 
 
+@dataclass(frozen=True)
+class _PairProduct:
+    f: object
+
+    def __call__(self, bx, by):
+        return np.asarray(self.f(bx), dtype=float) * np.asarray(self.f(by), dtype=float)
+
+
 def pair_product(f):
-    """Tensor readout (x, y) -> f(x) f(y)."""
-
-    def F(bx, by):
-        return np.asarray(f(bx), dtype=float) * np.asarray(f(by), dtype=float)
-
-    return F
+    """Tensor readout (x, y) -> f(x) f(y); it pickles when f does, so its
+    sampler's chunks can run on a process pool."""
+    return _PairProduct(f)
 
 
 def _path_mean_se(blocks) -> tuple:
@@ -171,30 +180,38 @@ def _pair_paths(rng, diff_scale, sum_scale, shape: tuple) -> tuple:
     return left, 0.5 * (total + diff), 0.5 * (total - diff)
 
 
-def qtc(F, x, y, t: float, kernel: CovarianceKernel, mc: MCConfig) -> tuple:
+def _qtc_chunk(F, x, y, t, kernel, mc, c, lo, hi) -> np.ndarray:
+    """The path values of qtc's chunk c, paths [lo, hi), from stream (0, c)."""
+    m = mc.steps_for(t)
+    dim = len(x)
+    rng = stream_rng(mc.seed, (0, c))
+    blocks = []
+    for _, b_lo, b_hi in _row_blocks(hi - lo, (m + 1) * dim):
+        left, end_b, end_bp = _pair_paths(rng, math.sqrt(2.0 * mc.dt),
+                                          math.sqrt(2.0 * t), (b_hi - b_lo, m, dim))
+        left += x - y
+        radii = np.sqrt(np.sum(left * left, axis=-1))
+        exponent = mc.dt * np.sum(kernel.envelope(radii), axis=1)
+        blocks.append(np.exp(exponent) * np.asarray(F(x + end_b, y + end_bp), dtype=float))
+    return np.concatenate(blocks)
+
+
+def qtc(F, x, y, t: float, kernel: CovarianceKernel, mc: MCConfig, workers=1) -> tuple:
     """Pair-path expectation of F weighted by the exponentiated correlation.
 
     Left-endpoint Riemann sum for the exponent; the pair is drawn as its
     difference path and the endpoint of its sum.  Returns (estimate,
-    standard error).
+    standard error).  The chunks run on `workers` (see the module
+    docstring); F must pickle when they run on a pool.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be points of the same dimension")
-    m = mc.steps_for(t)
-    dim = len(x)
-    blocks = []
-    for c, lo, hi in batch_ranges(mc.n_paths, _CHUNK):
-        rng = stream_rng(mc.seed, (0, c))
-        for _, b_lo, b_hi in _row_blocks(hi - lo, (m + 1) * dim):
-            left, end_b, end_bp = _pair_paths(rng, math.sqrt(2.0 * mc.dt),
-                                              math.sqrt(2.0 * t), (b_hi - b_lo, m, dim))
-            left += x - y
-            radii = np.sqrt(np.sum(left * left, axis=-1))
-            exponent = mc.dt * np.sum(kernel.envelope(radii), axis=1)
-            blocks.append(np.exp(exponent) * np.asarray(F(x + end_b, y + end_bp), dtype=float))
-    return _path_mean_se(blocks)
+    mc.steps_for(t)
+    chunks = run_jobs([(_qtc_chunk, F, x, y, t, kernel, mc, *chunk)
+                       for chunk in batch_ranges(mc.n_paths, _CHUNK)], workers)
+    return _path_mean_se(chunks)
 
 
 def first_moment_rhs(f, nu: AtomicMeasure, t: float) -> float:
@@ -203,57 +220,63 @@ def first_moment_rhs(f, nu: AtomicMeasure, t: float) -> float:
     return float(np.dot(nu.weights, flowed))
 
 
+def _diagonal_stratum(F, x, t, kernel, mc, j, n_j) -> tuple:
+    """(mean, SE) of stratum j of _diagonal_time_integral, n_j paths from stream (1, j)."""
+    dim = len(x)
+    rng = stream_rng(mc.seed, (1, j))
+    u = rng.random(n_j)
+    s = (j + u) * mc.dt
+    # common phase: a single exact Gaussian jump of length t - s
+    common = x + rng.standard_normal((n_j, dim)) * np.sqrt(t - s)[:, None]
+    # pair phase: j full steps of dt plus one partial step of u dt
+    widths = np.concatenate(
+        [np.full((n_j, j), mc.dt), (u * mc.dt)[:, None]], axis=1)
+    blocks = []
+    for _, lo, hi in _row_blocks(n_j, (j + 2) * dim):
+        w = widths[lo:hi]
+        left, end_b, end_bp = _pair_paths(rng, np.sqrt(2.0 * w)[..., None],
+                                          np.sqrt(2.0 * s[lo:hi])[:, None],
+                                          (hi - lo, j + 1, dim))
+        radii = np.sqrt(np.sum(left * left, axis=-1))
+        exponent = np.sum(kernel.envelope(radii) * w, axis=1)
+        blocks.append(np.exp(exponent) * np.asarray(
+            F(common[lo:hi] + end_b, common[lo:hi] + end_bp), dtype=float))
+    return _path_mean_se(blocks)
+
+
 def _diagonal_time_integral(F, x: np.ndarray, t: float,
-                            kernel: CovarianceKernel, mc: MCConfig) -> tuple:
+                            kernel: CovarianceKernel, mc: MCConfig, workers=1) -> tuple:
     """int_0^t P_{t-s}(pi Q_s F)(x) ds, stratified uniformly over mesh cells.
 
     Each sample runs a plain Gaussian jump of length t-s from x, then a pair
     started at its endpoint for the remaining s; the draw of s inside its mesh
     cell keeps the estimator unbiased with a nonzero standard error.  Each
-    stratum is reduced on its own and the strata combine in quadrature.
+    stratum is reduced on its own, as one job on `workers`, and the strata
+    combine in quadrature, in stratum order.
     """
     m = mc.steps_for(t)
     if mc.n_paths < 2 * m:
         raise ValueError(
             f"need at least {2 * m} paths for {m} time strata, got {mc.n_paths}")
-    dim = len(x)
     base, rem = divmod(mc.n_paths, m)
+    strata = run_jobs([(_diagonal_stratum, F, x, t, kernel, mc, j, base + (1 if j < rem else 0))
+                       for j in range(m)], workers)
     value = 0.0
     variance = 0.0
-    for j in range(m):
-        n_j = base + (1 if j < rem else 0)
-        rng = stream_rng(mc.seed, (1, j))
-        u = rng.random(n_j)
-        s = (j + u) * mc.dt
-        # common phase: a single exact Gaussian jump of length t - s
-        common = x + rng.standard_normal((n_j, dim)) * np.sqrt(t - s)[:, None]
-        # pair phase: j full steps of dt plus one partial step of u dt
-        widths = np.concatenate(
-            [np.full((n_j, j), mc.dt), (u * mc.dt)[:, None]], axis=1)
-        blocks = []
-        for _, lo, hi in _row_blocks(n_j, (j + 2) * dim):
-            w = widths[lo:hi]
-            left, end_b, end_bp = _pair_paths(rng, np.sqrt(2.0 * w)[..., None],
-                                              np.sqrt(2.0 * s[lo:hi])[:, None],
-                                              (hi - lo, j + 1, dim))
-            radii = np.sqrt(np.sum(left * left, axis=-1))
-            exponent = np.sum(kernel.envelope(radii) * w, axis=1)
-            blocks.append(np.exp(exponent) * np.asarray(
-                F(common[lo:hi] + end_b, common[lo:hi] + end_bp), dtype=float))
-        mean, se = _path_mean_se(blocks)
+    for mean, se in strata:
         value += mc.dt * mean
         variance += (mc.dt * se) ** 2
     return value, math.sqrt(variance)
 
 
 def second_moment_rhs(f, nu: AtomicMeasure, t: float,
-                      kernel: CovarianceKernel, mc: MCConfig) -> tuple:
+                      kernel: CovarianceKernel, mc: MCConfig, workers=1) -> tuple:
     """Two-term second-moment identity for an atomic initial measure.
 
     First term pairs the weighted pair semigroup with nu (x) nu; second term
     integrates its diagonal restriction, flowed by the heat semigroup, against
     nu over [0, t].  Standard errors of all Monte Carlo pieces combine in
-    quadrature.
+    quadrature.  The samplers' chunks and strata run on `workers`.
     """
     F = pair_product(f)
     value = 0.0
@@ -261,19 +284,20 @@ def second_moment_rhs(f, nu: AtomicMeasure, t: float,
     for i, (wi, xi) in enumerate(zip(nu.weights, nu.points)):
         for j, (wj, xj) in enumerate(zip(nu.weights, nu.points)):
             est, se = qtc(F, xi, xj, t, kernel,
-                          MCConfig(mc.n_paths, mc.dt, mc.seed + 7919 * (i * len(nu.weights) + j)))
+                          MCConfig(mc.n_paths, mc.dt, mc.seed + 7919 * (i * len(nu.weights) + j)),
+                          workers)
             value += wi * wj * est
             var += (wi * wj * se) ** 2
-        est, se = _diagonal_time_integral(F, xi, t, kernel, mc)
+        est, se = _diagonal_time_integral(F, xi, t, kernel, mc, workers)
         value += wi * est
         var += (wi * se) ** 2
     return value, math.sqrt(var)
 
 
 def pam_second_moment_oracle(f, t: float, x, y,
-                             kernel: CovarianceKernel, mc: MCConfig) -> tuple:
+                             kernel: CovarianceKernel, mc: MCConfig, workers=1) -> tuple:
     """Annealed two-point moment of the linear flow: Q_t(f (x) f) at (x, y)."""
-    return qtc(pair_product(f), x, y, t, kernel, mc)
+    return qtc(pair_product(f), x, y, t, kernel, mc, workers)
 
 
 def annealed_moment_w(kernel: ScaledTheta, t: float, k: int, mc: MCConfig,

@@ -172,6 +172,17 @@ def test_a_list_where_one_number_is_needed_exits_2_naming_the_section(tmp_path, 
     assert not (tmp_path / "run").exists()
 
 
+def test_validate_refuses_a_list_where_one_number_is_needed(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, **{"params.t": "1.0, 2.0"})
+    assert main(["validate", "--config", cfg_path]) == 2
+    assert capsys.readouterr().err.strip() \
+        == "error: [params] t must be a single number, got (1.0, 2.0)"
+    # a key the experiment reads as a list may hold one
+    cfg_path = write_config(tmp_path, **{"experiment.name": "duality-ladder",
+                                         "params.n_ladder": "10, 40"})
+    assert main(["validate", "--config", cfg_path]) == 0
+
+
 @pytest.mark.parametrize("value, reason", [
     ("inf", "must be positive and finite, got inf"),
     ("-1", "must be positive and finite, got -1.0"),

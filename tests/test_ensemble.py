@@ -1,12 +1,17 @@
 """Tests of the one keying, batching and reduction layer (sbmre.ensemble)."""
 
+import configparser
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sbmre import ensemble
-from sbmre.ensemble import BATCH_SIZE, batch_ranges, map_batches, mean_se, stream_rng
+from sbmre import cli, ensemble
+from sbmre.ensemble import (BATCH_SIZE, batch_jobs, batch_ranges, map_batches, mean_se,
+                            run_jobs, stream_rng)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _batch_sum(scale, b, lo, hi):
@@ -42,8 +47,11 @@ def test_map_batches_keeps_batch_order_whatever_the_worker_count():
     assert map_batches(_batch_sum, 3, (1.0,), workers=2) == [_batch_sum(1.0, 0, 0, 3)]
 
 
-def serial_pools(monkeypatch) -> list:
-    """Swap in a pool that maps in-process, so no process starts; returns the sizes asked for."""
+def serial_pools(monkeypatch, jobs: list = None) -> list:
+    """Swap in a pool that maps in-process, so no process starts; returns the sizes asked for.
+
+    Each job mapped on such a pool is appended to `jobs` when a list is given.
+    """
     asked = []
 
     class SerialPool:
@@ -57,6 +65,8 @@ def serial_pools(monkeypatch) -> list:
             return False
 
         def map(self, fn, *iterables):
+            if jobs is not None:
+                jobs.extend(iterables[0])
             return map(fn, *iterables)
 
     monkeypatch.setattr(ensemble, "ProcessPoolExecutor", SerialPool)
@@ -79,6 +89,57 @@ def test_worker_pool_starts_once_and_grows_only_for_more_batches(monkeypatch):
                 == [_batch_sum(2.0, *batch) for batch in batch_ranges(total)]
     # one batch runs in-process; a larger pool only when more batches can use it
     assert asked == [2, 4]
+
+
+def test_run_jobs_returns_each_job_in_order_on_any_pool(monkeypatch):
+    # batches and an unrelated job in one list
+    jobs = batch_jobs(_batch_sum, 3 * BATCH_SIZE, (2.0,)) + [(divmod, 7, 2)]
+    serial = [_batch_sum(2.0, *batch) for batch in batch_ranges(3 * BATCH_SIZE)] + [(3, 1)]
+    assert run_jobs(jobs) == serial
+    asked = serial_pools(monkeypatch)
+    with ensemble.WorkerPool(2) as pool:
+        assert run_jobs(jobs, pool) == serial
+        assert run_jobs(jobs[-1:], pool) == serial[-1:]  # one job runs in-process
+    assert asked == [2]
+
+
+def _run_on_serial_pool(monkeypatch, tmp_path, name: str, **overrides) -> list:
+    """Names of the job functions a shipped config's run at --workers 2 puts on its pool."""
+    parser = configparser.ConfigParser()
+    parser.read(CONFIGS / f"{name}.ini")
+    for dotted, value in overrides.items():
+        section, key = dotted.split(".", 1)
+        parser[section][key] = value
+    path = tmp_path / f"{name}.ini"
+    with open(path, "w") as handle:
+        parser.write(handle)
+    jobs = []
+    serial_pools(monkeypatch, jobs)
+    cfg = cli.load_config(str(path), out_override=str(tmp_path / "out"))
+    assert cli.run_experiment(cfg, workers=2).exit_code == 0
+    return [job[0].__name__ for job in jobs]
+
+
+def test_experiments_put_every_independent_unit_on_the_pool(monkeypatch, tmp_path):
+    # moments-triangle: two particle batches, then the oracle's three qtc
+    # chunks and its 80 strata (t = 1 on a 0.0125 mesh)
+    assert _run_on_serial_pool(monkeypatch, tmp_path, "moments-triangle",
+                               **{"mc.replicas": "64", "mc.paths": "9000", "params.n": "50"}) \
+        == ["_particle_batch"] * 2 + ["_qtc_chunk"] * 3 + ["_diagonal_stratum"] * 80
+    # lyapunov-ladder: its two growth-rate marches and its two tail marches
+    assert _run_on_serial_pool(monkeypatch, tmp_path, "lyapunov-ladder") \
+        == ["lyapunov_estimate"] * 2 + ["ldp_tail_probes"] * 2
+    # extinction-scan: the noise-off closed-form march next to its one batch
+    assert _run_on_serial_pool(monkeypatch, tmp_path, "extinction-scan") \
+        == ["_noise_off_routes", "_log_laplace_mean_batch"]
+    # comparison-suite: four batches, the noise-off march and the Stratonovich march
+    assert _run_on_serial_pool(monkeypatch, tmp_path, "comparison-suite") \
+        == ["_comparison_batch"] * 4 + ["_zero_kernel_gap", "_stratonovich_gap"]
+    # duality-ladder: the zero-kernel pair, the log-Laplace route's three
+    # batches, three dual batches per rung, then one third-moment batch per rung
+    assert _run_on_serial_pool(monkeypatch, tmp_path, "duality-ladder") \
+        == ["laplace_via_log_laplace", "laplace_via_dual"] + ["_log_laplace_batch"] * 3 \
+        + ["_dual_batch"] * 6 + ["_dual_batch"] * 2
 
 
 def test_mean_se_drops_non_finite_values():

@@ -6,13 +6,14 @@ independent routes within standard-error bands.  All runs are seeded.
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from sbmre import feynmankac
 from sbmre.covariance import Constant, ScaledTheta, points_covariance_factor
-from sbmre.ensemble import batch_ranges, mean_se, stream_rng
+from sbmre.ensemble import WorkerPool, batch_ranges, mean_se, stream_rng
 from sbmre.feynmankac import (
     AtomicMeasure,
     _BLOCK,
@@ -67,6 +68,26 @@ def test_pair_helpers():
     y = np.array([[-0.3], [0.9]])
     assert np.allclose(F(x, y), f(x) * f(y))
     assert np.allclose(F(x, x), f(x) ** 2)
+
+
+def test_pair_product_survives_a_pickle_round_trip():
+    F = pair_product(GaussianBump(center=0.2, width=0.7))
+    G = pickle.loads(pickle.dumps(F))
+    x = np.linspace(-1.0, 1.0, 7)[:, None]
+    assert np.array_equal(G(x, x[::-1]), F(x, x[::-1]))
+
+
+def test_pair_path_oracle_on_a_pool_equals_one_process():
+    # three qtc chunks and ten strata per atom, spread over two processes
+    f, kernel = GaussianBump(center=0.1, width=0.8), ScaledTheta(1.0)
+    mc = MCConfig(2 * _CHUNK + 100, 0.05, SEED)
+    x, y = np.array([0.2]), np.array([-0.3])
+    nu = AtomicMeasure(np.array([0.5, 1.5]), np.array([[0.0], [0.4]]))
+    with WorkerPool(2) as pool:
+        assert qtc(pair_product(f), x, y, 0.5, kernel, mc, pool) \
+            == qtc(pair_product(f), x, y, 0.5, kernel, mc)
+        assert second_moment_rhs(f, nu, 0.5, kernel, mc, pool) \
+            == second_moment_rhs(f, nu, 0.5, kernel, mc)
 
 
 def test_qtc_deterministic_cases_and_replay():

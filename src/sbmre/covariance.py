@@ -68,6 +68,9 @@ class IndefiniteKernelError(np.linalg.LinAlgError):
         super().__init__(message)
         self.min_eigenvalue = min_eigenvalue
 
+    def __reduce__(self):  # pickle with the constructor's arguments, so it crosses a pool
+        return type(self), (self.args[0], self.min_eigenvalue)
+
 
 @dataclass(frozen=True)
 class EnvelopeTraits:

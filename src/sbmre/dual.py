@@ -60,6 +60,9 @@ class DualEvolutionError(FloatingPointError):
         super().__init__(f"dual state became non-finite at step {step}")
         self.step = step
 
+    def __reduce__(self):  # pickle with the constructor's arguments, so it crosses a pool
+        return type(self), (self.step,)
+
 
 class PoissonClock:
     """Rate-n arrival clock; inter-arrival gaps are exponential, mean 1/n."""

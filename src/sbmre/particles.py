@@ -59,6 +59,9 @@ class PopulationBlowupError(RuntimeError):
         self.epoch = epoch
         self.cap = cap
 
+    def __reduce__(self):  # pickle with the constructor's arguments, so it crosses a pool
+        return type(self), (self.population, self.epoch, self.cap)
+
 
 @dataclass(frozen=True, eq=False)
 class BranchingConfig:

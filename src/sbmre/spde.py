@@ -65,6 +65,9 @@ class SchemeOverflowError(FloatingPointError):
         super().__init__(message)
         self.step = step
 
+    def __reduce__(self):  # pickle with the constructor's arguments, so it crosses a pool
+        return type(self), (self.args[0], self.step)
+
 
 class RouteDisagreementError(RuntimeError):
     """Two discretizations of the same object drifted past scheme order."""

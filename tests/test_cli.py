@@ -329,6 +329,21 @@ def test_experiment_error_exits_3_with_one_line(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_experiment_error_in_a_pool_worker_keeps_its_message(tmp_path, capsys):
+    # the same indefinite kernel, now failing inside the log-Laplace route's
+    # two batches on a two-process pool
+    cfg_path = write_config(
+        tmp_path,
+        **{"experiment.name": "duality-ladder", "kernel.type": "indicator",
+           "kernel.level": None, "kernel.radius": "1.0", "kernel.height": "1.0",
+           "mc.replicas": "40", "params.t": "0.05", "params.n_ladder": "10"})
+    assert main(["duality-ladder", "--config", cfg_path, "--workers", "2",
+                 "--out", str(tmp_path / "dl")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: duality-ladder failed: covariance matrix is not positive")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_duality_ladder_run_starts_one_process_pool(tmp_path, monkeypatch):
     # the log-Laplace route and both dual rungs have two batches each; one
     # pool, started at the first of them, serves all three

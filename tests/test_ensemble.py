@@ -8,8 +8,12 @@ import numpy as np
 import pytest
 
 from sbmre import cli, ensemble
+from sbmre.covariance import IndefiniteKernelError
+from sbmre.dual import DualEvolutionError
 from sbmre.ensemble import (BATCH_SIZE, batch_jobs, batch_ranges, map_batches, mean_se,
                             run_jobs, stream_rng)
+from sbmre.particles import PopulationBlowupError
+from sbmre.spde import SchemeOverflowError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -101,6 +105,25 @@ def test_run_jobs_returns_each_job_in_order_on_any_pool(monkeypatch):
         assert run_jobs(jobs, pool) == serial
         assert run_jobs(jobs[-1:], pool) == serial[-1:]  # one job runs in-process
     assert asked == [2]
+
+
+def _raise(error):
+    raise error
+
+
+@pytest.mark.parametrize("error", [
+    SchemeOverflowError("state left the finite range at step 7", 7),
+    DualEvolutionError(8),
+    IndefiniteKernelError("covariance matrix is not positive semidefinite", -0.5),
+    PopulationBlowupError(120, 3, 100),
+], ids=lambda error: type(error).__name__)
+def test_a_job_error_reaches_the_caller_whole_from_a_pool(error):
+    # the lab's errors with extra constructor arguments must unpickle in the
+    # parent, or the pool reports a broken process instead of the error
+    with pytest.raises(type(error)) as caught:
+        run_jobs([(_raise, error), (abs, -1)], workers=2)
+    assert str(caught.value) == str(error)
+    assert vars(caught.value) == vars(error)
 
 
 def _run_on_serial_pool(monkeypatch, tmp_path, name: str, **overrides) -> list:

@@ -17,7 +17,7 @@ Exit codes: 0 all checks pass, 1 any check fails, 2 config or replay error,
 
 import argparse
 import configparser
-import difflib
+import functools
 import hashlib
 import importlib.metadata
 import json
@@ -120,7 +120,9 @@ class ExperimentConfig:
         return tuple(float(v) for v in value)
 
 
+@functools.cache
 def _versions() -> dict:
+    """Python, sbmre, numpy and scipy versions, read once per process (shared; copy to edit)."""
     out = {"python": platform.python_version(), "sbmre": __version__}
     for pkg in ("numpy", "scipy"):
         try:
@@ -354,6 +356,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunReport:
     csv_path = os.path.join(cfg.outdir, f"{cfg.experiment}.csv")
     manifest_path = os.path.join(cfg.outdir, f"{cfg.experiment}_manifest.json")
     digest = hashlib.sha256(csv).hexdigest()
+    versions = _versions()
     manifest = {
         "experiment": cfg.experiment,
         "config_hash": cfg.digest,
@@ -362,7 +365,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunReport:
         "csv_sha256": digest,
         "n_rows": len(rows),
         "seed": cfg.seed,
-        "versions": _versions(),
+        "versions": versions,
         "wall_clock_s": round(elapsed, 3),
         "workers": workers,
     }
@@ -375,7 +378,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunReport:
                        (manifest_path, "w", write_manifest)])
     return RunReport(experiment=cfg.experiment, config_hash=cfg.digest,
                      seed=cfg.seed, workers=workers, rows=rows,
-                     wall_clock=elapsed, versions=_versions(),
+                     wall_clock=elapsed, versions=dict(versions),
                      csv_path=csv_path, manifest_path=manifest_path,
                      csv_sha256=digest)
 
@@ -413,6 +416,8 @@ def replay(manifest_path: str, workers: int = 1) -> RunReport:
     text = _canonical_text(parser)
     digest = hashlib.sha256(text.encode()).hexdigest()
     if digest != manifest["config_hash"]:
+        import difflib  # only a refused replay shows a diff
+
         diff = "\n".join(difflib.unified_diff(
             manifest["config_text"].splitlines(), text.splitlines(),
             "recorded", "canonical", lineterm="", n=1))

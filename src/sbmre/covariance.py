@@ -22,6 +22,12 @@ Point sets are deduplicated before factoring, so coincident points share one
 field value; in d = 1 the dedup is a plain 1-d np.unique, which gives the
 same rows and inverse as np.unique(axis=0) without its structured-dtype sort.
 
+Distances: C(x, y) and every covariance matrix take |x - y| from one formula,
+_pair_distances, which sums the squared coordinate differences one axis at a
+time, in axis order.  So a matrix over m points never holds an (m, m, d)
+temporary, and its bits equal scipy's cdist, which is not imported:
+scipy.spatial would add a tenth of a second to every cold start.
+
 Draw layout: a draw of k fields takes its normals as z of shape (k, r), one
 row per field, and returns the rows of z @ root^T, shape (k, m), with no
 transpose.  So the normals of k fields are exactly the first k rows of a
@@ -29,10 +35,15 @@ longer draw's, and two consecutive draws on one generator take the normals of
 one draw of the summed width.  The fields follow bit for bit wherever the
 BLAS product computes a row alike whatever the row count.  numpy hands a lone
 row to gemv, whose bits differ from gemm's, so a batch of one field is
-stacked with a copy of itself.  OpenBLAS may still pick another kernel for
-the last m mod 8 columns of a long draw (seen at m = 17, 100 and 500, never at a
-multiple of 8); spde.NoisePath does not rely on it, as its blocks fall at
-fixed steps.  A single field (batch=None) stays a matrix-vector product.
+stacked with a copy of itself.  OpenBLAS picks the kernel for the last
+m mod 8 columns of a product by its row count (seen at m = 100 and n = 20,
+never at a multiple of 8), so the cached root^T carries zero columns up to a
+multiple of 8 and the draw is sliced back to m; a KroneckerRoot pads its
+first product, of width n, alike.  Above rank 384 a product of 2 to 4 rows
+can still differ from a long draw's rows (OpenBLAS takes another path for
+small products; seen at rank 392 to 512); spde.NoisePath does not rely on
+the property, as its blocks fall at fixed steps.  A single field
+(batch=None) stays a matrix-vector product.
 
 Separable kernels on grids: when C(x, y) = prod_i c(x_i - y_i) over the d axes
 (the Gaussian ScaledTheta; see CovarianceKernel.axis_kernel), the covariance
@@ -54,7 +65,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dpstrf
-from scipy.spatial.distance import cdist
 
 JITTER_SCALE = 1e-10
 JITTER_CAP = 1e-8
@@ -86,13 +96,27 @@ class EnvelopeTraits:
 
 
 def _pair_distances(x, y) -> np.ndarray:
+    """|x - y| over the trailing coordinate axis, x and y broadcast against each other.
+
+    The squared differences are summed one axis at a time, in axis order,
+    into one array of the broadcast shape through one buffer of that shape,
+    so the step holds two such arrays at most, never one with the coordinate
+    axis.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape[-1] != y.shape[-1]:
         raise ValueError(
             f"dimension mismatch: x has dim {x.shape[-1]}, y has dim {y.shape[-1]}"
         )
-    return np.sqrt(np.sum((x - y) ** 2, axis=-1))
+    total = np.asarray(x[..., 0] - y[..., 0])  # 0-d for a single pair of points
+    total *= total
+    diff = np.empty_like(total)
+    for i in range(1, x.shape[-1]):
+        np.subtract(x[..., i], y[..., i], out=diff)
+        diff *= diff
+        total += diff
+    return np.sqrt(total, out=total)
 
 
 class CovarianceKernel:
@@ -114,8 +138,9 @@ class CovarianceKernel:
         return float(self.envelope(np.zeros(1))[0])
 
     def matrix(self, points) -> np.ndarray:
+        """(m, m) matrix C(p_i, p_j) over the rows of points, shape (m, dim)."""
         points = np.asarray(points, dtype=float)
-        return self.envelope(cdist(points, points))
+        return self.envelope(_pair_distances(points[:, np.newaxis], points[np.newaxis]))
 
     def envelope_traits(self) -> EnvelopeTraits:
         return EnvelopeTraits()
@@ -270,6 +295,14 @@ class IndicatorBall(CovarianceKernel):
         )
 
 
+def _padded_transpose(root: np.ndarray) -> np.ndarray:
+    """C-ordered root.T with zero columns up to a multiple of 8 (see the draw layout)."""
+    m, r = root.shape
+    out = np.zeros((r, m + -m % 8))
+    out[:, :m] = root.T
+    return out
+
+
 class KroneckerRoot:
     """The root L ⊗ ... ⊗ L (dim copies) of a separable grid covariance, never formed.
 
@@ -283,7 +316,7 @@ class KroneckerRoot:
         self.dim = int(dim)
         n, r = axis_root.shape
         self.shape = (n**self.dim, r**self.dim)
-        self._axis_root_t = np.ascontiguousarray(axis_root.T)
+        self._axis_root_t = _padded_transpose(axis_root)
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         """z @ root.T for z of shape (cols, r**dim): the root applied to each row.
@@ -294,7 +327,7 @@ class KroneckerRoot:
         """
         n, r = self.axis_root.shape
         cols = len(z)
-        out = z.reshape(-1, r) @ self._axis_root_t
+        out = (z.reshape(-1, r) @ self._axis_root_t)[:, :n]
         for k in range(1, self.dim):
             # axis dim-1-k is next (length r); the k axes behind it are done (length n)
             out = np.matmul(self.axis_root, out.reshape(cols * r ** (self.dim - 1 - k), r, n**k))
@@ -329,7 +362,7 @@ class GaussianFieldFactor:
 
     @cached_property
     def _root_t(self) -> np.ndarray:
-        return np.ascontiguousarray(self.root.T)
+        return _padded_transpose(self.root)
 
     def fields(self, z: np.ndarray) -> np.ndarray:
         """root @ z_i for each row z_i of z (cols, r): (cols, m) values on the distinct points.
@@ -340,9 +373,10 @@ class GaussianFieldFactor:
             return self.root.apply(z.reshape(-1, z.shape[-1])).reshape(z.shape[:-1] + (-1,))
         if z.ndim == 1:
             return self.root @ z
+        m = self.root.shape[0]
         if len(z) == 1:  # numpy hands a lone row to gemv, whose bits differ from gemm's
-            return (np.concatenate((z, z)) @ self._root_t)[:1]
-        return z @ self._root_t
+            return (np.concatenate((z, z)) @ self._root_t)[:1, :m]
+        return (z @ self._root_t)[:, :m]
 
     def sample(self, rng, dt: float = 1.0, batch: int = None) -> np.ndarray:
         """Draw a centered Gaussian field with covariance C * dt.

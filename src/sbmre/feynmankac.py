@@ -43,7 +43,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .covariance import CovarianceKernel, ScaledTheta
 from .ensemble import batch_ranges, mean_se, run_jobs, stream_rng
@@ -382,6 +381,8 @@ def lyapunov_estimate(kernel: CovarianceKernel, grid: Grid, T: float, dt: float,
     q25, q75 = np.percentile(late, [25.0, 75.0])
     d = late - early
     mean, se = mean_se(d)
+    from scipy.special import stdtrit  # here, not at module import: few runs need it
+
     k = float(stdtrit(d.size - 1, 1.0 - PLATEAU_LEVEL / 2.0))  # Student-t quantile
     conclusive = abs(mean) <= k * se
     return LyapunovEstimate(slopes=late, early_slopes=early,

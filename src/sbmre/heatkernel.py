@@ -32,7 +32,6 @@ the origin, theta = I(0), and any other envelope is refused.
 import math
 
 import numpy as np
-from scipy import integrate
 
 from . import covariance as cov
 from .grids import Grid, GridFunction, PolynomialWeight
@@ -191,6 +190,8 @@ def persistence_threshold(dim: int) -> float:
 
 
 def _quad(fn, a, b, breakpoints=()):
+    from scipy import integrate  # here, not at module import: sampling runs never integrate
+
     if np.isinf(b):
         # map the tail through u = 1/s; algebraic decay becomes a bounded
         # integrand, which quad resolves far better than its built-in

@@ -6,10 +6,12 @@ Statistical checks use seeded generators; tolerances follow the entrywise
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.spatial.distance import cdist
 
 from sbmre import covariance
 from sbmre.covariance import (
@@ -59,6 +61,33 @@ def test_eval_symmetry_bit_identical():
 def test_eval_dimension_mismatch():
     with pytest.raises(ValueError):
         Constant(1.0)(np.zeros(2), np.zeros(3))
+
+
+MATRIX_KERNELS = [Constant(0.7), ScaledTheta(1.3, GaussianProfile(0.8)),
+                  StationaryPower(0.4, 1.5), IndicatorBall(1.1, 0.6)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("kern", MATRIX_KERNELS, ids=lambda k: type(k).__name__)
+def test_matrix_equals_the_envelope_of_cdist(kern, dim):
+    # the one distance formula gives scipy's cdist bits, on random and grid points
+    scattered = np.random.default_rng(dim).normal(scale=2.0, size=(60, dim))
+    cells = Grid(dim, 4.0, {1: 40, 2: 8, 3: 4}[dim]).points()
+    for points in (scattered, cells):
+        assert np.array_equal(kern.matrix(points), kern.envelope(cdist(points, points)))
+
+
+def test_pair_distances_never_hold_the_coordinate_axis():
+    # m = 1500 in d = 3: the distance step peaks at two (m, m) arrays, not (m, m, d)
+    points = np.random.default_rng(0).normal(size=(1500, 3))
+    square = points.shape[0] ** 2 * 8
+    tracemalloc.start()
+    try:
+        covariance._pair_distances(points[:, np.newaxis], points[np.newaxis])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert square <= peak < 2 * square + (1 << 20)
 
 
 def test_scaled_theta_profile_normalization():
@@ -188,6 +217,20 @@ def test_consecutive_draws_equal_one_wide_draw(factor, widths):
     parts = [factor.sample(rng, dt=0.7, batch=w) for w in widths]
     wide = factor.sample(np.random.default_rng(5), dt=0.7, batch=sum(widths))
     assert np.array_equal(np.concatenate(parts), wide)
+
+
+@pytest.mark.parametrize("factor", [
+    points_covariance_factor(StationaryPower(1.0, 1.5), np.linspace(-4.0, 4.0, 100)[:, None]),
+    grid_covariance_factor(ScaledTheta(1.0, GaussianProfile(0.3)), Grid(2, 8.0, 20)),
+], ids=["dense-100", "kronecker-2d-20"])
+def test_a_field_keeps_its_bits_in_any_row_count_off_a_multiple_of_8(factor):
+    # m = 100 and n = 20 leave a remainder mod 8, whose columns OpenBLAS
+    # computes by the row count unless the root is padded
+    assert getattr(factor.root, "axis_root", factor.root).shape[0] % 8
+    z = np.random.default_rng(2).standard_normal((700, factor.root.shape[1]))
+    wide = factor.fields(z)
+    for rows in (1, 2, 3, 64):
+        assert np.array_equal(factor.fields(z[:rows]), wide[:rows])
 
 
 @pytest.mark.parametrize("profile", [GaussianProfile(1.0), GaussianProfile(0.3),

@@ -11,6 +11,11 @@ manifest embeds the canonical config text and its hash; `replay` recomputes
 the CSV from the manifest alone and refuses to run across version or config
 drift.
 
+`[readouts]` and `[params]` are checked whole at load, so `validate` refuses
+the values a run would: `[readouts]` holds exactly one readout, and each
+`[params]` key is converted to the kind its experiment declares in
+experiments.PARAMS; a key the experiment does not declare is an error.
+
 Exit codes: 0 all checks pass, 1 any check fails, 2 config or replay error,
 3 an experiment raised (ExperimentError: a solver or sampler failed).
 """
@@ -32,7 +37,7 @@ from . import __version__
 from .covariance import (Constant, CovarianceKernel, GaussianProfile, IndicatorBall,
                          ScaledTheta, StationaryPower)
 from .ensemble import WorkerPool
-from .experiments import EXPERIMENTS, LIST_PARAMS, CheckRow, ConfigError
+from .experiments import EXPERIMENTS, PARAMS, CheckRow, ConfigError
 from .grids import Grid
 from .readouts import parse_readout
 
@@ -92,32 +97,11 @@ class ExperimentConfig:
     replicas: int
     paths: int
     seed: int
-    readouts: tuple  # ((name, readout), ...) in file order
-    params: dict
+    readout: object  # the one [readouts] entry, parsed
+    params: dict  # [params] key -> value of the kind experiments.PARAMS declares
     outdir: str
     text: str
     digest: str
-
-    @property
-    def readout(self):
-        return self.readouts[0][1]
-
-    def param(self, key: str, default: float) -> float:
-        """[params] key as one number; only the experiment's LIST_PARAMS keys hold lists."""
-        return float(self.params.get(key, default))
-
-    def param_count(self, key: str, default: int) -> int:
-        """param(key, default) as an int; a ConfigError unless a positive whole number."""
-        value = self.param(key, default)
-        if not (value >= 1 and value.is_integer()):
-            raise ConfigError(f"[params] {key} must be a positive whole number, got {value}")
-        return int(value)
-
-    def param_tuple(self, key: str, default: tuple) -> tuple:
-        value = self.params.get(key, default)
-        if not isinstance(value, tuple):
-            value = (value,)
-        return tuple(float(v) for v in value)
 
 
 @functools.cache
@@ -206,26 +190,30 @@ def _built(section: str, build, parser):
         raise ConfigError(f"[{section}] {err}") from err
 
 
-def _parse_params(parser, lists) -> dict:
-    """[params] as floats, or tuples of floats for the keys in `lists` only."""
+def _parse_params(parser, name: str) -> dict:
+    """[params] converted to the kinds experiment `name` declares in PARAMS:
+    float, int (a positive whole number) or tuple (a lone number is a 1-tuple)."""
+    kinds = PARAMS[name]
     params = {}
     if not parser.has_section("params"):
         return params
     for key in parser.options("params"):
+        if key not in kinds:
+            reads = ", ".join(sorted(kinds)) or "no keys"
+            raise ConfigError(f"[params] {key} is not read by {name}; it reads {reads}")
         raw = parser.get("params", key).strip()
         try:
-            if "," in raw:
-                value = tuple(float(tok) for tok in raw.split(","))
-            else:
-                value = float(raw)
+            values = tuple(float(tok) for tok in raw.split(","))
         except ValueError as err:
             raise ConfigError(f"[params] {key}: {err}") from err
-        flat = value if isinstance(value, tuple) else (value,)
-        if not all(math.isfinite(v) and v > 0 for v in flat):
+        if not all(math.isfinite(v) and v > 0 for v in values):
             raise ConfigError(f"[params] {key} must be positive and finite, got {raw}")
-        if isinstance(value, tuple) and key not in lists:
-            raise ConfigError(f"[params] {key} must be a single number, got {value}")
-        params[key] = value
+        kind = kinds[key]
+        if kind is not tuple and len(values) > 1:
+            raise ConfigError(f"[params] {key} must be a single number, got {values}")
+        if kind is int and not values[0].is_integer():
+            raise ConfigError(f"[params] {key} must be a positive whole number, got {values[0]}")
+        params[key] = values if kind is tuple else kind(values[0])
     return params
 
 
@@ -262,14 +250,15 @@ def _config_from_parser(parser, out_override: str = None) -> ExperimentConfig:
         raise ConfigError(f"[mc] seed: {err}") from err
     if seed < 0:
         raise ConfigError(f"[mc] seed must be nonnegative, got {seed}")
-    readouts = []
-    for key in parser.options("readouts"):
-        try:
-            readouts.append((key, parse_readout(parser.get("readouts", key))))
-        except ValueError as err:
-            raise ConfigError(f"[readouts] {key}: {err}") from err
-    if not readouts:
+    entries = parser.options("readouts")
+    if not entries:
         raise ConfigError("readout catalog is empty")
+    if len(entries) > 1:
+        raise ConfigError(f"[readouts] must hold exactly one entry, got {', '.join(entries)}")
+    try:
+        readout = parse_readout(parser.get("readouts", entries[0]))
+    except ValueError as err:
+        raise ConfigError(f"[readouts] {entries[0]}: {err}") from err
     outdir = out_override or parser.get("output", "directory", fallback="out")
     replicas = _positive(parser, "mc", "replicas", cast=int)
     if replicas < 2:
@@ -282,8 +271,8 @@ def _config_from_parser(parser, out_override: str = None) -> ExperimentConfig:
         replicas=replicas,
         paths=_positive(parser, "mc", "paths", cast=int),
         seed=seed,
-        readouts=tuple(readouts),
-        params=_parse_params(parser, LIST_PARAMS[name]),
+        readout=readout,
+        params=_parse_params(parser, name),
         outdir=outdir,
         text=_canonical_text(parser),
         digest=hashlib.sha256(_canonical_text(parser).encode()).hexdigest(),
@@ -495,7 +484,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             cfg = load_config(args.config, seed_override=_env_int("SBMRE_SEED"))
             print(f"config ok: experiment {cfg.experiment}, seed {cfg.seed}, "
-                  f"hash {cfg.digest[:12]}, {len(cfg.readouts)} readout(s)")
+                  f"hash {cfg.digest[:12]}")
             return 0
         if args.command == "replay":
             report = replay(args.manifest, workers=workers)

@@ -11,6 +11,12 @@ come back in job order, so the rows depend only on (config, seed), never on
 the worker count.  The job functions live at module level so a process pool
 can pickle them.
 
+Each experiment declares at registration the kind of every `[params]` key
+it reads (PARAMS): `float`, `int` (a count) or `tuple` (a list of floats).
+The runner converts each key to its kind at load and refuses any key the
+experiment does not declare, so an experiment reads
+`cfg.params.get(key, default)` and gets a value of that kind.
+
 Each experiment calls the layers through their modules (`spde.solve_pam`,
 `dual.third_moment_scan`, ...), never through names bound at import, so a
 wrapper put on a layer's module sees every call.  An experiment that cannot
@@ -60,13 +66,13 @@ def _gate(gap: float, scale: float, k: float) -> bool:
 
 
 EXPERIMENTS = {}  # experiment name -> fn(cfg, pool) -> list of CheckRow
-LIST_PARAMS = {}  # experiment name -> the [params] keys it reads as lists
+PARAMS = {}  # experiment name -> {[params] key it reads: float, int (a count) or tuple}
 
 
-def _experiment(name, lists=()):
+def _experiment(name, **kinds):
     def register(fn):
         EXPERIMENTS[name] = fn
-        LIST_PARAMS[name] = frozenset(lists)
+        PARAMS[name] = kinds
         return fn
 
     return register
@@ -101,16 +107,16 @@ def _particle_batch(bc, t, readout, seed, b, lo, hi):
     return rows, len(blowups)
 
 
-@_experiment("moments-triangle")
+@_experiment("moments-triangle", t=float, n=int, cap=int, mc_dt=float)
 def _moments_triangle(cfg, pool: WorkerPool) -> list:
-    t = cfg.param("t", 1.0)
-    scale_n = cfg.param_count("n", 200)
+    t = cfg.params.get("t", 1.0)
+    scale_n = cfg.params.get("n", 200)
     f = cfg.readout
     d = cfg.grid.dim
     # unit point mass at the origin is n particles at branching scale n
     bc = particles.BranchingConfig(n=scale_n, dim=d, kernel=cfg.kernel,
                                    initial=np.zeros((scale_n, d)), horizon=t,
-                                   max_population=cfg.param_count("cap", 2_000_000))
+                                   max_population=cfg.params.get("cap", 2_000_000))
     parts = map_batches(_particle_batch, cfg.replicas, (bc, t, f, cfg.seed), pool)
     stats = np.concatenate([rows for rows, _ in parts], axis=0)
     breaches = sum(b for _, b in parts)
@@ -118,7 +124,7 @@ def _moments_triangle(cfg, pool: WorkerPool) -> list:
     m2, se2 = mean_se(stats[:, 1])
 
     delta = feynmankac.AtomicMeasure.delta(np.zeros(d))
-    mc = feynmankac.MCConfig(n_paths=cfg.paths, dt=cfg.param("mc_dt", 0.0125),
+    mc = feynmankac.MCConfig(n_paths=cfg.paths, dt=cfg.params.get("mc_dt", 0.0125),
                              seed=cfg.seed + _SEED_FK)
     rhs1 = feynmankac.first_moment_rhs(f, delta, t)
     rhs2, rhs2_se = feynmankac.second_moment_rhs(f, delta, t, cfg.kernel, mc, pool)
@@ -150,9 +156,9 @@ def _pam_center_batch(f, kernel, t, dt, seed, b, lo, hi):
     return np.stack([vals, vals * vals], axis=1)
 
 
-@_experiment("pam-oracle")
+@_experiment("pam-oracle", t=float, mc_dt=float)
 def _pam_oracle(cfg, pool: WorkerPool) -> list:
-    t = cfg.param("t", 1.0)
+    t = cfg.params.get("t", 1.0)
     f = GridFunction.from_callable(cfg.grid, cfg.readout)
     args = (f, cfg.kernel, t, cfg.dt, cfg.seed)
     stats = np.concatenate(map_batches(_pam_center_batch, cfg.replicas, args, pool), axis=0)
@@ -160,7 +166,7 @@ def _pam_oracle(cfg, pool: WorkerPool) -> list:
     m2, se2 = mean_se(stats[:, 1])
     origin = np.zeros(cfg.grid.dim)
     target1 = float(heatkernel.heat_at_points(cfg.readout, t, origin, cfg.grid.dim)[0])
-    mc = feynmankac.MCConfig(n_paths=cfg.paths, dt=cfg.param("mc_dt", 0.0125),
+    mc = feynmankac.MCConfig(n_paths=cfg.paths, dt=cfg.params.get("mc_dt", 0.0125),
                              seed=cfg.seed + _SEED_ORACLE)
     oracle, oracle_se = feynmankac.pam_second_moment_oracle(cfg.readout, t, origin, origin,
                                                             cfg.kernel, mc, pool)
@@ -210,11 +216,11 @@ def _stratonovich_gap(f, kernel, t, dt, seed):
     return spde.solve_stratonovich_pam(f, kernel, t, noise).route_gap
 
 
-@_experiment("comparison-suite", lists=("lambdas",))
+@_experiment("comparison-suite", t=float, lambdas=tuple, delta=float)
 def _comparison_suite(cfg, pool: WorkerPool) -> list:
-    t = cfg.param("t", 1.0)
-    lambdas = cfg.param_tuple("lambdas", (0.5, 1.0))
-    delta = cfg.param("delta", 0.1)
+    t = cfg.params.get("t", 1.0)
+    lambdas = cfg.params.get("lambdas", (0.5, 1.0))
+    delta = cfg.params.get("delta", 0.1)
     save_every = max(1, round(t / cfg.dt / 8))
     f = GridFunction.from_callable(cfg.grid, cfg.readout)
     args = (f, cfg.kernel, t, cfg.dt, cfg.seed, lambdas, delta, save_every)
@@ -253,10 +259,10 @@ def _noise_off_routes(f, routes, t, dt, seed, save_every):
     return spde.solve_routes(f, t, quiet, routes, save_every=save_every)
 
 
-@_experiment("extinction-scan", lists=("ks",))
+@_experiment("extinction-scan", t=float, ks=tuple)
 def _extinction_scan(cfg, pool: WorkerPool) -> list:
-    t = cfg.param("t", 4.0)
-    ks = cfg.param_tuple("ks", (1.0, 10.0))
+    t = cfg.params.get("t", 4.0)
+    ks = cfg.params.get("ks", (1.0, 10.0))
     rows = []
     save_every = max(1, round(t / cfg.dt / 16))
     routes = [spde.Route(k, reaction=True) for k in ks]
@@ -288,12 +294,12 @@ def _scale_kernel(kernel: CovarianceKernel, s: float) -> CovarianceKernel:
                       "(power or indicator)")
 
 
-@_experiment("persistence-scan", lists=("strengths",))
+@_experiment("persistence-scan", strengths=tuple)
 def _persistence_scan(cfg, pool: WorkerPool) -> list:
     d = cfg.grid.dim
     if d < 3:
         raise ConfigError("persistence-scan requires grid dimension >= 3")
-    strengths = cfg.param_tuple("strengths", (0.5, 1.0, 2.0, 4.0))
+    strengths = cfg.params.get("strengths", (0.5, 1.0, 2.0, 4.0))
     threshold = heatkernel.persistence_threshold(d)
     rows = []
     if d in _THRESHOLD_TARGETS:
@@ -316,11 +322,11 @@ def _persistence_scan(cfg, pool: WorkerPool) -> list:
     return rows
 
 
-@_experiment("duality-ladder", lists=("n_ladder",))
+@_experiment("duality-ladder", t=float, n_ladder=tuple, tm_replicas=int, rho=float)
 def _duality_ladder(cfg, pool: WorkerPool) -> list:
-    t = cfg.param("t", 0.5)
-    ladder = cfg.param_tuple("n_ladder", (10.0, 40.0, 160.0))
-    tm_replicas = cfg.param_count("tm_replicas", min(cfg.replicas, 40))
+    t = cfg.params.get("t", 0.5)
+    ladder = cfg.params.get("n_ladder", (10.0, 40.0, 160.0))
+    tm_replicas = cfg.params.get("tm_replicas", min(cfg.replicas, 40))
     phi = GridFunction.from_callable(cfg.grid, cfg.readout)
     mu = (np.array([1.0]), np.zeros((1, cfg.grid.dim)))
     left_seed, right_seed = cfg.seed + _SEED_LEFT, cfg.seed + _SEED_RIGHT
@@ -361,24 +367,25 @@ def _duality_ladder(cfg, pool: WorkerPool) -> list:
     probes = np.zeros((2, cfg.grid.dim))
     probes[1, 0] = 1.0
     report = dual.third_moment_scan(phi, [t], ladder, cfg.kernel, probes,
-                                    rho=cfg.param("rho", 2.0), seed=right_seed,
+                                    rho=cfg.params.get("rho", 2.0), seed=right_seed,
                                     n_replicas=tm_replicas, dt=cfg.dt, workers=pool)
     rows.append(CheckRow("third-moment-spread", report.spread(), 0.5,
                          report.spread() < 0.5))
     return rows
 
 
-@_experiment("lyapunov-ladder", lists=("a_ladder", "tail_a", "tail_t"))
+@_experiment("lyapunov-ladder", t=float, a_ladder=tuple, tail_a=tuple, tail_t=tuple,
+             tail_replicas=int, window=float)
 def _lyapunov_ladder(cfg, pool: WorkerPool) -> list:
     if not isinstance(cfg.kernel, ScaledTheta):
         raise ConfigError("lyapunov-ladder needs a scaled kernel")
     profile = cfg.kernel.profile
-    a_ladder = cfg.param_tuple("a_ladder", (1.0, 4.0, 16.0, 64.0))
-    T = cfg.param("t", 6.0)
-    tail_reps = cfg.param_count("tail_replicas", cfg.replicas)
-    tail_a = cfg.param_tuple("tail_a", (2.0, 32.0))
-    tail_t = cfg.param_tuple("tail_t", (0.5, 6.0))
-    L = cfg.param("window", 2.0)
+    a_ladder = cfg.params.get("a_ladder", (1.0, 4.0, 16.0, 64.0))
+    T = cfg.params.get("t", 6.0)
+    tail_reps = cfg.params.get("tail_replicas", cfg.replicas)
+    tail_a = cfg.params.get("tail_a", (2.0, 32.0))
+    tail_t = cfg.params.get("tail_t", (0.5, 6.0))
+    L = cfg.params.get("window", 2.0)
     # every growth-rate march and every tail march is one job
     marches = run_jobs(
         [(feynmankac.lyapunov_estimate, ScaledTheta(a, profile), cfg.grid, T, cfg.dt,

@@ -48,7 +48,7 @@ from .covariance import CovarianceKernel, ScaledTheta
 from .ensemble import batch_ranges, mean_se, run_jobs, stream_rng
 from .grids import Grid, GridFunction
 from .heatkernel import heat_at_points
-from .spde import NoisePath, pam_log_max_series, pam_states_at
+from .spde import NoisePath, _resolve_steps, pam_log_max_series, pam_states_at
 
 __all__ = [
     "MCConfig",
@@ -86,10 +86,7 @@ class MCConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
 
     def steps_for(self, t: float) -> int:
-        m = int(round(t / self.dt))
-        if m < 1 or abs(m * self.dt - t) > 1e-9 * max(t, self.dt):
-            raise ValueError(f"dt={self.dt} does not divide t={t}")
-        return m
+        return _resolve_steps(t, self.dt)
 
 
 @dataclass(frozen=True)
@@ -337,7 +334,6 @@ class LyapunovEstimate:
     """Per-replica log-slope fits of the spatial max, with a plateau verdict."""
 
     slopes: np.ndarray
-    early_slopes: np.ndarray
     median: float
     band: tuple
     conclusive: bool
@@ -385,8 +381,8 @@ def lyapunov_estimate(kernel: CovarianceKernel, grid: Grid, T: float, dt: float,
 
     k = float(stdtrit(d.size - 1, 1.0 - PLATEAU_LEVEL / 2.0))  # Student-t quantile
     conclusive = abs(mean) <= k * se
-    return LyapunovEstimate(slopes=late, early_slopes=early,
-                            median=float(np.median(late)), band=(float(q25), float(q75)),
+    return LyapunovEstimate(slopes=late, median=float(np.median(late)),
+                            band=(float(q25), float(q75)),
                             conclusive=bool(conclusive))
 
 

@@ -28,6 +28,8 @@ BASE = {
 
 def write_config(tmp_path, name="cfg.ini", **overrides):
     sections = {k: dict(v) for k, v in BASE.items()}
+    if "experiment.name" in overrides:  # BASE's [params] are pam-oracle's keys
+        sections["params"] = {}
     for dotted, value in overrides.items():
         section, key = dotted.split(".", 1)
         if value is None:
@@ -55,6 +57,10 @@ def test_config_validation_errors(tmp_path):
         load_config(write_config(tmp_path, **{"experiment.name": "frobnicate"}))
     with pytest.raises(ConfigError, match="readout catalog is empty"):
         load_config(write_config(tmp_path, **{"readouts.f": None}))
+    # experiments read one readout, so a second would be hashed but never read
+    with pytest.raises(ConfigError,
+                       match=r"^\[readouts\] must hold exactly one entry, got f, g$"):
+        load_config(write_config(tmp_path, **{"readouts.g": "constant(2.0)"}))
     with pytest.raises(ConfigError, match="kernel"):
         load_config(write_config(tmp_path, **{"kernel.type": "mystery"}))
     with pytest.raises(ConfigError, match="even"):
@@ -158,9 +164,24 @@ def test_non_finite_config_numbers_exit_2_with_one_line(tmp_path, capsys, key, v
 def test_fractional_count_params_exit_2_before_the_run(tmp_path, capsys, key, value, extra):
     cfg_path = write_config(tmp_path, **{**extra, key: value})
     name = extra["experiment.name"]
+    expected = f"error: [params] {key.split('.')[1]} must be a positive whole number, got {value}"
+    assert main(["validate", "--config", cfg_path]) == 2  # was "config ok"
+    assert capsys.readouterr().err.strip() == expected
     assert main([name, "--config", cfg_path, "--out", str(tmp_path / "run")]) == 2
-    err = capsys.readouterr().err.strip()
-    assert err == f"error: [params] {key.split('.')[1]} must be a positive whole number, got {value}"
+    assert capsys.readouterr().err.strip() == expected
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_params_key_the_experiment_does_not_read_exits_2(tmp_path, capsys):
+    # was exit 0 with the default delta = 0.1, the misspelt key recorded in the manifest
+    cfg_path = write_config(tmp_path, **{"experiment.name": "comparison-suite",
+                                         "params.detla": "0.2"})
+    expected = ("error: [params] detla is not read by comparison-suite; "
+                "it reads delta, lambdas, t")
+    assert main(["validate", "--config", cfg_path]) == 2
+    assert capsys.readouterr().err.strip() == expected
+    assert main(["comparison-suite", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.strip() == expected
     assert not (tmp_path / "run").exists()
 
 

@@ -15,6 +15,8 @@ drift.
 the values a run would: `[readouts]` holds exactly one readout, and each
 `[params]` key is converted to the kind its experiment declares in
 experiments.PARAMS; a key the experiment does not declare is an error.
+`[mc] replicas` and `paths` are at least 2, and experiments.check_runnable
+refuses a kernel or grid the experiment cannot run, also at load.
 
 Exit codes: 0 all checks pass, 1 any check fails, 2 config or replay error,
 3 an experiment raised (ExperimentError: a solver or sampler failed).
@@ -34,10 +36,9 @@ import time
 from dataclasses import dataclass
 
 from . import __version__
-from .covariance import (Constant, CovarianceKernel, GaussianProfile, IndicatorBall,
-                         ScaledTheta, StationaryPower)
+from .covariance import Constant, CovarianceKernel, IndicatorBall, ScaledTheta, StationaryPower
 from .ensemble import WorkerPool
-from .experiments import EXPERIMENTS, PARAMS, CheckRow, ConfigError
+from .experiments import EXPERIMENTS, PARAMS, CheckRow, ConfigError, check_runnable
 from .grids import Grid
 from .readouts import parse_readout
 
@@ -151,6 +152,14 @@ def _positive(parser, section, key, cast=float):
     return value
 
 
+def _mc_count(parser, key) -> int:
+    """[mc] key, a whole number of at least 2: a standard error needs two samples."""
+    value = _positive(parser, "mc", key, cast=int)
+    if value < 2:
+        raise ConfigError(f"[mc] {key} must be >= 2, got {value}")
+    return value
+
+
 def _build_kernel(parser) -> CovarianceKernel:
     kind = parser.get("kernel", "type", fallback="").strip()
     if kind == "constant":
@@ -160,7 +169,7 @@ def _build_kernel(parser) -> CovarianceKernel:
                                _positive(parser, "kernel", "alpha"))
     if kind == "scaled":
         return ScaledTheta(_positive(parser, "kernel", "a"),
-                           GaussianProfile(_finite(parser, "kernel", "width", fallback=1.0)))
+                           _finite(parser, "kernel", "width", fallback=1.0))
     if kind == "indicator":
         return IndicatorBall(radius=_positive(parser, "kernel", "radius"),
                              height=_positive(parser, "kernel", "height"))
@@ -260,16 +269,13 @@ def _config_from_parser(parser, out_override: str = None) -> ExperimentConfig:
     except ValueError as err:
         raise ConfigError(f"[readouts] {entries[0]}: {err}") from err
     outdir = out_override or parser.get("output", "directory", fallback="out")
-    replicas = _positive(parser, "mc", "replicas", cast=int)
-    if replicas < 2:
-        raise ConfigError(f"[mc] replicas must be >= 2, got {replicas}")
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         experiment=name,
         kernel=_built("kernel", _build_kernel, parser),
         grid=_built("grid", _build_grid, parser),
         dt=_positive(parser, "scheme", "dt"),
-        replicas=replicas,
-        paths=_positive(parser, "mc", "paths", cast=int),
+        replicas=_mc_count(parser, "replicas"),
+        paths=_mc_count(parser, "paths"),
         seed=seed,
         readout=readout,
         params=_parse_params(parser, name),
@@ -277,6 +283,8 @@ def _config_from_parser(parser, out_override: str = None) -> ExperimentConfig:
         text=_canonical_text(parser),
         digest=hashlib.sha256(_canonical_text(parser).encode()).hexdigest(),
     )
+    check_runnable(cfg)
+    return cfg
 
 
 # ----------------------------------------------------------------- artifacts
@@ -306,8 +314,6 @@ def _compute_rows(cfg: ExperimentConfig, workers: int) -> tuple:
     try:
         with WorkerPool(workers) as pool:  # one pool per run, started on first use
             rows = tuple(EXPERIMENTS[cfg.experiment](cfg, pool))
-    except (ConfigError, ReplayRefusal):
-        raise
     except Exception as err:
         raise ExperimentError(f"{cfg.experiment} failed: {err}") from err
     names = [row.name for row in rows]

@@ -2,12 +2,13 @@
 
 The environment noise is white in time and colored in space: increments over a
 time step dt form a centered Gaussian field with covariance C(x, y) * dt.  All
-kernel variants here are stationary (functions of x - y), bounded, and carry
-an explicit sup bound used both for fail-fast validation and for the jitter
+kernel variants here are stationary (functions of x - y) and bounded by their
+value C(0) = C(x, x) at the origin (by Cauchy-Schwarz for a covariance; the
+power and indicator envelopes are nonincreasing), which scales the jitter
 budget of the dense factorization.
 
 Factorization strategy: one pivoted Cholesky (LAPACK dpstrf) stopped once
-every remaining pivot is at most the jitter budget tol = 1e-10 * sup_bound.
+every remaining pivot is at most the jitter budget tol = 1e-10 * C(0).
 The root keeps only the first r columns, r the numerical rank, so a smooth
 kernel, whose matrix has far fewer numerically nonzero eigenvalues than it has
 points, is drawn from r normals per field instead of one per point.  The cut
@@ -15,7 +16,7 @@ leaves C - root root^T as the PSD Schur complement of the last pivots, whose
 entries are at most tol; if an entry is larger (twice tol leaves roundoff
 headroom) or a diagonal entry is below -tol, the matrix is indefinite beyond
 tolerance and we raise with the most negative eigenvalue.  The budget never
-exceeds 1e-8 * sup_bound.  Dense factors cover at most DENSE_LIMIT distinct
+exceeds 1e-8 * C(0).  Dense factors cover at most DENSE_LIMIT distinct
 points; larger requests raise ValueError before any matrix is allocated.
 
 Point sets are deduplicated before factoring, so coincident points share one
@@ -46,7 +47,8 @@ the property, as its blocks fall at fixed steps.  A single field
 (batch=None) stays a matrix-vector product.
 
 Separable kernels on grids: when C(x, y) = prod_i c(x_i - y_i) over the d axes
-(the Gaussian ScaledTheta; see CovarianceKernel.axis_kernel), the covariance
+(the Gaussian ScaledTheta, a exp(-|x - y|^2 / w^2) = prod_i a^(1/d)
+exp(-(x_i - y_i)^2 / w^2); see CovarianceKernel.axis_kernel), the covariance
 over a d-dimensional grid is the Kronecker power c_mat ⊗ ... ⊗ c_mat of the
 n x n axis matrix, and the Kronecker power of an (n, r) axis root is an
 (n^d, r^d) root of it.  grid_covariance_factor then factors only c_mat, with
@@ -55,7 +57,7 @@ that contracts each axis with the axis root instead of forming the n^d x r^d
 root.  The DENSE_LIMIT cap does not apply to the grid (only to n).  The
 factor's jitter is then the largest diagonal entry of C - root root^T: with e
 the axis one, c^d - (c - e)^d for c = C(x, x)^(1/d), at most about
-d * 1e-10 * sup_bound.  In d = 1 the separable path is the dense path, byte
+d * 1e-10 * C(0).  In d = 1 the separable path is the dense path, byte
 for byte.
 """
 
@@ -86,8 +88,9 @@ class IndefiniteKernelError(np.linalg.LinAlgError):
 class EnvelopeTraits:
     """Analytic facts about a radial envelope that quadratures can rely on.
 
-    ``None`` means unknown; the potential routines refuse an envelope that
-    declares neither a divergent potential nor a nonincreasing profile.
+    Every kernel here declares them; ``None`` (the base class's default)
+    means unknown, and the potential routines refuse an envelope that
+    declares neither a divergent potential nor a nonincreasing envelope.
     """
 
     divergent_potential: bool = None  # integral of r * g(r) diverges
@@ -130,11 +133,8 @@ class CovarianceKernel:
         """Radial profile g(r) with C(x, y) = g(|x - y|)."""
         raise NotImplementedError
 
-    def sup_bound(self) -> float:
-        raise NotImplementedError
-
     def diagonal_value(self) -> float:
-        """C(x, x), constant by stationarity."""
+        """C(x, x) = C(0), constant by stationarity; also the kernel's supremum."""
         return float(self.envelope(np.zeros(1))[0])
 
     def matrix(self, points) -> np.ndarray:
@@ -167,9 +167,6 @@ class Constant(CovarianceKernel):
     def envelope(self, r):
         return np.full_like(np.asarray(r, dtype=float), self.level)
 
-    def sup_bound(self) -> float:
-        return self.level
-
     def envelope_traits(self) -> EnvelopeTraits:
         return EnvelopeTraits(
             divergent_potential=self.level > 0, nonincreasing=True
@@ -192,9 +189,6 @@ class StationaryPower(CovarianceKernel):
     def envelope(self, r):
         return self.eps / (1.0 + np.asarray(r, dtype=float) ** self.alpha)
 
-    def sup_bound(self) -> float:
-        return self.eps
-
     def envelope_traits(self) -> EnvelopeTraits:
         # integral of r * g(r) converges iff alpha > 2
         return EnvelopeTraits(
@@ -204,67 +198,35 @@ class StationaryPower(CovarianceKernel):
 
 
 @dataclass(frozen=True)
-class GaussianProfile:
-    """Correlation profile exp(-(r/width)^2), unit value at r = 0.
-
-    The default profile of ScaledTheta (width 1); picklable, so the
-    correlation length can come from a config file.
-    """
-
-    width: float = 1.0
-
-    def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError(f"width must be positive, got {self.width}")
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float) / self.width
-        return np.exp(-r * r)
-
-
-@dataclass(frozen=True)
 class ScaledTheta(CovarianceKernel):
-    """Amplitude-scaled correlation profile: C(x, y) = a * profile(|x - y|).
+    """Amplitude-scaled Gaussian correlation: C(x, y) = a * exp(-(|x - y| / width)^2).
 
-    The profile is normalized to profile(0) = 1 so that C(x, x) = a exactly.
+    The profile exp(-(r / width)^2) is 1 at r = 0, so C(x, x) = a exactly.
     """
 
     a: float
-    profile: object = GaussianProfile()
+    width: float = 1.0
 
     def __post_init__(self):
         if self.a < 0:
             raise ValueError(f"a must be nonnegative, got {self.a}")
-        p0 = float(np.asarray(self.profile(np.zeros(1)))[0])
-        if abs(p0 - 1.0) > 1e-12:
-            raise ValueError(f"profile(0) must equal 1, got {p0}")
+        if self.width <= 0:
+            raise ValueError(f"width must be positive, got {self.width}")
 
-    def _gaussian(self) -> bool:
-        return isinstance(self.profile, GaussianProfile)
+    def profile(self, r):
+        """Unit-amplitude correlation exp(-(r / width)^2)."""
+        r = np.asarray(r, dtype=float) / self.width
+        return np.exp(-r * r)
 
     def envelope(self, r):
-        return self.a * np.asarray(self.profile(np.asarray(r, dtype=float)))
-
-    def sup_bound(self) -> float:
-        if self._gaussian():
-            return float(self.a)  # the profile peaks at profile(0) = 1
-        # profiles are correlation shapes; guard against ones that overshoot 1
-        probe = np.linspace(0.0, 16.0, 4097)
-        return self.a * float(np.max(np.abs(self.profile(probe))))
-
-    def diagonal_value(self) -> float:
-        return self.a
+        return self.a * self.profile(r)
 
     def envelope_traits(self) -> EnvelopeTraits:
-        if self._gaussian():
-            return EnvelopeTraits(divergent_potential=False, nonincreasing=True)
-        return EnvelopeTraits()
+        return EnvelopeTraits(divergent_potential=False, nonincreasing=True)
 
     def axis_kernel(self, dim: int):
         # a exp(-|r|^2 / w^2) = prod_i a^(1/dim) exp(-r_i^2 / w^2)
-        if self._gaussian():
-            return ScaledTheta(self.a ** (1.0 / dim), self.profile)
-        return None
+        return ScaledTheta(self.a ** (1.0 / dim), self.width)
 
 
 @dataclass(frozen=True)
@@ -283,9 +245,6 @@ class IndicatorBall(CovarianceKernel):
 
     def envelope(self, r):
         return np.where(np.asarray(r, dtype=float) <= self.radius, self.height, 0.0)
-
-    def sup_bound(self) -> float:
-        return self.height
 
     def envelope_traits(self) -> EnvelopeTraits:
         return EnvelopeTraits(
@@ -396,10 +355,13 @@ class GaussianFieldFactor:
         return vals.reshape(vals.shape[:-1] + self.out_shape)
 
 
-def _factor_matrix(matrix, sup_bound):
-    """(m, rank) pivoted Cholesky root cut at the jitter budget; returns (root, jitter)."""
-    tol = JITTER_SCALE * sup_bound
-    assert tol <= JITTER_CAP * sup_bound
+def _factor_matrix(matrix, scale):
+    """(m, rank) pivoted Cholesky root cut at the jitter budget; returns (root, jitter).
+
+    scale is the kernel's C(0), the largest entry of the matrix.
+    """
+    tol = JITTER_SCALE * scale
+    assert tol <= JITTER_CAP * scale
     lower, piv, rank, _ = dpstrf(matrix, lower=1, tol=tol)
     root = np.zeros((len(matrix), max(rank, 1)))  # one zero column for a zero matrix
     root[piv - 1, :rank] = np.tril(lower[:, :rank])
@@ -440,7 +402,7 @@ def points_covariance_factor(kernel: CovarianceKernel, points) -> GaussianFieldF
         unique, index_map = np.unique(points, axis=0, return_inverse=True)
         index_map = index_map.reshape(-1)
     _check_dense_size(len(unique), "distinct points")
-    root, jitter = _factor_matrix(kernel.matrix(unique), kernel.sup_bound())
+    root, jitter = _factor_matrix(kernel.matrix(unique), kernel.diagonal_value())
     return GaussianFieldFactor(root, index_map, jitter)
 
 
@@ -459,7 +421,7 @@ def grid_covariance_factor(kernel: CovarianceKernel, grid) -> GaussianFieldFacto
         return factor
     _check_dense_size(grid.cells, "cells per axis")
     root, jitter = _factor_matrix(axis_kernel.matrix(grid.axis()[:, np.newaxis]),
-                                  axis_kernel.sup_bound())
+                                  axis_kernel.diagonal_value())
     if grid.dim > 1:
         root = KroneckerRoot(root, grid.dim)
         c = axis_kernel.diagonal_value()

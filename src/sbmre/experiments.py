@@ -15,13 +15,14 @@ Each experiment declares at registration the kind of every `[params]` key
 it reads (PARAMS): `float`, `int` (a count) or `tuple` (a list of floats).
 The runner converts each key to its kind at load and refuses any key the
 experiment does not declare, so an experiment reads
-`cfg.params.get(key, default)` and gets a value of that kind.
+`cfg.params.get(key, default)` and gets a value of that kind.  The runner
+also calls check_runnable at load, which refuses (ConfigError, exit 2) a
+kernel or grid an experiment cannot run, so no experiment body checks them.
 
 Each experiment calls the layers through their modules (`spde.solve_pam`,
 `dual.third_moment_scan`, ...), never through names bound at import, so a
-wrapper put on a layer's module sees every call.  An experiment that cannot
-run a valid config raises ConfigError (exit 2); anything else it raises is
-the runner's ExperimentError (exit 3).
+wrapper put on a layer's module sees every call.  Anything an experiment
+raises is the runner's ExperimentError (exit 3).
 """
 
 import math
@@ -47,8 +48,8 @@ _THRESHOLD_TARGETS = {3: math.pi / 3.0, 4: math.pi**2 / 4.0, 5: 3.0 * math.pi**2
 
 
 class ConfigError(ValueError):
-    """Config file missing, malformed, or failing validation; also raised by an
-    experiment for a config it cannot run."""
+    """Config file missing, malformed, or failing validation, including a
+    kernel or grid its experiment cannot run (check_runnable)."""
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,18 @@ def _experiment(name, **kinds):
         return fn
 
     return register
+
+
+def check_runnable(cfg):
+    """Raise ConfigError if cfg's experiment cannot run its kernel or grid."""
+    if cfg.experiment == "persistence-scan":
+        if cfg.grid.dim < 3:
+            raise ConfigError("persistence-scan requires grid dimension >= 3")
+        if not isinstance(cfg.kernel, (StationaryPower, IndicatorBall)):
+            raise ConfigError("persistence-scan needs an amplitude-scalable kernel "
+                              "(power or indicator)")
+    if cfg.experiment == "lyapunov-ladder" and not isinstance(cfg.kernel, ScaledTheta):
+        raise ConfigError("lyapunov-ladder needs a scaled kernel")
 
 
 @_experiment("threshold-table")
@@ -286,19 +299,15 @@ def _extinction_scan(cfg, pool: WorkerPool) -> list:
 
 
 def _scale_kernel(kernel: CovarianceKernel, s: float) -> CovarianceKernel:
+    """The power or indicator kernel (check_runnable admits no other) at s times its amplitude."""
     if isinstance(kernel, StationaryPower):
         return StationaryPower(s * kernel.eps, kernel.alpha)
-    if isinstance(kernel, IndicatorBall):
-        return IndicatorBall(radius=kernel.radius, height=s * kernel.height)
-    raise ConfigError("persistence-scan needs an amplitude-scalable kernel "
-                      "(power or indicator)")
+    return IndicatorBall(radius=kernel.radius, height=s * kernel.height)
 
 
 @_experiment("persistence-scan", strengths=tuple)
 def _persistence_scan(cfg, pool: WorkerPool) -> list:
     d = cfg.grid.dim
-    if d < 3:
-        raise ConfigError("persistence-scan requires grid dimension >= 3")
     strengths = cfg.params.get("strengths", (0.5, 1.0, 2.0, 4.0))
     threshold = heatkernel.persistence_threshold(d)
     rows = []
@@ -377,9 +386,6 @@ def _duality_ladder(cfg, pool: WorkerPool) -> list:
 @_experiment("lyapunov-ladder", t=float, a_ladder=tuple, tail_a=tuple, tail_t=tuple,
              tail_replicas=int, window=float)
 def _lyapunov_ladder(cfg, pool: WorkerPool) -> list:
-    if not isinstance(cfg.kernel, ScaledTheta):
-        raise ConfigError("lyapunov-ladder needs a scaled kernel")
-    profile = cfg.kernel.profile
     a_ladder = cfg.params.get("a_ladder", (1.0, 4.0, 16.0, 64.0))
     T = cfg.params.get("t", 6.0)
     tail_reps = cfg.params.get("tail_replicas", cfg.replicas)
@@ -388,10 +394,10 @@ def _lyapunov_ladder(cfg, pool: WorkerPool) -> list:
     L = cfg.params.get("window", 2.0)
     # every growth-rate march and every tail march is one job
     marches = run_jobs(
-        [(feynmankac.lyapunov_estimate, ScaledTheta(a, profile), cfg.grid, T, cfg.dt,
-          cfg.seed, cfg.replicas) for a in a_ladder]
-        + [(feynmankac.ldp_tail_probes, ScaledTheta(a, profile), cfg.grid, tail_t, L, cfg.dt,
-            cfg.seed, tail_reps) for a in tail_a], pool)
+        [(feynmankac.lyapunov_estimate, ScaledTheta(a, cfg.kernel.width), cfg.grid, T,
+          cfg.dt, cfg.seed, cfg.replicas) for a in a_ladder]
+        + [(feynmankac.ldp_tail_probes, ScaledTheta(a, cfg.kernel.width), cfg.grid, tail_t,
+            L, cfg.dt, cfg.seed, tail_reps) for a in tail_a], pool)
     rows = []
     slope_sets = []
     for a, est in zip(a_ladder, marches):

@@ -300,13 +300,14 @@ def annealed_moment_w(kernel: ScaledTheta, t: float, k: int, mc: MCConfig,
                       dim: int = 1) -> tuple:
     """k-th annealed moment of the slow-path exponential functional.
 
-    Conditional on k independent paths with diffusivity 1/a, the summed
+    For the Gaussian kernel C = a * profile, profile(r) = exp(-(r / width)^2):
+    conditional on k independent paths with diffusivity 1/a, the summed
     functional is centered Gaussian, so the environment integrates out to
     exp(k t / 2 + sum_{i<j} int profile(|X_i - X_j|) ds); only paths are
     sampled.  k = 1 is deterministic (standard error 0).
     """
     if not isinstance(kernel, ScaledTheta):
-        raise ValueError("annealed moments are defined for amplitude-scaled profiles")
+        raise ValueError("annealed moments are defined for the Gaussian ScaledTheta kernel")
     if not 1 <= k <= 4:
         raise ValueError(f"moment order must lie in 1..4, got {k}")
     if kernel.a <= 0:

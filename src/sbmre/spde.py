@@ -387,7 +387,7 @@ def solve_log_laplace(f: GridFunction, lam: float, T: float, noise: NoisePath,
 
 def solve_stratonovich_pam(f: GridFunction, kernel: ScaledTheta, T: float,
                            noise: NoisePath, save_every=None) -> StratonovichSolution:
-    """Solve the Stratonovich form for a scaled-profile kernel, both routes.
+    """Solve the Stratonovich form for the Gaussian ScaledTheta kernel, both routes.
 
     Identity route: Ito solution times exp(a t / 2).  Direct route: same
     scheme without the compensator; both march as one stack.  Because

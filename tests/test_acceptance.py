@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from sbmre.covariance import Constant, GaussianProfile, IndicatorBall, ScaledTheta
+from sbmre.covariance import Constant, IndicatorBall, ScaledTheta
 from sbmre.grids import Grid, GridFunction
 from sbmre.heatkernel import (
     apply_heat_semigroup,
@@ -294,7 +294,7 @@ def test_criterion_11_lyapunov_and_tail_ladders():
     est64 = lyapunov_estimate(ScaledTheta(64.0), grid, 6.0, 1e-3, SEED, 8, stratonovich=False)
     frac = float(np.mean(est64.slopes < est1.slopes))
 
-    probes = {(a, t): ldp_tail_probe(ScaledTheta(a, GaussianProfile(8.0)), grid,
+    probes = {(a, t): ldp_tail_probe(ScaledTheta(a, 8.0), grid,
                                      t, 2.0, 1e-3, SEED + 7, 150)
               for a in (2.0, 32.0) for t in (0.5, 6.0)}
     dec_in_a = all(probes[(32.0, t)].fraction < probes[(2.0, t)].fraction for t in (0.5, 6.0))

@@ -131,6 +131,37 @@ def test_validate_rejects_bad_config(tmp_path, capsys):
 
 
 SCALED = {"kernel.type": "scaled", "kernel.level": None, "kernel.a": "1.0"}
+POWER_3D = {"kernel.type": "power", "kernel.level": None, "kernel.eps": "0.1",
+            "kernel.alpha": "4.0", "grid.d": "3", "grid.h": "0.5"}
+# the kernel and grid an experiment needs where BASE's constant kernel in d = 1 will not do
+RUNNABLE = {"lyapunov-ladder": SCALED, "persistence-scan": POWER_3D}
+
+
+def test_scaled_kernel_is_the_gaussian_of_its_width(tmp_path):
+    cfg = load_config(write_config(tmp_path, **{**SCALED, "kernel.a": "2.5",
+                                                "kernel.width": "8.0"}))
+    assert cfg.kernel == ScaledTheta(2.5, 8.0)
+    assert load_config(write_config(tmp_path, **SCALED)).kernel == ScaledTheta(1.0)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({**POWER_3D, "experiment.name": "persistence-scan", "grid.d": "1"},
+     "persistence-scan requires grid dimension >= 3"),
+    ({"experiment.name": "persistence-scan", "grid.d": "3", "grid.h": "0.5"},
+     "persistence-scan needs an amplitude-scalable kernel (power or indicator)"),
+    ({"experiment.name": "lyapunov-ladder"}, "lyapunov-ladder needs a scaled kernel"),
+    ({"mc.paths": "1"}, "[mc] paths must be >= 2, got 1"),  # was exit 3 after the ensemble
+], ids=["persistence-scan-d1", "persistence-scan-constant", "lyapunov-ladder-constant",
+        "pam-oracle-one-path"])
+def test_validate_refuses_what_the_run_refuses(tmp_path, capsys, overrides, message):
+    # each printed "config ok" before; the run then exited 2 or 3
+    cfg_path = write_config(tmp_path, **overrides)
+    name = overrides.get("experiment.name", "pam-oracle")
+    assert main(["validate", "--config", cfg_path]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert main([name, "--config", cfg_path, "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("key, value, extra", [
@@ -278,10 +309,10 @@ def test_replay_identical_and_refusals(tmp_path):
 def test_symmetric_only_experiments_reject_other_orderings(tmp_path, capsys, experiment):
     # every solver runs the symmetric splitting, so another ordering in the
     # config (which is part of its hash) would be a lie
-    load_config(write_config(tmp_path, **{"experiment.name": experiment}))
+    runnable = {**RUNNABLE.get(experiment, {}), "experiment.name": experiment}
+    load_config(write_config(tmp_path, **runnable))
     for ordering in ("heat-noise", "noise-heat"):
-        cfg_path = write_config(tmp_path, **{"experiment.name": experiment,
-                                             "scheme.ordering": ordering})
+        cfg_path = write_config(tmp_path, **{**runnable, "scheme.ordering": ordering})
         with pytest.raises(ConfigError, match="ordering"):
             load_config(cfg_path)
         assert main([experiment, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2

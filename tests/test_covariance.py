@@ -17,7 +17,6 @@ from sbmre import covariance
 from sbmre.covariance import (
     Constant,
     GaussianFieldFactor,
-    GaussianProfile,
     IndefiniteKernelError,
     IndicatorBall,
     KroneckerRoot,
@@ -55,7 +54,7 @@ def test_eval_symmetry_bit_identical():
             x = rng.normal(size=3)
             y = rng.normal(size=3)
             assert kern(x, y) == kern(y, x)
-            assert 0.0 <= kern(x, y) <= kern.sup_bound() + 1e-15
+            assert 0.0 <= kern(x, y) <= kern.diagonal_value() + 1e-15
 
 
 def test_eval_dimension_mismatch():
@@ -63,7 +62,7 @@ def test_eval_dimension_mismatch():
         Constant(1.0)(np.zeros(2), np.zeros(3))
 
 
-MATRIX_KERNELS = [Constant(0.7), ScaledTheta(1.3, GaussianProfile(0.8)),
+MATRIX_KERNELS = [Constant(0.7), ScaledTheta(1.3, 0.8),
                   StationaryPower(0.4, 1.5), IndicatorBall(1.1, 0.6)]
 
 
@@ -91,15 +90,18 @@ def test_pair_distances_never_hold_the_coordinate_axis():
 
 
 def test_scaled_theta_profile_normalization():
-    with pytest.raises(ValueError):
-        ScaledTheta(a=1.0, profile=lambda r: 2.0 * np.exp(-np.asarray(r) ** 2))
-    assert GaussianProfile()(0.0) == 1.0
-    assert ScaledTheta(2.0).profile == GaussianProfile(1.0)
+    for width in (0.3, 1.0, 8.0):
+        assert ScaledTheta(2.0, width).profile(0.0) == 1.0
+        assert ScaledTheta(2.0, width).diagonal_value() == 2.0
+    assert ScaledTheta(2.0) == ScaledTheta(2.0, 1.0)
+    for a, width in ((-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)):
+        with pytest.raises(ValueError):
+            ScaledTheta(a, width)
 
 
 def test_gaussian_profiles_of_every_width_have_known_traits():
     # riesz_potential_sup reads these and refuses an envelope that declares neither
-    for kern in (ScaledTheta(1.0), ScaledTheta(1.0, GaussianProfile(2.0))):
+    for kern in (ScaledTheta(1.0), ScaledTheta(1.0, 2.0)):
         traits = kern.envelope_traits()
         assert traits.divergent_potential is False
         assert traits.nonincreasing is True
@@ -132,8 +134,8 @@ def test_smooth_kernel_factor_reconstructs():
     factor = grid_covariance_factor(kern, grid)
     target = kern.matrix(grid.points())
     rebuilt = factor.root @ factor.root.T
-    assert np.max(np.abs(rebuilt - target)) < 1e-10 * kern.sup_bound()
-    assert factor.jitter <= 1e-8 * kern.sup_bound()
+    assert np.max(np.abs(rebuilt - target)) < 1e-10 * kern.diagonal_value()
+    assert factor.jitter <= 1e-8 * kern.diagonal_value()
 
 
 def test_indicator_kernel_indefinite_on_grid():
@@ -163,12 +165,12 @@ def test_smooth_kernel_factor_keeps_only_the_numerical_rank():
     # a width-8 Gaussian on 64 cells of spacing 1/8 has about 8 eigenvalues
     # above the cut; the root keeps those columns and still rebuilds C
     grid = Grid(1, 8.0, 64)
-    kern = ScaledTheta(2.0, GaussianProfile(8.0))
+    kern = ScaledTheta(2.0, 8.0)
     factor = grid_covariance_factor(kern, grid)
     assert factor.root.shape[0] == 64 and factor.root.shape[1] <= 10
     rebuilt = factor.root @ factor.root.T
-    assert np.max(np.abs(rebuilt - kern.matrix(grid.points()))) < 1e-10 * kern.sup_bound()
-    assert 0.0 < factor.jitter <= covariance.JITTER_SCALE * kern.sup_bound()
+    assert np.max(np.abs(rebuilt - kern.matrix(grid.points()))) < 1e-10 * kern.diagonal_value()
+    assert 0.0 < factor.jitter <= covariance.JITTER_SCALE * kern.diagonal_value()
 
 
 def test_duplicated_points_share_field_value():
@@ -182,7 +184,7 @@ def test_duplicated_points_share_field_value():
 
 @pytest.mark.parametrize("factor", [
     grid_covariance_factor(ScaledTheta(1.3), Grid(1, 4.0, 16)),
-    grid_covariance_factor(ScaledTheta(0.8, GaussianProfile(0.7)), Grid(2, 4.0, 8)),
+    grid_covariance_factor(ScaledTheta(0.8, 0.7), Grid(2, 4.0, 8)),
     grid_covariance_factor(StationaryPower(0.5, 2.0), Grid(2, 4.0, 6)),
     grid_covariance_factor(Constant(2.0), Grid(1, 4.0, 16)),
     points_covariance_factor(ScaledTheta(1.0), [[0.1, 0.2], [0.1, 0.2], [1.0, -0.3]]),
@@ -202,7 +204,7 @@ def test_sample_scatters_through_the_index_map(factor):
 PREFIX_CASES = {
     "dense-1d": grid_covariance_factor(ScaledTheta(1.3), Grid(1, 8.0, 32)),
     "dense-2d": grid_covariance_factor(StationaryPower(0.5, 2.0), Grid(2, 4.0, 6)),
-    "kronecker-2d": grid_covariance_factor(ScaledTheta(0.8, GaussianProfile(0.7)), Grid(2, 4.0, 8)),
+    "kronecker-2d": grid_covariance_factor(ScaledTheta(0.8, 0.7), Grid(2, 4.0, 8)),
     "kronecker-3d": grid_covariance_factor(ScaledTheta(1.0), Grid(3, 8.0, 16)),
     "dedup-scatter": points_covariance_factor(
         ScaledTheta(1.0), [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.5, 0.5]]),
@@ -221,7 +223,7 @@ def test_consecutive_draws_equal_one_wide_draw(factor, widths):
 
 @pytest.mark.parametrize("factor", [
     points_covariance_factor(StationaryPower(1.0, 1.5), np.linspace(-4.0, 4.0, 100)[:, None]),
-    grid_covariance_factor(ScaledTheta(1.0, GaussianProfile(0.3)), Grid(2, 8.0, 20)),
+    grid_covariance_factor(ScaledTheta(1.0, 0.3), Grid(2, 8.0, 20)),
 ], ids=["dense-100", "kronecker-2d-20"])
 def test_a_field_keeps_its_bits_in_any_row_count_off_a_multiple_of_8(factor):
     # m = 100 and n = 20 leave a remainder mod 8, whose columns OpenBLAS
@@ -233,12 +235,13 @@ def test_a_field_keeps_its_bits_in_any_row_count_off_a_multiple_of_8(factor):
         assert np.array_equal(factor.fields(z[:rows]), wide[:rows])
 
 
-@pytest.mark.parametrize("profile", [GaussianProfile(1.0), GaussianProfile(0.3),
-                                     GaussianProfile(4.0)])
+@pytest.mark.parametrize("profile", [ScaledTheta(1.0, w) for w in (1.0, 0.3, 4.0)])
 def test_gaussian_sup_bound_equals_the_probe(profile):
+    # C(0), which scales the jitter budget, is the kernel's supremum
+    probe = np.linspace(0.0, 16.0, 4097)
     for a in (0.0, 0.7, 3.0, 16):
-        probe = np.linspace(0.0, 16.0, 4097)
-        assert ScaledTheta(a, profile).sup_bound() == a * float(np.max(np.abs(profile(probe))))
+        kern = ScaledTheta(a, profile.width)
+        assert kern.diagonal_value() == a * float(np.max(np.abs(profile.profile(probe))))
 
 
 def test_grid_factor_size_guard():
@@ -279,7 +282,7 @@ def test_points_factor_dedup_matches_numpy_unique():
     for sample in (pts, pts[:1]):
         factor = points_covariance_factor(kernel, sample)
         ref_rows, ref_inverse = np.unique(sample, axis=0, return_inverse=True)
-        ref_root, _ = covariance._factor_matrix(kernel.matrix(ref_rows), kernel.sup_bound())
+        ref_root, _ = covariance._factor_matrix(kernel.matrix(ref_rows), kernel.diagonal_value())
         assert np.array_equal(factor.index_map, ref_inverse.reshape(-1))
         assert np.array_equal(factor.root, ref_root)
 
@@ -287,16 +290,15 @@ def test_points_factor_dedup_matches_numpy_unique():
 def test_axis_kernels():
     assert StationaryPower(0.8, 2.0).axis_kernel(2) is None
     assert Constant(1.0).axis_kernel(3) is None
-    assert ScaledTheta(1.0, profile=lambda r: 1.0 / (1.0 + np.asarray(r) ** 2)).axis_kernel(2) is None
     assert ScaledTheta(8.0).axis_kernel(3) == ScaledTheta(2.0)
-    assert ScaledTheta(4.0, GaussianProfile(0.5)).axis_kernel(2) == ScaledTheta(2.0, GaussianProfile(0.5))
+    assert ScaledTheta(4.0, 0.5).axis_kernel(2) == ScaledTheta(2.0, 0.5)
 
 
 SEPARABLE_CASES = [
     (ScaledTheta(a=2.0), Grid(2, 3.0, 6)),
-    (ScaledTheta(a=1.5, profile=GaussianProfile(0.7)), Grid(2, 4.0, 8)),
+    (ScaledTheta(a=1.5, width=0.7), Grid(2, 4.0, 8)),
     (ScaledTheta(a=2.0), Grid(3, 2.0, 4)),
-    (ScaledTheta(a=0.5, profile=GaussianProfile(1.3)), Grid(3, 4.0, 6)),
+    (ScaledTheta(a=0.5, width=1.3), Grid(3, 4.0, 6)),
 ]
 
 
@@ -316,7 +318,7 @@ def test_separable_factor_rebuilds_dense_matrix(kern, grid):
     assert factor.jitter == c**grid.dim - (c - axis.jitter) ** grid.dim
     dense = functools.reduce(np.kron, [factor.root.axis_root] * grid.dim)
     target = kern.matrix(grid.points())
-    assert np.max(np.abs(dense @ dense.T - target)) < 1e-10 * kern.sup_bound()
+    assert np.max(np.abs(dense @ dense.T - target)) < 1e-10 * kern.diagonal_value()
 
 
 @pytest.mark.parametrize("kern, grid", [SEPARABLE_CASES[1], SEPARABLE_CASES[2]])
@@ -335,14 +337,14 @@ def test_separable_jitter_is_the_diagonal_change():
     # a wide profile on a fine axis is numerically singular: the axis root is
     # cut below full rank, and the factor reports the largest diagonal entry
     # of C - root root^T, c^3 - (c - e)^3 with e the axis one
-    kern = ScaledTheta(a=8.0, profile=GaussianProfile(4.0))
+    kern = ScaledTheta(a=8.0, width=4.0)
     grid = Grid(3, 4.0, 16)
     factor = grid_covariance_factor(kern, grid)
     axis = _axis_factor(kern, grid)
     assert axis.root.shape[1] < 16
-    assert 0.0 < axis.jitter <= covariance.JITTER_SCALE * kern.axis_kernel(3).sup_bound()
+    assert 0.0 < axis.jitter <= covariance.JITTER_SCALE * kern.axis_kernel(3).diagonal_value()
     assert factor.jitter == pytest.approx(8.0 - (2.0 - axis.jitter) ** 3, rel=1e-12)
-    assert 0.0 < factor.jitter <= covariance.JITTER_CAP * kern.sup_bound()
+    assert 0.0 < factor.jitter <= covariance.JITTER_CAP * kern.diagonal_value()
     axis_diag = np.sum(factor.root.axis_root**2, axis=1)
     deficit = kern.diagonal_value() - np.min(axis_diag) ** 3
     assert deficit == pytest.approx(factor.jitter, rel=1e-3)
@@ -350,7 +352,7 @@ def test_separable_jitter_is_the_diagonal_change():
 
 @pytest.mark.parametrize("kern, grid", [
     (ScaledTheta(a=0.8), Grid(1, 8.0, 16)),  # full rank
-    (ScaledTheta(a=1.7, profile=GaussianProfile(0.6)), Grid(1, 8.0, 64)),  # cut below full rank
+    (ScaledTheta(a=1.7, width=0.6), Grid(1, 8.0, 64)),  # cut below full rank
 ])
 def test_one_dimensional_factor_is_the_dense_cholesky(kern, grid):
     factor = grid_covariance_factor(kern, grid)
@@ -359,10 +361,10 @@ def test_one_dimensional_factor_is_the_dense_cholesky(kern, grid):
     assert np.array_equal(factor.root, dense.root)
     assert factor.jitter == dense.jitter
     matrix = kern.matrix(grid.points())
-    root, jitter = covariance._factor_matrix(matrix, kern.sup_bound())
+    root, jitter = covariance._factor_matrix(matrix, kern.diagonal_value())
     assert np.array_equal(factor.root, root) and factor.jitter == jitter
     assert (jitter == 0.0) == (root.shape[1] == grid.n_points)
-    assert np.max(np.abs(root @ root.T - matrix)) < 1e-10 * kern.sup_bound()
+    assert np.max(np.abs(root @ root.T - matrix)) < 1e-10 * kern.diagonal_value()
 
 
 def test_increment_mean_and_covariance_band():
@@ -372,8 +374,8 @@ def test_increment_mean_and_covariance_band():
     for kern, grid in ((ScaledTheta(a=1.5), Grid(1, 2.0, 5)),
                        (StationaryPower(0.8, 2.0), Grid(1, 2.0, 5)),
                        (Constant(0.6), Grid(1, 2.0, 5)),
-                       (ScaledTheta(a=1.5, profile=GaussianProfile(0.8)), Grid(2, 2.0, 4)),
-                       (ScaledTheta(2.0, GaussianProfile(8.0)), Grid(1, 8.0, 64))):
+                       (ScaledTheta(a=1.5, width=0.8), Grid(2, 2.0, 4)),
+                       (ScaledTheta(2.0, 8.0), Grid(1, 8.0, 64))):
         factor = grid_covariance_factor(kern, grid)
         rng = np.random.default_rng(20260814)
         draws = factor.sample(rng, dt=dt, batch=n).reshape(n, grid.n_points)

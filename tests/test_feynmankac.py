@@ -40,11 +40,6 @@ SEED = 20260814
 ONE = ConstantReadout(1.0)
 
 
-def wide_profile(r):
-    r = np.asarray(r, dtype=float)
-    return np.exp(-((r / 8.0) ** 2))
-
-
 def test_config_and_measure_validation():
     with pytest.raises(ValueError):
         MCConfig(1, 0.1, SEED)
@@ -310,7 +305,7 @@ def test_annealed_moments_closed_forms():
     est, se = annealed_moment_w(kern, 0.8, 1, MCConfig(100, 0.1, SEED))
     assert est == math.exp(0.4) and se == 0.0
 
-    flat = ScaledTheta(3.0, lambda r: np.ones_like(np.asarray(r, dtype=float)))
+    flat = ScaledTheta(3.0, width=1e8)  # profile 1 to roundoff on these paths
     est, se = annealed_moment_w(flat, 0.6, 2, MCConfig(500, 0.1, SEED))
     assert abs(est - math.exp(2 * 0.6)) < 1e-12 * est
     assert se < 1e-9
@@ -342,7 +337,7 @@ def annealed_moment_bruteforce(kernel: ScaledTheta, t: float, k: int, mc: MCConf
     positions, jointly Gaussian with the profile covariance; the product of
     the k exponentials estimates the same moment by an independent mechanism.
     """
-    profile_kernel = ScaledTheta(1.0, kernel.profile)
+    profile_kernel = ScaledTheta(1.0, kernel.width)
     m = mc.steps_for(t)
     root_dt = math.sqrt(mc.dt / kernel.a)
     values = []
@@ -419,7 +414,7 @@ def test_tail_probe_directions_and_validation():
     frac = {}
     for a in (4.0, 16.0):
         for t in (1.0, 4.0):
-            probe = ldp_tail_probe(ScaledTheta(a, wide_profile), grid, t=t, L=2.0,
+            probe = ldp_tail_probe(ScaledTheta(a, width=8.0), grid, t=t, L=2.0,
                                    dt=1e-3, seed=31, n_replicas=100)
             assert probe.interval[0] <= probe.fraction <= probe.interval[1]
             assert probe.threshold == math.exp(-a * t / 3.0)
@@ -439,7 +434,7 @@ def test_tail_probe_directions_and_validation():
 
 def test_tail_probes_from_one_march_equal_per_time_probes():
     grid = Grid(dim=1, extent=8.0, cells=32)
-    kern = ScaledTheta(4.0, wide_profile)
+    kern = ScaledTheta(4.0, width=8.0)
     times = (0.25, 0.05, 0.25, 0.1)
     probes = ldp_tail_probes(kern, grid, times, L=2.0, dt=5e-3, seed=31, n_replicas=40)
     assert len(probes) == len(times)

@@ -19,7 +19,6 @@ from sbmre.covariance import (
     Constant,
     CovarianceKernel,
     EnvelopeTraits,
-    GaussianProfile,
     IndicatorBall,
     ScaledTheta,
     StationaryPower,
@@ -78,9 +77,6 @@ class _TruncatedPower(CovarianceKernel):
     def envelope(self, r):
         r = np.asarray(r, dtype=float)
         return np.where(r <= self.cutoff, self.eps / (1.0 + r**self.alpha), 0.0)
-
-    def sup_bound(self) -> float:
-        return self.eps
 
     def envelope_traits(self) -> EnvelopeTraits:
         return EnvelopeTraits(
@@ -254,17 +250,18 @@ def test_riesz_potential_of_the_gaussian_profile_is_two_pi_a():
         assert abs(riesz_potential_sup(ScaledTheta(a), 3) - 2 * math.pi * a) < 1e-8 * a
     assert riesz_potential_sup(ScaledTheta(0.1), 3) < THRESHOLD[3]
     assert riesz_potential_sup(ScaledTheta(0.2), 3) > THRESHOLD[3]
-    wide = riesz_potential_sup(ScaledTheta(1.0, GaussianProfile(2.0)), 3)
+    wide = riesz_potential_sup(ScaledTheta(1.0, 2.0), 3)
     assert abs(wide - 8 * math.pi) < 1e-8
 
 
 def test_riesz_potential_sup_refuses_an_undeclared_envelope():
-    # a profile that is not radially nonincreasing may peak off the origin
-    def wavy(r):
-        r = np.asarray(r, dtype=float)
-        return np.exp(-r * r) * np.cos(3.0 * r)
+    # an envelope that is not radially nonincreasing may peak off the origin
+    class Wavy(CovarianceKernel):
+        def envelope(self, r):
+            r = np.asarray(r, dtype=float)
+            return np.exp(-r * r) * np.cos(3.0 * r)
 
-    kernel = ScaledTheta(1.0, wavy)
+    kernel = Wavy()  # declares no traits
     assert kernel.envelope_traits().nonincreasing is None
     with pytest.raises(ValueError, match="nonincreasing"):
         riesz_potential_sup(kernel, 3)

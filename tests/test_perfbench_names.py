@@ -2,7 +2,9 @@
 
 perfbench/tracing.py is loaded by path and only read: the tracer is never
 installed, so no sbmre function is patched.  A rename or deletion in the
-library that the tracer still names fails here instead of in a traced pass.
+library that the tracer still names fails here instead of in a traced pass;
+likewise a signature change that breaks the calls of the frozen library
+segment in perfbench/workloads.py.
 """
 
 import importlib
@@ -10,7 +12,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from sbmre import dual, spde
+from sbmre import covariance, dual, spde
 
 ROOT = Path(__file__).resolve().parents[1]
 # the modules perfbench/passrun.py hands to Tracer.install
@@ -26,9 +28,9 @@ COUNTED_PARAMETERS = (
 )
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing",
-                                                  ROOT / "perfbench" / "tracing.py")
+def _perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -42,7 +44,7 @@ def _resolve(module: str, dotted: str):
 
 
 def test_every_traced_function_and_method_resolves():
-    tracing = _tracing()
+    tracing = _perfbench("tracing")
     for _, module, attr, bound_in in tracing._FUNCTIONS:
         assert module in INSTALLED and set(bound_in) <= set(INSTALLED)
         assert callable(_resolve(module, attr)), f"{module}.{attr}"
@@ -55,5 +57,9 @@ def test_counted_parameters_and_results_exist():
     for module, dotted, names in COUNTED_PARAMETERS:
         params = inspect.signature(_resolve(module, dotted)).parameters
         assert set(names) <= set(params), f"{module}.{dotted} lacks {names}"
-    assert "batch_size" in inspect.signature(spde.ensemble_noise).parameters
+    # the frozen library segment's calls in perfbench/workloads.py, argument for argument
+    p = _perfbench("workloads").LIBRARY
+    inspect.signature(covariance.ScaledTheta).bind(p["amplitude"])
+    inspect.signature(spde.ensemble_noise).bind(None, None, p["dt"], 0, p["replicas"],
+                                                batch_size=p["batch"])
     assert isinstance(inspect.getattr_static(dual.DualState, "jump_count"), property)

@@ -16,7 +16,8 @@ the values a run would: `[readouts]` holds exactly one readout, and each
 `[params]` key is converted to the kind its experiment declares in
 experiments.PARAMS; a key the experiment does not declare is an error.
 `[mc] replicas` and `paths` are at least 2, and experiments.check_runnable
-refuses a kernel or grid the experiment cannot run, also at load.
+refuses a kernel or grid the experiment cannot run, and a time that is not a
+whole number of its steps, also at load.
 
 Exit codes: 0 all checks pass, 1 any check fails, 2 config or replay error,
 3 an experiment raised (ExperimentError: a solver or sampler failed).
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from . import __version__
 from .covariance import Constant, CovarianceKernel, IndicatorBall, ScaledTheta, StationaryPower
 from .ensemble import WorkerPool
-from .experiments import EXPERIMENTS, PARAMS, CheckRow, ConfigError, check_runnable
+from .experiments import EXPERIMENTS, PARAMS, CheckRow, ConfigError, Time, check_runnable
 from .grids import Grid
 from .readouts import parse_readout
 
@@ -201,7 +202,8 @@ def _built(section: str, build, parser):
 
 def _parse_params(parser, name: str) -> dict:
     """[params] converted to the kinds experiment `name` declares in PARAMS:
-    float, int (a positive whole number) or tuple (a lone number is a 1-tuple)."""
+    float, int (a positive whole number), tuple (a lone number is a 1-tuple),
+    or the float or tuple of a Time."""
     kinds = PARAMS[name]
     params = {}
     if not parser.has_section("params"):
@@ -218,6 +220,8 @@ def _parse_params(parser, name: str) -> dict:
         if not all(math.isfinite(v) and v > 0 for v in values):
             raise ConfigError(f"[params] {key} must be positive and finite, got {raw}")
         kind = kinds[key]
+        if isinstance(kind, Time):  # its steps are check_runnable's
+            kind = kind.kind
         if kind is not tuple and len(values) > 1:
             raise ConfigError(f"[params] {key} must be a single number, got {values}")
         if kind is int and not values[0].is_integer():

@@ -5,19 +5,32 @@ time step dt form a centered Gaussian field with covariance C(x, y) * dt.  All
 kernel variants here are stationary (functions of x - y) and bounded by their
 value C(0) = C(x, x) at the origin (by Cauchy-Schwarz for a covariance; the
 power and indicator envelopes are nonincreasing), which scales the jitter
-budget of the dense factorization.
+budget of every factorization.
 
-Factorization strategy: one pivoted Cholesky (LAPACK dpstrf) stopped once
-every remaining pivot is at most the jitter budget tol = 1e-10 * C(0).
-The root keeps only the first r columns, r the numerical rank, so a smooth
-kernel, whose matrix has far fewer numerically nonzero eigenvalues than it has
-points, is drawn from r normals per field instead of one per point.  The cut
-leaves C - root root^T as the PSD Schur complement of the last pivots, whose
-entries are at most tol; if an entry is larger (twice tol leaves roundoff
-headroom) or a diagonal entry is below -tol, the matrix is indefinite beyond
-tolerance and we raise with the most negative eigenvalue.  The budget never
-exceeds 1e-8 * C(0).  Dense factors cover at most DENSE_LIMIT distinct
-points; larger requests raise ValueError before any matrix is allocated.
+Factorization strategy: one greedy pivoted Cholesky in numpy, no LAPACK, for
+every factor (particle sites and grid axes alike).  Each step pivots on the
+largest remaining diagonal entry (the first on ties), asks for that one column
+of C and writes one root column; it stops once every remaining diagonal entry
+is at most the jitter budget tol = 1e-10 * C(0).  The root keeps only those r
+columns, r the numerical rank, so a smooth kernel, whose matrix has far fewer
+numerically nonzero eigenvalues than it has points, is drawn from r normals
+per field instead of one per point.  The factor's jitter is the largest
+remaining diagonal entry.
+
+How the residual C - root root^T is certified depends on the kernel.  A
+kernel that declares itself positive definite (the class fact
+``positive_definite``: ScaledTheta and Constant) makes every residual a PSD
+Schur complement, so |R_ij| <= sqrt(R_ii R_jj) <= tol and the diagonal
+certifies all of it.  Its columns are evaluated lazily, C(., p) =
+envelope(|points - p|), so a factor over m points evaluates m r + 1 kernel
+values and never forms the m x m matrix (Harbrecht, Peters & Schneider 2012).
+For any other kernel a small diagonal bounds nothing (the block [[0, 1],
+[1, 0]] stops the pivots at once), so the matrix is formed, its rows feed the
+same routine, and the residual is checked entry by entry: if an entry exceeds
+2 tol (twice leaves roundoff headroom) or a diagonal entry is below -tol, the
+matrix is indefinite beyond tolerance and we raise with the most negative
+eigenvalue.  Dense factors cover at most DENSE_LIMIT distinct points; larger
+requests raise ValueError before anything is evaluated.
 
 Point sets are deduplicated before factoring, so coincident points share one
 field value; in d = 1 the dedup is a plain 1-d np.unique, which gives the
@@ -66,10 +79,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dpstrf
 
 JITTER_SCALE = 1e-10
-JITTER_CAP = 1e-8
+JITTER_CAP = 1e-8  # bound on any factor's jitter over C(0); a d-dim grid's is about d * 1e-10
 DENSE_LIMIT = 10000  # most distinct points a dense covariance matrix may cover
 
 
@@ -114,16 +126,29 @@ def _pair_distances(x, y) -> np.ndarray:
         )
     total = np.asarray(x[..., 0] - y[..., 0])  # 0-d for a single pair of points
     total *= total
-    diff = np.empty_like(total)
-    for i in range(1, x.shape[-1]):
-        np.subtract(x[..., i], y[..., i], out=diff)
-        diff *= diff
-        total += diff
+    if x.shape[-1] > 1:
+        diff = np.empty_like(total)
+        for i in range(1, x.shape[-1]):
+            np.subtract(x[..., i], y[..., i], out=diff)
+            diff *= diff
+            total += diff
     return np.sqrt(total, out=total)
 
 
+def _require_finite(**params):
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 class CovarianceKernel:
-    """Base class: stationary spatial covariance C(x, y) = envelope(|x - y|)."""
+    """Base class: stationary spatial covariance C(x, y) = envelope(|x - y|).
+
+    ``positive_definite`` is a class fact: True when every matrix the kernel
+    forms over any point set is PSD, so its factor needs no residual check.
+    """
+
+    positive_definite = False
 
     def __call__(self, x, y):
         """Evaluate C(x, y); x and y broadcast with a trailing coordinate axis."""
@@ -159,8 +184,10 @@ class Constant(CovarianceKernel):
     """Fully correlated environment: C(x, y) = level."""
 
     level: float
+    positive_definite = True
 
     def __post_init__(self):
+        _require_finite(level=self.level)
         if self.level < 0:
             raise ValueError(f"level must be nonnegative, got {self.level}")
 
@@ -181,6 +208,7 @@ class StationaryPower(CovarianceKernel):
     alpha: float
 
     def __post_init__(self):
+        _require_finite(eps=self.eps, alpha=self.alpha)
         if self.eps < 0:
             raise ValueError(f"eps must be nonnegative, got {self.eps}")
         if self.alpha <= 0:
@@ -206,8 +234,10 @@ class ScaledTheta(CovarianceKernel):
 
     a: float
     width: float = 1.0
+    positive_definite = True
 
     def __post_init__(self):
+        _require_finite(a=self.a, width=self.width)
         if self.a < 0:
             raise ValueError(f"a must be nonnegative, got {self.a}")
         if self.width <= 0:
@@ -215,11 +245,19 @@ class ScaledTheta(CovarianceKernel):
 
     def profile(self, r):
         """Unit-amplitude correlation exp(-(r / width)^2)."""
-        r = np.asarray(r, dtype=float) / self.width
-        return np.exp(-r * r)
+        return ScaledTheta(1.0, self.width).envelope(r)
 
     def envelope(self, r):
-        return self.a * self.profile(r)
+        # in place in one fresh array: the pair-path oracle evaluates blocks
+        # of 256 KB, and a site factor one column per pivot
+        x = np.asarray(r, dtype=float) / self.width
+        if not isinstance(x, np.ndarray):  # r was a number
+            return self.a * np.exp(-x * x)
+        x *= x
+        np.negative(x, out=x)
+        np.exp(x, out=x)
+        x *= self.a
+        return x
 
     def envelope_traits(self) -> EnvelopeTraits:
         return EnvelopeTraits(divergent_potential=False, nonincreasing=True)
@@ -240,6 +278,7 @@ class IndicatorBall(CovarianceKernel):
     height: float = 1.0
 
     def __post_init__(self):
+        _require_finite(radius=self.radius, height=self.height)
         if self.radius <= 0 or self.height < 0:
             raise ValueError("radius must be positive and height nonnegative")
 
@@ -355,16 +394,52 @@ class GaussianFieldFactor:
         return vals.reshape(vals.shape[:-1] + self.out_shape)
 
 
-def _factor_matrix(matrix, scale):
-    """(m, rank) pivoted Cholesky root cut at the jitter budget; returns (root, jitter).
+def _pivoted_cholesky(diagonal, column, tol):
+    """Greedy pivoted Cholesky of a symmetric matrix given by its diagonal and columns.
 
-    scale is the kernel's C(0), the largest entry of the matrix.
+    column(p) returns column p of the matrix as a fresh (m,) array, which the
+    routine overwrites; only pivot columns are requested.  Each step pivots on
+    the largest remaining diagonal entry (the first on ties) and writes one
+    root column, until every remaining entry is at most tol.  Returns (root,
+    pivots, jitter): the C-ordered (m, rank) root, one zero column for rank 0;
+    the pivot indices in order; and the largest remaining diagonal entry.
+    """
+    d = np.array(diagonal, dtype=float)
+    m = len(d)
+    rows = np.empty((min(m, 32), m))  # the root's columns as rows, grown by doubling
+    square = np.empty(m)
+    pivots = []
+    while len(pivots) < m:
+        p = int(d.argmax())
+        pivot = float(d[p])
+        if not pivot > tol:
+            break
+        k = len(pivots)
+        if k == len(rows):
+            rows = np.concatenate((rows, np.empty((min(k, m - k), m))))
+        col = column(p)
+        if k:
+            col -= np.dot(rows[:k, p], rows[:k])
+        s = math.sqrt(pivot)
+        row = np.divide(col, s, out=rows[k])
+        row[p] = s
+        d -= np.multiply(row, row, out=square)
+        d[p] = 0.0
+        pivots.append(p)
+    jitter = float(d.max(initial=0.0))  # remaining entries are at most tol; roundoff dips below 0
+    if not pivots:
+        return np.zeros((m, 1)), pivots, jitter
+    return np.ascontiguousarray(rows[:len(pivots)].T), pivots, jitter
+
+
+def _factor_matrix(matrix, scale):
+    """(m, rank) root of a formed matrix, cut at the jitter budget; returns (root, jitter).
+
+    scale is the kernel's C(0), the largest entry of the matrix.  The matrix
+    is not known to be PSD, so the residual is checked entry by entry.
     """
     tol = JITTER_SCALE * scale
-    assert tol <= JITTER_CAP * scale
-    lower, piv, rank, _ = dpstrf(matrix, lower=1, tol=tol)
-    root = np.zeros((len(matrix), max(rank, 1)))  # one zero column for a zero matrix
-    root[piv - 1, :rank] = np.tril(lower[:, :rank])
+    root, _, jitter = _pivoted_cholesky(matrix.diagonal(), lambda p: matrix[p].copy(), tol)
     residual = matrix - root @ root.T
     if np.abs(residual).max() > 2.0 * tol or residual.diagonal().min() < -tol:
         min_eig = float(np.linalg.eigvalsh(matrix)[0])
@@ -373,8 +448,26 @@ def _factor_matrix(matrix, scale):
             f"budget {tol:.3e}; most negative eigenvalue {min_eig:.6e}",
             min_eig,
         )
-    jitter = float(residual.diagonal().max()) if rank < len(matrix) else 0.0
-    return root, max(jitter, 0.0)
+    return root, jitter
+
+
+def _factor_points(kernel, points):
+    """(root, jitter) of C over distinct points, shape (m, dim).
+
+    A positive definite kernel feeds the pivoted Cholesky its columns one
+    pivot at a time and never forms the matrix; any other kernel forms the
+    matrix and has its residual checked.
+    """
+    scale = kernel.diagonal_value()
+    if not kernel.positive_definite:
+        return _factor_matrix(kernel.matrix(points), scale)
+
+    def column(p):
+        return kernel.envelope(_pair_distances(points, points[p]))
+
+    root, _, jitter = _pivoted_cholesky(np.full(len(points), scale), column,
+                                        JITTER_SCALE * scale)
+    return root, jitter
 
 
 def _check_dense_size(m: int, what: str):
@@ -402,7 +495,7 @@ def points_covariance_factor(kernel: CovarianceKernel, points) -> GaussianFieldF
         unique, index_map = np.unique(points, axis=0, return_inverse=True)
         index_map = index_map.reshape(-1)
     _check_dense_size(len(unique), "distinct points")
-    root, jitter = _factor_matrix(kernel.matrix(unique), kernel.diagonal_value())
+    root, jitter = _factor_points(kernel, unique)
     return GaussianFieldFactor(root, index_map, jitter)
 
 
@@ -420,8 +513,7 @@ def grid_covariance_factor(kernel: CovarianceKernel, grid) -> GaussianFieldFacto
         factor.out_shape = grid.shape
         return factor
     _check_dense_size(grid.cells, "cells per axis")
-    root, jitter = _factor_matrix(axis_kernel.matrix(grid.axis()[:, np.newaxis]),
-                                  axis_kernel.diagonal_value())
+    root, jitter = _factor_points(axis_kernel, grid.axis()[:, np.newaxis])
     if grid.dim > 1:
         root = KroneckerRoot(root, grid.dim)
         c = axis_kernel.diagonal_value()

@@ -12,12 +12,14 @@ the worker count.  The job functions live at module level so a process pool
 can pickle them.
 
 Each experiment declares at registration the kind of every `[params]` key
-it reads (PARAMS): `float`, `int` (a count) or `tuple` (a list of floats).
+it reads (PARAMS): `float`, `int` (a count) or `tuple` (a list of floats),
+or a Time, a float or tuple of times that must be whole numbers of steps.
 The runner converts each key to its kind at load and refuses any key the
 experiment does not declare, so an experiment reads
 `cfg.params.get(key, default)` and gets a value of that kind.  The runner
 also calls check_runnable at load, which refuses (ConfigError, exit 2) a
-kernel or grid an experiment cannot run, so no experiment body checks them.
+kernel or grid an experiment cannot run and a time that is not a whole number
+of its steps, so no experiment body checks them.
 
 Each experiment calls the layers through their modules (`spde.solve_pam`,
 `dual.third_moment_scan`, ...), never through names bound at import, so a
@@ -43,6 +45,7 @@ _SEED_ORACLE = 202
 _SEED_LEFT = 11
 _SEED_RIGHT = 22
 _GUARD = 1e-9  # roundoff allowance added to k*SE gates (SE can be exactly 0)
+MC_DT = 0.0125  # the pair-path step when [params] mc_dt is absent
 # closed-form persistence thresholds 8(d-2)pi^(d/2) / (d 2^d Gamma(d/2-1))
 _THRESHOLD_TARGETS = {3: math.pi / 3.0, 4: math.pi**2 / 4.0, 5: 3.0 * math.pi**2 / 10.0}
 
@@ -66,8 +69,18 @@ def _gate(gap: float, scale: float, k: float) -> bool:
     return abs(gap) <= k * scale + _GUARD
 
 
+@dataclass(frozen=True)
+class Time:
+    """The kind of a [params] time: `kind` (float, or tuple for a list of
+    times), each value a whole number of steps of every step named in `steps`:
+    "dt" for [scheme] dt, "mc_dt" for the pair-path step."""
+
+    kind: type = float
+    steps: tuple = ("dt",)
+
+
 EXPERIMENTS = {}  # experiment name -> fn(cfg, pool) -> list of CheckRow
-PARAMS = {}  # experiment name -> {[params] key it reads: float, int (a count) or tuple}
+PARAMS = {}  # experiment name -> {[params] key it reads: float, int (a count), tuple or Time}
 
 
 def _experiment(name, **kinds):
@@ -80,7 +93,18 @@ def _experiment(name, **kinds):
 
 
 def check_runnable(cfg):
-    """Raise ConfigError if cfg's experiment cannot run its kernel or grid."""
+    """Raise ConfigError if cfg's experiment cannot run its kernel, grid or times."""
+    for key, kind in PARAMS[cfg.experiment].items():
+        if not isinstance(kind, Time) or key not in cfg.params:
+            continue
+        values = cfg.params[key] if kind.kind is tuple else (cfg.params[key],)
+        for step in kind.steps:
+            dt = cfg.dt if step == "dt" else cfg.params.get("mc_dt", MC_DT)
+            for value in values:
+                try:
+                    spde._resolve_steps(value, dt)
+                except ValueError as err:
+                    raise ConfigError(f"[params] {key}: {err}") from err
     if cfg.experiment == "persistence-scan":
         if cfg.grid.dim < 3:
             raise ConfigError("persistence-scan requires grid dimension >= 3")
@@ -120,7 +144,7 @@ def _particle_batch(bc, t, readout, seed, b, lo, hi):
     return rows, len(blowups)
 
 
-@_experiment("moments-triangle", t=float, n=int, cap=int, mc_dt=float)
+@_experiment("moments-triangle", t=Time(steps=("mc_dt",)), n=int, cap=int, mc_dt=float)
 def _moments_triangle(cfg, pool: WorkerPool) -> list:
     t = cfg.params.get("t", 1.0)
     scale_n = cfg.params.get("n", 200)
@@ -137,7 +161,7 @@ def _moments_triangle(cfg, pool: WorkerPool) -> list:
     m2, se2 = mean_se(stats[:, 1])
 
     delta = feynmankac.AtomicMeasure.delta(np.zeros(d))
-    mc = feynmankac.MCConfig(n_paths=cfg.paths, dt=cfg.params.get("mc_dt", 0.0125),
+    mc = feynmankac.MCConfig(n_paths=cfg.paths, dt=cfg.params.get("mc_dt", MC_DT),
                              seed=cfg.seed + _SEED_FK)
     rhs1 = feynmankac.first_moment_rhs(f, delta, t)
     rhs2, rhs2_se = feynmankac.second_moment_rhs(f, delta, t, cfg.kernel, mc, pool)
@@ -169,7 +193,7 @@ def _pam_center_batch(f, kernel, t, dt, seed, b, lo, hi):
     return np.stack([vals, vals * vals], axis=1)
 
 
-@_experiment("pam-oracle", t=float, mc_dt=float)
+@_experiment("pam-oracle", t=Time(steps=("dt", "mc_dt")), mc_dt=float)
 def _pam_oracle(cfg, pool: WorkerPool) -> list:
     t = cfg.params.get("t", 1.0)
     f = GridFunction.from_callable(cfg.grid, cfg.readout)
@@ -179,7 +203,7 @@ def _pam_oracle(cfg, pool: WorkerPool) -> list:
     m2, se2 = mean_se(stats[:, 1])
     origin = np.zeros(cfg.grid.dim)
     target1 = float(heatkernel.heat_at_points(cfg.readout, t, origin, cfg.grid.dim)[0])
-    mc = feynmankac.MCConfig(n_paths=cfg.paths, dt=cfg.params.get("mc_dt", 0.0125),
+    mc = feynmankac.MCConfig(n_paths=cfg.paths, dt=cfg.params.get("mc_dt", MC_DT),
                              seed=cfg.seed + _SEED_ORACLE)
     oracle, oracle_se = feynmankac.pam_second_moment_oracle(cfg.readout, t, origin, origin,
                                                             cfg.kernel, mc, pool)
@@ -229,7 +253,7 @@ def _stratonovich_gap(f, kernel, t, dt, seed):
     return spde.solve_stratonovich_pam(f, kernel, t, noise).route_gap
 
 
-@_experiment("comparison-suite", t=float, lambdas=tuple, delta=float)
+@_experiment("comparison-suite", t=Time(), lambdas=tuple, delta=float)
 def _comparison_suite(cfg, pool: WorkerPool) -> list:
     t = cfg.params.get("t", 1.0)
     lambdas = cfg.params.get("lambdas", (0.5, 1.0))
@@ -272,7 +296,7 @@ def _noise_off_routes(f, routes, t, dt, seed, save_every):
     return spde.solve_routes(f, t, quiet, routes, save_every=save_every)
 
 
-@_experiment("extinction-scan", t=float, ks=tuple)
+@_experiment("extinction-scan", t=Time(), ks=tuple)
 def _extinction_scan(cfg, pool: WorkerPool) -> list:
     t = cfg.params.get("t", 4.0)
     ks = cfg.params.get("ks", (1.0, 10.0))
@@ -331,7 +355,7 @@ def _persistence_scan(cfg, pool: WorkerPool) -> list:
     return rows
 
 
-@_experiment("duality-ladder", t=float, n_ladder=tuple, tm_replicas=int, rho=float)
+@_experiment("duality-ladder", t=Time(), n_ladder=tuple, tm_replicas=int, rho=float)
 def _duality_ladder(cfg, pool: WorkerPool) -> list:
     t = cfg.params.get("t", 0.5)
     ladder = cfg.params.get("n_ladder", (10.0, 40.0, 160.0))
@@ -383,7 +407,7 @@ def _duality_ladder(cfg, pool: WorkerPool) -> list:
     return rows
 
 
-@_experiment("lyapunov-ladder", t=float, a_ladder=tuple, tail_a=tuple, tail_t=tuple,
+@_experiment("lyapunov-ladder", t=Time(), a_ladder=tuple, tail_a=tuple, tail_t=Time(tuple),
              tail_replicas=int, window=float)
 def _lyapunov_ladder(cfg, pool: WorkerPool) -> list:
     a_ladder = cfg.params.get("a_ladder", (1.0, 4.0, 16.0, 64.0))

@@ -185,6 +185,36 @@ def test_non_finite_config_numbers_exit_2_with_one_line(tmp_path, capsys, key, v
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"params.t": "1.0", "params.mc_dt": "0.3"}, "[params] t: T=1.0 is not a whole number "
+     "of steps of dt=0.3"),  # was exit 3 after the whole ensemble
+    ({"params.t": "1.0", "scheme.dt": "0.3"}, "[params] t: T=1.0 is not a whole number "
+     "of steps of dt=0.3"),
+    ({"experiment.name": "moments-triangle", "params.mc_dt": "0.3"},
+     "[params] t: T=0.25 is not a whole number of steps of dt=0.3"),
+    ({**SCALED, "experiment.name": "lyapunov-ladder", "params.tail_t": "0.5, 0.0123"},
+     "[params] tail_t: T=0.0123 is not a whole number of steps of dt=0.005"),
+], ids=["pam-oracle-mc-dt", "pam-oracle-dt", "moments-triangle-mc-dt", "lyapunov-tail-t"])
+def test_a_time_that_is_not_a_whole_number_of_steps_exits_2(tmp_path, capsys, overrides,
+                                                            message):
+    name = overrides.get("experiment.name", "pam-oracle")
+    overrides = {"params.t": "0.25", **overrides}
+    cfg_path = write_config(tmp_path, **overrides)
+    assert main(["validate", "--config", cfg_path]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert main([name, "--config", cfg_path, "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_time_is_checked_only_against_the_steps_that_read_it(tmp_path, capsys):
+    # moments-triangle reads t on the pair-path step, never on [scheme] dt
+    cfg_path = write_config(tmp_path, **{"experiment.name": "moments-triangle",
+                                         "params.t": "0.25", "scheme.dt": "0.3"})
+    assert main(["validate", "--config", cfg_path]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("key, value, extra", [
     ("params.n", "0.5", {"experiment.name": "moments-triangle"}),  # was exit 3 at n = 0
     ("params.n", "200.5", {"experiment.name": "moments-triangle"}),  # ran n = 200

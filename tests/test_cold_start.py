@@ -1,10 +1,12 @@
-"""A cold `import sbmre.cli` loads none of scipy's integrate, optimize, spatial or special.
+"""A cold `import sbmre.cli` loads no scipy module, and sampling loads no scipy.linalg.
 
 Each run of the `sbmre` command is a fresh interpreter, so what the CLI imports
-is paid on every run.  scipy.integrate (with scipy.optimize) and scipy.special
-are imported by the one routine that needs each, on first use; this test runs
-in a fresh process, since other test modules import those subpackages
-themselves and would hide a broken deferred import.
+is paid on every run.  Every covariance factor is a numpy pivoted Cholesky, so
+building and sampling grid and site factors needs no LAPACK from scipy.
+scipy.integrate (with scipy.optimize) and scipy.special are imported by the
+one routine that needs each, on first use; this test runs in a fresh process,
+since other test modules import scipy themselves and would hide a broken
+deferred import.
 """
 
 import os
@@ -13,20 +15,27 @@ import sys
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.spatial", "scipy.special")
-
-PROBE = f"""
+PROBE = """
 import math
 import sys
 
 import sbmre.cli
 
-loaded = [name for name in {DEFERRED!r} if name in sys.modules]
-assert not loaded, f"import sbmre.cli loaded {{loaded}}"
+loaded = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+assert not loaded, f"import sbmre.cli loaded {loaded}"
+
+import numpy as np
 
 from sbmre import feynmankac, heatkernel
-from sbmre.covariance import ScaledTheta
+from sbmre.covariance import ScaledTheta, grid_covariance_factor, points_covariance_factor
 from sbmre.grids import Grid
+
+rng = np.random.default_rng(1)
+for factor in (grid_covariance_factor(ScaledTheta(0.8), Grid(1, 8.0, 64)),
+               grid_covariance_factor(ScaledTheta(1.0, 0.7), Grid(3, 4.0, 16)),
+               points_covariance_factor(ScaledTheta(1.0), rng.normal(size=(200, 2)))):
+    assert np.all(np.isfinite(factor.sample(rng, dt=0.01, batch=3)))
+assert "scipy.linalg" not in sys.modules
 
 theta = heatkernel.riesz_potential_sup(ScaledTheta(0.5), 3)
 assert abs(theta - math.pi) < 1e-8, theta

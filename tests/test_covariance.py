@@ -10,12 +10,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
+from scipy.linalg.lapack import dpstrf
 from scipy.spatial.distance import cdist
 
 from sbmre import covariance
 from sbmre.covariance import (
     Constant,
+    CovarianceKernel,
     GaussianFieldFactor,
     IndefiniteKernelError,
     IndicatorBall,
@@ -99,6 +100,26 @@ def test_scaled_theta_profile_normalization():
             ScaledTheta(a, width)
 
 
+@pytest.mark.parametrize("build", [
+    lambda v: ScaledTheta(v), lambda v: ScaledTheta(1.0, v),
+    lambda v: StationaryPower(v, 2.0), lambda v: StationaryPower(1.0, v),
+    lambda v: Constant(v),
+    lambda v: IndicatorBall(v), lambda v: IndicatorBall(1.0, v),
+], ids=["theta-a", "theta-width", "power-eps", "power-alpha", "constant",
+        "indicator-radius", "indicator-height"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_kernel_parameters_must_be_finite(build, value):
+    # a nan slips through every sign check; an inf makes C(0) useless as a scale
+    with pytest.raises(ValueError, match=f"must be finite, got {value}"):
+        build(value)
+
+
+def test_positive_definite_is_a_class_fact():
+    assert ScaledTheta.positive_definite and Constant.positive_definite
+    for cls in (CovarianceKernel, StationaryPower, IndicatorBall):
+        assert cls.positive_definite is False
+
+
 def test_gaussian_profiles_of_every_width_have_known_traits():
     # riesz_potential_sup reads these and refuses an envelope that declares neither
     for kern in (ScaledTheta(1.0), ScaledTheta(1.0, 2.0)):
@@ -155,7 +176,9 @@ def test_residual_check_catches_what_the_pivots_miss():
     # remaining diagonal entry is 0, though the trailing block [[0, 1], [1, 0]]
     # has eigenvalue -1; only the residual check sees it
     matrix = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-    assert scipy.linalg.lapack.dpstrf(matrix, lower=1, tol=1e-10)[2] == 1
+    root, pivots, jitter = covariance._pivoted_cholesky(
+        matrix.diagonal(), lambda p: matrix[p].copy(), 1e-10)
+    assert root.shape == (3, 1) and pivots == [0] and jitter == 0.0
     with pytest.raises(IndefiniteKernelError) as err:
         covariance._factor_matrix(matrix, 1.0)
     assert err.value.min_eigenvalue == pytest.approx(-1.0)
@@ -171,6 +194,57 @@ def test_smooth_kernel_factor_keeps_only_the_numerical_rank():
     rebuilt = factor.root @ factor.root.T
     assert np.max(np.abs(rebuilt - kern.matrix(grid.points()))) < 1e-10 * kern.diagonal_value()
     assert 0.0 < factor.jitter <= covariance.JITTER_SCALE * kern.diagonal_value()
+
+
+@pytest.mark.parametrize("dim, m, spread", [(1, 800, 4.0), (2, 400, 1.5), (3, 800, 0.6)])
+def test_pivoted_cholesky_agrees_with_lapack(dim, m, spread):
+    # the same greedy rule and stop as LAPACK's dpstrf, on Gaussian site sets
+    kern = ScaledTheta(1.0)
+    points = np.random.default_rng(dim).normal(scale=spread, size=(m, dim))
+    matrix = kern.matrix(points)
+    tol = covariance.JITTER_SCALE * kern.diagonal_value()
+    root, pivots, _ = covariance._pivoted_cholesky(
+        np.full(m, kern.diagonal_value()),
+        lambda p: kern.envelope(covariance._pair_distances(points, points[p])), tol)
+    _, piv, rank, _ = dpstrf(matrix, lower=1, tol=tol)
+    assert 1 < rank < m
+    assert root.shape == (m, rank)
+    assert sorted(pivots) == sorted(piv[:rank] - 1)
+    assert np.max(np.abs(root @ root.T - matrix)) <= 2.0 * tol
+
+
+@pytest.mark.parametrize("kern, make", [
+    (ScaledTheta(1.0), lambda k: points_covariance_factor(
+        k, np.random.default_rng(3).uniform(-3.0, 3.0, (400, 2)))),
+    (ScaledTheta(1.0, 2.0), lambda k: grid_covariance_factor(k, Grid(3, 8.0, 32))),
+], ids=["sites-2d", "grid-axis-3d"])
+def test_positive_definite_factor_evaluates_only_pivot_columns(kern, make, monkeypatch):
+    # m r + 1 kernel values (C(0) and the r pivot columns), never the m^2 of the matrix
+    counted = []
+    envelope = ScaledTheta.envelope
+
+    def spy(self, r):
+        counted.append(np.size(r))
+        return envelope(self, r)
+
+    monkeypatch.setattr(ScaledTheta, "envelope", spy)
+    root = make(kern).root
+    m, rank = getattr(root, "axis_root", root).shape
+    assert rank < m - 1
+    assert sum(counted) <= m * (rank + 1)
+
+
+def test_positive_definite_site_factor_never_holds_the_matrix():
+    m = 3000
+    points = np.random.default_rng(7).normal(scale=0.3, size=(m, 3))
+    tracemalloc.start()
+    try:
+        factor = points_covariance_factor(ScaledTheta(1.0), points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert factor.root.shape[1] < m // 4
+    assert peak < m * m * 8
 
 
 def test_duplicated_points_share_field_value():

@@ -23,7 +23,8 @@ kernel that declares itself positive definite (the class fact
 Schur complement, so |R_ij| <= sqrt(R_ii R_jj) <= tol and the diagonal
 certifies all of it.  Its columns are evaluated lazily, C(., p) =
 envelope(|points - p|), so a factor over m points evaluates m r + 1 kernel
-values and never forms the m x m matrix (Harbrecht, Peters & Schneider 2012).
+values (at most about twice as many in a batch, below) and never forms the
+m x m matrix (Harbrecht, Peters & Schneider 2012).
 For any other kernel a small diagonal bounds nothing (the block [[0, 1],
 [1, 0]] stops the pivots at once), so the matrix is formed, its rows feed the
 same routine, and the residual is checked entry by entry: if an entry exceeds
@@ -35,6 +36,23 @@ requests raise ValueError before anything is evaluated.
 Point sets are deduplicated before factoring, so coincident points share one
 field value; in d = 1 the dedup is a plain 1-d np.unique, which gives the
 same rows and inverse as np.unique(axis=0) without its structured-dtype sort.
+
+Batches of point sets (points_covariance_factors; a single set is a batch of
+one): the pivoted Cholesky carries a leading set axis.  The sets are padded
+to a common width with -inf diagonals, so padding is never pivoted on, and
+each set stops at its own rank; each step evaluates the pivot columns of
+all live sets at once.  The update of a column by the set's earlier root
+columns stays one matrix-vector product per set, over exactly its m
+columns: np.matmul hands the vector and the set's strided rows to gemv,
+with the bits of np.dot on the rows of a set factored alone (m >= 2, the
+only case that updates), while a batched matmul gives other bits, which
+also depend on the padded width (both seen on random rows).  So a set's
+root is bit for bit its root factored alone, in any batch.
+To bound the padding, the sets are sorted by size and cut into size groups,
+factored one after the other: a group's set count times its width is at
+most twice its sets' total size, and at most 2^15 cells (256 KB of doubles
+per plane a step sweeps).  A group's buffers are gone before the next group
+starts, and callers draw from its factors as they come.
 
 Distances: C(x, y) and every covariance matrix take |x - y| from one formula,
 _pair_distances, which sums the squared coordinate differences one axis at a
@@ -395,41 +413,77 @@ class GaussianFieldFactor:
 
 
 def _pivoted_cholesky(diagonal, column, tol):
-    """Greedy pivoted Cholesky of a symmetric matrix given by its diagonal and columns.
+    """Greedy pivoted Cholesky of a batch of symmetric matrices, in one pivot loop.
 
-    column(p) returns column p of the matrix as a fresh (m,) array, which the
-    routine overwrites; only pivot columns are requested.  Each step pivots on
-    the largest remaining diagonal entry (the first on ties) and writes one
-    root column, until every remaining entry is at most tol.  Returns (root,
-    pivots, jitter): the C-ordered (m, rank) root, one zero column for rank 0;
-    the pivot indices in order; and the largest remaining diagonal entry.
+    diagonal is (sets, width): row b holds the m_b diagonal entries of set
+    b's matrix, then -inf up to the width.  column(live, p) returns, for the
+    sets ``live`` (an index array, the same object until a set stops) and
+    one pivot p_b each, the columns C_b(., p_b) as the rows of a fresh
+    C-ordered (len(live), width) array, which the routine overwrites; its
+    entries past m_b must be finite and are never pivoted on.  Each step
+    every live set pivots on its largest remaining diagonal entry (the first
+    on ties) and writes one root column; a set stops once every remaining
+    entry is at most tol >= 0, which holds once its m_b entries are all
+    pivots (they are 0 less roundoff).  Returns (roots, pivots, jitters), one
+    entry per set: the C-ordered (m_b, rank) root, one zero column for rank
+    0; the pivot indices in order; and the largest remaining diagonal entry.
     """
-    d = np.array(diagonal, dtype=float)
-    m = len(d)
-    rows = np.empty((min(m, 32), m))  # the root's columns as rows, grown by doubling
-    square = np.empty(m)
-    pivots = []
-    while len(pivots) < m:
-        p = int(d.argmax())
-        pivot = float(d[p])
-        if not pivot > tol:
-            break
-        k = len(pivots)
-        if k == len(rows):
-            rows = np.concatenate((rows, np.empty((min(k, m - k), m))))
-        col = column(p)
+    d = np.array(diagonal, dtype=float, ndmin=2)
+    sets, width = d.shape
+    sizes = np.count_nonzero(d > -np.inf, axis=1)
+    rows = np.empty((sets, min(width, 32), width))  # root columns as rows, grown by doubling
+    chosen = np.empty(rows.shape[1::-1], dtype=np.intp)  # set b's pivot k at [k, b]
+    ranks = np.zeros(sets, dtype=np.intp)
+    jitters = np.zeros(sets)
+    # set b's update by its earlier columns goes to updates[b, :m_b]; the
+    # entries past m_b stay 0
+    updates = np.zeros(d.shape)
+    views = None  # each set's rows (up to m_b) and its update row
+    live = np.arange(sets if width else 0)  # the sets whose rows d holds, in order
+    starts = np.arange(0, len(live) * width, width)  # their rows in d and col, flattened
+    k = 0
+    while len(live):
+        p = d.argmax(axis=1)
+        at = starts + p
+        pivot = d.ravel()[at]
+        if not pivot.min() > tol:  # a set whose m_b entries are all pivots has none above 0
+            go = pivot > tol
+            stopped = live[~go]
+            # the remaining entries are at most tol; roundoff dips below 0
+            jitters[stopped] = d[~go].max(axis=1, initial=0.0)
+            ranks[stopped] = k
+            live, d, p, pivot = live[go], d[go], p[go], pivot[go]
+            if not len(live):
+                break
+            starts = np.arange(0, len(live) * width, width)
+            at = starts + p
+        if k == rows.shape[1]:
+            grow = min(k, width - k)
+            rows = np.concatenate((rows, np.empty((sets, grow, width))), axis=1)
+            chosen = np.concatenate((chosen, np.empty((grow, sets), dtype=np.intp)))
+            views = None
+        if views is None:
+            views = [(rows[b, :, :m], updates[b, :m]) for b, m in enumerate(sizes.tolist())]
+        col = column(live, p)
         if k:
-            col -= np.dot(rows[:k, p], rows[:k])
-        s = math.sqrt(pivot)
-        row = np.divide(col, s, out=rows[k])
-        row[p] = s
-        d -= np.multiply(row, row, out=square)
-        d[p] = 0.0
-        pivots.append(p)
-    jitter = float(d.max(initial=0.0))  # remaining entries are at most tol; roundoff dips below 0
-    if not pivots:
-        return np.zeros((m, 1)), pivots, jitter
-    return np.ascontiguousarray(rows[:len(pivots)].T), pivots, jitter
+            for b, q in zip(live.tolist(), p.tolist()):
+                earlier, update = views[b]
+                earlier = earlier[:k]
+                np.matmul(earlier[:, q], earlier, update)
+            col -= updates[live]
+        s = np.sqrt(pivot)
+        col /= s[:, np.newaxis]
+        col.ravel()[at] = s
+        rows[live, k] = col
+        chosen[k, live] = p
+        col *= col
+        d -= col
+        d.ravel()[at] = 0.0
+        k += 1
+    roots = [np.ascontiguousarray(rows[b, :r, :m].T) if r else np.zeros((m, 1))
+             for b, (r, m) in enumerate(zip(ranks.tolist(), sizes.tolist()))]
+    pivots = [chosen[:r, b].tolist() for b, r in enumerate(ranks.tolist())]
+    return roots, pivots, jitters.tolist()
 
 
 def _factor_matrix(matrix, scale):
@@ -439,7 +493,7 @@ def _factor_matrix(matrix, scale):
     is not known to be PSD, so the residual is checked entry by entry.
     """
     tol = JITTER_SCALE * scale
-    root, _, jitter = _pivoted_cholesky(matrix.diagonal(), lambda p: matrix[p].copy(), tol)
+    (root,), _, (jitter,) = _pivoted_cholesky(matrix.diagonal(), lambda _, p: matrix[p], tol)
     residual = matrix - root @ root.T
     if np.abs(residual).max() > 2.0 * tol or residual.diagonal().min() < -tol:
         min_eig = float(np.linalg.eigvalsh(matrix)[0])
@@ -451,23 +505,38 @@ def _factor_matrix(matrix, scale):
     return root, jitter
 
 
-def _factor_points(kernel, points):
-    """(root, jitter) of C over distinct points, shape (m, dim).
+def _factor_points(kernel, point_sets):
+    """[(root, jitter)] of C over each set of distinct points, shape (m_b, dim).
 
-    A positive definite kernel feeds the pivoted Cholesky its columns one
-    pivot at a time and never forms the matrix; any other kernel forms the
+    A positive definite kernel factors every set in one pivot loop: the sets
+    are padded to the largest (the padding points sit at the origin, behind
+    -inf diagonals) and each step evaluates the live sets' pivot columns
+    together, never forming a matrix.  Any other kernel forms each set's
     matrix and has its residual checked.
     """
     scale = kernel.diagonal_value()
     if not kernel.positive_definite:
-        return _factor_matrix(kernel.matrix(points), scale)
+        return [_factor_matrix(kernel.matrix(points), scale) for points in point_sets]
+    width = max(len(points) for points in point_sets)
+    dim = point_sets[0].shape[1]
+    padded = np.zeros((len(point_sets), width, dim))
+    diagonal = np.full(padded.shape[:2], -np.inf)
+    for b, points in enumerate(point_sets):
+        padded[b, :len(points)] = points
+        diagonal[b, :len(points)] = scale
 
-    def column(p):
-        return kernel.envelope(_pair_distances(points, points[p]))
+    cached = [None, None, None]  # the live sets, their padded points, where each set starts
 
-    root, _, jitter = _pivoted_cholesky(np.full(len(points), scale), column,
-                                        JITTER_SCALE * scale)
-    return root, jitter
+    def column(live, p):
+        if cached[0] is not live:  # sets stopped since the last step
+            sites = padded if len(live) == len(padded) else padded[live]
+            cached[:] = live, sites, np.arange(0, len(live) * width, width)
+        _, sites, starts = cached
+        pivots = sites.reshape(-1, dim)[starts + p]
+        return kernel.envelope(_pair_distances(sites, pivots[:, np.newaxis]))
+
+    roots, _, jitters = _pivoted_cholesky(diagonal, column, JITTER_SCALE * scale)
+    return list(zip(roots, jitters))
 
 
 def _check_dense_size(m: int, what: str):
@@ -481,22 +550,78 @@ def points_covariance_factor(kernel: CovarianceKernel, points) -> GaussianFieldF
     Raises ValueError above DENSE_LIMIT distinct points (except for the
     rank-1 Constant root, which is never dense).
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise ValueError(f"points must have shape (m, dim), got {points.shape}")
+    ((_, factor),) = points_covariance_factors(kernel, [points])
+    return factor
+
+
+# Most cells of a size group's (sets, width) plane: 256 KB of doubles, so the
+# planes each pivot step sweeps (diagonals, columns, updates) stay in cache.
+_GROUP_CELLS = 1 << 15
+
+
+def _size_groups(sizes) -> list:
+    """Cut ascending set sizes into the slices that are factored together.
+
+    Each slice starts from the largest size left and takes the next smaller
+    ones while its cells (its set count times that size) stay at most twice
+    the sum of its sizes, so padding at most doubles them, and at most
+    _GROUP_CELLS; a slice of one set may exceed the latter.
+    """
+    slices, end = [], len(sizes)
+    while end:
+        width = sizes[end - 1]
+        start, total = end - 1, width
+        while start and (end - start + 1) * width <= min(2 * (total + sizes[start - 1]),
+                                                          _GROUP_CELLS):
+            start -= 1
+            total += sizes[start]
+        slices.append(slice(start, end))
+        end = start
+    return slices[::-1]
+
+
+def points_covariance_factors(kernel: CovarianceKernel, point_sets):
+    """Iterator of (i, points_covariance_factor(kernel, point_sets[i])) over all i, bit for bit.
+
+    Every set is deduplicated and checked against DENSE_LIMIT here, before
+    anything is factored.  The sets are then sorted by distinct points and
+    cut into size groups (_size_groups), and the iterator factors one group
+    at a time, in one pivot loop, and yields its factors before it builds
+    the next; so a caller that draws from each factor as it comes holds one
+    group's buffers and roots at a time.
+    """
+    point_sets = [np.asarray(points, dtype=float) for points in point_sets]
+    for points in point_sets:
+        if points.ndim != 2:
+            raise ValueError(f"points must have shape (m, dim), got {points.shape}")
     if isinstance(kernel, Constant):
         # exact rank-1 root of the all-ones matrix times level; no dedup needed
-        root = np.full((len(points), 1), math.sqrt(kernel.level))
-        return GaussianFieldFactor(root, np.arange(len(points)), 0.0)
-    if points.shape[1] == 1:  # a plain sort, not one on a structured row dtype
-        values, index_map = np.unique(points[:, 0], return_inverse=True)
-        unique = values[:, np.newaxis]
-    else:
-        unique, index_map = np.unique(points, axis=0, return_inverse=True)
-        index_map = index_map.reshape(-1)
-    _check_dense_size(len(unique), "distinct points")
-    root, jitter = _factor_points(kernel, unique)
-    return GaussianFieldFactor(root, index_map, jitter)
+        level = math.sqrt(kernel.level)
+        return ((i, GaussianFieldFactor(np.full((len(points), 1), level),
+                                        np.arange(len(points)), 0.0))
+                for i, points in enumerate(point_sets))
+    distinct = []
+    for points in point_sets:
+        if points.shape[1] == 1:  # a plain sort, not one on a structured row dtype
+            values, index_map = np.unique(points[:, 0], return_inverse=True)
+            unique = values[:, np.newaxis]
+        else:
+            unique, index_map = np.unique(points, axis=0, return_inverse=True)
+            index_map = index_map.reshape(-1)
+        _check_dense_size(len(unique), "distinct points")
+        distinct.append((unique, index_map))
+    return _factor_groups(kernel, distinct)
+
+
+def _factor_groups(kernel, distinct):
+    """Yield (i, factor) over the deduplicated sets, one size group at a time."""
+    order = sorted(range(len(distinct)), key=lambda i: len(distinct[i][0]))
+    for group in _size_groups([len(distinct[i][0]) for i in order]):
+        members = order[group]
+        # no name holds a group's roots once the next group starts
+        for i, (root, jitter) in zip(members, _factor_points(kernel, [distinct[i][0]
+                                                                      for i in members])):
+            yield i, GaussianFieldFactor(root, distinct[i][1], jitter)
 
 
 def grid_covariance_factor(kernel: CovarianceKernel, grid) -> GaussianFieldFactor:
@@ -513,7 +638,7 @@ def grid_covariance_factor(kernel: CovarianceKernel, grid) -> GaussianFieldFacto
         factor.out_shape = grid.shape
         return factor
     _check_dense_size(grid.cells, "cells per axis")
-    root, jitter = _factor_points(axis_kernel, grid.axis()[:, np.newaxis])
+    ((root, jitter),) = _factor_points(axis_kernel, [grid.axis()[:, np.newaxis]])
     if grid.dim > 1:
         root = KroneckerRoot(root, grid.dim)
         c = axis_kernel.diagonal_value()

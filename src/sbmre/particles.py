@@ -9,19 +9,26 @@ offspring at its position with probability 1/2 + xi/(2 sqrt(n)) or dies.
 Truncation keeps every branching probability inside [0, 1] by construction.
 The Constant kernel's field is one value shared by every site, drawn as one
 standard normal scaled by sqrt(level); it takes exactly the draw the rank-1
-root of the all-level matrix would take.  Any other kernel factors the dense
-covariance of the distinct sites each epoch, so its population is capped at
-DENSE_LIMIT (see BranchingConfig.population_cap).
+root of the all-level matrix would take.  Any other kernel draws from a
+pivoted Cholesky factor of the covariance over the distinct sites, built
+each epoch and limited to DENSE_LIMIT sites, so its population is capped
+there (see BranchingConfig.population_cap).
 
 Replicas march in batches.  A batch is one ragged population: the replicas'
 particles concatenated in replica order, with one count per replica.  Each
 replica draws from its own generator, and in each epoch a replica with
 particles draws, in this order: its displacement normals, its field value
 (the one shared normal, or the site factor's draw) and one branching uniform
-per particle.  A replica with no particles draws nothing.  Moving, truncation,
-the split test and the offspring then run as one vectorised pass over the
-batch, so a replica's draws and results do not depend on the batch it marches
-in.  A replica above the population cap leaves its batch as a counted blowup.
+per particle.  A replica with no particles draws nothing.  For a positive
+definite kernel (the Gaussian) and no override, the epoch takes three passes:
+every replica draws its normals; one covariance.points_covariance_factors
+call factors every replica's sites, in size groups that share a pivot loop;
+and as each factor comes, its replica draws its field and its uniforms.
+Every stream keeps its order, and each factor is bit for bit the replica's
+factor alone.  Moving, truncation, the split test and the offspring then run
+as one vectorised pass over the batch, so a replica's draws and results do
+not depend on the batch it marches in.  A replica above the population cap
+leaves its batch as a counted blowup.
 
 The empirical measure puts mass 1/n on each particle.  Criticality makes
 the total mass a martingale, which the moment checks lean on.
@@ -34,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import covariance
-from .covariance import Constant, CovarianceKernel, points_covariance_factor
+from .covariance import (Constant, CovarianceKernel, points_covariance_factor,
+                         points_covariance_factors)
 from .ensemble import stream_rng
 
 
@@ -103,8 +111,10 @@ class BranchingConfig:
     @property
     def population_cap(self) -> int:
         """Largest population an epoch may hold: max_population, and at most
-        covariance.DENSE_LIMIT for any kernel but Constant, whose sites then
-        need a dense factor (one such factor at the limit is 800 MB)."""
+        covariance.DENSE_LIMIT for any kernel but Constant, whose site factor
+        covers at most that many distinct sites.  A positive definite
+        kernel's factor holds m r values, r its numerical rank; any other
+        kernel's forms the m x m matrix (800 MB at the limit)."""
         if isinstance(self.kernel, Constant):
             return self.max_population
         return min(self.max_population, covariance.DENSE_LIMIT)
@@ -174,22 +184,34 @@ def step_epoch(pop: ParticlePopulation, config: BranchingConfig, rngs,
     z = np.empty(pop.positions.shape)
     xi = np.empty(pop.count)
     u = np.empty(pop.count)
-    shared = field_override is None and isinstance(config.kernel, Constant)
-    for rng, lo, hi in zip(rngs, bounds[:-1].tolist(), bounds[1:].tolist()):
-        if lo == hi:
-            continue
-        rng.standard_normal(out=z[lo:hi])
-        if shared:
-            xi[lo:hi] = math.sqrt(config.kernel.level) * rng.standard_normal()  # every site's value
-        else:
-            moved = pop.positions[lo:hi] + z[lo:hi] / root_n
-            if field_override is not None:
-                values = field_override(moved)
+    spans = [(rng, lo, hi) for rng, lo, hi in zip(rngs, bounds[:-1].tolist(), bounds[1:].tolist())
+             if lo < hi]
+    kernel = config.kernel
+    if field_override is None and kernel.positive_definite and not isinstance(kernel, Constant):
+        # three passes, so that one call factors every replica's sites
+        for rng, lo, hi in spans:
+            rng.standard_normal(out=z[lo:hi])
+        moved = pop.positions + z / root_n
+        for i, factor in points_covariance_factors(kernel,
+                                                   [moved[lo:hi] for _, lo, hi in spans]):
+            rng, lo, hi = spans[i]
+            xi[lo:hi] = factor.sample(rng)
+            rng.random(out=u[lo:hi])
+    else:
+        shared = field_override is None and isinstance(kernel, Constant)
+        for rng, lo, hi in spans:
+            rng.standard_normal(out=z[lo:hi])
+            if shared:
+                xi[lo:hi] = math.sqrt(kernel.level) * rng.standard_normal()  # every site's value
             else:
-                values = points_covariance_factor(config.kernel, moved).sample(rng)
-            xi[lo:hi] = np.asarray(values, dtype=float).reshape(hi - lo)
-        rng.random(out=u[lo:hi])
-    moved = pop.positions + z / root_n
+                moved = pop.positions[lo:hi] + z[lo:hi] / root_n
+                if field_override is not None:
+                    values = field_override(moved)
+                else:
+                    values = points_covariance_factor(kernel, moved).sample(rng)
+                xi[lo:hi] = np.asarray(values, dtype=float).reshape(hi - lo)
+            rng.random(out=u[lo:hi])
+        moved = pop.positions + z / root_n
     xi = np.minimum(np.maximum(xi, -root_n), root_n)
     split = np.flatnonzero(u < 0.5 + xi / (2.0 * root_n))
     counts = 2 * np.diff(np.searchsorted(split, bounds))  # splits per replica, doubled

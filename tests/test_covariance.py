@@ -25,6 +25,7 @@ from sbmre.covariance import (
     StationaryPower,
     grid_covariance_factor,
     points_covariance_factor,
+    points_covariance_factors,
 )
 from sbmre.grids import Grid
 
@@ -176,8 +177,8 @@ def test_residual_check_catches_what_the_pivots_miss():
     # remaining diagonal entry is 0, though the trailing block [[0, 1], [1, 0]]
     # has eigenvalue -1; only the residual check sees it
     matrix = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-    root, pivots, jitter = covariance._pivoted_cholesky(
-        matrix.diagonal(), lambda p: matrix[p].copy(), 1e-10)
+    (root,), (pivots,), (jitter,) = covariance._pivoted_cholesky(
+        matrix.diagonal()[np.newaxis], lambda live, p: matrix[p], 1e-10)
     assert root.shape == (3, 1) and pivots == [0] and jitter == 0.0
     with pytest.raises(IndefiniteKernelError) as err:
         covariance._factor_matrix(matrix, 1.0)
@@ -203,9 +204,10 @@ def test_pivoted_cholesky_agrees_with_lapack(dim, m, spread):
     points = np.random.default_rng(dim).normal(scale=spread, size=(m, dim))
     matrix = kern.matrix(points)
     tol = covariance.JITTER_SCALE * kern.diagonal_value()
-    root, pivots, _ = covariance._pivoted_cholesky(
-        np.full(m, kern.diagonal_value()),
-        lambda p: kern.envelope(covariance._pair_distances(points, points[p])), tol)
+    (root,), (pivots,), _ = covariance._pivoted_cholesky(
+        np.full((1, m), kern.diagonal_value()),
+        lambda live, p: kern.envelope(covariance._pair_distances(points, points[p, np.newaxis])),
+        tol)
     _, piv, rank, _ = dpstrf(matrix, lower=1, tol=tol)
     assert 1 < rank < m
     assert root.shape == (m, rank)
@@ -245,6 +247,95 @@ def test_positive_definite_site_factor_never_holds_the_matrix():
         tracemalloc.stop()
     assert factor.root.shape[1] < m // 4
     assert peak < m * m * 8
+
+
+def _ragged_sets(dim, rng):
+    """Site sets of 1 to 400 points: lone points, duplicated points and clouds."""
+    sets = [rng.normal(size=(1, dim)), np.repeat(rng.normal(size=(1, dim)), 3, axis=0)]
+    sets += [rng.normal(scale=rng.uniform(0.3, 2.0), size=(m, dim))
+             for m in (2, 3, 7, 16, 33, 60, 61, 120, 250, 400)]
+    cloud = rng.normal(size=(30, dim))
+    sets.append(cloud[rng.integers(0, 30, 90)])  # duplicates, in no order
+    return sets
+
+
+@pytest.mark.parametrize("kern", [ScaledTheta(1.0, 0.3), ScaledTheta(2.0, 3.0),
+                                  ScaledTheta(0.0), Constant(0.7)],
+                         ids=["narrow", "wide", "rank-0", "constant"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_a_batch_factors_each_set_as_alone(kern, dim):
+    # every set gets the bits of its factor alone, in two batches that pad it
+    # to other widths and place it among other sets
+    rng = np.random.default_rng(dim)
+    sets = _ragged_sets(dim, rng)
+    alone = [points_covariance_factor(kern, points) for points in sets]
+    others = rng.permutation(len(sets))[3:]
+    batches = ((range(len(sets)), sets),
+               (others, [sets[i] for i in others]
+                + [rng.normal(size=(m, dim)) for m in (5, 64, 300)]))
+    for members, batch in batches:
+        factors = dict(points_covariance_factors(kern, batch))
+        assert sorted(factors) == list(range(len(batch)))
+        for j, i in enumerate(members):
+            assert np.array_equal(factors[j].root, alone[i].root)
+            assert factors[j].jitter == alone[i].jitter
+            assert np.array_equal(factors[j].index_map, alone[i].index_map)
+    if isinstance(kern, ScaledTheta):  # the batch was factored in shared pivot loops
+        sizes = sorted(len(np.unique(points, axis=0)) for points in sets)
+        assert max(g.stop - g.start for g in covariance._size_groups(sizes)) >= 4
+        assert all(f.root.any() == (kern.a > 0) for f in alone)  # rank 0: one zero column
+
+
+def _criterion_08_batch():
+    """1000 site sets of 1-d clouds, sized like criterion 08's epochs (median
+    about 90 sites, one of 1412)."""
+    rng = np.random.default_rng(8)
+    sizes = np.minimum(np.exp(rng.normal(math.log(90), 1.0, 1000)).astype(int) + 1, 1412)
+    sizes[0] = 1412
+    return [rng.normal(size=(m, 1)) for m in sizes]
+
+
+def test_size_groups_bound_the_kernel_values(monkeypatch):
+    # padding at most doubles a group's cells, so the pivot columns of the
+    # whole batch evaluate at most about twice the m_b (r_b + 1) values of
+    # the sets factored alone
+    sets = _criterion_08_batch()
+    counted = []
+    envelope = ScaledTheta.envelope
+
+    def spy(self, r):
+        counted.append(np.size(r))
+        return envelope(self, r)
+
+    monkeypatch.setattr(ScaledTheta, "envelope", spy)
+    ranks = {i: f.root.shape[1] for i, f in points_covariance_factors(ScaledTheta(1.0), sets)}
+    alone = sum(len(points) * (ranks[i] + 1) for i, points in enumerate(sets))
+    assert sum(counted) <= 2 * alone
+
+
+def _traced_peak(sets) -> int:
+    """Peak traced bytes while every factor of the batch is drawn from as it comes."""
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        for _, factor in points_covariance_factors(ScaledTheta(1.0), sets):
+            factor.sample(rng)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_size_groups_hold_one_group_at_a_time():
+    # a criterion-08-shaped batch peaks near its largest group factored
+    # alone, far below one unpadded buffer of 32 root rows over the whole
+    # batch, 1000 x 32 x 1412 doubles (361 MB)
+    sets = _criterion_08_batch()
+    order = np.argsort([len(points) for points in sets], kind="stable")
+    groups = list(covariance._size_groups(sorted(len(points) for points in sets)))
+    assert len(groups) > 3
+    largest = max(_traced_peak([sets[i] for i in order[g]]) for g in groups)
+    assert _traced_peak(sets) < 1.5 * largest
+    assert largest < 8 * len(sets) * 32 * 1412 / 20
 
 
 def test_duplicated_points_share_field_value():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sbmre import covariance
-from sbmre.covariance import Constant, ScaledTheta
+from sbmre.covariance import Constant, ScaledTheta, points_covariance_factor
 from sbmre.particles import (
     BranchingConfig,
     ParticlePopulation,
@@ -212,6 +212,31 @@ def test_constant_field_takes_the_rank_one_draw():
         out = step_epoch(pop, cfg, [rng])
         assert np.array_equal(out.positions, np.repeat(moved[split], 2, axis=0))
         assert rng.random() == ref.random()  # the stream is left where it was
+
+
+def test_gaussian_epoch_takes_each_replica_factor_draw():
+    # the epoch factors the whole batch in one call, yet every stream keeps
+    # its order: displacement normals, the draw of the replica's own site
+    # factor, then one uniform per particle (2-d, 3, 0, 6 and 1 particles)
+    cfg = config(n=9, dim=2, kernel=ScaledTheta(2.0, 0.7))
+    rng = np.random.default_rng(4)
+    starts = [rng.normal(size=(count, 2)) for count in (3, 0, 6, 1)]
+    pop = ParticlePopulation(0, np.concatenate(starts), cfg.n, np.array([3, 0, 6, 1]))
+    rngs = [np.random.default_rng(SEED + i) for i in range(4)]
+    out = step_epoch(pop, cfg, rngs)
+    root_n = cfg.truncation
+    bounds = out.bounds
+    for i, start in enumerate(starts):
+        ref = np.random.default_rng(SEED + i)
+        moved = start + ref.standard_normal(start.shape) / root_n
+        offspring = np.zeros((0, 2))
+        if len(start):
+            xi = np.clip(points_covariance_factor(cfg.kernel, moved).sample(ref),
+                         -root_n, root_n)
+            split = ref.random(len(start)) < 0.5 + xi / (2.0 * root_n)
+            offspring = np.repeat(moved[split], 2, axis=0)
+        assert np.array_equal(out.positions[bounds[i]:bounds[i + 1]], offspring)
+        assert rngs[i].random() == ref.random()  # each stream is left where it was
 
 
 def test_dense_site_cap_is_a_counted_blowup(monkeypatch):

@@ -203,12 +203,10 @@ def _built(section: str, build, parser):
 def _parse_params(parser, name: str) -> dict:
     """[params] converted to the kinds experiment `name` declares in PARAMS:
     float, int (a positive whole number), tuple (a lone number is a 1-tuple),
-    or the float or tuple of a Time."""
+    or the float or tuple of a Time; a Time left out takes its default."""
     kinds = PARAMS[name]
-    params = {}
-    if not parser.has_section("params"):
-        return params
-    for key in parser.options("params"):
+    params = {key: kind.default for key, kind in kinds.items() if isinstance(kind, Time)}
+    for key in parser.options("params") if parser.has_section("params") else ():
         if key not in kinds:
             reads = ", ".join(sorted(kinds)) or "no keys"
             raise ConfigError(f"[params] {key} is not read by {name}; it reads {reads}")

@@ -52,7 +52,9 @@ To bound the padding, the sets are sorted by size and cut into size groups,
 factored one after the other: a group's set count times its width is at
 most twice its sets' total size, and at most 2^15 cells (256 KB of doubles
 per plane a step sweeps).  A group's buffers are gone before the next group
-starts, and callers draw from its factors as they come.
+starts, and callers draw from its factors as they come.  A kernel that is
+not positive definite forms and factors the sets of a group one at a time,
+as the caller takes them, so it holds one set's matrix, not one per set.
 
 Distances: C(x, y) and every covariance matrix take |x - y| from one formula,
 _pair_distances, which sums the squared coordinate differences one axis at a
@@ -506,17 +508,18 @@ def _factor_matrix(matrix, scale):
 
 
 def _factor_points(kernel, point_sets):
-    """[(root, jitter)] of C over each set of distinct points, shape (m_b, dim).
+    """(root, jitter) of C over each set of distinct points, shape (m_b, dim), in order.
 
     A positive definite kernel factors every set in one pivot loop: the sets
     are padded to the largest (the padding points sit at the origin, behind
     -inf diagonals) and each step evaluates the live sets' pivot columns
     together, never forming a matrix.  Any other kernel forms each set's
-    matrix and has its residual checked.
+    matrix and has its residual checked, one set at a time as the caller
+    iterates, so only one set's matrix is alive at a time.
     """
     scale = kernel.diagonal_value()
     if not kernel.positive_definite:
-        return [_factor_matrix(kernel.matrix(points), scale) for points in point_sets]
+        return (_factor_matrix(kernel.matrix(points), scale) for points in point_sets)
     width = max(len(points) for points in point_sets)
     dim = point_sets[0].shape[1]
     padded = np.zeros((len(point_sets), width, dim))

@@ -13,13 +13,15 @@ can pickle them.
 
 Each experiment declares at registration the kind of every `[params]` key
 it reads (PARAMS): `float`, `int` (a count) or `tuple` (a list of floats),
-or a Time, a float or tuple of times that must be whole numbers of steps.
-The runner converts each key to its kind at load and refuses any key the
-experiment does not declare, so an experiment reads
-`cfg.params.get(key, default)` and gets a value of that kind.  The runner
-also calls check_runnable at load, which refuses (ConfigError, exit 2) a
-kernel or grid an experiment cannot run and a time that is not a whole number
-of its steps, so no experiment body checks them.
+or a Time, a float or tuple of times that must be whole numbers of steps,
+declared with its default.  The runner converts each key to its kind at load
+and refuses any key the experiment does not declare, so an experiment reads
+`cfg.params.get(key, default)` and gets a value of that kind; a Time left
+out is filled in with its default at load, so the body reads
+`cfg.params[key]`.  The runner also calls check_runnable at load, which
+refuses (ConfigError, exit 2) a kernel or grid an experiment cannot run and a
+time, given or default, that is not a whole number of its steps, so no
+experiment body checks them.
 
 Each experiment calls the layers through their modules (`spde.solve_pam`,
 `dual.third_moment_scan`, ...), never through names bound at import, so a
@@ -71,12 +73,17 @@ def _gate(gap: float, scale: float, k: float) -> bool:
 
 @dataclass(frozen=True)
 class Time:
-    """The kind of a [params] time: `kind` (float, or tuple for a list of
-    times), each value a whole number of steps of every step named in `steps`:
-    "dt" for [scheme] dt, "mc_dt" for the pair-path step."""
+    """The kind of a [params] time.  `default` is the value a config that
+    leaves the key out runs: a float, or a tuple for a list of times, and
+    `kind` follows it.  Each value is a whole number of steps of every step
+    named in `steps`: "dt" for [scheme] dt, "mc_dt" for the pair-path step."""
 
-    kind: type = float
+    default: object
     steps: tuple = ("dt",)
+
+    @property
+    def kind(self) -> type:
+        return tuple if isinstance(self.default, tuple) else float
 
 
 EXPERIMENTS = {}  # experiment name -> fn(cfg, pool) -> list of CheckRow
@@ -95,7 +102,7 @@ def _experiment(name, **kinds):
 def check_runnable(cfg):
     """Raise ConfigError if cfg's experiment cannot run its kernel, grid or times."""
     for key, kind in PARAMS[cfg.experiment].items():
-        if not isinstance(kind, Time) or key not in cfg.params:
+        if not isinstance(kind, Time):
             continue
         values = cfg.params[key] if kind.kind is tuple else (cfg.params[key],)
         for step in kind.steps:
@@ -144,9 +151,9 @@ def _particle_batch(bc, t, readout, seed, b, lo, hi):
     return rows, len(blowups)
 
 
-@_experiment("moments-triangle", t=Time(steps=("mc_dt",)), n=int, cap=int, mc_dt=float)
+@_experiment("moments-triangle", t=Time(1.0, steps=("mc_dt",)), n=int, cap=int, mc_dt=float)
 def _moments_triangle(cfg, pool: WorkerPool) -> list:
-    t = cfg.params.get("t", 1.0)
+    t = cfg.params["t"]
     scale_n = cfg.params.get("n", 200)
     f = cfg.readout
     d = cfg.grid.dim
@@ -193,9 +200,9 @@ def _pam_center_batch(f, kernel, t, dt, seed, b, lo, hi):
     return np.stack([vals, vals * vals], axis=1)
 
 
-@_experiment("pam-oracle", t=Time(steps=("dt", "mc_dt")), mc_dt=float)
+@_experiment("pam-oracle", t=Time(1.0, steps=("dt", "mc_dt")), mc_dt=float)
 def _pam_oracle(cfg, pool: WorkerPool) -> list:
-    t = cfg.params.get("t", 1.0)
+    t = cfg.params["t"]
     f = GridFunction.from_callable(cfg.grid, cfg.readout)
     args = (f, cfg.kernel, t, cfg.dt, cfg.seed)
     stats = np.concatenate(map_batches(_pam_center_batch, cfg.replicas, args, pool), axis=0)
@@ -253,9 +260,9 @@ def _stratonovich_gap(f, kernel, t, dt, seed):
     return spde.solve_stratonovich_pam(f, kernel, t, noise).route_gap
 
 
-@_experiment("comparison-suite", t=Time(), lambdas=tuple, delta=float)
+@_experiment("comparison-suite", t=Time(1.0), lambdas=tuple, delta=float)
 def _comparison_suite(cfg, pool: WorkerPool) -> list:
-    t = cfg.params.get("t", 1.0)
+    t = cfg.params["t"]
     lambdas = cfg.params.get("lambdas", (0.5, 1.0))
     delta = cfg.params.get("delta", 0.1)
     save_every = max(1, round(t / cfg.dt / 8))
@@ -296,9 +303,9 @@ def _noise_off_routes(f, routes, t, dt, seed, save_every):
     return spde.solve_routes(f, t, quiet, routes, save_every=save_every)
 
 
-@_experiment("extinction-scan", t=Time(), ks=tuple)
+@_experiment("extinction-scan", t=Time(4.0), ks=tuple)
 def _extinction_scan(cfg, pool: WorkerPool) -> list:
-    t = cfg.params.get("t", 4.0)
+    t = cfg.params["t"]
     ks = cfg.params.get("ks", (1.0, 10.0))
     rows = []
     save_every = max(1, round(t / cfg.dt / 16))
@@ -355,9 +362,9 @@ def _persistence_scan(cfg, pool: WorkerPool) -> list:
     return rows
 
 
-@_experiment("duality-ladder", t=Time(), n_ladder=tuple, tm_replicas=int, rho=float)
+@_experiment("duality-ladder", t=Time(0.5), n_ladder=tuple, tm_replicas=int, rho=float)
 def _duality_ladder(cfg, pool: WorkerPool) -> list:
-    t = cfg.params.get("t", 0.5)
+    t = cfg.params["t"]
     ladder = cfg.params.get("n_ladder", (10.0, 40.0, 160.0))
     tm_replicas = cfg.params.get("tm_replicas", min(cfg.replicas, 40))
     phi = GridFunction.from_callable(cfg.grid, cfg.readout)
@@ -407,14 +414,14 @@ def _duality_ladder(cfg, pool: WorkerPool) -> list:
     return rows
 
 
-@_experiment("lyapunov-ladder", t=Time(), a_ladder=tuple, tail_a=tuple, tail_t=Time(tuple),
-             tail_replicas=int, window=float)
+@_experiment("lyapunov-ladder", t=Time(6.0), a_ladder=tuple, tail_a=tuple,
+             tail_t=Time((0.5, 6.0)), tail_replicas=int, window=float)
 def _lyapunov_ladder(cfg, pool: WorkerPool) -> list:
     a_ladder = cfg.params.get("a_ladder", (1.0, 4.0, 16.0, 64.0))
-    T = cfg.params.get("t", 6.0)
+    T = cfg.params["t"]
     tail_reps = cfg.params.get("tail_replicas", cfg.replicas)
     tail_a = cfg.params.get("tail_a", (2.0, 32.0))
-    tail_t = cfg.params.get("tail_t", (0.5, 6.0))
+    tail_t = cfg.params["tail_t"]
     L = cfg.params.get("window", 2.0)
     # every growth-rate march and every tail march is one job
     marches = run_jobs(

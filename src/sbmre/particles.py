@@ -19,16 +19,16 @@ particles concatenated in replica order, with one count per replica.  Each
 replica draws from its own generator, and in each epoch a replica with
 particles draws, in this order: its displacement normals, its field value
 (the one shared normal, or the site factor's draw) and one branching uniform
-per particle.  A replica with no particles draws nothing.  For a positive
-definite kernel (the Gaussian) and no override, the epoch takes three passes:
-every replica draws its normals; one covariance.points_covariance_factors
-call factors every replica's sites, in size groups that share a pivot loop;
-and as each factor comes, its replica draws its field and its uniforms.
-Every stream keeps its order, and each factor is bit for bit the replica's
-factor alone.  Moving, truncation, the split test and the offspring then run
-as one vectorised pass over the batch, so a replica's draws and results do
-not depend on the batch it marches in.  A replica above the population cap
-leaves its batch as a counted blowup.
+per particle.  A replica with no particles draws nothing.  Every epoch takes
+three passes: every replica draws its normals; the batch moves at once; and
+one loop over the epoch's field source writes each replica's field and then
+draws its uniforms.  For any kernel but Constant the source is one
+covariance.points_covariance_factors call over every replica's sites, in
+size groups, so each factor is bit for bit the replica's factor alone and
+every stream keeps its order.  Truncation, the split test and the offspring
+then run as one vectorised pass over the batch, so a replica's draws and
+results do not depend on the batch it marches in.  A replica above the
+population cap leaves its batch as a counted blowup.
 
 The empirical measure puts mass 1/n on each particle.  Criticality makes
 the total mass a martingale, which the moment checks lean on.
@@ -41,8 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import covariance
-from .covariance import (Constant, CovarianceKernel, points_covariance_factor,
-                         points_covariance_factors)
+from .covariance import Constant, CovarianceKernel, points_covariance_factors
+# not called here: perfbench/tracing.py wraps the site factor by this module's name
+from .covariance import points_covariance_factor  # noqa: F401
 from .ensemble import stream_rng
 
 
@@ -97,16 +98,8 @@ class BranchingConfig:
         object.__setattr__(self, "initial", initial.reshape(-1, self.dim))
 
     @property
-    def epoch_length(self) -> float:
-        return 1.0 / self.n
-
-    @property
     def truncation(self) -> float:
         return math.sqrt(self.n)
-
-    @property
-    def n_epochs(self) -> int:
-        return snap_to_epoch(self.horizon, self.n)
 
     @property
     def population_cap(self) -> int:
@@ -114,7 +107,9 @@ class BranchingConfig:
         covariance.DENSE_LIMIT for any kernel but Constant, whose site factor
         covers at most that many distinct sites.  A positive definite
         kernel's factor holds m r values, r its numerical rank; any other
-        kernel's forms the m x m matrix (800 MB at the limit)."""
+        kernel's forms the m x m matrix (800 MB at the limit).  The epoch's
+        one factor call forms those matrices one replica at a time, as each
+        replica draws, so an epoch holds one of them, not one per replica."""
         if isinstance(self.kernel, Constant):
             return self.max_population
         return min(self.max_population, covariance.DENSE_LIMIT)
@@ -166,12 +161,15 @@ def step_epoch(pop: ParticlePopulation, config: BranchingConfig, rngs,
                field_override=None) -> ParticlePopulation:
     """Advance every replica of the batch one epoch: diffuse, sample the field, branch.
 
-    rngs holds one generator per replica, in replica order.
-    field_override(positions) -> values replaces the joint Gaussian draw
-    (still truncated); it is called once per replica with particles, on that
-    replica's moved positions, and exists for forced-environment checks.  A
-    replica above config.population_cap raises PopulationBlowupError before
-    anything is drawn (run_ensemble takes such replicas out of the batch).
+    rngs holds one generator per replica, in replica order.  Every replica
+    with particles draws its displacement normals, then the batch moves, and
+    then each such replica takes its field from the epoch's field source and
+    draws its uniforms.  field_override(positions) -> values replaces the
+    joint Gaussian draw (still truncated); it is called once per replica
+    with particles, on that replica's moved positions, after every normal of
+    the batch is drawn, and exists for forced-environment checks.  A replica
+    above config.population_cap raises PopulationBlowupError before anything
+    is drawn (run_ensemble takes such replicas out of the batch).
     """
     if len(rngs) != len(pop.counts):
         raise ValueError(f"need one generator per replica, got {len(rngs)} "
@@ -186,32 +184,25 @@ def step_epoch(pop: ParticlePopulation, config: BranchingConfig, rngs,
     u = np.empty(pop.count)
     spans = [(rng, lo, hi) for rng, lo, hi in zip(rngs, bounds[:-1].tolist(), bounds[1:].tolist())
              if lo < hi]
+    for rng, lo, hi in spans:
+        rng.standard_normal(out=z[lo:hi])
+    moved = pop.positions + z / root_n
+    # the field source: (i, draw) with draw(rng) the field of spans[i]'s sites
     kernel = config.kernel
-    if field_override is None and kernel.positive_definite and not isinstance(kernel, Constant):
-        # three passes, so that one call factors every replica's sites
-        for rng, lo, hi in spans:
-            rng.standard_normal(out=z[lo:hi])
-        moved = pop.positions + z / root_n
-        for i, factor in points_covariance_factors(kernel,
-                                                   [moved[lo:hi] for _, lo, hi in spans]):
-            rng, lo, hi = spans[i]
-            xi[lo:hi] = factor.sample(rng)
-            rng.random(out=u[lo:hi])
+    if field_override is not None:
+        source = ((i, lambda _, sites=moved[lo:hi]:
+                   np.asarray(field_override(sites), dtype=float).reshape(len(sites)))
+                  for i, (_, lo, hi) in enumerate(spans))
+    elif isinstance(kernel, Constant):
+        level = math.sqrt(kernel.level)  # every site's value is the rank-1 root's one normal
+        source = enumerate([lambda rng: level * rng.standard_normal()] * len(spans))
     else:
-        shared = field_override is None and isinstance(kernel, Constant)
-        for rng, lo, hi in spans:
-            rng.standard_normal(out=z[lo:hi])
-            if shared:
-                xi[lo:hi] = math.sqrt(kernel.level) * rng.standard_normal()  # every site's value
-            else:
-                moved = pop.positions[lo:hi] + z[lo:hi] / root_n
-                if field_override is not None:
-                    values = field_override(moved)
-                else:
-                    values = points_covariance_factor(kernel, moved).sample(rng)
-                xi[lo:hi] = np.asarray(values, dtype=float).reshape(hi - lo)
-            rng.random(out=u[lo:hi])
-        moved = pop.positions + z / root_n
+        source = ((i, factor.sample) for i, factor in
+                  points_covariance_factors(kernel, [moved[lo:hi] for _, lo, hi in spans]))
+    for i, draw in source:
+        rng, lo, hi = spans[i]
+        xi[lo:hi] = draw(rng)
+        rng.random(out=u[lo:hi])
     xi = np.minimum(np.maximum(xi, -root_n), root_n)
     split = np.flatnonzero(u < 0.5 + xi / (2.0 * root_n))
     counts = 2 * np.diff(np.searchsorted(split, bounds))  # splits per replica, doubled
@@ -219,7 +210,7 @@ def step_epoch(pop: ParticlePopulation, config: BranchingConfig, rngs,
     return ParticlePopulation(pop.epoch + 1, offspring, pop.n, counts)
 
 
-def _march(config: BranchingConfig, save_times, rngs, field_override=None) -> tuple:
+def _march(config: BranchingConfig, save_times, rngs) -> tuple:
     """(snapshots, blowups) of one replica per generator, marched as one batch.
 
     snapshots[i] holds replica i's own copies at the epochs nearest to the
@@ -242,7 +233,7 @@ def _march(config: BranchingConfig, save_times, rngs, field_override=None) -> tu
     blowups = []
     for epoch in range(last + 1):
         if epoch:
-            pop = step_epoch(pop, config, rngs, field_override=field_override)
+            pop = step_epoch(pop, config, rngs)
         over = pop.counts > cap
         if last and over.any():
             blowups.extend((live[j], epoch, int(pop.counts[j])) for j in np.flatnonzero(over))
@@ -260,17 +251,6 @@ def _march(config: BranchingConfig, save_times, rngs, field_override=None) -> tu
                                           pop.n)
                 snapshots[r].extend(snap for _ in range(saves[epoch]))
     return snapshots, sorted(blowups)
-
-
-def run(config: BranchingConfig, save_times, rng, field_override=None) -> list:
-    """Snapshots of one replica at the epochs nearest to save_times
-    (deterministic per rng); a cap breach raises PopulationBlowupError."""
-    snapshots, blowups = _march(config, save_times, [np.random.default_rng(rng)],
-                                field_override=field_override)
-    if blowups:
-        _, epoch, population = blowups[0]
-        raise PopulationBlowupError(population, epoch, config.population_cap)
-    return snapshots[0]
 
 
 def empirical_pairing(snapshot: ParticlePopulation, f) -> tuple:

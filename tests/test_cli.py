@@ -194,7 +194,10 @@ def test_non_finite_config_numbers_exit_2_with_one_line(tmp_path, capsys, key, v
      "[params] t: T=0.25 is not a whole number of steps of dt=0.3"),
     ({**SCALED, "experiment.name": "lyapunov-ladder", "params.tail_t": "0.5, 0.0123"},
      "[params] tail_t: T=0.0123 is not a whole number of steps of dt=0.005"),
-], ids=["pam-oracle-mc-dt", "pam-oracle-dt", "moments-triangle-mc-dt", "lyapunov-tail-t"])
+    ({"params.t": None, "scheme.dt": "0.3"}, "[params] t: T=1.0 is not a whole number "
+     "of steps of dt=0.3"),  # the default t: was "config ok", then exit 3 in a run
+], ids=["pam-oracle-mc-dt", "pam-oracle-dt", "moments-triangle-mc-dt", "lyapunov-tail-t",
+        "pam-oracle-default-t"])
 def test_a_time_that_is_not_a_whole_number_of_steps_exits_2(tmp_path, capsys, overrides,
                                                             message):
     name = overrides.get("experiment.name", "pam-oracle")

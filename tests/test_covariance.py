@@ -313,12 +313,12 @@ def test_size_groups_bound_the_kernel_values(monkeypatch):
     assert sum(counted) <= 2 * alone
 
 
-def _traced_peak(sets) -> int:
+def _traced_peak(sets, kernel=ScaledTheta(1.0)) -> int:
     """Peak traced bytes while every factor of the batch is drawn from as it comes."""
     rng = np.random.default_rng(0)
     tracemalloc.start()
     try:
-        for _, factor in points_covariance_factors(ScaledTheta(1.0), sets):
+        for _, factor in points_covariance_factors(kernel, sets):
             factor.sample(rng)
         return tracemalloc.get_traced_memory()[1]
     finally:
@@ -336,6 +336,17 @@ def test_size_groups_hold_one_group_at_a_time():
     largest = max(_traced_peak([sets[i] for i in order[g]]) for g in groups)
     assert _traced_peak(sets) < 1.5 * largest
     assert largest < 8 * len(sets) * 32 * 1412 / 20
+
+
+def test_a_formed_matrix_is_factored_as_its_set_is_drawn():
+    # 16 sets of 400 points share one size group; a kernel that is not
+    # positive definite forms each set's 400 x 400 matrix only when its
+    # factor is taken, so the batch peaks near 5 matrices, not near the 19
+    # of forming the group's matrices at once
+    rng = np.random.default_rng(7)
+    sets = [rng.uniform(-4.0, 4.0, size=(400, 1)) for _ in range(16)]
+    assert len(covariance._size_groups([400] * 16)) == 1
+    assert _traced_peak(sets, StationaryPower(1.0, 1.5)) < 8 * 400 * 400 * 8
 
 
 def test_duplicated_points_share_field_value():

@@ -12,14 +12,13 @@ import numpy as np
 import pytest
 
 from sbmre import covariance
-from sbmre.covariance import Constant, ScaledTheta, points_covariance_factor
+from sbmre.covariance import Constant, ScaledTheta, StationaryPower, points_covariance_factor
 from sbmre.particles import (
     BranchingConfig,
     ParticlePopulation,
     PopulationBlowupError,
     empirical_pairing,
     martingale_residual,
-    run,
     run_ensemble,
     snap_to_epoch,
     step_epoch,
@@ -39,9 +38,7 @@ def config(n=50, dim=1, kernel=None, k_start=None, horizon=1.0, cap=1_000_000):
 
 def test_config_validation_and_epoch_snapping():
     cfg = config(n=10, horizon=0.52)
-    assert cfg.epoch_length == 0.1
     assert cfg.truncation == math.sqrt(10)
-    assert cfg.n_epochs == 5
     assert snap_to_epoch(0.25, 10) == 3  # half-up
     assert snap_to_epoch(0.24, 10) == 2
     assert snap_to_epoch(0.0, 7) == 0
@@ -170,7 +167,7 @@ def test_batch_step_draws_per_replica_and_skips_empty_replicas():
         step_epoch(pop, cfg, rngs[:2])
 
 
-@pytest.mark.parametrize("kernel", [Constant(4.0), ScaledTheta(4.0)])
+@pytest.mark.parametrize("kernel", [Constant(4.0), ScaledTheta(4.0), StationaryPower(1.0, 1.5)])
 def test_batch_rows_equal_single_replica_runs(kernel):
     # replicas [2, 10) march as one batch; every row is the row of the replica
     # run alone, and a replica past the cap inside the batch leaves it
@@ -214,11 +211,13 @@ def test_constant_field_takes_the_rank_one_draw():
         assert rng.random() == ref.random()  # the stream is left where it was
 
 
-def test_gaussian_epoch_takes_each_replica_factor_draw():
+@pytest.mark.parametrize("kernel", [ScaledTheta(2.0, 0.7), StationaryPower(1.0, 1.5)])
+def test_gaussian_epoch_takes_each_replica_factor_draw(kernel):
     # the epoch factors the whole batch in one call, yet every stream keeps
     # its order: displacement normals, the draw of the replica's own site
-    # factor, then one uniform per particle (2-d, 3, 0, 6 and 1 particles)
-    cfg = config(n=9, dim=2, kernel=ScaledTheta(2.0, 0.7))
+    # factor, then one uniform per particle (2-d, 3, 0, 6 and 1 particles);
+    # a kernel that is not positive definite rides the same batch
+    cfg = config(n=9, dim=2, kernel=kernel)
     rng = np.random.default_rng(4)
     starts = [rng.normal(size=(count, 2)) for count in (3, 0, 6, 1)]
     pop = ParticlePopulation(0, np.concatenate(starts), cfg.n, np.array([3, 0, 6, 1]))
@@ -262,22 +261,29 @@ def test_dense_site_cap_is_a_counted_blowup(monkeypatch):
                      statistic=lambda snaps: [snaps[-1].mass])
 
 
+def snapshots(cfg, save_times, seed):
+    """The snapshots of replica 0 of run_ensemble(cfg, save_times, seed, 1, ...)."""
+    kept = []
+    run_ensemble(cfg, save_times, seed, 1, lambda snaps: kept.append(snaps) or [0.0])
+    return kept[0]
+
+
 def test_run_snapshots_snap_and_are_deterministic():
     cfg = config(n=10, k_start=30, kernel=ScaledTheta(0.5), horizon=1.0)
     times = [0.0, 0.24, 0.25, 1.0]
-    snaps1 = run(cfg, times, SEED)
-    snaps2 = run(cfg, times, SEED)
+    snaps1 = snapshots(cfg, times, SEED)
+    snaps2 = snapshots(cfg, times, SEED)
     assert [s.epoch for s in snaps1] == [0, 2, 3, 10]
     assert snaps1[0].count == 30
     for a, b in zip(snaps1, snaps2):
         assert np.array_equal(a.positions, b.positions)
-    other = run(cfg, times, SEED + 1)
+    other = snapshots(cfg, times, SEED + 1)
     assert not np.array_equal(snaps1[-1].positions, other[-1].positions)
     with pytest.raises(ValueError):
-        run(cfg, [1.5], SEED)
+        snapshots(cfg, [1.5], SEED)
     with pytest.raises(ValueError):
-        run(cfg, [-0.1], SEED)
-    assert run(config(horizon=0.0), [0.0], SEED)[0].count == 50
+        snapshots(cfg, [-0.1], SEED)
+    assert snapshots(config(horizon=0.0), [0.0], SEED)[0].count == 50
 
 
 def test_pairing_formulas_exact():
@@ -340,7 +346,7 @@ def test_second_moment_constant_kernel_closed_form():
 def test_martingale_residual_zero_readout_and_centering():
     cfg = config(n=50, k_start=50, kernel=Constant(1.0), horizon=0.5)
     zero = ConstantReadout(0.0)
-    times, resid = martingale_residual(run(cfg, np.linspace(0, 0.5, 6), SEED), zero)
+    times, resid = martingale_residual(snapshots(cfg, np.linspace(0, 0.5, 6), SEED), zero)
     assert np.array_equal(resid, np.zeros(6))
 
     f = GaussianBump(center=0.0, width=1.0)

@@ -12,7 +12,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from sbmre import covariance, dual, spde
+from sbmre import covariance, dual, particles, spde
 
 ROOT = Path(__file__).resolve().parents[1]
 # the modules perfbench/passrun.py hands to Tracer.install
@@ -51,6 +51,9 @@ def test_every_traced_function_and_method_resolves():
     for _, module, cls, attr in tracing._METHODS:
         assert module in INSTALLED
         assert callable(_resolve(module, f"{cls}.{attr}")), f"{module}.{cls}.{attr}"
+    # particles only imports the site factor for the tracer to wrap; it must
+    # stay the library's own function, not a local helper of the same name
+    assert particles.points_covariance_factor is covariance.points_covariance_factor
 
 
 def test_counted_parameters_and_results_exist():

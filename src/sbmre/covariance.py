@@ -75,8 +75,13 @@ never at a multiple of 8), so the cached root^T carries zero columns up to a
 multiple of 8 and the draw is sliced back to m; a KroneckerRoot pads its
 first product, of width n, alike.  Above rank 384 a product of 2 to 4 rows
 can still differ from a long draw's rows (OpenBLAS takes another path for
-small products; seen at rank 392 to 512); spde.NoisePath does not rely on
-the property, as its blocks fall at fixed steps.  A single field
+small products; seen at rank 392 to 512).  spde.NoisePath relies on the
+property: its blocks, capped at ensemble.BLOCK_VALUES values, take the rows
+one draw of the whole chunk would, so the cap moved no increment.  That
+holds because no shipped config's noise factor is above rank 384: the
+largest is 31, a dense root on comparison-suite's 64-cell grid, and the
+KroneckerRoot on spde-3d's 16^3 grid has rank 16 per axis, the width of
+every product it takes.  A single field
 (batch=None) stays a matrix-vector product.
 
 Separable kernels on grids: when C(x, y) = prod_i c(x_i - y_i) over the d axes

@@ -18,6 +18,11 @@ one pool across many run_jobs calls (an experiment run owns one), so the
 processes start once per run, not once per call; it is never an argument of
 a job, so a job never starts a pool of its own inside a worker.
 
+A draw too large for the cache is split into blocks of at most BLOCK_VALUES
+values (256 KB of float64) where the stream allows it: the pair-path chunks
+of feynmankac and the steps of an spde.NoisePath.  Blocks only split the
+arithmetic, never a stream key, so the values are the unblocked ones.
+
 Every estimate is reduced by mean_se, a two-pass mean and standard error.
 It drops non-finite values, which only the particle ensembles produce (a
 replica past its population cap, counted separately); the path samplers
@@ -31,6 +36,7 @@ from contextlib import ExitStack
 import numpy as np
 
 BATCH_SIZE = 32
+BLOCK_VALUES = 32768  # values per block of a blocked draw: 256 KB per float64 array
 
 
 def stream_rng(seed: int, key: tuple) -> np.random.Generator:
@@ -40,6 +46,8 @@ def stream_rng(seed: int, key: tuple) -> np.random.Generator:
 
 def batch_ranges(total: int, batch_size: int = BATCH_SIZE) -> list:
     """[(b, lo, hi), ...] covering replicas 0..total-1 in fixed-size batches."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     return [(b, lo, min(lo + batch_size, total))
             for b, lo in enumerate(range(0, total, batch_size))]
 

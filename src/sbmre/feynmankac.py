@@ -29,7 +29,8 @@ Conventions fixed here:
     chunk or stratum order, so the estimates do not depend on it;
   - _CHUNK keys the streams, while blocks only split the arithmetic: a chunk
     of qtc, or a stratum of the diagonal time integral, is drawn and reduced
-    in row blocks of about _BLOCK values, so each block's arrays stay in
+    in row blocks of about ensemble.BLOCK_VALUES values (the block size
+    spde.NoisePath caps its draws at too), so each block's arrays stay in
     cache.  Paths are drawn in C order, so consecutive blocks take exactly the
     normals one draw of the whole chunk would, and the blocks' values are
     concatenated in order before the reduction: the estimates and their
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import CovarianceKernel, ScaledTheta
-from .ensemble import batch_ranges, mean_se, run_jobs, stream_rng
+from .ensemble import BLOCK_VALUES, batch_ranges, mean_se, run_jobs, stream_rng
 from .grids import Grid, GridFunction
 from .heatkernel import heat_at_points
 from .spde import NoisePath, _resolve_steps, pam_log_max_series, pam_states_at
@@ -68,7 +69,6 @@ __all__ = [
 ]
 
 _CHUNK = 4096
-_BLOCK = 32768  # values per row block: 256 KB per float64 array
 
 
 @dataclass(frozen=True)
@@ -152,8 +152,8 @@ def _left_points(inc: np.ndarray) -> np.ndarray:
 
 def _row_blocks(rows: int, width: int) -> list:
     """[(b, lo, hi), ...] cutting rows of `width` values into blocks of at most
-    _BLOCK values (one row at least)."""
-    return batch_ranges(rows, max(1, _BLOCK // width))
+    BLOCK_VALUES values (one row at least)."""
+    return batch_ranges(rows, max(1, BLOCK_VALUES // width))
 
 
 def _pair_paths(rng, diff_scale, sum_scale, shape: tuple) -> tuple:

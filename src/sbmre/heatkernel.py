@@ -150,6 +150,7 @@ def apply_spectral_multiplier(values: np.ndarray, multiplier: np.ndarray, shape)
     else:
         # last axis first, as rows against the symmetric matrix, then axes 0..dim-2
         out = np.matmul(centered.reshape(-1, n ** (dim - 1), n), multiplier)
+        del centered  # so a contraction holds two field stacks, not three
         for k in range(dim - 1):
             out = np.matmul(multiplier, out.reshape(-1, n, n ** (dim - 1 - k)))
         out = out.reshape(fields.shape)

@@ -33,7 +33,8 @@ regenerable: replaying a NoisePath, or sharing one between solvers, yields
 bit-identical increments.  That determinism is what makes the pathwise
 comparison inequalities between the two equations testable at 1e-12.  Only
 the steps a march reads are drawn, in blocks that double from the start of
-each chunk, so a march of n steps draws at most n steps plus its last block.
+each chunk up to ensemble.BLOCK_VALUES values (or one step, when a step
+holds more), so a march of n steps draws at most n steps plus its last block.
 
 Routes that share a NoisePath march as one stack (solve_routes): a state
 shaped (n_routes, n_replicas, *grid.shape) takes, per step, one increment,
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import CovarianceKernel, ScaledTheta, grid_covariance_factor
-from .ensemble import BATCH_SIZE, batch_ranges, stream_rng
+from .ensemble import BATCH_SIZE, BLOCK_VALUES, batch_ranges, stream_rng
 from .grids import Grid, GridFunction
 from .heatkernel import apply_spectral_multiplier, heat_multiplier
 
@@ -83,13 +84,18 @@ class NoisePath:
     per step and replica, so its steps are a prefix-stable sequence.  Only
     the steps read are drawn: the path keeps the live generator of the chunk
     it is reading and draws that chunk in blocks of 1, 2, 4, ... steps from
-    its start, never past its end, keeping only the block drawn last, so
-    memory stays at one block however long the path.  The blocks of a chunk
-    always fall at the same steps, so an increment does not depend on how it
-    was reached: reading a step before the kept block, or in another chunk,
-    regenerates that chunk from its key, and any increment replays
-    bit-identically, in this NoisePath or another one.  Routes that need the
-    same steps should therefore march together (solve_routes).
+    its start, never past its end and never past `block_steps`, the steps
+    that fit in BLOCK_VALUES values (one at least), keeping only the block
+    drawn last, so memory stays at one cache-sized block however long the
+    path.  The blocks of a chunk always fall at the same steps, so an
+    increment does not depend on how it was reached: reading a step before
+    the kept block, or in another chunk, regenerates that chunk from its
+    key, and any increment replays bit-identically, in this NoisePath or
+    another one.  Routes that need the same steps should therefore march
+    together (solve_routes).  Since a chunk's normals are one C-order
+    stream, its blocks hold the fields of one draw of the whole chunk
+    wherever a field does not depend on the draw's row count (rank <= 384;
+    see the draw layout in covariance).
     """
 
     def __init__(self, grid: Grid, kernel: CovarianceKernel, dt: float, seed: int,
@@ -104,10 +110,14 @@ class NoisePath:
         self.seed = int(seed)
         self.n_replicas = int(n_replicas)
         self.stream_key = tuple(int(k) for k in stream_key)
+        step_values = self.n_replicas * grid.n_points
         if chunk_steps is None:
             # a new stream key about every 2M values, regardless of replica count
-            chunk_steps = max(1, 2_000_000 // (self.n_replicas * grid.n_points))
+            chunk_steps = max(1, 2_000_000 // step_values)
+        elif not isinstance(chunk_steps, (int, np.integer)) or chunk_steps < 1:
+            raise ValueError(f"chunk_steps must be a positive integer, got {chunk_steps!r}")
         self.chunk_steps = int(chunk_steps)
+        self.block_steps = max(1, BLOCK_VALUES // step_values)
         self.factor = grid_covariance_factor(kernel, grid)
         self._chunk = None  # index of the chunk whose generator is live
         self._rng = None
@@ -127,8 +137,11 @@ class NoisePath:
         if c != self._chunk or offset < self._drawn - len(self._block):
             self._rng, self._drawn = stream_rng(self.seed, self.stream_key + (c,)), 0
         while offset >= self._drawn:
-            self._chunk = None  # until the block is in: a draw that raises leaves no half state
-            size = min(2 * len(self._block) if self._drawn else 1, self.chunk_steps - self._drawn)
+            size = min(2 * len(self._block) if self._drawn else 1,
+                       self.chunk_steps - self._drawn, self.block_steps)
+            # until the block is in: a draw that raises leaves no half state, and
+            # the old block is freed before the new one is drawn
+            self._chunk, self._block = None, None
             flat = self.factor.sample(self._rng, dt=self.dt, batch=size * self.n_replicas)
             self._block = flat.reshape((size, self.n_replicas) + self.grid.shape)
             self._chunk, self._drawn = c, self._drawn + size
@@ -145,9 +158,11 @@ def ensemble_noise(grid: Grid, kernel: CovarianceKernel, dt: float, seed: int,
                    n_replicas: int, batch_size: int = BATCH_SIZE) -> list:
     """Independent NoisePaths covering n_replicas in fixed-size batches.
 
-    Batch b is keyed by stream_key=(b,) (batch_noise), so replica r's noise
-    depends only on (seed, r // batch_size, r % batch_size) and the first k
-    replicas coincide bit-identically across different total counts.
+    Batch b is keyed by stream_key=(b,) (batch_noise), so the replicas of a
+    full batch coincide bit-identically across different total counts.  A
+    partial last batch does not: its replica count sets its normal layout
+    and its chunk_steps, so it matches the full batch that covers its
+    replicas in a larger run at step 0 and, in general, at no later step.
     """
     if n_replicas < 1:
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
@@ -293,12 +308,13 @@ def _evolve(states: np.ndarray, grid: Grid, dt: float, factors, save_idx,
     to the next one, and takes the closing H(dt/2) only for a save, so a
     march of n steps with s saves after step 0 costs n + s + 1 heat
     applications.  A state leaving the finite range stops the march with
-    SchemeOverflowError(k).  Saves are fresh arrays shaped like states, in
-    the order of save_idx (repeats allowed).  When track_log_max is set,
-    states are a stack (n_routes, n_replicas, *shape), renormalized per route
-    and replica whenever they exceed _RENORM_LIMIT after a pointwise substep,
-    and each save is instead the (n_routes, n_replicas) row of log(max) with
-    the offset folded back in.
+    SchemeOverflowError(k).  Saves are arrays shaped like states that the
+    march never writes (the save of step 0 is states itself, which it only
+    reads), in the order of save_idx (repeats allowed).  When track_log_max
+    is set, states are a stack (n_routes, n_replicas, *shape), renormalized
+    per route and replica whenever they exceed _RENORM_LIMIT after a
+    pointwise substep, and each save is instead the (n_routes, n_replicas)
+    row of log(max) with the offset folded back in.
     """
     half, full = heat_multiplier(grid, dt / 2.0), heat_multiplier(grid, dt)
     axes = tuple(range(2, states.ndim))
@@ -312,11 +328,11 @@ def _evolve(states: np.ndarray, grid: Grid, dt: float, factors, save_idx,
         return np.maximum(out, 0.0, out=out)
 
     def record(step, out):
-        # out is never written again: it is a copy or a fresh output of heat
+        # out is never written again: states or a fresh output of heat
         saved[step] = np.log(out.max(axis=axes)) + log_offset if track_log_max else out
 
     if 0 in wanted:
-        record(0, states.copy())
+        record(0, states)
     pending = heat(states, half)
     with np.errstate(over="ignore"):  # an overflow is caught below, with its step
         for k in range(n_steps):
@@ -325,6 +341,7 @@ def _evolve(states: np.ndarray, grid: Grid, dt: float, factors, save_idx,
                 np.divide(block, 1.0 + block * (dt / 2.0), out=block)
             for index, factor in factors(k):
                 np.multiply(pending[index], factor, out=pending[index])
+            factor = None  # free the step's last factor before its heat step and the next draw
             if not np.isfinite(pending.max()):  # states are >= 0: one reduction sees inf and nan
                 raise SchemeOverflowError(f"state left the finite range at step {k}", k)
             if track_log_max:

@@ -39,6 +39,10 @@ def test_batch_ranges_cover_every_replica_once(total):
 def test_batch_ranges_of_nothing_and_other_sizes():
     assert batch_ranges(0) == []
     assert batch_ranges(5, batch_size=2) == [(0, 0, 2), (1, 2, 4), (2, 4, 5)]
+    # a batch size below 1 would cover nothing (-3) or fail inside range() (0)
+    for size in (0, -3):
+        with pytest.raises(ValueError, match="batch_size"):
+            batch_ranges(10, batch_size=size)
 
 
 def test_map_batches_keeps_batch_order_whatever_the_worker_count():

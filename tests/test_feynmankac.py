@@ -13,10 +13,9 @@ import pytest
 
 from sbmre import feynmankac
 from sbmre.covariance import Constant, ScaledTheta, points_covariance_factor
-from sbmre.ensemble import WorkerPool, batch_ranges, mean_se, stream_rng
+from sbmre.ensemble import BLOCK_VALUES, WorkerPool, batch_ranges, mean_se, stream_rng
 from sbmre.feynmankac import (
     AtomicMeasure,
-    _BLOCK,
     _CHUNK,
     MCConfig,
     _diagonal_time_integral,
@@ -155,7 +154,7 @@ def test_qtc_blocks_equal_one_draw_per_chunk(monkeypatch):
     kernel, F = ScaledTheta(1.0), pair_product(GaussianBump(center=0.1, width=0.8))
     x, y, t, dt = np.array([0.2]), np.array([-0.3]), 0.5, 0.0125
     m, n_paths = 40, _CHUNK + 904
-    rows = _BLOCK // (m + 1)
+    rows = BLOCK_VALUES // (m + 1)
     assert _CHUNK % rows and 904 % rows  # a partial last block in both chunks
     seen = _record_reductions(monkeypatch)
     est = qtc(F, x, y, t, kernel, MCConfig(n_paths, dt, SEED))
@@ -183,7 +182,7 @@ def test_diagonal_strata_blocks_equal_one_draw_per_stratum(monkeypatch):
     total, variance = 0.0, 0.0
     for j in range(2):
         rows = n_paths // 2
-        assert rows % (_BLOCK // (j + 2)) and rows > _BLOCK // (j + 2)
+        assert rows % (BLOCK_VALUES // (j + 2)) and rows > BLOCK_VALUES // (j + 2)
         rng = stream_rng(SEED, (1, j))
         u = rng.random(rows)
         s = (j + u) * dt

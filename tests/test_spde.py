@@ -8,6 +8,7 @@ and 3-standard-error bands.
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 
 from sbmre import spde
 from sbmre.covariance import Constant, GaussianFieldFactor, ScaledTheta
+from sbmre.ensemble import BLOCK_VALUES, stream_rng
 from sbmre.grids import Grid, GridFunction
 from sbmre.heatkernel import apply_heat_semigroup, apply_spectral_multiplier, heat_multiplier
 from sbmre.spde import (
@@ -72,6 +74,9 @@ def test_noise_path_replay_and_layout():
         NoisePath(grid, kern, dt=0.0, seed=1)
     with pytest.raises(ValueError):
         NoisePath(grid, kern, dt=0.01, seed=1, n_replicas=0)
+    for chunk_steps in (0, -2, 2.5):
+        with pytest.raises(ValueError, match="chunk_steps"):
+            NoisePath(grid, kern, dt=0.01, seed=1, chunk_steps=chunk_steps)
 
 
 def test_noise_path_keeps_one_block():
@@ -128,8 +133,44 @@ def test_march_draws_at_most_its_reads_plus_the_last_block(monkeypatch):
         assert read <= sum(drawn) <= read + drawn[-1]
         # the first block is one step; whole chunks are drawn only when read through
         assert drawn[0] == replicas * grid.n_points
+        # no block outgrows BLOCK_VALUES values, or one step when a step holds more
+        assert max(drawn) <= max(BLOCK_VALUES, replicas * grid.n_points)
         chunks = -(-round(T / noise.dt) // noise.chunk_steps)
         assert sum(drawn) < chunks * noise.chunk_steps * replicas * grid.n_points
+
+
+@pytest.mark.parametrize("grid, replicas, chunk_steps, block_steps",
+                         [(Grid(1, 8.0, 64), 16, 100, 32), (Grid(3, 4.0, 8), 80, 5, 1)],
+                         ids=["1d-32-step-blocks", "3d-one-step-blocks"])
+def test_capped_blocks_equal_one_draw_per_chunk(grid, replicas, chunk_steps, block_steps):
+    # blocks capped at BLOCK_VALUES values take the rows of one whole-chunk draw
+    noise = NoisePath(grid, ScaledTheta(1.3), dt=1e-2, seed=21, n_replicas=replicas,
+                      stream_key=(3,), chunk_steps=chunk_steps)
+    assert noise.block_steps == block_steps < chunk_steps
+    for c in range(2):
+        whole = noise.factor.sample(stream_rng(21, (3, c)), dt=1e-2,
+                                    batch=chunk_steps * replicas)
+        whole = whole.reshape((chunk_steps, replicas) + grid.shape)
+        for offset in range(chunk_steps):
+            assert np.array_equal(noise.increment(c * chunk_steps + offset), whole[offset])
+
+
+def test_march_peak_memory_stays_at_a_few_steps():
+    # a 16^3 batch of 32 replicas: one step of noise is 1 MB, and the uncapped
+    # blocks of its 15-step chunks would reach 8 steps
+    grid = Grid(3, 8.0, 16)
+    f = GridFunction.constant(grid, 1.0)
+    noise = NoisePath(grid, ScaledTheta(1.0), dt=2e-3, seed=1, n_replicas=32)
+    solve_pam(f, 2e-3, noise)  # the factor and the heat matrices are cached from here
+    step = noise.n_replicas * grid.n_points * 8
+    tracemalloc.start()
+    try:
+        solve_pam(f, 0.04, noise)  # 20 steps, across the first chunk's end
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert noise.chunk_steps < 20
+    assert peak < 6 * step
 
 
 def test_states_at_times_equal_final_states_of_separate_solves():
@@ -174,16 +215,24 @@ def test_stacked_routes_equal_separate_solves(grid):
 
 
 def test_ensemble_noise_batching_deterministic():
-    grid = Grid(1, 8.0, 16)
+    grid = Grid(1, 8.0, 128)
     kern = ScaledTheta(0.5)
     a = ensemble_noise(grid, kern, 0.01, seed=9, n_replicas=40, batch_size=16)
     b = ensemble_noise(grid, kern, 0.01, seed=9, n_replicas=40, batch_size=16)
     assert len(a) == 3 and a[-1].n_replicas == 8
     for pa, pb in zip(a, b):
         assert np.array_equal(pa.increment(3), pb.increment(3))
-    # full batches coincide across runs with different totals
+    # full batches coincide across runs with different totals, across capped blocks
     c = ensemble_noise(grid, kern, 0.01, seed=9, n_replicas=64, batch_size=16)
-    assert np.array_equal(a[1].increment(0), c[1].increment(0))
+    assert a[1].block_steps == 16
+    for k in range(41):
+        assert np.array_equal(a[1].increment(k), c[1].increment(k))
+    # a partial batch does not: its replica count sets its layout of normals
+    assert np.array_equal(a[2].increment(0), c[2].increment(0)[:8])
+    assert not np.array_equal(a[2].increment(1), c[2].increment(1)[:8])
+    for size in (0, -3):
+        with pytest.raises(ValueError, match="batch_size"):
+            ensemble_noise(grid, kern, 0.01, seed=1, n_replicas=10, batch_size=size)
 
 
 def test_noise_off_matches_heat_flow():

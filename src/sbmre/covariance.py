@@ -637,11 +637,12 @@ def grid_covariance_factor(kernel: CovarianceKernel, grid) -> GaussianFieldFacto
 
     A separable kernel is factored on one axis and sampled through a
     KroneckerRoot (plain axis root in d = 1); any other kernel takes the dense
-    path over all cells, limited to DENSE_LIMIT cells.
+    path over all cells, limited to DENSE_LIMIT cells unless it is Constant.
     """
     axis_kernel = kernel.axis_kernel(grid.dim)
     if axis_kernel is None:
-        _check_dense_size(grid.n_points, "grid cells")
+        if not isinstance(kernel, Constant):  # its rank-1 root is never dense
+            _check_dense_size(grid.n_points, "grid cells")
         factor = points_covariance_factor(kernel, grid.points())
         factor.out_shape = grid.shape
         return factor

@@ -44,10 +44,18 @@ def stream_rng(seed: int, key: tuple) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
+def require_count(name: str, value, minimum: int = 1) -> int:
+    """value as an int; ValueError naming `name` unless it is an integer (not a
+    bool) of at least `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def batch_ranges(total: int, batch_size: int = BATCH_SIZE) -> list:
     """[(b, lo, hi), ...] covering replicas 0..total-1 in fixed-size batches."""
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    total = require_count("total", total, 0)
+    batch_size = require_count("batch_size", batch_size)
     return [(b, lo, min(lo + batch_size, total))
             for b, lo in enumerate(range(0, total, batch_size))]
 

@@ -41,12 +41,13 @@ non-finite path value raises FloatingPointError instead of being dropped.
 """
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovarianceKernel, ScaledTheta
-from .ensemble import BLOCK_VALUES, batch_ranges, mean_se, run_jobs, stream_rng
+from .covariance import CovarianceKernel, ScaledTheta, _pair_distances
+from .ensemble import BLOCK_VALUES, batch_ranges, mean_se, require_count, run_jobs, stream_rng
 from .grids import Grid, GridFunction
 from .heatkernel import heat_at_points
 from .spde import NoisePath, _resolve_steps, pam_log_max_series, pam_states_at
@@ -66,6 +67,7 @@ __all__ = [
     "ldp_tail_probe",
     "ldp_tail_probes",
     "wilson_interval",
+    "t_quantile",
 ]
 
 _CHUNK = 4096
@@ -185,8 +187,7 @@ def _qtc_chunk(F, x, y, t, kernel, mc, c, lo, hi) -> np.ndarray:
     for _, b_lo, b_hi in _row_blocks(hi - lo, (m + 1) * dim):
         left, end_b, end_bp = _pair_paths(rng, math.sqrt(2.0 * mc.dt),
                                           math.sqrt(2.0 * t), (b_hi - b_lo, m, dim))
-        left += x - y
-        radii = np.sqrt(np.sum(left * left, axis=-1))
+        radii = _pair_distances(left, y - x)
         exponent = mc.dt * np.sum(kernel.envelope(radii), axis=1)
         blocks.append(np.exp(exponent) * np.asarray(F(x + end_b, y + end_bp), dtype=float))
     return np.concatenate(blocks)
@@ -233,7 +234,7 @@ def _diagonal_stratum(F, x, t, kernel, mc, j, n_j) -> tuple:
         left, end_b, end_bp = _pair_paths(rng, np.sqrt(2.0 * w)[..., None],
                                           np.sqrt(2.0 * s[lo:hi])[:, None],
                                           (hi - lo, j + 1, dim))
-        radii = np.sqrt(np.sum(left * left, axis=-1))
+        radii = _pair_distances(left, np.zeros(dim))
         exponent = np.sum(kernel.envelope(radii) * w, axis=1)
         blocks.append(np.exp(exponent) * np.asarray(
             F(common[lo:hi] + end_b, common[lo:hi] + end_bp), dtype=float))
@@ -324,7 +325,7 @@ def annealed_moment_w(kernel: ScaledTheta, t: float, k: int, mc: MCConfig,
         cross = np.zeros(size)
         for i in range(k):
             for j in range(i + 1, k):
-                radii = np.linalg.norm(left[:, i] - left[:, j], axis=-1)
+                radii = _pair_distances(left[:, i], left[:, j])
                 cross += 2.0 * mc.dt * np.sum(kernel.profile(radii), axis=1)
         chunks.append(np.exp(0.5 * (k * t + cross)))
     return _path_mean_se(chunks)
@@ -378,9 +379,9 @@ def lyapunov_estimate(kernel: CovarianceKernel, grid: Grid, T: float, dt: float,
     q25, q75 = np.percentile(late, [25.0, 75.0])
     d = late - early
     mean, se = mean_se(d)
-    from scipy.special import stdtrit  # here, not at module import: few runs need it
-
-    k = float(stdtrit(d.size - 1, 1.0 - PLATEAU_LEVEL / 2.0))  # Student-t quantile
+    # Student-t quantile from the standard library: importing scipy.special for
+    # it would add about 0.15 s and 16 MB to every run that reaches here
+    k = t_quantile(1.0 - PLATEAU_LEVEL / 2.0, d.size - 1)
     conclusive = abs(mean) <= k * se
     return LyapunovEstimate(slopes=late, median=float(np.median(late)),
                             band=(float(q25), float(q75)),
@@ -396,6 +397,70 @@ def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple:
     center = (p + z * z / (2 * n)) / denom
     half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
     return max(center - half, 0.0), min(center + half, 1.0)
+
+
+def _t_centered_cdf(t: float, nu: int) -> float:
+    """2 F(t) - 1 for the Student-t CDF F with integer degrees of freedom nu.
+
+    This is the sign of t times A(|t|) = P(|T| <= |t|), from the finite series
+    in theta = atan(t / sqrt(nu)) of Abramowitz & Stegun 26.7.3 (odd nu) and
+    26.7.4 (even nu), which are odd in theta; nu // 2 terms.
+    """
+    theta = math.atan(t / math.sqrt(nu))
+    sin, cos = math.sin(theta), math.cos(theta)
+    cos2 = cos * cos
+    series = 0.0
+    if nu % 2:
+        # theta + sin (cos + 2/3 cos^3 + ... + (2.4...(nu-3)) / (3.5...(nu-2)) cos^(nu-2))
+        term = cos
+        for k in range(1, (nu + 1) // 2):
+            series += term
+            term *= 2 * k / (2 * k + 1) * cos2
+        return (theta + sin * series) * (2.0 / math.pi)
+    # sin (1 + 1/2 cos^2 + ... + (1.3...(nu-3)) / (2.4...(nu-2)) cos^(nu-2))
+    term = 1.0
+    for k in range(1, nu // 2 + 1):
+        series += term
+        term *= (2 * k - 1) / (2 * k) * cos2
+    return sin * series
+
+
+def _double_rank(x: float) -> int:
+    """Index of a double in the order of the reals: adjacent doubles differ by 1."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _double_at(rank: int) -> float:
+    """The double of a _double_rank."""
+    bits = rank if rank >= 0 else -rank | -0x8000_0000_0000_0000
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def t_quantile(p: float, nu: int) -> float:
+    """Student-t quantile: the smallest double t with 2 F(t) - 1 >= 2 p - 1.
+
+    F is the CDF with integer degrees of freedom nu (_t_centered_cdf).  The
+    bisection runs over the doubles in their order (_double_rank) until the
+    bracket is two adjacent doubles, so it takes 64 CDF evaluations at most.
+    Comparing 2 F - 1 with 2 p - 1, not F with p, keeps quantiles near 0
+    accurate (p = 1/2 gives 0 up to underflow), but the series' absolute
+    error is a few ulps of 1, so far tails (p within about 1e-13 of 0 or 1)
+    are only that accurate.  Raises ValueError unless nu is an integer >= 1
+    and 0 < p < 1.
+    """
+    nu = require_count("nu", nu)
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must lie in (0, 1), got {p!r}")
+    level = 2.0 * p - 1.0
+    lo, hi = _double_rank(-math.inf), _double_rank(math.inf)  # 2 F - 1 is -1 < level, 1 >= level
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _t_centered_cdf(_double_at(mid), nu) < level:
+            lo = mid
+        else:
+            hi = mid
+    return _double_at(hi)
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import CovarianceKernel, ScaledTheta, grid_covariance_factor
-from .ensemble import BATCH_SIZE, BLOCK_VALUES, batch_ranges, stream_rng
+from .ensemble import BATCH_SIZE, BLOCK_VALUES, batch_ranges, require_count, stream_rng
 from .grids import Grid, GridFunction
 from .heatkernel import apply_spectral_multiplier, heat_multiplier
 
@@ -102,21 +102,17 @@ class NoisePath:
                  n_replicas: int = 1, stream_key: tuple = (), chunk_steps: int = None):
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        if n_replicas < 1:
-            raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
         self.grid = grid
         self.kernel = kernel
         self.dt = float(dt)
         self.seed = int(seed)
-        self.n_replicas = int(n_replicas)
+        self.n_replicas = require_count("n_replicas", n_replicas)
         self.stream_key = tuple(int(k) for k in stream_key)
         step_values = self.n_replicas * grid.n_points
         if chunk_steps is None:
             # a new stream key about every 2M values, regardless of replica count
             chunk_steps = max(1, 2_000_000 // step_values)
-        elif not isinstance(chunk_steps, (int, np.integer)) or chunk_steps < 1:
-            raise ValueError(f"chunk_steps must be a positive integer, got {chunk_steps!r}")
-        self.chunk_steps = int(chunk_steps)
+        self.chunk_steps = require_count("chunk_steps", chunk_steps)
         self.block_steps = max(1, BLOCK_VALUES // step_values)
         self.factor = grid_covariance_factor(kernel, grid)
         self._chunk = None  # index of the chunk whose generator is live
@@ -164,8 +160,7 @@ def ensemble_noise(grid: Grid, kernel: CovarianceKernel, dt: float, seed: int,
     and its chunk_steps, so it matches the full batch that covers its
     replicas in a larger run at step 0 and, in general, at no later step.
     """
-    if n_replicas < 1:
-        raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
+    require_count("n_replicas", n_replicas)
     return [batch_noise(grid, kernel, dt, seed, *batch)
             for batch in batch_ranges(n_replicas, batch_size)]
 

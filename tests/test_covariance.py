@@ -150,6 +150,17 @@ def test_constant_kernel_rank_one_factor():
     assert draw[0] == draw[1]
 
 
+def test_constant_kernel_factors_a_grid_beyond_the_dense_limit():
+    # the rank-1 root is never dense, so DENSE_LIMIT does not bound the grid
+    grid = Grid(3, 16.0, 32)
+    assert grid.n_points > covariance.DENSE_LIMIT
+    factor = grid_covariance_factor(Constant(0.5), grid)
+    assert factor.jitter == 0
+    draw = factor.sample(np.random.default_rng(2), dt=0.01, batch=2)
+    assert draw.shape == (2,) + grid.shape
+    assert np.all(draw == draw[:, :1, :1, :1])
+
+
 def test_smooth_kernel_factor_reconstructs():
     grid = Grid(1, 3.0, 3)
     kern = ScaledTheta(a=2.0)

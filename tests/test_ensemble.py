@@ -45,6 +45,15 @@ def test_batch_ranges_of_nothing_and_other_sizes():
             batch_ranges(10, batch_size=size)
 
 
+@pytest.mark.parametrize("total, batch_size, name", [
+    (2.5, 2, "total"), (-1, 2, "total"), (True, 2, "total"),
+    (10, 2.5, "batch_size"), (10, 2.0, "batch_size"), (10, True, "batch_size")])
+def test_batch_ranges_refuse_counts_that_are_not_integers(total, batch_size, name):
+    # a float once reached range() and raised its TypeError; a bool passed as 1
+    with pytest.raises(ValueError, match=name):
+        batch_ranges(total, batch_size)
+
+
 def test_map_batches_keeps_batch_order_whatever_the_worker_count():
     total = 2 * BATCH_SIZE + 5
     serial = map_batches(_batch_sum, total, (2.0,))

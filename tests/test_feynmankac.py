@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sbmre import feynmankac
-from sbmre.covariance import Constant, ScaledTheta, points_covariance_factor
+from sbmre.covariance import Constant, ScaledTheta, _pair_distances, points_covariance_factor
 from sbmre.ensemble import BLOCK_VALUES, WorkerPool, batch_ranges, mean_se, stream_rng
 from sbmre.feynmankac import (
     AtomicMeasure,
@@ -29,6 +29,7 @@ from sbmre.feynmankac import (
     pam_second_moment_oracle,
     qtc,
     second_moment_rhs,
+    t_quantile,
     wilson_interval,
 )
 from sbmre.grids import Grid, GridFunction
@@ -372,6 +373,43 @@ def test_wilson_interval_values():
         wilson_interval(5, 0)
     with pytest.raises(ValueError):
         wilson_interval(6, 5)
+
+
+def test_t_quantile_matches_scipy():
+    from scipy.special import stdtrit
+
+    for nu in range(1, 301):
+        for p in (0.9, 0.975, 0.995):
+            ours, theirs = t_quantile(p, nu), float(stdtrit(nu, p))
+            assert abs(ours - theirs) <= 1e-12 * abs(theirs), (nu, p, ours, theirs)
+    assert abs(t_quantile(0.025, 4) + t_quantile(0.975, 4)) < 1e-13
+    assert abs(t_quantile(0.5, 7)) < 1e-300
+    # closed forms: Cauchy for nu = 1, t = (2p - 1) sqrt(2 / (1 - (2p - 1)^2)) for nu = 2
+    assert abs(t_quantile(0.9, 1) - math.tan(0.4 * math.pi)) < 1e-13
+    assert abs(t_quantile(0.9, 2) - 0.8 * math.sqrt(2.0 / 0.36)) < 1e-13
+    assert t_quantile(0.995, np.int64(9)) == t_quantile(0.995, 9)
+
+
+@pytest.mark.parametrize("p, nu", [(0.0, 3), (1.0, 3), (-0.1, 3), (1.5, 3), (math.nan, 3),
+                                   (0.9, 0), (0.9, -2), (0.9, 2.5), (0.9, 3.0), (0.9, True)])
+def test_t_quantile_refusals(p, nu):
+    with pytest.raises(ValueError):
+        t_quantile(p, nu)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_pair_distances_give_the_bits_of_the_oracle_s_former_radii(dim):
+    # the pair-path oracle once spelled its radii three ways; _pair_distances gives their bits
+    rng = np.random.default_rng(dim)
+    left = rng.standard_normal((50, 40, dim)) * 0.3
+    x, y = rng.standard_normal(dim), rng.standard_normal(dim)
+    shifted = left + (x - y)
+    assert np.array_equal(_pair_distances(left, y - x),
+                          np.sqrt(np.sum(shifted * shifted, axis=-1)))
+    assert np.array_equal(_pair_distances(left, np.zeros(dim)),
+                          np.sqrt(np.sum(left * left, axis=-1)))
+    assert np.array_equal(_pair_distances(left[:25], left[25:]),
+                          np.linalg.norm(left[:25] - left[25:], axis=-1))
 
 
 def test_lyapunov_zero_coupling_is_flat():

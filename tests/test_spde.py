@@ -74,9 +74,18 @@ def test_noise_path_replay_and_layout():
         NoisePath(grid, kern, dt=0.0, seed=1)
     with pytest.raises(ValueError):
         NoisePath(grid, kern, dt=0.01, seed=1, n_replicas=0)
-    for chunk_steps in (0, -2, 2.5):
+    for chunk_steps in (0, -2, 2.5, True):
         with pytest.raises(ValueError, match="chunk_steps"):
             NoisePath(grid, kern, dt=0.01, seed=1, chunk_steps=chunk_steps)
+
+
+@pytest.mark.parametrize("n_replicas", [0, 2.5, 2.0, True])
+def test_noise_path_refuses_a_replica_count_that_is_not_a_positive_integer(n_replicas):
+    # 2.5 once made a 2-replica path, and True a 1-replica one
+    with pytest.raises(ValueError, match="n_replicas"):
+        NoisePath(Grid(1, 4.0, 16), ScaledTheta(0.5), dt=0.01, seed=1, n_replicas=n_replicas)
+    assert NoisePath(Grid(1, 4.0, 16), ScaledTheta(0.5), dt=0.01, seed=1,
+                     n_replicas=np.int64(3)).n_replicas == 3
 
 
 def test_noise_path_keeps_one_block():
@@ -230,9 +239,13 @@ def test_ensemble_noise_batching_deterministic():
     # a partial batch does not: its replica count sets its layout of normals
     assert np.array_equal(a[2].increment(0), c[2].increment(0)[:8])
     assert not np.array_equal(a[2].increment(1), c[2].increment(1)[:8])
-    for size in (0, -3):
+    for size in (0, -3, 2.5, True):
         with pytest.raises(ValueError, match="batch_size"):
             ensemble_noise(grid, kern, 0.01, seed=1, n_replicas=10, batch_size=size)
+    # a fractional count once reached range() and raised its TypeError
+    for count in (0, 2.5, True):
+        with pytest.raises(ValueError, match="n_replicas"):
+            ensemble_noise(grid, kern, 0.01, seed=1, n_replicas=count)
 
 
 def test_noise_off_matches_heat_flow():

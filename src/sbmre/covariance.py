@@ -17,21 +17,22 @@ numerically nonzero eigenvalues than it has points, is drawn from r normals
 per field instead of one per point.  The factor's jitter is the largest
 remaining diagonal entry.
 
-How the residual C - root root^T is certified depends on the kernel.  A
-kernel that declares itself positive definite (the class fact
-``positive_definite``: ScaledTheta and Constant) makes every residual a PSD
-Schur complement, so |R_ij| <= sqrt(R_ii R_jj) <= tol and the diagonal
-certifies all of it.  Its columns are evaluated lazily, C(., p) =
-envelope(|points - p|), so a factor over m points evaluates m r + 1 kernel
-values (at most about twice as many in a batch, below) and never forms the
-m x m matrix (Harbrecht, Peters & Schneider 2012).
-For any other kernel a small diagonal bounds nothing (the block [[0, 1],
-[1, 0]] stops the pivots at once), so the matrix is formed, its rows feed the
-same routine, and the residual is checked entry by entry: if an entry exceeds
-2 tol (twice leaves roundoff headroom) or a diagonal entry is below -tol, the
-matrix is indefinite beyond tolerance and we raise with the most negative
-eigenvalue.  Dense factors cover at most DENSE_LIMIT distinct points; larger
-requests raise ValueError before anything is evaluated.
+Only covariances are sampled.  A kernel declares whether it is one in its
+instance fact ``positive_definite``: ScaledTheta, Constant, and
+StationaryPower with alpha <= 2, which is the generalised Cauchy covariance
+(1 + r^alpha)^(-beta/alpha) at beta = alpha (Gneiting & Schlather 2004).
+Every sampling entry point (grid_covariance_factor, points_covariance_factors
+and the callers that build on them) refuses any other kernel with a
+ValueError naming it.  The declaration is what certifies a factor: for a
+positive definite kernel every residual C - root root^T is a PSD Schur
+complement, so |R_ij| <= sqrt(R_ii R_jj) <= tol and the diagonal bounds all
+of it, while for any other matrix a small diagonal bounds nothing (the block
+[[0, 1], [1, 0]] stops the pivots at once).  Columns are evaluated lazily,
+C(., p) = envelope(|points - p|), so a factor over m points evaluates m r + 1
+kernel values (at most about twice as many in a batch, below) and never
+forms the m x m matrix (Harbrecht, Peters & Schneider 2012).  Dense factors
+cover at most DENSE_LIMIT distinct points; larger requests raise ValueError
+before anything is evaluated.
 
 Point sets are deduplicated before factoring, so coincident points share one
 field value; in d = 1 the dedup is a plain 1-d np.unique, which gives the
@@ -52,13 +53,11 @@ To bound the padding, the sets are sorted by size and cut into size groups,
 factored one after the other: a group's set count times its width is at
 most twice its sets' total size, and at most 2^15 cells (256 KB of doubles
 per plane a step sweeps).  A group's buffers are gone before the next group
-starts, and callers draw from its factors as they come.  A kernel that is
-not positive definite forms and factors the sets of a group one at a time,
-as the caller takes them, so it holds one set's matrix, not one per set.
+starts, and callers draw from its factors as they come.
 
-Distances: C(x, y) and every covariance matrix take |x - y| from one formula,
+Distances: C(x, y) and every factor column take |x - y| from one formula,
 _pair_distances, which sums the squared coordinate differences one axis at a
-time, in axis order.  So a matrix over m points never holds an (m, m, d)
+time, in axis order.  So C over m x m pairs never holds an (m, m, d)
 temporary, and its bits equal scipy's cdist, which is not imported:
 scipy.spatial would add a tenth of a second to every cold start.
 
@@ -110,17 +109,6 @@ JITTER_CAP = 1e-8  # bound on any factor's jitter over C(0); a d-dim grid's is a
 DENSE_LIMIT = 10000  # most distinct points a dense covariance matrix may cover
 
 
-class IndefiniteKernelError(np.linalg.LinAlgError):
-    """Covariance matrix is not positive semidefinite within the jitter budget."""
-
-    def __init__(self, message: str, min_eigenvalue: float):
-        super().__init__(message)
-        self.min_eigenvalue = min_eigenvalue
-
-    def __reduce__(self):  # pickle with the constructor's arguments, so it crosses a pool
-        return type(self), (self.args[0], self.min_eigenvalue)
-
-
 @dataclass(frozen=True)
 class EnvelopeTraits:
     """Analytic facts about a radial envelope that quadratures can rely on.
@@ -169,8 +157,9 @@ def _require_finite(**params):
 class CovarianceKernel:
     """Base class: stationary spatial covariance C(x, y) = envelope(|x - y|).
 
-    ``positive_definite`` is a class fact: True when every matrix the kernel
-    forms over any point set is PSD, so its factor needs no residual check.
+    ``positive_definite`` is a fact of the instance: True when C is a
+    covariance, so every matrix over any point set is PSD; only such a kernel
+    is sampled (require_positive_definite).
     """
 
     positive_definite = False
@@ -186,11 +175,6 @@ class CovarianceKernel:
     def diagonal_value(self) -> float:
         """C(x, x) = C(0), constant by stationarity; also the kernel's supremum."""
         return float(self.envelope(np.zeros(1))[0])
-
-    def matrix(self, points) -> np.ndarray:
-        """(m, m) matrix C(p_i, p_j) over the rows of points, shape (m, dim)."""
-        points = np.asarray(points, dtype=float)
-        return self.envelope(_pair_distances(points[:, np.newaxis], points[np.newaxis]))
 
     def envelope_traits(self) -> EnvelopeTraits:
         return EnvelopeTraits()
@@ -238,6 +222,11 @@ class StationaryPower(CovarianceKernel):
             raise ValueError(f"eps must be nonnegative, got {self.eps}")
         if self.alpha <= 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
+
+    @property
+    def positive_definite(self) -> bool:
+        # the generalised Cauchy covariance exactly when alpha <= 2
+        return self.alpha <= 2
 
     def envelope(self, r):
         return self.eps / (1.0 + np.asarray(r, dtype=float) ** self.alpha)
@@ -296,7 +285,8 @@ class ScaledTheta(CovarianceKernel):
 class IndicatorBall(CovarianceKernel):
     """Hard-cutoff correlation: C(x, y) = height * 1{|x - y| <= radius}.
 
-    Not positive semidefinite in general; factorization may legitimately fail.
+    Not positive semidefinite in general, so never sampled; the potential
+    routines take its envelope.
     """
 
     radius: float
@@ -493,38 +483,15 @@ def _pivoted_cholesky(diagonal, column, tol):
     return roots, pivots, jitters.tolist()
 
 
-def _factor_matrix(matrix, scale):
-    """(m, rank) root of a formed matrix, cut at the jitter budget; returns (root, jitter).
-
-    scale is the kernel's C(0), the largest entry of the matrix.  The matrix
-    is not known to be PSD, so the residual is checked entry by entry.
-    """
-    tol = JITTER_SCALE * scale
-    (root,), _, (jitter,) = _pivoted_cholesky(matrix.diagonal(), lambda _, p: matrix[p], tol)
-    residual = matrix - root @ root.T
-    if np.abs(residual).max() > 2.0 * tol or residual.diagonal().min() < -tol:
-        min_eig = float(np.linalg.eigvalsh(matrix)[0])
-        raise IndefiniteKernelError(
-            "covariance matrix is not positive semidefinite within the jitter "
-            f"budget {tol:.3e}; most negative eigenvalue {min_eig:.6e}",
-            min_eig,
-        )
-    return root, jitter
-
-
 def _factor_points(kernel, point_sets):
     """(root, jitter) of C over each set of distinct points, shape (m_b, dim), in order.
 
-    A positive definite kernel factors every set in one pivot loop: the sets
-    are padded to the largest (the padding points sit at the origin, behind
-    -inf diagonals) and each step evaluates the live sets' pivot columns
-    together, never forming a matrix.  Any other kernel forms each set's
-    matrix and has its residual checked, one set at a time as the caller
-    iterates, so only one set's matrix is alive at a time.
+    The kernel is positive definite, and every set is factored in one pivot
+    loop: the sets are padded to the largest (the padding points sit at the
+    origin, behind -inf diagonals) and each step evaluates the live sets'
+    pivot columns together, never forming a matrix.
     """
     scale = kernel.diagonal_value()
-    if not kernel.positive_definite:
-        return (_factor_matrix(kernel.matrix(points), scale) for points in point_sets)
     width = max(len(points) for points in point_sets)
     dim = point_sets[0].shape[1]
     padded = np.zeros((len(point_sets), width, dim))
@@ -547,6 +514,12 @@ def _factor_points(kernel, point_sets):
     return list(zip(roots, jitters))
 
 
+def require_positive_definite(kernel: CovarianceKernel):
+    """Raise ValueError naming the kernel unless it declares itself a covariance."""
+    if not kernel.positive_definite:
+        raise ValueError(f"{kernel!r} is not positive definite, so it cannot be sampled")
+
+
 def _check_dense_size(m: int, what: str):
     if m > DENSE_LIMIT:
         raise ValueError(f"{m} {what}; dense factorization is limited to {DENSE_LIMIT}")
@@ -555,8 +528,9 @@ def _check_dense_size(m: int, what: str):
 def points_covariance_factor(kernel: CovarianceKernel, points) -> GaussianFieldFactor:
     """Factor C over an arbitrary point set; duplicated points are deduplicated.
 
-    Raises ValueError above DENSE_LIMIT distinct points (except for the
-    rank-1 Constant root, which is never dense).
+    Raises ValueError for a kernel that is not positive definite, and above
+    DENSE_LIMIT distinct points (except for the rank-1 Constant root, which
+    is never dense).
     """
     ((_, factor),) = points_covariance_factors(kernel, [points])
     return factor
@@ -591,13 +565,15 @@ def _size_groups(sizes) -> list:
 def points_covariance_factors(kernel: CovarianceKernel, point_sets):
     """Iterator of (i, points_covariance_factor(kernel, point_sets[i])) over all i, bit for bit.
 
-    Every set is deduplicated and checked against DENSE_LIMIT here, before
+    The kernel must be positive definite (require_positive_definite), and
+    every set is deduplicated and checked against DENSE_LIMIT here, before
     anything is factored.  The sets are then sorted by distinct points and
     cut into size groups (_size_groups), and the iterator factors one group
     at a time, in one pivot loop, and yields its factors before it builds
     the next; so a caller that draws from each factor as it comes holds one
     group's buffers and roots at a time.
     """
+    require_positive_definite(kernel)
     point_sets = [np.asarray(points, dtype=float) for points in point_sets]
     for points in point_sets:
         if points.ndim != 2:
@@ -638,7 +614,9 @@ def grid_covariance_factor(kernel: CovarianceKernel, grid) -> GaussianFieldFacto
     A separable kernel is factored on one axis and sampled through a
     KroneckerRoot (plain axis root in d = 1); any other kernel takes the dense
     path over all cells, limited to DENSE_LIMIT cells unless it is Constant.
+    A kernel that is not positive definite raises ValueError.
     """
+    require_positive_definite(kernel)
     axis_kernel = kernel.axis_kernel(grid.dim)
     if axis_kernel is None:
         if not isinstance(kernel, Constant):  # its rank-1 root is never dense

@@ -19,9 +19,11 @@ and refuses any key the experiment does not declare, so an experiment reads
 `cfg.params.get(key, default)` and gets a value of that kind; a Time left
 out is filled in with its default at load, so the body reads
 `cfg.params[key]`.  The runner also calls check_runnable at load, which
-refuses (ConfigError, exit 2) a kernel or grid an experiment cannot run and a
-time, given or default, that is not a whole number of its steps, so no
-experiment body checks them.
+refuses (ConfigError, exit 2) a kernel or grid an experiment cannot run
+(every experiment but threshold-table and persistence-scan samples its
+kernel, so that kernel must be positive definite) and a time, given or
+default, that is not a whole number of its steps, so no experiment body
+checks them.
 
 Each experiment calls the layers through their modules (`spde.solve_pam`,
 `dual.third_moment_scan`, ...), never through names bound at import, so a
@@ -35,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual, feynmankac, heatkernel, particles, spde
-from .covariance import Constant, CovarianceKernel, IndicatorBall, ScaledTheta, StationaryPower
+from .covariance import (Constant, CovarianceKernel, IndicatorBall, ScaledTheta, StationaryPower,
+                         require_positive_definite)
 from .ensemble import WorkerPool, batch_jobs, map_batches, mean_se, run_jobs
 from .grids import GridFunction
 from .readouts import ConstantReadout
@@ -100,7 +103,16 @@ def _experiment(name, **kinds):
 
 
 def check_runnable(cfg):
-    """Raise ConfigError if cfg's experiment cannot run its kernel, grid or times."""
+    """Raise ConfigError if cfg's experiment cannot run its kernel, grid or times.
+
+    Every experiment but these two, which only integrate the kernel's
+    envelope, samples its kernel, which must then be positive definite.
+    """
+    if cfg.experiment not in ("threshold-table", "persistence-scan"):
+        try:
+            require_positive_definite(cfg.kernel)
+        except ValueError as err:
+            raise ConfigError(f"{cfg.experiment}: {err}") from err
     for key, kind in PARAMS[cfg.experiment].items():
         if not isinstance(kind, Time):
             continue

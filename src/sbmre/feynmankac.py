@@ -82,8 +82,7 @@ class MCConfig:
     seed: int
 
     def __post_init__(self):
-        if self.n_paths < 2:
-            raise ValueError(f"need at least 2 paths, got {self.n_paths}")
+        object.__setattr__(self, "n_paths", require_count("n_paths", self.n_paths, 2))
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
 

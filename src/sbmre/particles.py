@@ -9,7 +9,8 @@ offspring at its position with probability 1/2 + xi/(2 sqrt(n)) or dies.
 Truncation keeps every branching probability inside [0, 1] by construction.
 The Constant kernel's field is one value shared by every site, drawn as one
 standard normal scaled by sqrt(level); it takes exactly the draw the rank-1
-root of the all-level matrix would take.  Any other kernel draws from a
+root of the all-level matrix would take.  Any other kernel, which must be
+positive definite (BranchingConfig refuses one that is not), draws from a
 pivoted Cholesky factor of the covariance over the distinct sites, built
 each epoch and limited to DENSE_LIMIT sites, so its population is capped
 there (see BranchingConfig.population_cap).
@@ -41,10 +42,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import covariance
-from .covariance import Constant, CovarianceKernel, points_covariance_factors
+from .covariance import (Constant, CovarianceKernel, points_covariance_factors,
+                         require_positive_definite)
 # not called here: perfbench/tracing.py wraps the site factor by this module's name
 from .covariance import points_covariance_factor  # noqa: F401
-from .ensemble import stream_rng
+from .ensemble import require_count, stream_rng
 
 
 def _cumulative_trapezoid(values: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -84,12 +86,11 @@ class BranchingConfig:
     max_population: int = 1_000_000  # see population_cap
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
+        for name in ("n", "dim", "max_population"):
+            object.__setattr__(self, name, require_count(name, getattr(self, name)))
+        require_positive_definite(self.kernel)
         if self.horizon < 0:
             raise ValueError(f"horizon must be nonnegative, got {self.horizon}")
-        if self.max_population < 1:
-            raise ValueError("max_population must be positive")
         initial = np.atleast_2d(np.asarray(self.initial, dtype=float))
         if initial.size and initial.shape[-1] != self.dim:
             raise ValueError(
@@ -105,11 +106,8 @@ class BranchingConfig:
     def population_cap(self) -> int:
         """Largest population an epoch may hold: max_population, and at most
         covariance.DENSE_LIMIT for any kernel but Constant, whose site factor
-        covers at most that many distinct sites.  A positive definite
-        kernel's factor holds m r values, r its numerical rank; any other
-        kernel's forms the m x m matrix (800 MB at the limit).  The epoch's
-        one factor call forms those matrices one replica at a time, as each
-        replica draws, so an epoch holds one of them, not one per replica."""
+        covers at most that many distinct sites and holds m r values, r its
+        numerical rank."""
         if isinstance(self.kernel, Constant):
             return self.max_population
         return min(self.max_population, covariance.DENSE_LIMIT)
@@ -286,8 +284,8 @@ def run_ensemble(config: BranchingConfig, save_times, seed: int, n_replicas: int
     one batch, and replica r draws from stream_rng(seed, (r,)), so results do
     not depend on how replicas are grouped into batches or workers.
     """
-    if n_replicas < 1:
-        raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
+    n_replicas = require_count("n_replicas", n_replicas)
+    first_replica = require_count("first_replica", first_replica, 0)
     rngs = [stream_rng(seed, (first_replica + i,)) for i in range(n_replicas)]
     snapshots, blowups = _march(config, save_times, rngs)
     lost = {i for i, _, _ in blowups}

@@ -3,17 +3,20 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sbmre import ensemble
+from sbmre import dual, ensemble
 from sbmre.cli import ConfigError, ReplayRefusal, load_config, main, replay, run_experiment
 from sbmre.covariance import ScaledTheta
 from sbmre.experiments import _comparison_batch, _log_laplace_mean_batch
 from sbmre.grids import Grid, GridFunction
-from sbmre.spde import Route, batch_noise, derivative_quotient, solve_log_laplace
+from sbmre.spde import (Route, SchemeOverflowError, batch_noise, derivative_quotient,
+                        solve_log_laplace)
 
+ROOT = Path(__file__).resolve().parents[1]
 BASE = {
     "experiment": {"name": "pam-oracle"},
     "kernel": {"type": "constant", "level": "1.0"},
@@ -151,8 +154,15 @@ def test_scaled_kernel_is_the_gaussian_of_its_width(tmp_path):
      "persistence-scan needs an amplitude-scalable kernel (power or indicator)"),
     ({"experiment.name": "lyapunov-ladder"}, "lyapunov-ladder needs a scaled kernel"),
     ({"mc.paths": "1"}, "[mc] paths must be >= 2, got 1"),  # was exit 3 after the ensemble
+    ({"kernel.type": "indicator", "kernel.level": None, "kernel.radius": "1.0",
+      "kernel.height": "1.0"},
+     "pam-oracle: IndicatorBall(radius=1.0, height=1.0) is not positive definite, "
+     "so it cannot be sampled"),  # was "config ok", then a sample of a non-covariance
+    ({"kernel.type": "power", "kernel.level": None, "kernel.eps": "1.0", "kernel.alpha": "3"},
+     "pam-oracle: StationaryPower(eps=1.0, alpha=3.0) is not positive definite, "
+     "so it cannot be sampled"),  # was "config ok", then exit 3
 ], ids=["persistence-scan-d1", "persistence-scan-constant", "lyapunov-ladder-constant",
-        "pam-oracle-one-path"])
+        "pam-oracle-one-path", "pam-oracle-indicator", "pam-oracle-power-alpha-3"])
 def test_validate_refuses_what_the_run_refuses(tmp_path, capsys, overrides, message):
     # each printed "config ok" before; the run then exited 2 or 3
     cfg_path = write_config(tmp_path, **overrides)
@@ -162,6 +172,15 @@ def test_validate_refuses_what_the_run_refuses(tmp_path, capsys, overrides, mess
     assert main([name, "--config", cfg_path, "--out", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err.strip() == f"error: {message}"
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("configs/*.ini"))
+                         + sorted(ROOT.glob("perfbench/configs/*.ini")),
+                         ids=lambda path: path.relative_to(ROOT).as_posix())
+def test_every_shipped_and_benchmark_config_validates(path, capsys):
+    # no validate rule may refuse a config that ships or that the benchmark runs
+    assert main(["validate", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("config ok: experiment ")
 
 
 @pytest.mark.parametrize("key, value, extra", [
@@ -399,14 +418,24 @@ def test_persistence_scan_needs_scalable_kernel(tmp_path, capsys):
     assert "amplitude-scalable" in capsys.readouterr().err
 
 
-def test_experiment_error_exits_3_with_one_line(tmp_path, capsys):
-    # the indicator ball is not positive semidefinite on this grid, so the
-    # grid factor of the log-Laplace route fails inside the experiment
+def _overflow_the_log_laplace_route(monkeypatch):
+    """Make the log-Laplace solver raise as an overflowing march does, a
+    failure that validate cannot see; forked pool workers inherit the patch."""
+    def overflow(*args):
+        raise SchemeOverflowError("state left the finite range at step 7", 7)
+
+    monkeypatch.setattr(dual, "solve_log_laplace", overflow)
+
+
+def test_experiment_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    # the log-Laplace route fails inside the experiment, after validation
     cfg_path = write_config(
         tmp_path,
-        **{"experiment.name": "duality-ladder", "kernel.type": "indicator",
-           "kernel.level": None, "kernel.radius": "1.0", "kernel.height": "1.0",
-           "mc.replicas": "4", "params.t": "0.05", "params.n_ladder": "10"})
+        **{"experiment.name": "duality-ladder", "mc.replicas": "4", "params.t": "0.05",
+           "params.n_ladder": "10"})
+    assert main(["validate", "--config", cfg_path]) == 0
+    capsys.readouterr()
+    _overflow_the_log_laplace_route(monkeypatch)
     assert main(["duality-ladder", "--config", cfg_path,
                  "--out", str(tmp_path / "dl")]) == 3
     err = capsys.readouterr().err
@@ -414,18 +443,18 @@ def test_experiment_error_exits_3_with_one_line(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_experiment_error_in_a_pool_worker_keeps_its_message(tmp_path, capsys):
-    # the same indefinite kernel, now failing inside the log-Laplace route's
-    # two batches on a two-process pool
+def test_experiment_error_in_a_pool_worker_keeps_its_message(tmp_path, capsys, monkeypatch):
+    # the same failure, now inside the log-Laplace route's jobs on a
+    # two-process pool
     cfg_path = write_config(
         tmp_path,
-        **{"experiment.name": "duality-ladder", "kernel.type": "indicator",
-           "kernel.level": None, "kernel.radius": "1.0", "kernel.height": "1.0",
-           "mc.replicas": "40", "params.t": "0.05", "params.n_ladder": "10"})
+        **{"experiment.name": "duality-ladder", "mc.replicas": "40", "params.t": "0.05",
+           "params.n_ladder": "10"})
+    _overflow_the_log_laplace_route(monkeypatch)
     assert main(["duality-ladder", "--config", cfg_path, "--workers", "2",
                  "--out", str(tmp_path / "dl")]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: duality-ladder failed: covariance matrix is not positive")
+    assert err.startswith("error: duality-ladder failed: state left the finite range at step 7")
     assert len(err.strip().splitlines()) == 1
 
 

@@ -6,6 +6,7 @@ Statistical checks use seeded generators; tolerances follow the entrywise
 
 import functools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,6 @@ from sbmre.covariance import (
     Constant,
     CovarianceKernel,
     GaussianFieldFactor,
-    IndefiniteKernelError,
     IndicatorBall,
     KroneckerRoot,
     ScaledTheta,
@@ -28,6 +28,21 @@ from sbmre.covariance import (
     points_covariance_factors,
 )
 from sbmre.grids import Grid
+from sbmre.particles import BranchingConfig
+
+
+def _matrix(kern, points) -> np.ndarray:
+    """The (m, m) matrix C(p_i, p_j) over the rows of points, formed in the test."""
+    return kern(points[:, np.newaxis], points[np.newaxis])
+
+
+def _formed_factor(kern, points) -> tuple:
+    """(root, jitter) of the pivoted Cholesky fed the rows of the formed matrix."""
+    matrix = _matrix(kern, points)
+    (root,), _, (jitter,) = covariance._pivoted_cholesky(
+        matrix.diagonal()[np.newaxis], lambda _, p: matrix[p],
+        covariance.JITTER_SCALE * kern.diagonal_value())
+    return root, jitter
 
 
 def test_eval_frozen_values():
@@ -75,7 +90,7 @@ def test_matrix_equals_the_envelope_of_cdist(kern, dim):
     scattered = np.random.default_rng(dim).normal(scale=2.0, size=(60, dim))
     cells = Grid(dim, 4.0, {1: 40, 2: 8, 3: 4}[dim]).points()
     for points in (scattered, cells):
-        assert np.array_equal(kern.matrix(points), kern.envelope(cdist(points, points)))
+        assert np.array_equal(_matrix(kern, points), kern.envelope(cdist(points, points)))
 
 
 def test_pair_distances_never_hold_the_coordinate_axis():
@@ -115,10 +130,14 @@ def test_kernel_parameters_must_be_finite(build, value):
         build(value)
 
 
-def test_positive_definite_is_a_class_fact():
-    assert ScaledTheta.positive_definite and Constant.positive_definite
-    for cls in (CovarianceKernel, StationaryPower, IndicatorBall):
-        assert cls.positive_definite is False
+def test_positive_definite_is_an_instance_fact():
+    # eps / (1 + r^alpha) is the generalised Cauchy covariance exactly when alpha <= 2
+    for kern in (ScaledTheta(1.0), Constant(0.5), StationaryPower(1.0, 1.5),
+                 StationaryPower(0.3, 2.0)):
+        assert kern.positive_definite is True
+    for kern in (CovarianceKernel(), StationaryPower(1.0, 2.5), StationaryPower(1.0, 4.0),
+                 IndicatorBall(1.0)):
+        assert kern.positive_definite is False
 
 
 def test_gaussian_profiles_of_every_width_have_known_traits():
@@ -165,7 +184,7 @@ def test_smooth_kernel_factor_reconstructs():
     grid = Grid(1, 3.0, 3)
     kern = ScaledTheta(a=2.0)
     factor = grid_covariance_factor(kern, grid)
-    target = kern.matrix(grid.points())
+    target = _matrix(kern, grid.points())
     rebuilt = factor.root @ factor.root.T
     assert np.max(np.abs(rebuilt - target)) < 1e-10 * kern.diagonal_value()
     assert factor.jitter <= 1e-8 * kern.diagonal_value()
@@ -173,27 +192,36 @@ def test_smooth_kernel_factor_reconstructs():
 
 def test_indicator_kernel_indefinite_on_grid():
     # bandwidth-2 0/1 band matrix has symbol 1 + 2cos, which dips negative;
-    # the power kernel with alpha > 2 is not positive definite either
+    # the power kernel with alpha > 2 is not positive definite either, and
+    # every sampling entry point refuses both by name, whatever the points
     grid = Grid(1, 8.0, 64)
+    points = grid.points()
     for kern, min_eig in ((IndicatorBall(radius=0.19, height=1.0), -0.998),
                           (StationaryPower(1.0, 2.5), -0.088),
                           (StationaryPower(1.0, 3.0), -0.268)):
-        with pytest.raises(IndefiniteKernelError) as err:
-            grid_covariance_factor(kern, grid)
-        assert err.value.min_eigenvalue == pytest.approx(min_eig, abs=1e-3)
+        assert np.linalg.eigvalsh(_matrix(kern, points))[0] == pytest.approx(min_eig, abs=1e-3)
+        for sample in (lambda: grid_covariance_factor(kern, grid),
+                       lambda: points_covariance_factors(kern, [points[:2], points]),
+                       lambda: BranchingConfig(n=4, dim=1, kernel=kern, initial=points,
+                                               horizon=1.0)):
+            with pytest.raises(ValueError, match=re.escape(f"{kern!r} is not positive definite")):
+                sample()
+    # a set on which the ball's matrix is PSD, [[1, 1], [1, 1]], is refused all the same
+    with pytest.raises(ValueError, match=re.escape("IndicatorBall(radius=1.0, height=1.0)")):
+        points_covariance_factor(IndicatorBall(1.0), [[0.0], [0.5]])
 
 
-def test_residual_check_catches_what_the_pivots_miss():
+def test_the_pivots_alone_miss_an_indefinite_block():
     # the pivoted Cholesky stops at rank 1 here: after the first pivot every
     # remaining diagonal entry is 0, though the trailing block [[0, 1], [1, 0]]
-    # has eigenvalue -1; only the residual check sees it
+    # has eigenvalue -1; a small diagonal certifies the residual only for a
+    # positive definite kernel, which is why a kernel must declare it
     matrix = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     (root,), (pivots,), (jitter,) = covariance._pivoted_cholesky(
         matrix.diagonal()[np.newaxis], lambda live, p: matrix[p], 1e-10)
     assert root.shape == (3, 1) and pivots == [0] and jitter == 0.0
-    with pytest.raises(IndefiniteKernelError) as err:
-        covariance._factor_matrix(matrix, 1.0)
-    assert err.value.min_eigenvalue == pytest.approx(-1.0)
+    assert np.abs(matrix - root @ root.T).max() == 1.0
+    assert np.linalg.eigvalsh(matrix)[0] == pytest.approx(-1.0)
 
 
 def test_smooth_kernel_factor_keeps_only_the_numerical_rank():
@@ -204,7 +232,7 @@ def test_smooth_kernel_factor_keeps_only_the_numerical_rank():
     factor = grid_covariance_factor(kern, grid)
     assert factor.root.shape[0] == 64 and factor.root.shape[1] <= 10
     rebuilt = factor.root @ factor.root.T
-    assert np.max(np.abs(rebuilt - kern.matrix(grid.points()))) < 1e-10 * kern.diagonal_value()
+    assert np.max(np.abs(rebuilt - _matrix(kern, grid.points()))) < 1e-10 * kern.diagonal_value()
     assert 0.0 < factor.jitter <= covariance.JITTER_SCALE * kern.diagonal_value()
 
 
@@ -213,7 +241,7 @@ def test_pivoted_cholesky_agrees_with_lapack(dim, m, spread):
     # the same greedy rule and stop as LAPACK's dpstrf, on Gaussian site sets
     kern = ScaledTheta(1.0)
     points = np.random.default_rng(dim).normal(scale=spread, size=(m, dim))
-    matrix = kern.matrix(points)
+    matrix = _matrix(kern, points)
     tol = covariance.JITTER_SCALE * kern.diagonal_value()
     (root,), (pivots,), _ = covariance._pivoted_cholesky(
         np.full((1, m), kern.diagonal_value()),
@@ -247,17 +275,31 @@ def test_positive_definite_factor_evaluates_only_pivot_columns(kern, make, monke
     assert sum(counted) <= m * (rank + 1)
 
 
-def test_positive_definite_site_factor_never_holds_the_matrix():
-    m = 3000
-    points = np.random.default_rng(7).normal(scale=0.3, size=(m, 3))
+def _factor_and_peak(kern, points) -> tuple:
+    """(factor, peak traced bytes) of points_covariance_factor(kern, points)."""
     tracemalloc.start()
     try:
-        factor = points_covariance_factor(ScaledTheta(1.0), points)
-        _, peak = tracemalloc.get_traced_memory()
+        factor = points_covariance_factor(kern, points)
+        return factor, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_positive_definite_site_factor_never_holds_the_matrix():
+    # a smooth kernel's root has few columns, so its factor stays below one
+    # m x m matrix
+    m = 3000
+    factor, peak = _factor_and_peak(
+        ScaledTheta(1.0), np.random.default_rng(7).normal(scale=0.3, size=(m, 3)))
     assert factor.root.shape[1] < m // 4
     assert peak < m * m * 8
+    # the alpha = 1.5 power kernel's root is full rank, so its factor holds
+    # that root and the buffer it was written in, but no formed matrix besides
+    m = 600
+    factor, peak = _factor_and_peak(
+        StationaryPower(1.0, 1.5), np.random.default_rng(7).normal(scale=0.3, size=(m, 1)))
+    assert factor.root.shape == (m, m)
+    assert peak < 2.5 * m * m * 8
 
 
 def _ragged_sets(dim, rng):
@@ -324,12 +366,12 @@ def test_size_groups_bound_the_kernel_values(monkeypatch):
     assert sum(counted) <= 2 * alone
 
 
-def _traced_peak(sets, kernel=ScaledTheta(1.0)) -> int:
+def _traced_peak(sets) -> int:
     """Peak traced bytes while every factor of the batch is drawn from as it comes."""
     rng = np.random.default_rng(0)
     tracemalloc.start()
     try:
-        for _, factor in points_covariance_factors(kernel, sets):
+        for _, factor in points_covariance_factors(ScaledTheta(1.0), sets):
             factor.sample(rng)
         return tracemalloc.get_traced_memory()[1]
     finally:
@@ -347,17 +389,6 @@ def test_size_groups_hold_one_group_at_a_time():
     largest = max(_traced_peak([sets[i] for i in order[g]]) for g in groups)
     assert _traced_peak(sets) < 1.5 * largest
     assert largest < 8 * len(sets) * 32 * 1412 / 20
-
-
-def test_a_formed_matrix_is_factored_as_its_set_is_drawn():
-    # 16 sets of 400 points share one size group; a kernel that is not
-    # positive definite forms each set's 400 x 400 matrix only when its
-    # factor is taken, so the batch peaks near 5 matrices, not near the 19
-    # of forming the group's matrices at once
-    rng = np.random.default_rng(7)
-    sets = [rng.uniform(-4.0, 4.0, size=(400, 1)) for _ in range(16)]
-    assert len(covariance._size_groups([400] * 16)) == 1
-    assert _traced_peak(sets, StationaryPower(1.0, 1.5)) < 8 * 400 * 400 * 8
 
 
 def test_duplicated_points_share_field_value():
@@ -469,7 +500,7 @@ def test_points_factor_dedup_matches_numpy_unique():
     for sample in (pts, pts[:1]):
         factor = points_covariance_factor(kernel, sample)
         ref_rows, ref_inverse = np.unique(sample, axis=0, return_inverse=True)
-        ref_root, _ = covariance._factor_matrix(kernel.matrix(ref_rows), kernel.diagonal_value())
+        ref_root, _ = _formed_factor(kernel, ref_rows)
         assert np.array_equal(factor.index_map, ref_inverse.reshape(-1))
         assert np.array_equal(factor.root, ref_root)
 
@@ -504,7 +535,7 @@ def test_separable_factor_rebuilds_dense_matrix(kern, grid):
     c = kern.axis_kernel(grid.dim).diagonal_value()
     assert factor.jitter == c**grid.dim - (c - axis.jitter) ** grid.dim
     dense = functools.reduce(np.kron, [factor.root.axis_root] * grid.dim)
-    target = kern.matrix(grid.points())
+    target = _matrix(kern, grid.points())
     assert np.max(np.abs(dense @ dense.T - target)) < 1e-10 * kern.diagonal_value()
 
 
@@ -547,8 +578,8 @@ def test_one_dimensional_factor_is_the_dense_cholesky(kern, grid):
     dense = points_covariance_factor(kern, grid.points())
     assert np.array_equal(factor.root, dense.root)
     assert factor.jitter == dense.jitter
-    matrix = kern.matrix(grid.points())
-    root, jitter = covariance._factor_matrix(matrix, kern.diagonal_value())
+    matrix = _matrix(kern, grid.points())
+    root, jitter = _formed_factor(kern, grid.points())
     assert np.array_equal(factor.root, root) and factor.jitter == jitter
     assert (jitter == 0.0) == (root.shape[1] == grid.n_points)
     assert np.max(np.abs(root @ root.T - matrix)) < 1e-10 * kern.diagonal_value()
@@ -569,7 +600,7 @@ def test_increment_mean_and_covariance_band():
         mean = draws.mean(axis=0)
         assert np.max(np.abs(mean)) < 4 * math.sqrt(kern.diagonal_value() * dt / n)
         emp = draws.T @ draws / n
-        target = kern.matrix(grid.points()) * dt
+        target = _matrix(kern, grid.points()) * dt
         band = 4.0 / math.sqrt(n) * kern.diagonal_value() * dt
         assert np.max(np.abs(emp - target)) < band
 

@@ -46,6 +46,10 @@ def test_config_and_measure_validation():
     with pytest.raises(ValueError):
         MCConfig(10, 0.0, SEED)
     assert MCConfig(10, 0.1, SEED).steps_for(1.0) == 10
+    # 100.5 paths were accepted, and the first sampler then refused a "total"
+    with pytest.raises(ValueError, match="n_paths must be an integer >= 2, got 100.5"):
+        MCConfig(100.5, 0.1, SEED)
+    assert type(MCConfig(np.int64(100), 0.1, SEED).n_paths) is int
     with pytest.raises(ValueError):
         MCConfig(10, 0.3, SEED).steps_for(1.0)
     nu = AtomicMeasure.delta(0.0)

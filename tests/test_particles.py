@@ -53,6 +53,27 @@ def test_config_validation_and_epoch_snapping():
         config(cap=0)
 
 
+@pytest.mark.parametrize("name, value", [("n", 2.5), ("dim", 2.5), ("max_population", 2.5),
+                                         ("n", True)])
+def test_config_counts_must_be_integers(name, value):
+    # n = 2.5 and max_population = 2.5 were accepted, and dim = 2.5 was
+    # refused only as a mismatch with the initial positions
+    counts = {"n": 4, "dim": 1, "max_population": 100, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, got {value!r}"):
+        BranchingConfig(kernel=Constant(0.0), initial=np.zeros((3, 1)), horizon=1.0, **counts)
+
+
+@pytest.mark.parametrize("n_replicas, first_replica, message", [
+    (2.5, 0, "n_replicas must be an integer >= 1, got 2.5"),  # was range()'s TypeError
+    (2, 0.5, "first_replica must be an integer >= 0, got 0.5"),  # was the stream seed's error
+    (2, -1, "first_replica must be an integer >= 0, got -1"),
+], ids=["n_replicas-2.5", "first_replica-0.5", "first_replica-negative"])
+def test_ensemble_counts_must_be_integers(n_replicas, first_replica, message):
+    with pytest.raises(ValueError, match=message):
+        run_ensemble(config(n=4, k_start=2), [0.5], SEED, n_replicas, len,
+                     first_replica=first_replica)
+
+
 def test_forced_doubling_and_extinction():
     cfg = config(n=4, k_start=5, horizon=1.0)
     rng = np.random.default_rng(0)

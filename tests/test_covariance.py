@@ -366,12 +366,12 @@ def test_size_groups_bound_the_kernel_values(monkeypatch):
     assert sum(counted) <= 2 * alone
 
 
-def _traced_peak(sets) -> int:
+def _traced_peak(sets, kernel=ScaledTheta(1.0)) -> int:
     """Peak traced bytes while every factor of the batch is drawn from as it comes."""
     rng = np.random.default_rng(0)
     tracemalloc.start()
     try:
-        for _, factor in points_covariance_factors(ScaledTheta(1.0), sets):
+        for _, factor in points_covariance_factors(kernel, sets):
             factor.sample(rng)
         return tracemalloc.get_traced_memory()[1]
     finally:
@@ -389,6 +389,41 @@ def test_size_groups_hold_one_group_at_a_time():
     largest = max(_traced_peak([sets[i] for i in order[g]]) for g in groups)
     assert _traced_peak(sets) < 1.5 * largest
     assert largest < 8 * len(sets) * 32 * 1412 / 20
+
+
+def test_a_formed_matrix_is_factored_as_its_set_is_drawn():
+    # 16 sets of 400 points share one size group; the alpha = 1.5 power
+    # kernel's roots are full rank, each the size of its formed 400 x 400
+    # matrix, so the group is factored again in chunks and the batch peaks
+    # near 5 matrices, not near the 32 of holding the group's roots at once
+    rng = np.random.default_rng(7)
+    sets = [rng.uniform(-4.0, 4.0, size=(400, 1)) for _ in range(16)]
+    assert len(covariance._size_groups([400] * 16)) == 1
+    assert _traced_peak(sets, StationaryPower(1.0, 1.5)) < 8 * 400 * 400 * 8
+
+
+def test_a_group_factored_again_in_chunks_keeps_each_set_as_alone(monkeypatch):
+    # six full-rank sets of 300 outgrow the root budget at 300 columns, so
+    # the group stops and is factored again two sets at a time
+    kern = StationaryPower(1.0, 1.5)
+    rng = np.random.default_rng(3)
+    sets = [rng.uniform(-4.0, 4.0, size=(300, 1)) for _ in range(6)]
+    alone = [points_covariance_factor(kern, points) for points in sets]
+    batches = []
+    pivoted = covariance._pivoted_cholesky
+
+    def spy(diagonal, *args):
+        out = pivoted(diagonal, *args)
+        batches.append((len(diagonal), out is None))
+        return out
+
+    monkeypatch.setattr(covariance, "_pivoted_cholesky", spy)
+    factors = dict(points_covariance_factors(kern, sets))
+    assert batches == [(6, True), (2, False), (2, False), (2, False)]
+    for i, factor in factors.items():
+        assert np.array_equal(factor.root, alone[i].root)
+        assert factor.jitter == alone[i].jitter
+        assert np.array_equal(factor.index_map, alone[i].index_map)
 
 
 def test_duplicated_points_share_field_value():

@@ -53,12 +53,10 @@ To bound the padding, the sets are sorted by size and cut into size groups,
 factored one after the other: a group's set count times its width is at
 most twice its sets' total size, and at most 2^15 cells (256 KB of doubles
 per plane a step sweeps).  A group's buffers are gone before the next group
-starts, and callers draw from its factors as they come.  A group holds all
-its roots at the end, and the roots of a kernel of high numerical rank (a
-power kernel, a narrow Gaussian on spread sites) are m x m; so a group whose
-root buffer would grow past 64 columns and 2^19 cells (4 MB) stops, and its
-sets are factored again in chunks whose full-rank roots and their buffer
-fit 2^19 cells together.
+starts, and callers draw from its factors as they come.  A group of a
+kernel of high numerical rank (a power kernel, a narrow Gaussian on spread
+sites) stops at 64 root columns if full-rank roots and their buffer would
+pass 2^19 cells (4 MB); its sets are then factored in chunks that fit.
 
 Distances: C(x, y) and every factor column take |x - y| from one formula,
 _pair_distances, which sums the squared coordinate differences one axis at a
@@ -414,7 +412,7 @@ class GaussianFieldFactor:
         return vals.reshape(vals.shape[:-1] + self.out_shape)
 
 
-def _pivoted_cholesky(diagonal, column, tol, max_cells=math.inf):
+def _pivoted_cholesky(diagonal, column, tol):
     """Greedy pivoted Cholesky of a batch of symmetric matrices, in one pivot loop.
 
     diagonal is (sets, width): row b holds the m_b diagonal entries of set
@@ -429,8 +427,7 @@ def _pivoted_cholesky(diagonal, column, tol, max_cells=math.inf):
     pivots (they are 0 less roundoff).  Returns (roots, pivots, jitters), one
     entry per set: the C-ordered (m_b, rank) root, one zero column for rank
     0; the pivot indices in order; and the largest remaining diagonal entry.
-    It returns None instead when a batch of sets would grow its buffer of
-    root columns, (sets, columns, width), past both 64 columns and max_cells.
+    It returns None at 64 columns if a batch's full rank would pass _ROOT_CELLS.
     """
     d = np.array(diagonal, dtype=float, ndmin=2)
     sets, width = d.shape
@@ -463,7 +460,7 @@ def _pivoted_cholesky(diagonal, column, tol, max_cells=math.inf):
             at = starts + p
         if k == rows.shape[1]:
             grow = min(k, width - k)
-            if sets > 1 and k + grow > 64 and sets * (k + grow) * width > max_cells:
+            if k == 64 and sets > 1 and 2 * sets * width * width > _ROOT_CELLS:
                 return None
             rows = np.concatenate((rows, np.empty((sets, grow, width))), axis=1)
             chosen = np.concatenate((chosen, np.empty((grow, sets), dtype=np.intp)))
@@ -498,8 +495,8 @@ def _factor_points(kernel, point_sets):
     The kernel is positive definite, and every set is factored in one pivot
     loop: the sets are padded to the largest (the padding points sit at the
     origin, behind -inf diagonals) and each step evaluates the live sets'
-    pivot columns together, never forming a matrix.  Returns None when the
-    roots of a batch outgrow _ROOT_CELLS (see _pivoted_cholesky).
+    pivot columns together, never forming a matrix (or returns None, see
+    _pivoted_cholesky).
     """
     scale = kernel.diagonal_value()
     width = max(len(points) for points in point_sets)
@@ -520,11 +517,8 @@ def _factor_points(kernel, point_sets):
         pivots = sites.reshape(-1, dim)[starts + p]
         return kernel.envelope(_pair_distances(sites, pivots[:, np.newaxis]))
 
-    factored = _pivoted_cholesky(diagonal, column, JITTER_SCALE * scale, _ROOT_CELLS)
-    if factored is None:
-        return None
-    roots, _, jitters = factored
-    return list(zip(roots, jitters))
+    factored = _pivoted_cholesky(diagonal, column, JITTER_SCALE * scale)
+    return factored and list(zip(factored[0], factored[2]))
 
 
 def require_positive_definite(kernel: CovarianceKernel):
@@ -552,7 +546,7 @@ def points_covariance_factor(kernel: CovarianceKernel, points) -> GaussianFieldF
 # Most cells of a size group's (sets, width) plane: 256 KB of doubles, so the
 # planes each pivot step sweeps (diagonals, columns, updates) stay in cache.
 _GROUP_CELLS = 1 << 15
-# Most cells of a group's root columns past 64 per set: 4 MB of doubles.
+# Most cells of a group's full-rank roots and their buffer: 4 MB of doubles.
 _ROOT_CELLS = 1 << 19
 
 
@@ -613,18 +607,14 @@ def points_covariance_factors(kernel: CovarianceKernel, point_sets):
 
 
 def _factor_groups(kernel, distinct):
-    """Yield (i, factor) over the deduplicated sets, one size group at a time.
-
-    A group whose roots outgrow _ROOT_CELLS is factored again in chunks of
-    sets whose full-rank roots and root buffer fit it together.
-    """
+    """Yield (i, factor) over the deduplicated sets, one size group at a time."""
     order = sorted(range(len(distinct)), key=lambda i: len(distinct[i][0]))
     groups = [order[g] for g in _size_groups([len(distinct[i][0]) for i in order])]
     groups.reverse()  # taken from the back, smallest sets first
     while groups:
         members = groups.pop()
         factored = _factor_points(kernel, [distinct[i][0] for i in members])
-        if factored is None:
+        if factored is None:  # full-rank roots past _ROOT_CELLS: chunks that fit
             chunk = max(1, _ROOT_CELLS // (2 * len(distinct[members[-1]][0]) ** 2))
             groups += [members[c:c + chunk] for c in range(0, len(members), chunk)][::-1]
             continue

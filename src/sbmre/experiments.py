@@ -103,12 +103,8 @@ def _experiment(name, **kinds):
 
 
 def check_runnable(cfg):
-    """Raise ConfigError if cfg's experiment cannot run its kernel, grid or times.
-
-    Every experiment but these two, which only integrate the kernel's
-    envelope, samples its kernel, which must then be positive definite.
-    """
-    if cfg.experiment not in ("threshold-table", "persistence-scan"):
+    """Raise ConfigError if cfg's experiment cannot run its kernel, grid or times."""
+    if cfg.experiment not in ("threshold-table", "persistence-scan"):  # these sample no field
         try:
             require_positive_definite(cfg.kernel)
         except ValueError as err:

@@ -403,8 +403,8 @@ def test_a_formed_matrix_is_factored_as_its_set_is_drawn():
 
 
 def test_a_group_factored_again_in_chunks_keeps_each_set_as_alone(monkeypatch):
-    # six full-rank sets of 300 outgrow the root budget at 300 columns, so
-    # the group stops and is factored again two sets at a time
+    # six full-rank sets of 300 would outgrow the root budget, so the group
+    # stops at 64 columns and is factored again two sets at a time
     kern = StationaryPower(1.0, 1.5)
     rng = np.random.default_rng(3)
     sets = [rng.uniform(-4.0, 4.0, size=(300, 1)) for _ in range(6)]
@@ -412,14 +412,15 @@ def test_a_group_factored_again_in_chunks_keeps_each_set_as_alone(monkeypatch):
     batches = []
     pivoted = covariance._pivoted_cholesky
 
-    def spy(diagonal, *args):
-        out = pivoted(diagonal, *args)
-        batches.append((len(diagonal), out is None))
+    def spy(diagonal, column, tol):
+        steps = []
+        out = pivoted(diagonal, lambda live, p: steps.append(p) or column(live, p), tol)
+        batches.append((len(diagonal), len(steps), out is None))
         return out
 
     monkeypatch.setattr(covariance, "_pivoted_cholesky", spy)
     factors = dict(points_covariance_factors(kern, sets))
-    assert batches == [(6, True), (2, False), (2, False), (2, False)]
+    assert batches == [(6, 64, True), (2, 300, False), (2, 300, False), (2, 300, False)]
     for i, factor in factors.items():
         assert np.array_equal(factor.root, alone[i].root)
         assert factor.jitter == alone[i].jitter

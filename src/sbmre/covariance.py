@@ -518,7 +518,7 @@ def _factor_points(kernel, point_sets):
         return kernel.envelope(_pair_distances(sites, pivots[:, np.newaxis]))
 
     factored = _pivoted_cholesky(diagonal, column, JITTER_SCALE * scale)
-    return factored and list(zip(factored[0], factored[2]))
+    return None if factored is None else list(zip(factored[0], factored[2]))
 
 
 def require_positive_definite(kernel: CovarianceKernel):

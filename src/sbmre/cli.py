@@ -8,16 +8,18 @@ together.  Every random draw derives from per-replica or per-batch streams
 spawned off the root seed, and reductions happen in batch-index order, so the
 CSV bytes depend only on (config, seed), never on the worker count.  The
 manifest embeds the canonical config text and its hash; `replay` recomputes
-the CSV from the manifest alone and refuses to run across version or config
-drift.
+the CSV from the manifest alone, through the run's own step (_run), and
+refuses to run across version or config drift.
 
 `[readouts]` and `[params]` are checked whole at load, so `validate` refuses
 the values a run would: `[readouts]` holds exactly one readout, and each
 `[params]` key is converted to the kind its experiment declares in
 experiments.PARAMS; a key the experiment does not declare is an error.
 `[mc] replicas` and `paths` are at least 2, and experiments.check_runnable
-refuses a kernel or grid the experiment cannot run, and a time that is not a
-whole number of its steps, also at load.
+refuses a kernel or grid the experiment cannot run (a grid field past
+covariance.require_grid_size among them), and a time that is not a whole
+number of its steps, also at load.  A run makes its output directory before
+the experiment starts, so one that cannot be made is a config error too.
 
 Exit codes: 0 all checks pass, 1 any check fails, 2 config or replay error,
 3 an experiment raised (ExperimentError: a solver or sampler failed).
@@ -34,7 +36,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import __version__
 from .covariance import Constant, CovarianceKernel, IndicatorBall, ScaledTheta, StationaryPower
@@ -56,7 +58,8 @@ __all__ = [
     "main",
 ]
 
-_REQUIRED_SECTIONS = ("experiment", "kernel", "grid", "scheme", "mc", "readouts", "output")
+# every config's sections; a config file also needs [output], which a manifest does not record
+_REQUIRED_SECTIONS = ("experiment", "kernel", "grid", "scheme", "mc", "readouts")
 _CSV_HEADER = "experiment,check,estimate,dispersion,passed,seed,config_hash"
 
 
@@ -73,10 +76,8 @@ class RunReport:
     experiment: str
     config_hash: str
     seed: int
-    workers: int
     rows: tuple
     wall_clock: float
-    versions: dict
     csv_path: str = None
     manifest_path: str = None
     csv_sha256: str = None
@@ -228,19 +229,30 @@ def _parse_params(parser, name: str) -> dict:
     return params
 
 
-def load_config(path: str, seed_override: int = None,
-                out_override: str = None) -> ExperimentConfig:
+def _read_config(text: str, source: str, error, what: str,
+                 required=_REQUIRED_SECTIONS) -> configparser.ConfigParser:
+    """A parser filled from config text; a parse error raises error(f"{what}: ..."),
+    a missing required section a ConfigError."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        with open(path) as handle:
-            parser.read_file(handle)
-    except OSError as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from err
+        parser.read_string(text, source)
     except configparser.Error as err:
-        raise ConfigError(f"malformed config {path}: {err}") from err
-    missing = [s for s in _REQUIRED_SECTIONS if not parser.has_section(s)]
+        raise error(f"{what}: {err}") from err
+    missing = [s for s in required if not parser.has_section(s)]
     if missing:
         raise ConfigError(f"missing config sections: {', '.join(missing)}")
+    return parser
+
+
+def load_config(path: str, seed_override: int = None,
+                out_override: str = None) -> ExperimentConfig:
+    try:
+        with open(path) as handle:
+            text = handle.read()
+    except OSError as err:
+        raise ConfigError(f"cannot read config {path}: {err}") from err
+    parser = _read_config(text, path, ConfigError, f"malformed config {path}",
+                          _REQUIRED_SECTIONS + ("output",))
     if seed_override is not None:
         parser["mc"]["seed"] = str(int(seed_override))
     return _config_from_parser(parser, out_override=out_override)
@@ -270,7 +282,7 @@ def _config_from_parser(parser, out_override: str = None) -> ExperimentConfig:
         readout = parse_readout(parser.get("readouts", entries[0]))
     except ValueError as err:
         raise ConfigError(f"[readouts] {entries[0]}: {err}") from err
-    outdir = out_override or parser.get("output", "directory", fallback="out")
+    text = _canonical_text(parser)
     cfg = ExperimentConfig(
         experiment=name,
         kernel=_built("kernel", _build_kernel, parser),
@@ -281,9 +293,9 @@ def _config_from_parser(parser, out_override: str = None) -> ExperimentConfig:
         seed=seed,
         readout=readout,
         params=_parse_params(parser, name),
-        outdir=outdir,
-        text=_canonical_text(parser),
-        digest=hashlib.sha256(_canonical_text(parser).encode()).hexdigest(),
+        outdir=out_override or parser.get("output", "directory", fallback="out"),
+        text=text,
+        digest=hashlib.sha256(text.encode()).hexdigest(),
     )
     check_runnable(cfg)
     return cfg
@@ -292,26 +304,8 @@ def _config_from_parser(parser, out_override: str = None) -> ExperimentConfig:
 # ----------------------------------------------------------------- artifacts
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def _csv_bytes(report_rows, experiment: str, seed: int, digest: str) -> bytes:
-    lines = [_CSV_HEADER]
-    for row in report_rows:
-        lines.append(",".join([
-            experiment,
-            row.name,
-            _fmt(row.estimate),
-            _fmt(row.dispersion),
-            "pass" if row.passed else "fail",
-            str(seed),
-            digest,
-        ]))
-    return ("\n".join(lines) + "\n").encode()
-
-
-def _compute_rows(cfg: ExperimentConfig, workers: int) -> tuple:
+def _run(cfg: ExperimentConfig, workers: int) -> tuple:
+    """(RunReport naming no files, CSV bytes) of one run of cfg on one worker pool."""
     start = time.perf_counter()
     try:
         with WorkerPool(workers) as pool:  # one pool per run, started on first use
@@ -321,7 +315,15 @@ def _compute_rows(cfg: ExperimentConfig, workers: int) -> tuple:
     names = [row.name for row in rows]
     if len(set(names)) != len(names):
         raise ExperimentError(f"duplicate check names in {cfg.experiment}")
-    return rows, time.perf_counter() - start
+    elapsed = time.perf_counter() - start
+    lines = [_CSV_HEADER] + [
+        ",".join([cfg.experiment, row.name, repr(float(row.estimate)), repr(float(row.dispersion)),
+                  "pass" if row.passed else "fail", str(cfg.seed), cfg.digest])
+        for row in rows]
+    csv = ("\n".join(lines) + "\n").encode()
+    return RunReport(experiment=cfg.experiment, config_hash=cfg.digest, seed=cfg.seed,
+                     rows=rows, wall_clock=elapsed,
+                     csv_sha256=hashlib.sha256(csv).hexdigest()), csv
 
 
 def _write_atomically(files):
@@ -346,24 +348,24 @@ def _write_atomically(files):
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunReport:
-    """Run one experiment, write CSV + manifest into cfg.outdir."""
-    rows, elapsed = _compute_rows(cfg, workers)
-    csv = _csv_bytes(rows, cfg.experiment, cfg.seed, cfg.digest)
-    os.makedirs(cfg.outdir, exist_ok=True)
+    """Run one experiment, write CSV + manifest into cfg.outdir, made before the run."""
+    try:
+        os.makedirs(cfg.outdir, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot make output directory {cfg.outdir}: {err}") from err
+    report, csv = _run(cfg, workers)
     csv_path = os.path.join(cfg.outdir, f"{cfg.experiment}.csv")
     manifest_path = os.path.join(cfg.outdir, f"{cfg.experiment}_manifest.json")
-    digest = hashlib.sha256(csv).hexdigest()
-    versions = _versions()
     manifest = {
         "experiment": cfg.experiment,
         "config_hash": cfg.digest,
         "config_text": cfg.text,
         "csv_name": os.path.basename(csv_path),
-        "csv_sha256": digest,
-        "n_rows": len(rows),
+        "csv_sha256": report.csv_sha256,
+        "n_rows": len(report.rows),
         "seed": cfg.seed,
-        "versions": versions,
-        "wall_clock_s": round(elapsed, 3),
+        "versions": _versions(),
+        "wall_clock_s": round(report.wall_clock, 3),
         "workers": workers,
     }
 
@@ -373,11 +375,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunReport:
 
     _write_atomically([(csv_path, "wb", lambda handle: handle.write(csv)),
                        (manifest_path, "w", write_manifest)])
-    return RunReport(experiment=cfg.experiment, config_hash=cfg.digest,
-                     seed=cfg.seed, workers=workers, rows=rows,
-                     wall_clock=elapsed, versions=dict(versions),
-                     csv_path=csv_path, manifest_path=manifest_path,
-                     csv_sha256=digest)
+    return replace(report, csv_path=csv_path, manifest_path=manifest_path)
 
 
 def replay(manifest_path: str, workers: int = 1) -> RunReport:
@@ -405,11 +403,8 @@ def replay(manifest_path: str, workers: int = 1) -> RunReport:
                             for k, (a, b) in sorted(drift.items()))
         raise ReplayRefusal(f"version mismatch, refusing to replay: {summary}")
 
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    try:
-        parser.read_string(manifest["config_text"])
-    except configparser.Error as err:
-        raise ReplayRefusal(f"manifest config text unparseable: {err}") from err
+    parser = _read_config(manifest["config_text"], "<string>", ReplayRefusal,
+                          "manifest config text unparseable")
     text = _canonical_text(parser)
     digest = hashlib.sha256(text.encode()).hexdigest()
     if digest != manifest["config_hash"]:
@@ -422,45 +417,26 @@ def replay(manifest_path: str, workers: int = 1) -> RunReport:
                             f"(recorded {manifest['config_hash'][:12]}, "
                             f"recomputed {digest[:12]}):\n{diff}")
 
-    if not parser.has_section("output"):
-        parser.add_section("output")
-    cfg = _config_from_parser(parser)
-    rows, elapsed = _compute_rows(cfg, workers)
-    csv = _csv_bytes(rows, cfg.experiment, cfg.seed, cfg.digest)
-    identical = hashlib.sha256(csv).hexdigest() == manifest["csv_sha256"]
-    rows = rows + (CheckRow("replay-identical-bytes", float(identical), 0.0,
-                            identical),)
-    return RunReport(experiment=cfg.experiment, config_hash=cfg.digest,
-                     seed=cfg.seed, workers=workers, rows=rows,
-                     wall_clock=elapsed, versions=current,
-                     csv_sha256=hashlib.sha256(csv).hexdigest())
+    report, _ = _run(_config_from_parser(parser), workers)
+    identical = report.csv_sha256 == manifest["csv_sha256"]
+    return replace(report, rows=report.rows + (
+        CheckRow("replay-identical-bytes", float(identical), 0.0, identical),))
 
 
 # ----------------------------------------------------------------------- CLI
 
 
-def _print_report(report: RunReport, stream=None):
-    stream = stream or sys.stdout
+def _print_report(report: RunReport):
     for row in report.rows:
         flag = "PASS" if row.passed else "FAIL"
         print(f"[{flag}] {row.name}: estimate={row.estimate:.10g} "
-              f"dispersion={row.dispersion:.4g}", file=stream)
+              f"dispersion={row.dispersion:.4g}")
     verdict = "all checks passed" if report.all_pass else "CHECK FAILURES"
     print(f"{report.experiment}: {verdict} "
           f"({len(report.rows)} checks, {report.wall_clock:.2f}s, "
-          f"seed {report.seed}, config {report.config_hash[:12]})", file=stream)
+          f"seed {report.seed}, config {report.config_hash[:12]})")
     if report.csv_path:
-        print(f"wrote {report.csv_path} and {report.manifest_path}", file=stream)
-
-
-def _env_int(name: str, default=None):
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    try:
-        return int(raw)
-    except ValueError as err:
-        raise ConfigError(f"{name} must be an integer, got {raw!r}") from err
+        print(f"wrote {report.csv_path} and {report.manifest_path}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -472,11 +448,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
+        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--out", default=None)
     p = sub.add_parser("replay", help="recompute a run from its manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     p = sub.add_parser("validate", help="parse and validate a config")
     p.add_argument("--config", required=True)
     return parser
@@ -485,25 +461,22 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        workers = args.workers if getattr(args, "workers", None) is not None \
-            else _env_int("SBMRE_WORKERS", 1)
+        workers = getattr(args, "workers", 1)
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
         if args.command == "validate":
-            cfg = load_config(args.config, seed_override=_env_int("SBMRE_SEED"))
+            cfg = load_config(args.config)
             print(f"config ok: experiment {cfg.experiment}, seed {cfg.seed}, "
                   f"hash {cfg.digest[:12]}")
             return 0
         if args.command == "replay":
             report = replay(args.manifest, workers=workers)
-            _print_report(report)
-            return report.exit_code
-        seed = args.seed if args.seed is not None else _env_int("SBMRE_SEED")
-        cfg = load_config(args.config, seed_override=seed, out_override=args.out)
-        if cfg.experiment != args.command:
-            raise ConfigError(f"config names experiment {cfg.experiment!r} "
-                              f"but {args.command!r} was requested")
-        report = run_experiment(cfg, workers=workers)
+        else:
+            cfg = load_config(args.config, seed_override=args.seed, out_override=args.out)
+            if cfg.experiment != args.command:
+                raise ConfigError(f"config names experiment {cfg.experiment!r} "
+                                  f"but {args.command!r} was requested")
+            report = run_experiment(cfg, workers=workers)
         _print_report(report)
         return report.exit_code
     except (ConfigError, ReplayRefusal) as err:

@@ -532,6 +532,16 @@ def _check_dense_size(m: int, what: str):
         raise ValueError(f"{m} {what}; dense factorization is limited to {DENSE_LIMIT}")
 
 
+def require_grid_size(kernel: CovarianceKernel, grid):
+    """Raise ValueError if grid_covariance_factor would factor more than
+    DENSE_LIMIT points: a separable kernel's grid.cells per axis, or any other
+    kernel's grid.n_points cells, except Constant's, whose rank-1 root is never dense."""
+    if kernel.axis_kernel(grid.dim) is not None:
+        _check_dense_size(grid.cells, "cells per axis")
+    elif not isinstance(kernel, Constant):
+        _check_dense_size(grid.n_points, "grid cells")
+
+
 def points_covariance_factor(kernel: CovarianceKernel, points) -> GaussianFieldFactor:
     """Factor C over an arbitrary point set; duplicated points are deduplicated.
 
@@ -628,18 +638,16 @@ def grid_covariance_factor(kernel: CovarianceKernel, grid) -> GaussianFieldFacto
 
     A separable kernel is factored on one axis and sampled through a
     KroneckerRoot (plain axis root in d = 1); any other kernel takes the dense
-    path over all cells, limited to DENSE_LIMIT cells unless it is Constant.
-    A kernel that is not positive definite raises ValueError.
+    path over all cells.  A kernel that is not positive definite, or a grid
+    past require_grid_size, raises ValueError.
     """
     require_positive_definite(kernel)
+    require_grid_size(kernel, grid)
     axis_kernel = kernel.axis_kernel(grid.dim)
     if axis_kernel is None:
-        if not isinstance(kernel, Constant):  # its rank-1 root is never dense
-            _check_dense_size(grid.n_points, "grid cells")
         factor = points_covariance_factor(kernel, grid.points())
         factor.out_shape = grid.shape
         return factor
-    _check_dense_size(grid.cells, "cells per axis")
     ((root, jitter),) = _factor_points(axis_kernel, [grid.axis()[:, np.newaxis]])
     if grid.dim > 1:
         root = KroneckerRoot(root, grid.dim)

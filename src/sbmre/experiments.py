@@ -38,7 +38,7 @@ import numpy as np
 
 from . import dual, feynmankac, heatkernel, particles, spde
 from .covariance import (Constant, CovarianceKernel, IndicatorBall, ScaledTheta, StationaryPower,
-                         require_positive_definite)
+                         require_grid_size, require_positive_definite)
 from .ensemble import WorkerPool, batch_jobs, map_batches, mean_se, run_jobs
 from .grids import GridFunction
 from .readouts import ConstantReadout
@@ -107,6 +107,8 @@ def check_runnable(cfg):
     if cfg.experiment not in ("threshold-table", "persistence-scan"):  # these sample no field
         try:
             require_positive_definite(cfg.kernel)
+            if cfg.experiment != "moments-triangle":  # its particles read only the grid's d
+                require_grid_size(cfg.kernel, cfg.grid)
         except ValueError as err:
             raise ConfigError(f"{cfg.experiment}: {err}") from err
     for key, kind in PARAMS[cfg.experiment].items():

@@ -1,8 +1,11 @@
 """Runner tests: config validation, hashing, artifacts, replay, worker invariance."""
 
+import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,7 @@ import pytest
 from sbmre import dual, ensemble
 from sbmre.cli import ConfigError, ReplayRefusal, load_config, main, replay, run_experiment
 from sbmre.covariance import ScaledTheta
-from sbmre.experiments import _comparison_batch, _log_laplace_mean_batch
+from sbmre.experiments import EXPERIMENTS, _comparison_batch, _log_laplace_mean_batch
 from sbmre.grids import Grid, GridFunction
 from sbmre.spde import (Route, SchemeOverflowError, batch_noise, derivative_quotient,
                         solve_log_laplace)
@@ -161,8 +164,14 @@ def test_scaled_kernel_is_the_gaussian_of_its_width(tmp_path):
     ({"kernel.type": "power", "kernel.level": None, "kernel.eps": "1.0", "kernel.alpha": "3"},
      "pam-oracle: StationaryPower(eps=1.0, alpha=3.0) is not positive definite, "
      "so it cannot be sampled"),  # was "config ok", then exit 3
+    ({"kernel.type": "power", "kernel.level": None, "kernel.eps": "1.0", "kernel.alpha": "2.0",
+      "grid.d": "3", "grid.h": "0.25"},
+     "pam-oracle: 32768 grid cells; dense factorization is limited to 10000"),  # was exit 3
+    ({**SCALED, "grid.h": "0.0004"},
+     "pam-oracle: 20000 cells per axis; dense factorization is limited to 10000"),
 ], ids=["persistence-scan-d1", "persistence-scan-constant", "lyapunov-ladder-constant",
-        "pam-oracle-one-path", "pam-oracle-indicator", "pam-oracle-power-alpha-3"])
+        "pam-oracle-one-path", "pam-oracle-indicator", "pam-oracle-power-alpha-3",
+        "pam-oracle-dense-grid", "pam-oracle-scaled-axis"])
 def test_validate_refuses_what_the_run_refuses(tmp_path, capsys, overrides, message):
     # each printed "config ok" before; the run then exited 2 or 3
     cfg_path = write_config(tmp_path, **overrides)
@@ -298,20 +307,6 @@ def test_grid_extent_errors_name_the_key_as_written(tmp_path, capsys, value, rea
     assert capsys.readouterr().err.strip() == f"error: [grid] L {reason}"
 
 
-def test_env_overrides(tmp_path, capsys, monkeypatch):
-    cfg_path = write_config(tmp_path, **{"experiment.name": "threshold-table"})
-    monkeypatch.setenv("SBMRE_SEED", "99")
-    monkeypatch.setenv("SBMRE_WORKERS", "1")
-    out = str(tmp_path / "env-run")
-    assert main(["threshold-table", "--config", cfg_path, "--out", out]) == 0
-    capsys.readouterr()
-    csv = (tmp_path / "env-run" / "threshold-table.csv").read_text().splitlines()
-    assert csv[1].split(",")[5] == "99"
-    monkeypatch.setenv("SBMRE_WORKERS", "zebra")
-    assert main(["threshold-table", "--config", cfg_path, "--out", out]) == 2
-    capsys.readouterr()
-
-
 def test_worker_invariance_and_seed_sensitivity(tmp_path):
     cfg_path = write_config(tmp_path)
     runs = {}
@@ -354,6 +349,69 @@ def test_replay_identical_and_refusals(tmp_path):
     assert main(["replay", "--manifest", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.fixture(scope="module")
+def recorded_manifest(tmp_path_factory):
+    """A threshold-table run's manifest, as JSON data: replay refusals edit copies."""
+    tmp_path = tmp_path_factory.mktemp("recorded")
+    cfg_path = write_config(tmp_path, **{"experiment.name": "threshold-table"})
+    run_experiment(load_config(cfg_path, out_override=str(tmp_path / "orig")))
+    return json.loads((tmp_path / "orig" / "threshold-table_manifest.json").read_text())
+
+
+def _no_config_hash(data):
+    del data["config_hash"]
+
+
+def _unparseable_text(data):
+    data["config_text"] = "[mc\nseed = 7\n"
+
+
+def _no_mc_section(data):  # hashed as recorded, so only the section check refuses it
+    data["config_text"] = data["config_text"].replace("[mc]\n", "[mc-gone]\n")
+    data["config_hash"] = hashlib.sha256(data["config_text"].encode()).hexdigest()
+
+
+def _drifted_scipy(data):
+    data["versions"]["scipy"] = "0.0.1"
+
+
+def _tampered_seed(data):  # not canonical either, so the refusal shows a diff
+    data["config_text"] = data["config_text"].replace("seed = 7", "seed=8")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (None, "error: cannot load manifest "),
+    (_no_config_hash, "error: manifest missing field 'config_hash'"),
+    (_unparseable_text, "error: manifest config text unparseable: "),
+    (_no_mc_section, "error: missing config sections: mc"),  # was a NoSectionError traceback
+    (_drifted_scipy, "error: version mismatch, refusing to replay: scipy: recorded 0.0.1 != "),
+    (_tampered_seed, "error: config hash mismatch, refusing to replay (recorded "),
+], ids=["not-json", "missing-field", "unparseable-config", "missing-section", "version-drift",
+        "hash-mismatch"])
+def test_every_replay_refusal_exits_2_with_one_error_line(tmp_path, capsys, recorded_manifest,
+                                                          edit, message):
+    path = tmp_path / "manifest.json"
+    if edit is None:
+        path.write_text('{"experiment": "threshold-table", "seed"')
+    else:
+        data = json.loads(json.dumps(recorded_manifest))
+        edit(data)
+        path.write_text(json.dumps(data))
+    assert main(["replay", "--manifest", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert lines[0].startswith(message)
+    assert [line for line in lines if line.startswith("error:")] == lines[:1]
+    if edit is _tampered_seed:  # the recorded text against its canonical form
+        assert lines[1:3] == ["--- recorded", "+++ canonical"]
+        assert "-seed=8" in lines and "+seed = 8" in lines
+    elif edit is _unparseable_text:  # configparser's own message names where it stopped
+        assert lines[1:] == ["file: '<string>', line: 1", "'[mc\\n'"]
+    else:
+        assert len(lines) == 1
+
+
 @pytest.mark.parametrize("experiment", ["comparison-suite", "duality-ladder",
                                         "extinction-scan", "lyapunov-ladder",
                                         "moments-triangle", "pam-oracle",
@@ -372,21 +430,59 @@ def test_symmetric_only_experiments_reject_other_orderings(tmp_path, capsys, exp
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("flag, env", [("0", None), ("-1", None), (None, "0")],
-                         ids=["flag-0", "flag-minus-1", "env-0"])
-def test_worker_count_below_one_exits_2(tmp_path, capsys, monkeypatch, flag, env):
+@pytest.mark.parametrize("flag", ["0", "-1"], ids=["flag-0", "flag-minus-1"])
+def test_worker_count_below_one_exits_2(tmp_path, capsys, flag):
     cfg_path = write_config(tmp_path, **{"experiment.name": "threshold-table"})
     out = tmp_path / "w"
-    argv = ["threshold-table", "--config", cfg_path, "--out", str(out)]
-    if flag is not None:
-        argv += ["--workers", flag]
-    if env is not None:
-        monkeypatch.setenv("SBMRE_WORKERS", env)
-    assert main(argv) == 2
+    assert main(["threshold-table", "--config", cfg_path, "--out", str(out),
+                 "--workers", flag]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: workers must be >= 1")
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+def test_an_output_directory_that_cannot_be_made_exits_2_before_the_run(tmp_path, capsys,
+                                                                        monkeypatch):
+    # was the whole run, then a FileExistsError traceback from os.makedirs (exit 1)
+    cfg_path = write_config(tmp_path, **{"experiment.name": "threshold-table"})
+    blocker = tmp_path / "a-file"
+    blocker.write_text("kept\n")
+
+    def must_not_run(cfg, pool):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setitem(EXPERIMENTS, "threshold-table", must_not_run)
+    for out in (blocker, blocker / "run"):
+        assert main(["threshold-table", "--config", cfg_path, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot make output directory {out}: ")
+        assert len(captured.err.strip().splitlines()) == 1
+    assert blocker.read_text() == "kept\n"
+
+
+def test_exit_codes_at_the_process_boundary(tmp_path):
+    # `python -m sbmre.cli` returns main()'s code as the process's exit status
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "sbmre.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    cfg_path = write_config(tmp_path, **{"experiment.name": "threshold-table"})
+    done = cli("threshold-table", "--config", cfg_path, "--seed", "99",
+               "--out", str(tmp_path / "run"))
+    assert done.returncode == 0 and done.stderr == ""
+    csv = (tmp_path / "run" / "threshold-table.csv").read_text().splitlines()
+    assert csv[1].split(",")[5] == "99"
+    bad = cli("validate", "--config", write_config(tmp_path, "bad.ini",
+                                                   **{"kernel.type": "mystery"}))
+    blocked = cli("threshold-table", "--config", cfg_path, "--out", cfg_path)
+    for done, message in ((bad, "error: [kernel] type must be "),
+                          (blocked, "error: cannot make output directory ")):
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith(message) and len(done.stderr.splitlines()) == 1
 
 
 def test_artifacts_written_atomically(tmp_path, monkeypatch):

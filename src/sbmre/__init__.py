@@ -7,7 +7,7 @@ covariance   noise kernels and exact Gaussian field sampling
 heatkernel   torus heat semigroup, Riesz and Green potentials, persistence threshold
 spde         splitting-scheme solvers for the linear and log-Laplace equations
 particles    branching random walk with environment-tilted offspring law
-feynmankac   Brownian-pair moment formulas, annealed moments, growth probes
+feynmankac   Brownian-pair moment formulas, growth probes
 dual         jump-perturbed dual flow and duality-gap diagnostics
 ensemble     Monte Carlo keying and reduction: streams, batches, worker pool, mean and SE
 experiments  the shipped experiments, one per config, each a list of checks

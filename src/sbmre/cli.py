@@ -231,13 +231,13 @@ def _parse_params(parser, name: str) -> dict:
 
 def _read_config(text: str, source: str, error, what: str,
                  required=_REQUIRED_SECTIONS) -> configparser.ConfigParser:
-    """A parser filled from config text; a parse error raises error(f"{what}: ..."),
-    a missing required section a ConfigError."""
+    """A parser filled from config text; a parse error raises error(f"{what}: ...")
+    on one line, a missing required section a ConfigError."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         parser.read_string(text, source)
     except configparser.Error as err:
-        raise error(f"{what}: {err}") from err
+        raise error(f"{what}: {err}".replace("\n", "; ")) from err
     missing = [s for s in required if not parser.has_section(s)]
     if missing:
         raise ConfigError(f"missing config sections: {', '.join(missing)}")
@@ -247,9 +247,9 @@ def _read_config(text: str, source: str, error, what: str,
 def load_config(path: str, seed_override: int = None,
                 out_override: str = None) -> ExperimentConfig:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     parser = _read_config(text, path, ConfigError, f"malformed config {path}",
                           _REQUIRED_SECTIONS + ("output",))
@@ -386,13 +386,19 @@ def replay(manifest_path: str, workers: int = 1) -> RunReport:
     replay-identical-bytes check to the recomputed report.
     """
     try:
-        with open(manifest_path) as handle:
+        with open(manifest_path, encoding="utf-8") as handle:
             manifest = json.load(handle)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ReplayRefusal(f"cannot load manifest {manifest_path}: {err}") from err
-    for key in ("config_text", "config_hash", "csv_sha256", "versions", "seed"):
+    if not isinstance(manifest, dict):
+        raise ReplayRefusal(f"manifest {manifest_path} is not a JSON object")
+    for key, kind in (("config_text", str), ("config_hash", str), ("csv_sha256", str),
+                      ("versions", dict), ("seed", int)):
         if key not in manifest:
             raise ReplayRefusal(f"manifest missing field {key!r}")
+        if not isinstance(manifest[key], kind):
+            raise ReplayRefusal(f"manifest field {key!r} must be {kind.__name__}, "
+                                f"got {type(manifest[key]).__name__}")
 
     current = _versions()
     drift = {k: (manifest["versions"].get(k), current.get(k))

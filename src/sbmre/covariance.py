@@ -260,10 +260,6 @@ class ScaledTheta(CovarianceKernel):
         if self.width <= 0:
             raise ValueError(f"width must be positive, got {self.width}")
 
-    def profile(self, r):
-        """Unit-amplitude correlation exp(-(r / width)^2)."""
-        return ScaledTheta(1.0, self.width).envelope(r)
-
     def envelope(self, r):
         # in place in one fresh array: the pair-path oracle evaluates blocks
         # of 256 KB, and a site factor one column per pivot

@@ -36,10 +36,9 @@ import numpy as np
 from .covariance import CovarianceKernel, grid_covariance_factor
 from .ensemble import batch_jobs, map_batches, mean_se, run_jobs, stream_rng
 from .grids import GridFunction, PolynomialWeight
-from .spde import SchemeOverflowError, _evolve, _resolve_steps, batch_noise, solve_log_laplace
+from .spde import _evolve, _resolve_steps, batch_noise, solve_log_laplace
 
 __all__ = [
-    "DualEvolutionError",
     "PoissonClock",
     "DualState",
     "march_dual",
@@ -51,17 +50,6 @@ __all__ = [
     "ThirdMomentReport",
     "third_moment_scan",
 ]
-
-
-class DualEvolutionError(FloatingPointError):
-    """Dual state left the finite range."""
-
-    def __init__(self, step: int):
-        super().__init__(f"dual state became non-finite at step {step}")
-        self.step = step
-
-    def __reduce__(self):  # pickle with the constructor's arguments, so it crosses a pool
-        return type(self), (self.step,)
 
 
 class PoissonClock:
@@ -115,7 +103,7 @@ def march_dual(phi: GridFunction, times, n: float, kernel: CovarianceKernel,
     earlier time are a prefix of those up to a later one.
     field_override(k) may supply a replica's k-th mark (an array over grid
     cells) in place of the Gaussian draw; the truncation to +-sqrt(n) still
-    applies.  Overflow raises DualEvolutionError with the 1-based step.
+    applies.  Overflow raises spde.SchemeOverflowError with the 0-based step.
     """
     grid = phi.grid
     if np.min(phi.values) < 0:
@@ -146,10 +134,7 @@ def march_dual(phi: GridFunction, times, n: float, kernel: CovarianceKernel,
         return pairs
 
     y = np.repeat(phi.values[np.newaxis], len(streams), axis=0)
-    try:
-        return _evolve(y, grid, dt, marks, save_steps, [slice(None)]), jump_times
-    except SchemeOverflowError as err:
-        raise DualEvolutionError(err.step + 1) from err
+    return _evolve(y, grid, dt, marks, save_steps, [slice(None)]), jump_times
 
 
 def evolve_dual(phi: GridFunction, t: float, n: float, kernel: CovarianceKernel,

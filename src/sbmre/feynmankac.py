@@ -41,7 +41,6 @@ non-finite path value raises FloatingPointError instead of being dropped.
 """
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,14 +59,12 @@ __all__ = [
     "first_moment_rhs",
     "second_moment_rhs",
     "pam_second_moment_oracle",
-    "annealed_moment_w",
     "LyapunovEstimate",
     "lyapunov_estimate",
     "TailProbe",
     "ldp_tail_probe",
     "ldp_tail_probes",
     "wilson_interval",
-    "t_quantile",
 ]
 
 _CHUNK = 4096
@@ -142,15 +139,6 @@ def _path_mean_se(blocks) -> tuple:
     return mean_se(values)
 
 
-def _left_points(inc: np.ndarray) -> np.ndarray:
-    """Path positions at the left endpoints of the steps, from increments along
-    axis -2 (points along axis -1): 0, inc_0, inc_0 + inc_1, ..."""
-    left = np.empty_like(inc)
-    left[..., 0, :] = 0.0
-    np.cumsum(inc[..., :-1, :], axis=-2, out=left[..., 1:, :])
-    return left
-
-
 def _row_blocks(rows: int, width: int) -> list:
     """[(b, lo, hi), ...] cutting rows of `width` values into blocks of at most
     BLOCK_VALUES values (one row at least)."""
@@ -172,7 +160,9 @@ def _pair_paths(rng, diff_scale, sum_scale, shape: tuple) -> tuple:
     inc = z[:, :steps]
     inc *= diff_scale
     total = z[:, steps] * sum_scale
-    left = _left_points(inc)
+    left = np.empty_like(inc)  # at the steps' left endpoints: 0, inc_0, inc_0 + inc_1, ...
+    left[:, 0] = 0.0
+    np.cumsum(inc[:, :-1], axis=1, out=left[:, 1:])
     diff = left[:, -1] + inc[:, -1]
     return left, 0.5 * (total + diff), 0.5 * (total - diff)
 
@@ -296,40 +286,6 @@ def pam_second_moment_oracle(f, t: float, x, y,
     return qtc(pair_product(f), x, y, t, kernel, mc, workers)
 
 
-def annealed_moment_w(kernel: ScaledTheta, t: float, k: int, mc: MCConfig,
-                      dim: int = 1) -> tuple:
-    """k-th annealed moment of the slow-path exponential functional.
-
-    For the Gaussian kernel C = a * profile, profile(r) = exp(-(r / width)^2):
-    conditional on k independent paths with diffusivity 1/a, the summed
-    functional is centered Gaussian, so the environment integrates out to
-    exp(k t / 2 + sum_{i<j} int profile(|X_i - X_j|) ds); only paths are
-    sampled.  k = 1 is deterministic (standard error 0).
-    """
-    if not isinstance(kernel, ScaledTheta):
-        raise ValueError("annealed moments are defined for the Gaussian ScaledTheta kernel")
-    if not 1 <= k <= 4:
-        raise ValueError(f"moment order must lie in 1..4, got {k}")
-    if kernel.a <= 0:
-        raise ValueError("need a positive amplitude for the 1/a path scaling")
-    m = mc.steps_for(t)
-    if k == 1:
-        return math.exp(t / 2.0), 0.0
-    root_dt = math.sqrt(mc.dt / kernel.a)
-    chunks = []
-    for c, lo, hi in batch_ranges(mc.n_paths, _CHUNK):
-        size = hi - lo
-        rng = stream_rng(mc.seed, (2, c))
-        left = _left_points(rng.standard_normal((size, k, m, dim)) * root_dt)
-        cross = np.zeros(size)
-        for i in range(k):
-            for j in range(i + 1, k):
-                radii = _pair_distances(left[:, i], left[:, j])
-                cross += 2.0 * mc.dt * np.sum(kernel.profile(radii), axis=1)
-        chunks.append(np.exp(0.5 * (k * t + cross)))
-    return _path_mean_se(chunks)
-
-
 @dataclass(frozen=True)
 class LyapunovEstimate:
     """Per-replica log-slope fits of the spatial max, with a plateau verdict."""
@@ -361,10 +317,12 @@ def lyapunov_estimate(kernel: CovarianceKernel, grid: Grid, T: float, dt: float,
     band.  The verdict is a two-sided paired t-test at level PLATEAU_LEVEL of
     equal mean slopes over [T/4, T/2] and [T/2, T]: both windows of a replica
     ride one path, and replicas are independent, so the late-minus-early
-    differences d_i are i.i.d.  It is conclusive when |mean d| is within the
-    Student-t quantile times the standard error of mean d; otherwise the slope
-    has not stabilized and the numbers are exploratory.  On a plateau with
-    Gaussian d, a run reads inconclusive with probability PLATEAU_LEVEL.
+    differences d_i are i.i.d.  It is conclusive when the two-sided p-value
+    of |mean d| / se, from the Student-t CDF with n_replicas - 1 degrees of
+    freedom, is at least PLATEAU_LEVEL (se = 0 reads conclusive only for
+    mean d = 0); otherwise the slope has not stabilized and the numbers are
+    exploratory.  On a plateau with Gaussian d, a run reads inconclusive with
+    probability PLATEAU_LEVEL.
     """
     if n_replicas < 2:
         raise ValueError("need at least 2 replicas for a band")
@@ -378,10 +336,13 @@ def lyapunov_estimate(kernel: CovarianceKernel, grid: Grid, T: float, dt: float,
     q25, q75 = np.percentile(late, [25.0, 75.0])
     d = late - early
     mean, se = mean_se(d)
-    # Student-t quantile from the standard library: importing scipy.special for
-    # it would add about 0.15 s and 16 MB to every run that reaches here
-    k = t_quantile(1.0 - PLATEAU_LEVEL / 2.0, d.size - 1)
-    conclusive = abs(mean) <= k * se
+    if se > 0:
+        x = abs(mean) / se
+    else:
+        x = 0.0 if mean == 0 else math.inf
+    # the p-value from the standard library: importing scipy.special for it
+    # would add about 0.15 s and 16 MB to every run that reaches here
+    conclusive = _t_centered_cdf(x, d.size - 1) <= 1.0 - PLATEAU_LEVEL
     return LyapunovEstimate(slopes=late, median=float(np.median(late)),
                             band=(float(q25), float(q75)),
                             conclusive=bool(conclusive))
@@ -422,44 +383,6 @@ def _t_centered_cdf(t: float, nu: int) -> float:
         series += term
         term *= (2 * k - 1) / (2 * k) * cos2
     return sin * series
-
-
-def _double_rank(x: float) -> int:
-    """Index of a double in the order of the reals: adjacent doubles differ by 1."""
-    bits = struct.unpack("<q", struct.pack("<d", x))[0]
-    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
-
-
-def _double_at(rank: int) -> float:
-    """The double of a _double_rank."""
-    bits = rank if rank >= 0 else -rank | -0x8000_0000_0000_0000
-    return struct.unpack("<d", struct.pack("<q", bits))[0]
-
-
-def t_quantile(p: float, nu: int) -> float:
-    """Student-t quantile: the smallest double t with 2 F(t) - 1 >= 2 p - 1.
-
-    F is the CDF with integer degrees of freedom nu (_t_centered_cdf).  The
-    bisection runs over the doubles in their order (_double_rank) until the
-    bracket is two adjacent doubles, so it takes 64 CDF evaluations at most.
-    Comparing 2 F - 1 with 2 p - 1, not F with p, keeps quantiles near 0
-    accurate (p = 1/2 gives 0 up to underflow), but the series' absolute
-    error is a few ulps of 1, so far tails (p within about 1e-13 of 0 or 1)
-    are only that accurate.  Raises ValueError unless nu is an integer >= 1
-    and 0 < p < 1.
-    """
-    nu = require_count("nu", nu)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p!r}")
-    level = 2.0 * p - 1.0
-    lo, hi = _double_rank(-math.inf), _double_rank(math.inf)  # 2 F - 1 is -1 < level, 1 >= level
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _t_centered_cdf(_double_at(mid), nu) < level:
-            lo = mid
-        else:
-            hi = mid
-    return _double_at(hi)
 
 
 @dataclass(frozen=True)

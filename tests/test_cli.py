@@ -136,6 +136,24 @@ def test_validate_rejects_bad_config(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"[experiment]\nname = \xff\xfe\n",
+     "cannot read config {path}: 'utf-8' codec can't decode byte 0xff in position 20"),
+    (b"name = pam-oracle\n", "malformed config {path}: File contains no section headers.; "
+                            "file: '{path}', line: 1; 'name = pam-oracle\\n'"),
+], ids=["not-utf-8", "no-section-header"])
+def test_validate_refuses_unreadable_config_text_with_one_line(tmp_path, capsys, content,
+                                                                message):
+    # were a UnicodeDecodeError traceback with exit 1, and three lines on stderr
+    path = tmp_path / "bad.ini"
+    path.write_bytes(content)
+    assert main(["validate", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + message.format(path=path))
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 SCALED = {"kernel.type": "scaled", "kernel.level": None, "kernel.a": "1.0"}
 POWER_3D = {"kernel.type": "power", "kernel.level": None, "kernel.eps": "0.1",
             "kernel.alpha": "4.0", "grid.d": "3", "grid.h": "0.5"}
@@ -371,6 +389,14 @@ def _no_mc_section(data):  # hashed as recorded, so only the section check refus
     data["config_hash"] = hashlib.sha256(data["config_text"].encode()).hexdigest()
 
 
+def _listed_versions(data):  # was an AttributeError traceback, exit 1
+    data["versions"] = []
+
+
+def _null_config_text(data):  # was a TypeError traceback, exit 1
+    data["config_text"] = None
+
+
 def _drifted_scipy(data):
     data["versions"]["scipy"] = "0.0.1"
 
@@ -380,19 +406,28 @@ def _tampered_seed(data):  # not canonical either, so the refusal shows a diff
 
 
 @pytest.mark.parametrize("edit, message", [
-    (None, "error: cannot load manifest "),
+    (b'{"experiment": "threshold-table", "seed"', "error: cannot load manifest {manifest}: "),
     (_no_config_hash, "error: manifest missing field 'config_hash'"),
-    (_unparseable_text, "error: manifest config text unparseable: "),
+    # configparser's own three lines, which name where it stopped, joined into one
+    (_unparseable_text, "error: manifest config text unparseable: File contains no section "
+                        "headers.; file: '<string>', line: 1; '[mc\\n'"),
     (_no_mc_section, "error: missing config sections: mc"),  # was a NoSectionError traceback
     (_drifted_scipy, "error: version mismatch, refusing to replay: scipy: recorded 0.0.1 != "),
     (_tampered_seed, "error: config hash mismatch, refusing to replay (recorded "),
+    # the four below were tracebacks with exit 1
+    (b'{"experiment": "\xff\xfe"}',
+     "error: cannot load manifest {manifest}: 'utf-8' codec can't decode byte 0xff"),
+    (b"5", "error: manifest {manifest} is not a JSON object"),
+    (_listed_versions, "error: manifest field 'versions' must be dict, got list"),
+    (_null_config_text, "error: manifest field 'config_text' must be str, got NoneType"),
 ], ids=["not-json", "missing-field", "unparseable-config", "missing-section", "version-drift",
-        "hash-mismatch"])
+        "hash-mismatch", "not-utf-8", "not-an-object", "versions-not-an-object",
+        "config-text-not-a-string"])
 def test_every_replay_refusal_exits_2_with_one_error_line(tmp_path, capsys, recorded_manifest,
                                                           edit, message):
     path = tmp_path / "manifest.json"
-    if edit is None:
-        path.write_text('{"experiment": "threshold-table", "seed"')
+    if isinstance(edit, bytes):
+        path.write_bytes(edit)
     else:
         data = json.loads(json.dumps(recorded_manifest))
         edit(data)
@@ -401,13 +436,11 @@ def test_every_replay_refusal_exits_2_with_one_error_line(tmp_path, capsys, reco
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
-    assert lines[0].startswith(message)
+    assert lines[0].startswith(message.format(manifest=path))
     assert [line for line in lines if line.startswith("error:")] == lines[:1]
     if edit is _tampered_seed:  # the recorded text against its canonical form
         assert lines[1:3] == ["--- recorded", "+++ canonical"]
         assert "-seed=8" in lines and "+seed = 8" in lines
-    elif edit is _unparseable_text:  # configparser's own message names where it stopped
-        assert lines[1:] == ["file: '<string>', line: 1", "'[mc\\n'"]
     else:
         assert len(lines) == 1
 

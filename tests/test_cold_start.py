@@ -3,10 +3,10 @@
 Each run of the `sbmre` command is a fresh interpreter, so what the CLI imports
 is paid on every run.  Every covariance factor is a numpy pivoted Cholesky, so
 building and sampling grid and site factors needs no LAPACK from scipy, and
-the plateau verdict of lyapunov_estimate takes its Student-t quantile from
-the standard library (feynmankac.t_quantile), not from scipy.special.  Only
-the potential quadratures import scipy.integrate (with scipy.optimize), on
-first use.  The probe samples and runs lyapunov_estimate before any
+the plateau verdict of lyapunov_estimate takes its p-value from a
+standard-library Student-t CDF (feynmankac._t_centered_cdf), not from
+scipy.special.  Only the potential quadratures import scipy.integrate (with
+scipy.optimize), on first use.  The probe samples and runs lyapunov_estimate before any
 quadrature, since scipy.integrate may itself import scipy.special.  It runs
 in a fresh process, since other test modules import scipy themselves and
 would hide a broken deferred import.

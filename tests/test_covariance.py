@@ -108,7 +108,7 @@ def test_pair_distances_never_hold_the_coordinate_axis():
 
 def test_scaled_theta_profile_normalization():
     for width in (0.3, 1.0, 8.0):
-        assert ScaledTheta(2.0, width).profile(0.0) == 1.0
+        assert ScaledTheta(1.0, width).envelope(0.0) == 1.0
         assert ScaledTheta(2.0, width).diagonal_value() == 2.0
     assert ScaledTheta(2.0) == ScaledTheta(2.0, 1.0)
     for a, width in ((-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)):
@@ -495,7 +495,7 @@ def test_gaussian_sup_bound_equals_the_probe(profile):
     probe = np.linspace(0.0, 16.0, 4097)
     for a in (0.0, 0.7, 3.0, 16):
         kern = ScaledTheta(a, profile.width)
-        assert kern.diagonal_value() == a * float(np.max(np.abs(profile.profile(probe))))
+        assert kern.diagonal_value() == a * float(np.max(np.abs(profile.envelope(probe))))
 
 
 def test_grid_factor_size_guard():

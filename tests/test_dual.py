@@ -13,7 +13,6 @@ import pytest
 
 from sbmre.covariance import Constant, ScaledTheta
 from sbmre.dual import (
-    DualEvolutionError,
     PoissonClock,
     ThirdMomentReport,
     dual_route_samples,
@@ -212,10 +211,10 @@ def test_march_saves_equal_separate_marches():
 def test_jump_pileup_overflows_with_step_index():
     grid = Grid(dim=1, extent=4.0, cells=8)
     phi = GridFunction.constant(grid, 1.0)
-    with np.errstate(over="ignore"), pytest.raises(DualEvolutionError) as exc:
+    with np.errstate(over="ignore"), pytest.raises(spde.SchemeOverflowError) as exc:
         evolve_dual(phi, 0.01, 1e6, Constant(0.0), SEED, dt=1e-2,
                     field_override=lambda k: 1e9)
-    assert exc.value.step == 1
+    assert exc.value.step == 0
 
 
 def test_jump_count_mean_matches_rate():

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from sbmre import cli, ensemble
-from sbmre.dual import DualEvolutionError
 from sbmre.ensemble import (BATCH_SIZE, batch_jobs, batch_ranges, map_batches, mean_se,
                             run_jobs, stream_rng)
 from sbmre.particles import PopulationBlowupError
@@ -125,7 +124,6 @@ def _raise(error):
 
 @pytest.mark.parametrize("error", [
     SchemeOverflowError("state left the finite range at step 7", 7),
-    DualEvolutionError(8),
     PopulationBlowupError(120, 3, 100),
 ], ids=lambda error: type(error).__name__)
 def test_a_job_error_reaches_the_caller_whole_from_a_pool(error):

@@ -12,15 +12,15 @@ import numpy as np
 import pytest
 
 from sbmre import feynmankac
-from sbmre.covariance import Constant, ScaledTheta, _pair_distances, points_covariance_factor
+from sbmre.covariance import Constant, ScaledTheta, _pair_distances
 from sbmre.ensemble import BLOCK_VALUES, WorkerPool, batch_ranges, mean_se, stream_rng
 from sbmre.feynmankac import (
     AtomicMeasure,
     _CHUNK,
     MCConfig,
     _diagonal_time_integral,
+    _t_centered_cdf,
     _pair_paths,
-    annealed_moment_w,
     first_moment_rhs,
     ldp_tail_probe,
     ldp_tail_probes,
@@ -29,7 +29,6 @@ from sbmre.feynmankac import (
     pam_second_moment_oracle,
     qtc,
     second_moment_rhs,
-    t_quantile,
     wilson_interval,
 )
 from sbmre.grids import Grid, GridFunction
@@ -304,70 +303,6 @@ def test_pam_oracle_matches_ensemble_two_point_moment():
     assert abs(mean - oracle) < 3 * math.hypot(se, oracle_se)
 
 
-def test_annealed_moments_closed_forms():
-    kern = ScaledTheta(2.0)
-    est, se = annealed_moment_w(kern, 0.8, 1, MCConfig(100, 0.1, SEED))
-    assert est == math.exp(0.4) and se == 0.0
-
-    flat = ScaledTheta(3.0, width=1e8)  # profile 1 to roundoff on these paths
-    est, se = annealed_moment_w(flat, 0.6, 2, MCConfig(500, 0.1, SEED))
-    assert abs(est - math.exp(2 * 0.6)) < 1e-12 * est
-    assert se < 1e-9
-
-    # frozen-path limit: huge amplitude freezes the 1/a paths
-    frozen = ScaledTheta(1e8)
-    est, se = annealed_moment_w(frozen, 0.5, 2, MCConfig(2000, 0.05, SEED))
-    assert abs(est - math.exp(1.0)) < 1e-3 * math.exp(1.0)
-
-    # positive profiles force every moment above the independent-field floor
-    est, se = annealed_moment_w(ScaledTheta(2.0), 0.5, 3, MCConfig(2000, 0.05, SEED))
-    assert est >= math.exp(3 * 0.25)
-
-    for bad_k in (0, 5):
-        with pytest.raises(ValueError):
-            annealed_moment_w(kern, 0.5, bad_k, MCConfig(100, 0.1, SEED))
-    with pytest.raises(ValueError):
-        annealed_moment_w(Constant(1.0), 0.5, 2, MCConfig(100, 0.1, SEED))
-    with pytest.raises(ValueError):
-        annealed_moment_w(ScaledTheta(0.0), 0.5, 2, MCConfig(100, 0.1, SEED))
-
-
-def annealed_moment_bruteforce(kernel: ScaledTheta, t: float, k: int, mc: MCConfig,
-                               dim: int = 1) -> tuple:
-    """Double Monte Carlo oracle for annealed_moment_w: sample the environment along the paths.
-
-    For each replica, k independent slow paths (diffusivity 1/a) are drawn
-    and the white-in-time field is sampled slice by slice at the current
-    positions, jointly Gaussian with the profile covariance; the product of
-    the k exponentials estimates the same moment by an independent mechanism.
-    """
-    profile_kernel = ScaledTheta(1.0, kernel.width)
-    m = mc.steps_for(t)
-    root_dt = math.sqrt(mc.dt / kernel.a)
-    values = []
-    for c, lo, hi in batch_ranges(mc.n_paths, 4096):
-        rng = stream_rng(mc.seed, (3, c))
-        for _ in range(lo, hi):
-            inc = rng.standard_normal((k, m, dim)) * root_dt
-            left = np.concatenate([np.zeros((k, 1, dim)), np.cumsum(inc[:, :-1], axis=1)],
-                                  axis=1)
-            eta = np.zeros(k)
-            for step in range(m):
-                eta += points_covariance_factor(profile_kernel, left[:, step]).sample(rng, mc.dt)
-            values.append(math.exp(eta.sum()))
-    return mean_se(np.array(values))
-
-
-def test_annealed_bruteforce_double_mc_agrees():
-    kern = ScaledTheta(2.0)
-    mc_fast = MCConfig(20000, 0.025, SEED)
-    mc_slow = MCConfig(1500, 0.025, SEED + 1)
-    fast, fast_se = annealed_moment_w(kern, 0.25, 2, mc_fast)
-    brute, brute_se = annealed_moment_bruteforce(kern, 0.25, 2, mc_slow)
-    assert brute_se > 0
-    assert abs(fast - brute) < 5 * math.hypot(fast_se, brute_se)
-
-
 def test_wilson_interval_values():
     low, high = wilson_interval(50, 100)
     assert abs(low - 0.4039) < 5e-4 and abs(high - 0.5961) < 5e-4
@@ -379,26 +314,18 @@ def test_wilson_interval_values():
         wilson_interval(6, 5)
 
 
-def test_t_quantile_matches_scipy():
+def test_t_centered_cdf_matches_scipy():
     from scipy.special import stdtrit
 
     for nu in range(1, 301):
         for p in (0.9, 0.975, 0.995):
-            ours, theirs = t_quantile(p, nu), float(stdtrit(nu, p))
-            assert abs(ours - theirs) <= 1e-12 * abs(theirs), (nu, p, ours, theirs)
-    assert abs(t_quantile(0.025, 4) + t_quantile(0.975, 4)) < 1e-13
-    assert abs(t_quantile(0.5, 7)) < 1e-300
-    # closed forms: Cauchy for nu = 1, t = (2p - 1) sqrt(2 / (1 - (2p - 1)^2)) for nu = 2
-    assert abs(t_quantile(0.9, 1) - math.tan(0.4 * math.pi)) < 1e-13
-    assert abs(t_quantile(0.9, 2) - 0.8 * math.sqrt(2.0 / 0.36)) < 1e-13
-    assert t_quantile(0.995, np.int64(9)) == t_quantile(0.995, 9)
-
-
-@pytest.mark.parametrize("p, nu", [(0.0, 3), (1.0, 3), (-0.1, 3), (1.5, 3), (math.nan, 3),
-                                   (0.9, 0), (0.9, -2), (0.9, 2.5), (0.9, 3.0), (0.9, True)])
-def test_t_quantile_refusals(p, nu):
-    with pytest.raises(ValueError):
-        t_quantile(p, nu)
+            t = float(stdtrit(nu, p))
+            assert abs(_t_centered_cdf(t, nu) - (2 * p - 1)) <= 1e-13, (nu, p, t)
+            assert _t_centered_cdf(-t, nu) == -_t_centered_cdf(t, nu)
+    # closed forms: 2 F(t) - 1 is (2 / pi) atan t for nu = 1 and t / sqrt(2 + t^2) for nu = 2
+    for t in (0.0, 0.3, 1.0, 3.078, 40.0):
+        assert abs(_t_centered_cdf(t, 1) - 2.0 / math.pi * math.atan(t)) < 1e-15
+        assert abs(_t_centered_cdf(t, 2) - t / math.sqrt(2.0 + t * t)) < 1e-15
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -37,6 +37,8 @@ before anything is evaluated.
 Point sets are deduplicated before factoring, so coincident points share one
 field value; in d = 1 the dedup is a plain 1-d np.unique, which gives the
 same rows and inverse as np.unique(axis=0) without its structured-dtype sort.
+Grid cell centers are distinct and already in np.unique's (C) order, so a
+grid factor keeps no index map.
 
 Batches of point sets (points_covariance_factors; a single set is a batch of
 one): the pivoted Cholesky carries a leading set axis.  The sets are padded
@@ -108,7 +110,6 @@ from functools import cached_property
 import numpy as np
 
 JITTER_SCALE = 1e-10
-JITTER_CAP = 1e-8  # bound on any factor's jitter over C(0); a d-dim grid's is about d * 1e-10
 DENSE_LIMIT = 10000  # most distinct points a dense covariance matrix may cover
 
 
@@ -356,21 +357,18 @@ class GaussianFieldFactor:
     dim >= 2, a KroneckerRoot.  A draw takes r normals per field.
     ``index_map`` scatters sampled values back to the original (possibly
     duplicated) points: coincident positions always share one field value.
-    An identity map (every grid factor, the Constant root) is skipped.
+    None (every grid factor, the Constant root) means one value per root row.
     """
 
     def __init__(self, root, index_map, jitter, out_shape=None):
         if not isinstance(root, KroneckerRoot):
             root = np.asarray(root, dtype=float)
         self.root = root
-        self.index_map = np.asarray(index_map, dtype=np.intp)
+        self.index_map = index_map
         self.jitter = float(jitter)
-        self.out_shape = tuple(out_shape) if out_shape is not None else (len(self.index_map),)
-        self._scatter = not np.array_equal(self.index_map, np.arange(self.root.shape[0]))
-
-    @property
-    def n_points(self) -> int:
-        return len(self.index_map)
+        if out_shape is None:
+            out_shape = (len(root if index_map is None else index_map),)
+        self.out_shape = tuple(out_shape)
 
     @cached_property
     def _root_t(self) -> np.ndarray:
@@ -403,7 +401,7 @@ class GaussianFieldFactor:
         z = rng.standard_normal(rank if batch is None else (int(batch), rank))
         vals = self.fields(z)  # (m,) or (batch, m), a fresh array
         vals *= math.sqrt(dt)
-        if self._scatter:
+        if self.index_map is not None:
             vals = vals[..., self.index_map]
         return vals.reshape(vals.shape[:-1] + self.out_shape)
 
@@ -420,16 +418,15 @@ def _pivoted_cholesky(diagonal, column, tol):
     every live set pivots on its largest remaining diagonal entry (the first
     on ties) and writes one root column; a set stops once every remaining
     entry is at most tol >= 0, which holds once its m_b entries are all
-    pivots (they are 0 less roundoff).  Returns (roots, pivots, jitters), one
-    entry per set: the C-ordered (m_b, rank) root, one zero column for rank
-    0; the pivot indices in order; and the largest remaining diagonal entry.
+    pivots (they are 0 less roundoff).  Returns (roots, jitters), one entry
+    per set: the C-ordered (m_b, rank) root, one zero column for rank 0, and
+    the largest remaining diagonal entry.
     It returns None at 64 columns if a batch's full rank would pass _ROOT_CELLS.
     """
     d = np.array(diagonal, dtype=float, ndmin=2)
     sets, width = d.shape
     sizes = np.count_nonzero(d > -np.inf, axis=1)
     rows = np.empty((sets, min(width, 32), width))  # root columns as rows, grown by doubling
-    chosen = np.empty(rows.shape[1::-1], dtype=np.intp)  # set b's pivot k at [k, b]
     ranks = np.zeros(sets, dtype=np.intp)
     jitters = np.zeros(sets)
     # set b's update by its earlier columns goes to updates[b, :m_b]; the
@@ -459,7 +456,6 @@ def _pivoted_cholesky(diagonal, column, tol):
             if k == 64 and sets > 1 and 2 * sets * width * width > _ROOT_CELLS:
                 return None
             rows = np.concatenate((rows, np.empty((sets, grow, width))), axis=1)
-            chosen = np.concatenate((chosen, np.empty((grow, sets), dtype=np.intp)))
             views = None
         if views is None:
             views = [(rows[b, :, :m], updates[b, :m]) for b, m in enumerate(sizes.tolist())]
@@ -474,15 +470,13 @@ def _pivoted_cholesky(diagonal, column, tol):
         col /= s[:, np.newaxis]
         col.ravel()[at] = s
         rows[live, k] = col
-        chosen[k, live] = p
         col *= col
         d -= col
         d.ravel()[at] = 0.0
         k += 1
     roots = [np.ascontiguousarray(rows[b, :r, :m].T) if r else np.zeros((m, 1))
              for b, (r, m) in enumerate(zip(ranks.tolist(), sizes.tolist()))]
-    pivots = [chosen[:r, b].tolist() for b, r in enumerate(ranks.tolist())]
-    return roots, pivots, jitters.tolist()
+    return roots, jitters.tolist()
 
 
 def _factor_points(kernel, point_sets):
@@ -514,7 +508,7 @@ def _factor_points(kernel, point_sets):
         return kernel.envelope(_pair_distances(sites, pivots[:, np.newaxis]))
 
     factored = _pivoted_cholesky(diagonal, column, JITTER_SCALE * scale)
-    return None if factored is None else list(zip(factored[0], factored[2]))
+    return None if factored is None else list(zip(*factored))
 
 
 def require_positive_definite(kernel: CovarianceKernel):
@@ -596,8 +590,7 @@ def points_covariance_factors(kernel: CovarianceKernel, point_sets):
     if isinstance(kernel, Constant):
         # exact rank-1 root of the all-ones matrix times level; no dedup needed
         level = math.sqrt(kernel.level)
-        return ((i, GaussianFieldFactor(np.full((len(points), 1), level),
-                                        np.arange(len(points)), 0.0))
+        return ((i, GaussianFieldFactor(np.full((len(points), 1), level), None, 0.0))
                 for i, points in enumerate(point_sets))
     distinct = []
     for points in point_sets:
@@ -642,11 +635,12 @@ def grid_covariance_factor(kernel: CovarianceKernel, grid) -> GaussianFieldFacto
     axis_kernel = kernel.axis_kernel(grid.dim)
     if axis_kernel is None:
         factor = points_covariance_factor(kernel, grid.points())
-        factor.out_shape = grid.shape
+        # the cells are distinct and in np.unique's order: its map is the identity
+        factor.index_map, factor.out_shape = None, grid.shape
         return factor
     ((root, jitter),) = _factor_points(axis_kernel, [grid.axis()[:, np.newaxis]])
     if grid.dim > 1:
         root = KroneckerRoot(root, grid.dim)
         c = axis_kernel.diagonal_value()
         jitter = c**grid.dim - (c - jitter) ** grid.dim
-    return GaussianFieldFactor(root, np.arange(grid.n_points), jitter, grid.shape)
+    return GaussianFieldFactor(root, None, jitter, grid.shape)

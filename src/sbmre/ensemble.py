@@ -31,7 +31,6 @@ raise FloatingPointError on a non-finite value before they reduce.
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
 
 import numpy as np
 
@@ -77,7 +76,6 @@ class WorkerPool:
         self.workers = workers
         self._size = 1
         self._pool = None
-        self._stack = ExitStack()
 
     def run(self, jobs: list) -> list:
         """[fn(*args) for fn, *args in jobs], in order; in-process when one process is enough."""
@@ -86,12 +84,13 @@ class WorkerPool:
             return [_run(job) for job in jobs]
         if size > self._size:
             self.close()
-            self._pool = self._stack.enter_context(ProcessPoolExecutor(max_workers=size))
+            self._pool = ProcessPoolExecutor(max_workers=size)
             self._size = size
         return list(self._pool.map(_run, jobs))
 
     def close(self):
-        self._stack.close()
+        if self._pool is not None:
+            self._pool.shutdown()
         self._size, self._pool = 1, None
 
     def __enter__(self):

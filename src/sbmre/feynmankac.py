@@ -348,11 +348,12 @@ def lyapunov_estimate(kernel: CovarianceKernel, grid: Grid, T: float, dt: float,
                             conclusive=bool(conclusive))
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, n: int) -> tuple:
+    """Wilson score interval for a binomial proportion, at 95 % (z = 1.96)."""
     if n < 1 or not 0 <= successes <= n:
         raise ValueError("need 0 <= successes <= n with n >= 1")
     p = successes / n
+    z = 1.96
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom

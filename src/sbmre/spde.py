@@ -32,9 +32,9 @@ Noise is generated in chunks keyed by (seed, stream_key, chunk index) and is
 regenerable: replaying a NoisePath, or sharing one between solvers, yields
 bit-identical increments.  That determinism is what makes the pathwise
 comparison inequalities between the two equations testable at 1e-12.  Only
-the steps a march reads are drawn, in blocks that double from the start of
-each chunk up to ensemble.BLOCK_VALUES values (or one step, when a step
-holds more), so a march of n steps draws at most n steps plus its last block.
+the steps a march reads are drawn, in blocks of ensemble.BLOCK_VALUES values
+(or one step, when a step holds more) from the start of each chunk, so a
+march of n steps draws at most n steps plus its last block.
 
 Routes that share a NoisePath march as one stack (solve_routes): a state
 shaped (n_routes, n_replicas, *grid.shape) takes, per step, one increment,
@@ -83,11 +83,10 @@ class NoisePath:
     chunk c draws from the stream (seed, stream_key, c), one row of normals
     per step and replica, so its steps are a prefix-stable sequence.  Only
     the steps read are drawn: the path keeps the live generator of the chunk
-    it is reading and draws that chunk in blocks of 1, 2, 4, ... steps from
-    its start, never past its end and never past `block_steps`, the steps
-    that fit in BLOCK_VALUES values (one at least), keeping only the block
-    drawn last, so memory stays at one cache-sized block however long the
-    path.  The blocks of a chunk always fall at the same steps, so an
+    it is reading and draws that chunk in blocks of `block_steps` steps from
+    its start, the steps that fit in BLOCK_VALUES values (one at least),
+    never past the chunk's end, keeping only the block drawn last, so memory
+    stays at one cache-sized block however long the path.  The blocks of a chunk always fall at the same steps, so an
     increment does not depend on how it was reached: reading a step before
     the kept block, or in another chunk, regenerates that chunk from its
     key, and any increment replays bit-identically, in this NoisePath or
@@ -133,8 +132,7 @@ class NoisePath:
         if c != self._chunk or offset < self._drawn - len(self._block):
             self._rng, self._drawn = stream_rng(self.seed, self.stream_key + (c,)), 0
         while offset >= self._drawn:
-            size = min(2 * len(self._block) if self._drawn else 1,
-                       self.chunk_steps - self._drawn, self.block_steps)
+            size = min(self.chunk_steps - self._drawn, self.block_steps)
             # until the block is in: a draw that raises leaves no half state, and
             # the old block is freed before the new one is drawn
             self._chunk, self._block = None, None
@@ -203,17 +201,15 @@ class PamSolution:
 
     grid: Grid
     dt: float
-    correction: bool
     times: np.ndarray
     values: np.ndarray
 
 
 @dataclass
 class StratonovichSolution(PamSolution):
-    """Identity-route solution with the direct-scheme values kept alongside."""
+    """Identity-route solution with its largest gap to the direct route."""
 
     route_gap: float = 0.0
-    direct_values: np.ndarray = None
 
 
 @dataclass
@@ -252,10 +248,7 @@ def _resolve_steps(T: float, dt: float) -> int:
 def _save_indices(n_steps: int, save_every) -> np.ndarray:
     if save_every is None:
         return np.array([0, n_steps])
-    k = int(save_every)
-    if k < 1:
-        raise ValueError(f"save_every must be >= 1, got {save_every}")
-    idx = list(range(0, n_steps + 1, k))
+    idx = list(range(0, n_steps + 1, require_count("save_every", save_every)))
     if idx[-1] != n_steps:
         idx.append(n_steps)
     return np.array(idx)
@@ -373,21 +366,18 @@ def solve_routes(f: GridFunction, T: float, noise: NoisePath, routes,
     return idx * noise.dt, np.stack(saves, axis=1)
 
 
-def solve_pam(f: GridFunction, T: float, noise: NoisePath, save_every=None,
-              correction: bool = True) -> PamSolution:
+def solve_pam(f: GridFunction, T: float, noise: NoisePath, save_every=None) -> PamSolution:
     """Evolve the linear equation from f >= 0 along the given noise path.
 
-    With the default Ito correction the ensemble mean of the output equals
-    the heat flow of f discretely; correction=False drops the compensator
-    (the direct route of the Stratonovich scheme study).
+    With the Ito correction the ensemble mean of the output equals the heat
+    flow of f discretely.
     """
-    times, vals = solve_routes(f, T, noise, [Route(correction=correction)], save_every)
-    return _solution(noise, times, vals[0], correction)
+    times, vals = solve_routes(f, T, noise, [Route()], save_every)
+    return _solution(noise, times, vals[0])
 
 
-def _solution(noise: NoisePath, times, values, correction: bool = True) -> PamSolution:
-    return PamSolution(grid=noise.grid, dt=noise.dt, correction=correction,
-                       times=times, values=values)
+def _solution(noise: NoisePath, times, values) -> PamSolution:
+    return PamSolution(grid=noise.grid, dt=noise.dt, times=times, values=values)
 
 
 def solve_log_laplace(f: GridFunction, lam: float, T: float, noise: NoisePath,
@@ -424,8 +414,8 @@ def solve_stratonovich_pam(f: GridFunction, kernel: ScaledTheta, T: float,
         raise RouteDisagreementError(
             f"identity and direct routes differ by {gap:.3e} (tolerance {tolerance:.3e})"
         )
-    return StratonovichSolution(grid=noise.grid, dt=noise.dt, correction=True, times=times,
-                                values=tilde, route_gap=gap, direct_values=direct)
+    return StratonovichSolution(grid=noise.grid, dt=noise.dt, times=times, values=tilde,
+                                route_gap=gap)
 
 
 def derivative_quotients(f: GridFunction, lambdas, delta: float, T: float,

@@ -596,11 +596,8 @@ def test_duality_ladder_run_starts_one_process_pool(tmp_path, monkeypatch):
         def __init__(self, max_workers):
             started.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self):
+            pass
 
         def map(self, fn, *iterables):
             return map(fn, *iterables)

@@ -39,7 +39,7 @@ def _matrix(kern, points) -> np.ndarray:
 def _formed_factor(kern, points) -> tuple:
     """(root, jitter) of the pivoted Cholesky fed the rows of the formed matrix."""
     matrix = _matrix(kern, points)
-    (root,), _, (jitter,) = covariance._pivoted_cholesky(
+    (root,), (jitter,) = covariance._pivoted_cholesky(
         matrix.diagonal()[np.newaxis], lambda _, p: matrix[p],
         covariance.JITTER_SCALE * kern.diagonal_value())
     return root, jitter
@@ -217,8 +217,10 @@ def test_the_pivots_alone_miss_an_indefinite_block():
     # has eigenvalue -1; a small diagonal certifies the residual only for a
     # positive definite kernel, which is why a kernel must declare it
     matrix = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-    (root,), (pivots,), (jitter,) = covariance._pivoted_cholesky(
-        matrix.diagonal()[np.newaxis], lambda live, p: matrix[p], 1e-10)
+    pivots = []  # the column callback sees every step's pivots
+    (root,), (jitter,) = covariance._pivoted_cholesky(
+        matrix.diagonal()[np.newaxis], lambda live, p: pivots.extend(p.tolist()) or matrix[p],
+        1e-10)
     assert root.shape == (3, 1) and pivots == [0] and jitter == 0.0
     assert np.abs(matrix - root @ root.T).max() == 1.0
     assert np.linalg.eigvalsh(matrix)[0] == pytest.approx(-1.0)
@@ -243,10 +245,13 @@ def test_pivoted_cholesky_agrees_with_lapack(dim, m, spread):
     points = np.random.default_rng(dim).normal(scale=spread, size=(m, dim))
     matrix = _matrix(kern, points)
     tol = covariance.JITTER_SCALE * kern.diagonal_value()
-    (root,), (pivots,), _ = covariance._pivoted_cholesky(
-        np.full((1, m), kern.diagonal_value()),
-        lambda live, p: kern.envelope(covariance._pair_distances(points, points[p, np.newaxis])),
-        tol)
+    pivots = []  # the column callback sees every step's pivots
+
+    def column(live, p):
+        pivots.extend(p.tolist())
+        return kern.envelope(covariance._pair_distances(points, points[p, np.newaxis]))
+
+    (root,), _ = covariance._pivoted_cholesky(np.full((1, m), kern.diagonal_value()), column, tol)
     _, piv, rank, _ = dpstrf(matrix, lower=1, tol=tol)
     assert 1 < rank < m
     assert root.shape == (m, rank)
@@ -445,12 +450,15 @@ def test_duplicated_points_share_field_value():
     points_covariance_factor(ScaledTheta(1.0), [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]),
 ], ids=["grid-1d", "kronecker-2d", "dense-2d", "constant", "dedup", "dedup-unsorted"])
 def test_sample_scatters_through_the_index_map(factor):
-    # reference: the full gather of the fields, values[..., index_map], of every draw
+    # reference: the full gather of the fields, values[..., index_map], of every
+    # draw; a factor without a map (grids, the Constant root) has one value per root row
     rank = factor.root.shape[1]
     for batch in (None, 5):
         lead = () if batch is None else (batch,)
         z = np.random.default_rng(11).standard_normal(lead + (rank,))
-        ref = (math.sqrt(0.3) * factor.fields(z))[..., factor.index_map]
+        ref = math.sqrt(0.3) * factor.fields(z)
+        if factor.index_map is not None:
+            ref = ref[..., factor.index_map]
         draw = factor.sample(np.random.default_rng(11), dt=0.3, batch=batch)
         assert np.array_equal(draw, ref.reshape(lead + factor.out_shape))
 
@@ -522,8 +530,9 @@ def test_points_factor_size_guard(monkeypatch):
     with pytest.raises(ValueError, match="5 distinct points"):
         points_covariance_factor(ScaledTheta(a=1.0), pts)
     # the limit counts distinct points; the rank-1 Constant root is never dense
-    assert points_covariance_factor(ScaledTheta(a=1.0), np.repeat(pts[:4], 3, axis=0)).n_points == 12
-    assert points_covariance_factor(Constant(1.0), pts).n_points == 5
+    assert points_covariance_factor(ScaledTheta(a=1.0),
+                                    np.repeat(pts[:4], 3, axis=0)).out_shape == (12,)
+    assert points_covariance_factor(Constant(1.0), pts).out_shape == (5,)
     with pytest.raises(ValueError, match="grid cells"):
         grid_covariance_factor(StationaryPower(0.8, 2.0), Grid(1, 2.0, 6))
 
@@ -598,7 +607,7 @@ def test_separable_jitter_is_the_diagonal_change():
     assert axis.root.shape[1] < 16
     assert 0.0 < axis.jitter <= covariance.JITTER_SCALE * kern.axis_kernel(3).diagonal_value()
     assert factor.jitter == pytest.approx(8.0 - (2.0 - axis.jitter) ** 3, rel=1e-12)
-    assert 0.0 < factor.jitter <= covariance.JITTER_CAP * kern.diagonal_value()
+    assert 0.0 < factor.jitter <= 1e-8 * kern.diagonal_value()
     axis_diag = np.sum(factor.root.axis_root**2, axis=1)
     deficit = kern.diagonal_value() - np.min(axis_diag) ** 3
     assert deficit == pytest.approx(factor.jitter, rel=1e-3)

@@ -73,11 +73,8 @@ def serial_pools(monkeypatch, jobs: list = None) -> list:
         def __init__(self, max_workers):
             asked.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self):
+            pass
 
         def map(self, fn, *iterables):
             if jobs is not None:

@@ -21,6 +21,7 @@ from sbmre.grids import Grid, GridFunction
 from sbmre.heatkernel import apply_heat_semigroup, apply_spectral_multiplier, heat_multiplier
 from sbmre.spde import (
     NoisePath,
+    PamSolution,
     Route,
     RouteDisagreementError,
     SchemeOverflowError,
@@ -138,14 +139,21 @@ def test_march_draws_at_most_its_reads_plus_the_last_block(monkeypatch):
         noise = NoisePath(grid, ScaledTheta(1.0), dt=1e-3, seed=4, n_replicas=replicas,
                           chunk_steps=chunk_steps)
         solve_pam(bump(grid), T, noise)
-        read = round(T / noise.dt) * replicas * grid.n_points  # steps 0..n-1
+        n = round(T / noise.dt)
+        read = n * replicas * grid.n_points  # steps 0..n-1
         assert read <= sum(drawn) <= read + drawn[-1]
-        # the first block is one step; whole chunks are drawn only when read through
-        assert drawn[0] == replicas * grid.n_points
+        # the first block is block_steps steps, or the chunk when it is shorter
+        assert drawn[0] == min(noise.block_steps, noise.chunk_steps) * replicas * grid.n_points
         # no block outgrows BLOCK_VALUES values, or one step when a step holds more
         assert max(drawn) <= max(BLOCK_VALUES, replicas * grid.n_points)
-        chunks = -(-round(T / noise.dt) // noise.chunk_steps)
-        assert sum(drawn) < chunks * noise.chunk_steps * replicas * grid.n_points
+        # blocks of block_steps from each chunk's start, up to the last one read
+        assert drawn == [min(noise.block_steps, noise.chunk_steps - start) * read // n
+                         for c in range(0, n, noise.chunk_steps)
+                         for start in range(0, min(noise.chunk_steps, n - c), noise.block_steps)]
+        # whole chunks are drawn only when read through, or when one block covers them
+        chunks = -(-n // noise.chunk_steps)
+        if noise.block_steps < noise.chunk_steps:
+            assert sum(drawn) < chunks * noise.chunk_steps * replicas * grid.n_points
 
 
 @pytest.mark.parametrize("grid, replicas, chunk_steps, block_steps",
@@ -206,10 +214,12 @@ def test_stacked_routes_equal_separate_solves(grid):
     routes = [Route(), Route(0.7, reaction=True), Route(correction=False),
               Route(1.3, reaction=True), Route(2.0, reaction=True)]
     times, stacked = solve_routes(f, 0.2, noise, routes, save_every=6)
+    direct_times, (direct,) = solve_routes(f, 0.2, noise, [Route(correction=False)],
+                                           save_every=6)
     alone = [
         solve_pam(f, 0.2, noise, save_every=6),
         solve_log_laplace(f, 0.7, 0.2, noise, save_every=6),
-        solve_pam(f, 0.2, noise, save_every=6, correction=False),
+        PamSolution(grid, noise.dt, direct_times, direct),
         solve_log_laplace(f, 1.3, 0.2, noise, save_every=6),
         solve_log_laplace(f, 2.0, 0.2, noise, save_every=6),
     ]
@@ -400,7 +410,7 @@ def test_overflow_aborts_with_step_index():
     noise = NoisePath(grid, ScaledTheta(1e8), dt=1e-2, seed=8)
     with np.errstate(over="ignore"):
         with pytest.raises(SchemeOverflowError) as exc:
-            solve_pam(f, 1.0, noise, correction=False)
+            solve_routes(f, 1.0, noise, [Route(correction=False)])
     assert exc.value.step >= 0
 
 
@@ -442,7 +452,9 @@ def test_stratonovich_routes_agree_and_lift_mean():
     sol = solve_stratonovich_pam(f, kern, 1.0, noise)
     assert sol.route_gap < 1e-3  # contract tolerance
     assert sol.route_gap < 1e-9  # constant-diagonal degeneracy, see docstring
-    assert sol.direct_values.shape == sol.values.shape
+    _, (direct,) = solve_routes(f, 1.0, noise, [Route(correction=False)])
+    assert direct.shape == sol.values.shape
+    assert sol.route_gap == np.abs(sol.values - direct).max() / np.abs(direct).max()
 
     zero = ScaledTheta(0.0)
     fz = bump(grid, width=0.4)
@@ -477,7 +489,7 @@ def test_solution_layout_validation_and_metadata():
     sol = solve_pam(f, 1.03, noise, save_every=25)
     assert np.allclose(sol.times, [0.0, 0.25, 0.5, 0.75, 1.0, 1.03])
     assert sol.values.shape == (6, 3, 64)
-    assert sol.grid == grid and sol.dt == 1e-2 and sol.correction
+    assert sol.grid == grid and sol.dt == 1e-2
     assert np.array_equal(sol.values[0, 1], f.values)  # every replica starts at f
     assert sol.values.min() >= 0.0
 
@@ -487,8 +499,9 @@ def test_solution_layout_validation_and_metadata():
         solve_pam(f, 0.0, noise)
     with pytest.raises(ValueError):
         solve_pam(f, 0.0155, noise)
-    with pytest.raises(ValueError):
-        solve_pam(f, 0.1, noise, save_every=0)
+    for save_every in (0, 2.5, True):  # 2.5 saved every 2 steps, True every step
+        with pytest.raises(ValueError, match="save_every"):
+            solve_pam(f, 0.1, noise, save_every=save_every)
     with pytest.raises(ValueError):
         solve_pam(bump(Grid(1, 8.0, 32)), 0.1, noise)
     with pytest.raises(ValueError):

@@ -37,8 +37,6 @@ before anything is evaluated.
 Point sets are deduplicated before factoring, so coincident points share one
 field value; in d = 1 the dedup is a plain 1-d np.unique, which gives the
 same rows and inverse as np.unique(axis=0) without its structured-dtype sort.
-Grid cell centers are distinct and already in np.unique's (C) order, so a
-grid factor keeps no index map.
 
 Batches of point sets (points_covariance_factors; a single set is a batch of
 one): the pivoted Cholesky carries a leading set axis.  The sets are padded
@@ -361,8 +359,6 @@ class GaussianFieldFactor:
     """
 
     def __init__(self, root, index_map, jitter, out_shape=None):
-        if not isinstance(root, KroneckerRoot):
-            root = np.asarray(root, dtype=float)
         self.root = root
         self.index_map = index_map
         self.jitter = float(jitter)

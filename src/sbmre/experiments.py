@@ -21,9 +21,9 @@ out is filled in with its default at load, so the body reads
 `cfg.params[key]`.  The runner also calls check_runnable at load, which
 refuses (ConfigError, exit 2) a kernel or grid an experiment cannot run
 (every experiment but threshold-table and persistence-scan samples its
-kernel, so that kernel must be positive definite) and a time, given or
-default, that is not a whole number of its steps, so no experiment body
-checks them.
+kernel, so that kernel must be positive definite), a time that is not a
+whole number of its steps, and the other [params] and [mc] values, given
+or default, that check_runnable names, so no experiment body checks them.
 
 Each experiment calls the layers through their modules (`spde.solve_pam`,
 `dual.third_moment_scan`, ...), never through names bound at import, so a
@@ -51,6 +51,10 @@ _SEED_LEFT = 11
 _SEED_RIGHT = 22
 _GUARD = 1e-9  # roundoff allowance added to k*SE gates (SE can be exactly 0)
 MC_DT = 0.0125  # the pair-path step when [params] mc_dt is absent
+TRIANGLE_N = 200  # moments-triangle's branching scale n, and its starting population
+TRIANGLE_CAP = 2_000_000  # moments-triangle's max_population
+N_LADDER = (10.0, 40.0, 160.0)  # duality-ladder's branching scales
+TAIL_WINDOW = 2.0  # lyapunov-ladder's tail probes read |x| <= window
 # closed-form persistence thresholds 8(d-2)pi^(d/2) / (d 2^d Gamma(d/2-1))
 _THRESHOLD_TARGETS = {3: math.pi / 3.0, 4: math.pi**2 / 4.0, 5: 3.0 * math.pi**2 / 10.0}
 
@@ -103,7 +107,7 @@ def _experiment(name, **kinds):
 
 
 def check_runnable(cfg):
-    """Raise ConfigError if cfg's experiment cannot run its kernel, grid or times."""
+    """Raise ConfigError if cfg's experiment cannot run its kernel, grid, times or params."""
     if cfg.experiment not in ("threshold-table", "persistence-scan"):  # these sample no field
         try:
             require_positive_definite(cfg.kernel)
@@ -111,12 +115,13 @@ def check_runnable(cfg):
                 require_grid_size(cfg.kernel, cfg.grid)
         except ValueError as err:
             raise ConfigError(f"{cfg.experiment}: {err}") from err
+    mc_dt = cfg.params.get("mc_dt", MC_DT)
     for key, kind in PARAMS[cfg.experiment].items():
         if not isinstance(kind, Time):
             continue
         values = cfg.params[key] if kind.kind is tuple else (cfg.params[key],)
         for step in kind.steps:
-            dt = cfg.dt if step == "dt" else cfg.params.get("mc_dt", MC_DT)
+            dt = cfg.dt if step == "dt" else mc_dt
             for value in values:
                 try:
                     spde._resolve_steps(value, dt)
@@ -130,6 +135,20 @@ def check_runnable(cfg):
                               "(power or indicator)")
     if cfg.experiment == "lyapunov-ladder" and not isinstance(cfg.kernel, ScaledTheta):
         raise ConfigError("lyapunov-ladder needs a scaled kernel")
+    window = cfg.params.get("window", TAIL_WINDOW)
+    if cfg.experiment == "lyapunov-ladder" and cfg.grid.extent < 2 * window:
+        raise ConfigError(f"[params] window: |x| <= {window} needs [grid] L >= {2 * window}")
+    if cfg.experiment == "moments-triangle":
+        try:  # the pair-path oracle's diagonal time integral
+            feynmankac.MCConfig(cfg.paths, mc_dt, cfg.seed).strata_for(cfg.params["t"])
+        except ValueError as err:
+            raise ConfigError(f"[mc] paths: {err}") from err
+        cap = particles.population_cap(cfg.kernel, cfg.params.get("cap", TRIANGLE_CAP))
+        if cfg.params.get("n", TRIANGLE_N) > cap:  # n particles start
+            raise ConfigError(f"[params] n: the starting population exceeds the cap {cap}")
+    ladder = cfg.params.get("n_ladder", N_LADDER)
+    if cfg.experiment == "duality-ladder" and min(ladder) < 1:
+        raise ConfigError(f"[params] n_ladder: need branching scale n >= 1, got {min(ladder)}")
 
 
 @_experiment("threshold-table")
@@ -164,13 +183,13 @@ def _particle_batch(bc, t, readout, seed, b, lo, hi):
 @_experiment("moments-triangle", t=Time(1.0, steps=("mc_dt",)), n=int, cap=int, mc_dt=float)
 def _moments_triangle(cfg, pool: WorkerPool) -> list:
     t = cfg.params["t"]
-    scale_n = cfg.params.get("n", 200)
+    scale_n = cfg.params.get("n", TRIANGLE_N)
     f = cfg.readout
     d = cfg.grid.dim
     # unit point mass at the origin is n particles at branching scale n
     bc = particles.BranchingConfig(n=scale_n, dim=d, kernel=cfg.kernel,
                                    initial=np.zeros((scale_n, d)), horizon=t,
-                                   max_population=cfg.params.get("cap", 2_000_000))
+                                   max_population=cfg.params.get("cap", TRIANGLE_CAP))
     parts = map_batches(_particle_batch, cfg.replicas, (bc, t, f, cfg.seed), pool)
     stats = np.concatenate([rows for rows, _ in parts], axis=0)
     breaches = sum(b for _, b in parts)
@@ -375,7 +394,7 @@ def _persistence_scan(cfg, pool: WorkerPool) -> list:
 @_experiment("duality-ladder", t=Time(0.5), n_ladder=tuple, tm_replicas=int, rho=float)
 def _duality_ladder(cfg, pool: WorkerPool) -> list:
     t = cfg.params["t"]
-    ladder = cfg.params.get("n_ladder", (10.0, 40.0, 160.0))
+    ladder = cfg.params.get("n_ladder", N_LADDER)
     tm_replicas = cfg.params.get("tm_replicas", min(cfg.replicas, 40))
     phi = GridFunction.from_callable(cfg.grid, cfg.readout)
     mu = (np.array([1.0]), np.zeros((1, cfg.grid.dim)))
@@ -432,7 +451,7 @@ def _lyapunov_ladder(cfg, pool: WorkerPool) -> list:
     tail_reps = cfg.params.get("tail_replicas", cfg.replicas)
     tail_a = cfg.params.get("tail_a", (2.0, 32.0))
     tail_t = cfg.params["tail_t"]
-    L = cfg.params.get("window", 2.0)
+    L = cfg.params.get("window", TAIL_WINDOW)
     # every growth-rate march and every tail march is one job
     marches = run_jobs(
         [(feynmankac.lyapunov_estimate, ScaledTheta(a, cfg.kernel.width), cfg.grid, T,

@@ -86,6 +86,13 @@ class MCConfig:
     def steps_for(self, t: float) -> int:
         return _resolve_steps(t, self.dt)
 
+    def strata_for(self, t: float) -> int:
+        """steps_for(t), the strata of the diagonal time integral, of two paths at least."""
+        m = self.steps_for(t)
+        if self.n_paths < 2 * m:
+            raise ValueError(f"need at least {2 * m} paths for {m} time strata, got {self.n_paths}")
+        return m
+
 
 @dataclass(frozen=True)
 class AtomicMeasure:
@@ -240,10 +247,7 @@ def _diagonal_time_integral(F, x: np.ndarray, t: float,
     stratum is reduced on its own, as one job on `workers`, and the strata
     combine in quadrature, in stratum order.
     """
-    m = mc.steps_for(t)
-    if mc.n_paths < 2 * m:
-        raise ValueError(
-            f"need at least {2 * m} paths for {m} time strata, got {mc.n_paths}")
+    m = mc.strata_for(t)
     base, rem = divmod(mc.n_paths, m)
     strata = run_jobs([(_diagonal_stratum, F, x, t, kernel, mc, j, base + (1 if j < rem else 0))
                        for j in range(m)], workers)
@@ -262,19 +266,20 @@ def second_moment_rhs(f, nu: AtomicMeasure, t: float,
     First term pairs the weighted pair semigroup with nu (x) nu; second term
     integrates its diagonal restriction, flowed by the heat semigroup, against
     nu over [0, t].  Standard errors of all Monte Carlo pieces combine in
-    quadrature.  The samplers' chunks and strata run on `workers`.
+    quadrature, so each piece has its own streams: pair (i, j) its own seed,
+    and atom i's diagonal term pair (i, i)'s.  Chunks and strata run on `workers`.
     """
     F = pair_product(f)
     value = 0.0
     var = 0.0
     for i, (wi, xi) in enumerate(zip(nu.weights, nu.points)):
+        row = [MCConfig(mc.n_paths, mc.dt, mc.seed + 7919 * (i * len(nu.weights) + j))
+               for j in range(len(nu.weights))]  # strata keys (1, j) miss chunk keys (0, c)
         for j, (wj, xj) in enumerate(zip(nu.weights, nu.points)):
-            est, se = qtc(F, xi, xj, t, kernel,
-                          MCConfig(mc.n_paths, mc.dt, mc.seed + 7919 * (i * len(nu.weights) + j)),
-                          workers)
+            est, se = qtc(F, xi, xj, t, kernel, row[j], workers)
             value += wi * wj * est
             var += (wi * wj * se) ** 2
-        est, se = _diagonal_time_integral(F, xi, t, kernel, mc, workers)
+        est, se = _diagonal_time_integral(F, xi, t, kernel, row[i], workers)
         value += wi * est
         var += (wi * se) ** 2
     return value, math.sqrt(var)
@@ -393,7 +398,6 @@ class TailProbe:
     fraction: float
     interval: tuple
     threshold: float
-    n_replicas: int
 
 
 def ldp_tail_probe(kernel: ScaledTheta, grid: Grid, t: float, L: float, dt: float,
@@ -418,8 +422,6 @@ def ldp_tail_probes(kernel: ScaledTheta, grid: Grid, times, L: float, dt: float,
         raise ValueError("tail probe needs an amplitude-scaled kernel with a > 0")
     if grid.extent < 2 * L:
         raise ValueError(f"grid extent {grid.extent} cannot cover |x| <= {L}")
-    if n_replicas < 1:
-        raise ValueError("need at least one replica")
     noise = NoisePath(grid, kernel, dt, seed, n_replicas=n_replicas)
     finals = pam_states_at(GridFunction.constant(grid, 1.0), times, noise)
     mask = np.abs(grid.axis()) <= L + 1e-12
@@ -432,5 +434,5 @@ def ldp_tail_probes(kernel: ScaledTheta, grid: Grid, times, L: float, dt: float,
         hits = int(np.sum(peaks > threshold))
         probes.append(TailProbe(fraction=hits / n_replicas,
                                 interval=wilson_interval(hits, n_replicas),
-                                threshold=threshold, n_replicas=n_replicas))
+                                threshold=threshold))
     return probes

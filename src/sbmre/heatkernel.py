@@ -165,6 +165,8 @@ def heat_at_points(fn, t: float, points, dim: int) -> np.ndarray:
     nodes per axis; exactness improves rapidly with the node count for smooth fn.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.shape[-1] != dim:
+        raise ValueError(f"points have {points.shape[-1]} coordinates, need dim = {dim}")
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     if t == 0:

@@ -104,13 +104,17 @@ class BranchingConfig:
 
     @property
     def population_cap(self) -> int:
-        """Largest population an epoch may hold: max_population, and at most
-        covariance.DENSE_LIMIT for any kernel but Constant, whose site factor
-        covers at most that many distinct sites and holds m r values, r its
-        numerical rank."""
-        if isinstance(self.kernel, Constant):
-            return self.max_population
-        return min(self.max_population, covariance.DENSE_LIMIT)
+        return population_cap(self.kernel, self.max_population)
+
+
+def population_cap(kernel: CovarianceKernel, max_population: int) -> int:
+    """Largest population an epoch may hold: max_population, and at most
+    covariance.DENSE_LIMIT for any kernel but Constant, whose site factor
+    covers at most that many distinct sites and holds m r values, r its
+    numerical rank."""
+    if isinstance(kernel, Constant):
+        return max_population
+    return min(max_population, covariance.DENSE_LIMIT)
 
 
 @dataclass

@@ -86,15 +86,15 @@ class NoisePath:
     it is reading and draws that chunk in blocks of `block_steps` steps from
     its start, the steps that fit in BLOCK_VALUES values (one at least),
     never past the chunk's end, keeping only the block drawn last, so memory
-    stays at one cache-sized block however long the path.  The blocks of a chunk always fall at the same steps, so an
-    increment does not depend on how it was reached: reading a step before
-    the kept block, or in another chunk, regenerates that chunk from its
-    key, and any increment replays bit-identically, in this NoisePath or
-    another one.  Routes that need the same steps should therefore march
-    together (solve_routes).  Since a chunk's normals are one C-order
-    stream, its blocks hold the fields of one draw of the whole chunk
-    wherever a field does not depend on the draw's row count (rank <= 384;
-    see the draw layout in covariance).
+    stays at one cache-sized block however long the path.  The blocks of a
+    chunk always fall at the same steps, so an increment does not depend on
+    how it was reached: reading a step before the kept block, or in another
+    chunk, regenerates that chunk from its key, and any increment replays
+    bit-identically, in this NoisePath or another one.  Routes that need the
+    same steps should therefore march together (solve_routes).  Since a
+    chunk's normals are one C-order stream, its blocks hold the fields of
+    one draw of the whole chunk wherever a field does not depend on the
+    draw's row count (rank <= 384; see the draw layout in covariance).
     """
 
     def __init__(self, grid: Grid, kernel: CovarianceKernel, dt: float, seed: int,
@@ -199,8 +199,6 @@ class PamSolution:
     even for a single path so ensemble code has one layout.
     """
 
-    grid: Grid
-    dt: float
     times: np.ndarray
     values: np.ndarray
 
@@ -220,7 +218,6 @@ class DerivativePair:
     pointwise sandwich 0 <= quotient <= linear solution hold to roundoff.
     """
 
-    lam: float
     delta: float
     pam: PamSolution
     lower: PamSolution
@@ -373,18 +370,14 @@ def solve_pam(f: GridFunction, T: float, noise: NoisePath, save_every=None) -> P
     flow of f discretely.
     """
     times, vals = solve_routes(f, T, noise, [Route()], save_every)
-    return _solution(noise, times, vals[0])
-
-
-def _solution(noise: NoisePath, times, values) -> PamSolution:
-    return PamSolution(grid=noise.grid, dt=noise.dt, times=times, values=values)
+    return PamSolution(times, vals[0])
 
 
 def solve_log_laplace(f: GridFunction, lam: float, T: float, noise: NoisePath,
                       save_every=None) -> PamSolution:
     """Evolve the log-Laplace equation from lam * f along the given noise path."""
     times, vals = solve_routes(f, T, noise, [Route(lam, reaction=True)], save_every)
-    return _solution(noise, times, vals[0])
+    return PamSolution(times, vals[0])
 
 
 def solve_stratonovich_pam(f: GridFunction, kernel: ScaledTheta, T: float,
@@ -414,8 +407,7 @@ def solve_stratonovich_pam(f: GridFunction, kernel: ScaledTheta, T: float,
         raise RouteDisagreementError(
             f"identity and direct routes differ by {gap:.3e} (tolerance {tolerance:.3e})"
         )
-    return StratonovichSolution(grid=noise.grid, dt=noise.dt, times=times, values=tilde,
-                                route_gap=gap)
+    return StratonovichSolution(times=times, values=tilde, route_gap=gap)
 
 
 def derivative_quotients(f: GridFunction, lambdas, delta: float, T: float,
@@ -429,11 +421,10 @@ def derivative_quotients(f: GridFunction, lambdas, delta: float, T: float,
         raise ValueError(f"delta must be positive, got {delta}")
     routes = [Route()] + [Route(s, reaction=True) for lam in lambdas for s in (lam, lam + delta)]
     times, vals = solve_routes(f, T, noise, routes, save_every)
-    pam = _solution(noise, times, vals[0])
-    return [DerivativePair(lam=lam, delta=delta, pam=pam,
-                           lower=_solution(noise, times, vals[1 + 2 * i]),
-                           upper=_solution(noise, times, vals[2 + 2 * i]))
-            for i, lam in enumerate(lambdas)]
+    pam = PamSolution(times, vals[0])
+    return [DerivativePair(delta=delta, pam=pam, lower=PamSolution(times, vals[1 + 2 * i]),
+                           upper=PamSolution(times, vals[2 + 2 * i]))
+            for i in range(len(lambdas))]
 
 
 def derivative_quotient(f: GridFunction, lam: float, delta: float, T: float,

@@ -187,9 +187,19 @@ def test_scaled_kernel_is_the_gaussian_of_its_width(tmp_path):
      "pam-oracle: 32768 grid cells; dense factorization is limited to 10000"),  # was exit 3
     ({**SCALED, "grid.h": "0.0004"},
      "pam-oracle: 20000 cells per axis; dense factorization is limited to 10000"),
+    ({**SCALED, "experiment.name": "lyapunov-ladder", "params.window": "5.0"},
+     "[params] window: |x| <= 5.0 needs [grid] L >= 10.0"),  # was exit 3 in the tail probes
+    ({"experiment.name": "moments-triangle", "mc.paths": "100", "params.t": "1.0",
+      "params.mc_dt": "0.0125"},
+     "[mc] paths: need at least 160 paths for 80 time strata, got 100"),  # exit 3 after particles
+    ({"experiment.name": "duality-ladder", "params.n_ladder": "0.5, 40"},
+     "[params] n_ladder: need branching scale n >= 1, got 0.5"),  # was exit 3
+    ({"experiment.name": "moments-triangle", "params.cap": "10", "params.n": "200"},
+     "[params] n: the starting population exceeds the cap 10"),  # was exit 3 at epoch 0
 ], ids=["persistence-scan-d1", "persistence-scan-constant", "lyapunov-ladder-constant",
         "pam-oracle-one-path", "pam-oracle-indicator", "pam-oracle-power-alpha-3",
-        "pam-oracle-dense-grid", "pam-oracle-scaled-axis"])
+        "pam-oracle-dense-grid", "pam-oracle-scaled-axis", "lyapunov-ladder-window",
+        "moments-triangle-paths", "duality-ladder-scale", "moments-triangle-cap"])
 def test_validate_refuses_what_the_run_refuses(tmp_path, capsys, overrides, message):
     # each printed "config ok" before; the run then exited 2 or 3
     cfg_path = write_config(tmp_path, **overrides)

@@ -88,6 +88,27 @@ def test_pair_path_oracle_on_a_pool_equals_one_process():
             == second_moment_rhs(f, nu, 0.5, kernel, mc)
 
 
+def test_each_atom_draws_its_diagonal_term_from_its_own_streams(monkeypatch):
+    # every atom's diagonal term drew stratum j from (mc.seed, (1, j)), so two
+    # atoms shared their draws while their SEs were added as independent
+    keys = []
+    stratum = feynmankac._diagonal_stratum
+
+    def spy(F, x, t, kernel, mc, j, n_j):
+        keys.append((mc.seed, j))
+        return stratum(F, x, t, kernel, mc, j, n_j)
+
+    monkeypatch.setattr(feynmankac, "_diagonal_stratum", spy)
+    f, kernel = GaussianBump(center=0.1, width=0.8), ScaledTheta(1.0)
+    mc = MCConfig(200, 0.05, SEED)
+    nu = AtomicMeasure(np.array([0.5, 1.5]), np.array([[0.0], [0.4]]))
+    second_moment_rhs(f, nu, 0.5, kernel, mc)
+    assert len(keys) == 20 and len(set(keys)) == 20
+    keys.clear()  # one atom keeps mc's own seed
+    second_moment_rhs(f, AtomicMeasure.delta(0.0), 0.5, kernel, mc)
+    assert {seed for seed, _ in keys} == {SEED}
+
+
 def test_qtc_deterministic_cases_and_replay():
     mc = MCConfig(5000, 0.1, SEED)
     est, se = qtc(lambda bx, by: np.ones(len(bx)), 0.0, 0.0, 1.0, Constant(0.0), mc)

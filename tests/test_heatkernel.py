@@ -204,6 +204,10 @@ def test_heat_at_points_matches_grid_flow():
     w2 = 0.25
     expected = math.sqrt(w2 / (w2 + 0.5)) * np.exp(-pts[:, 0] ** 2 / (2 * (w2 + 0.5)))
     assert np.max(np.abs(vals - expected)) < 1e-9
+    # a point of another dimension is refused: [[0.7]] in d = 3 read (0.7, 0.7, 0.7)
+    for t, wrong in ((0.5, pts), (0.0, pts), (0.5, [[0.7, 0.0]])):
+        with pytest.raises(ValueError, match="need dim = 3"):
+            heat_at_points(bump, t, wrong, 3)
 
 
 def test_riesz_potential_unit_ball():

@@ -219,7 +219,7 @@ def test_stacked_routes_equal_separate_solves(grid):
     alone = [
         solve_pam(f, 0.2, noise, save_every=6),
         solve_log_laplace(f, 0.7, 0.2, noise, save_every=6),
-        PamSolution(grid, noise.dt, direct_times, direct),
+        PamSolution(direct_times, direct),
         solve_log_laplace(f, 1.3, 0.2, noise, save_every=6),
         solve_log_laplace(f, 2.0, 0.2, noise, save_every=6),
     ]
@@ -342,7 +342,7 @@ def test_sandwich_inequalities_on_shared_noise():
     assert w_min >= -1e-12
     assert gap_min >= -1e-12
     # mass comparison: u(lam) <= lam * v and u(lam) <= u(lam + delta)
-    assert (pair.lower.values - pair.lam * pair.pam.values).max() <= 1e-12
+    assert (pair.lower.values - 0.7 * pair.pam.values).max() <= 1e-12
     assert (pair.lower.values - pair.upper.values).max() <= 1e-12
     # quotient shrinks as lam grows (empirical concavity)
     low = derivative_quotient(f, 0.2, 0.4, 0.3, noise, save_every=100)
@@ -489,7 +489,6 @@ def test_solution_layout_validation_and_metadata():
     sol = solve_pam(f, 1.03, noise, save_every=25)
     assert np.allclose(sol.times, [0.0, 0.25, 0.5, 0.75, 1.0, 1.03])
     assert sol.values.shape == (6, 3, 64)
-    assert sol.grid == grid and sol.dt == 1e-2
     assert np.array_equal(sol.values[0, 1], f.values)  # every replica starts at f
     assert sol.values.min() >= 0.0
 

@@ -78,8 +78,8 @@ multiple of 8 and the draw is sliced back to m; a KroneckerRoot pads its
 first product, of width n, alike.  Above rank 384 a product of 2 to 4 rows
 can still differ from a long draw's rows (OpenBLAS takes another path for
 small products; seen at rank 392 to 512).  spde.NoisePath relies on the
-property: its blocks, capped at ensemble.BLOCK_VALUES values, take the rows
-one draw of the whole chunk would, so the cap moved no increment.  That
+property: its fixed blocks of at most ensemble.BLOCK_VALUES values take the
+rows one draw of the whole chunk would, so blocking moves no increment.  That
 holds because no shipped config's noise factor is above rank 384: the
 largest is 31, a dense root on comparison-suite's 64-cell grid, and the
 KroneckerRoot on spde-3d's 16^3 grid has rank 16 per axis, the width of

@@ -133,11 +133,12 @@ def check_runnable(cfg):
         if not isinstance(cfg.kernel, (StationaryPower, IndicatorBall)):
             raise ConfigError("persistence-scan needs an amplitude-scalable kernel "
                               "(power or indicator)")
-    if cfg.experiment == "lyapunov-ladder" and not isinstance(cfg.kernel, ScaledTheta):
-        raise ConfigError("lyapunov-ladder needs a scaled kernel")
-    window = cfg.params.get("window", TAIL_WINDOW)
-    if cfg.experiment == "lyapunov-ladder" and cfg.grid.extent < 2 * window:
-        raise ConfigError(f"[params] window: |x| <= {window} needs [grid] L >= {2 * window}")
+    if cfg.experiment == "lyapunov-ladder":
+        if not isinstance(cfg.kernel, ScaledTheta):
+            raise ConfigError("lyapunov-ladder needs a scaled kernel")
+        window = cfg.params.get("window", TAIL_WINDOW)
+        if cfg.grid.extent < 2 * window:
+            raise ConfigError(f"[params] window: |x| <= {window} needs [grid] L >= {2 * window}")
     if cfg.experiment == "moments-triangle":
         try:  # the pair-path oracle's diagonal time integral
             feynmankac.MCConfig(cfg.paths, mc_dt, cfg.seed).strata_for(cfg.params["t"])
@@ -146,9 +147,10 @@ def check_runnable(cfg):
         cap = particles.population_cap(cfg.kernel, cfg.params.get("cap", TRIANGLE_CAP))
         if cfg.params.get("n", TRIANGLE_N) > cap:  # n particles start
             raise ConfigError(f"[params] n: the starting population exceeds the cap {cap}")
-    ladder = cfg.params.get("n_ladder", N_LADDER)
-    if cfg.experiment == "duality-ladder" and min(ladder) < 1:
-        raise ConfigError(f"[params] n_ladder: need branching scale n >= 1, got {min(ladder)}")
+    if cfg.experiment == "duality-ladder":
+        low = min(cfg.params.get("n_ladder", N_LADDER))
+        if low < 1:
+            raise ConfigError(f"[params] n_ladder: need branching scale n >= 1, got {low}")
 
 
 @_experiment("threshold-table")

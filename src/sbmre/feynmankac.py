@@ -87,7 +87,7 @@ class MCConfig:
         return _resolve_steps(t, self.dt)
 
     def strata_for(self, t: float) -> int:
-        """steps_for(t), the strata of the diagonal time integral, of two paths at least."""
+        """steps_for(t), one stratum of the diagonal time integral each, of two paths at least."""
         m = self.steps_for(t)
         if self.n_paths < 2 * m:
             raise ValueError(f"need at least {2 * m} paths for {m} time strata, got {self.n_paths}")

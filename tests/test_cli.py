@@ -191,7 +191,7 @@ def test_scaled_kernel_is_the_gaussian_of_its_width(tmp_path):
      "[params] window: |x| <= 5.0 needs [grid] L >= 10.0"),  # was exit 3 in the tail probes
     ({"experiment.name": "moments-triangle", "mc.paths": "100", "params.t": "1.0",
       "params.mc_dt": "0.0125"},
-     "[mc] paths: need at least 160 paths for 80 time strata, got 100"),  # exit 3 after particles
+     "[mc] paths: need at least 160 paths for 80 time strata, got 100"),  # was exit 3, late
     ({"experiment.name": "duality-ladder", "params.n_ladder": "0.5, 40"},
      "[params] n_ladder: need branching scale n >= 1, got 0.5"),  # was exit 3
     ({"experiment.name": "moments-triangle", "params.cap": "10", "params.n": "200"},

@@ -139,21 +139,21 @@ def test_march_draws_at_most_its_reads_plus_the_last_block(monkeypatch):
         noise = NoisePath(grid, ScaledTheta(1.0), dt=1e-3, seed=4, n_replicas=replicas,
                           chunk_steps=chunk_steps)
         solve_pam(bump(grid), T, noise)
-        n = round(T / noise.dt)
-        read = n * replicas * grid.n_points  # steps 0..n-1
+        n, step = round(T / noise.dt), replicas * grid.n_points
+        read = n * step  # steps 0..n-1
         assert read <= sum(drawn) <= read + drawn[-1]
         # the first block is block_steps steps, or the chunk when it is shorter
-        assert drawn[0] == min(noise.block_steps, noise.chunk_steps) * replicas * grid.n_points
+        assert drawn[0] == min(noise.block_steps, noise.chunk_steps) * step
         # no block outgrows BLOCK_VALUES values, or one step when a step holds more
-        assert max(drawn) <= max(BLOCK_VALUES, replicas * grid.n_points)
+        assert max(drawn) <= max(BLOCK_VALUES, step)
         # blocks of block_steps from each chunk's start, up to the last one read
-        assert drawn == [min(noise.block_steps, noise.chunk_steps - start) * read // n
+        assert drawn == [min(noise.block_steps, noise.chunk_steps - start) * step
                          for c in range(0, n, noise.chunk_steps)
                          for start in range(0, min(noise.chunk_steps, n - c), noise.block_steps)]
         # whole chunks are drawn only when read through, or when one block covers them
         chunks = -(-n // noise.chunk_steps)
         if noise.block_steps < noise.chunk_steps:
-            assert sum(drawn) < chunks * noise.chunk_steps * replicas * grid.n_points
+            assert sum(drawn) < chunks * noise.chunk_steps * step
 
 
 @pytest.mark.parametrize("grid, replicas, chunk_steps, block_steps",

@@ -5,7 +5,9 @@ time step dt form a centered Gaussian field with covariance C(x, y) * dt.  All
 kernel variants here are stationary (functions of x - y) and bounded by their
 value C(0) = C(x, x) at the origin (by Cauchy-Schwarz for a covariance; the
 power and indicator envelopes are nonincreasing), which scales the jitter
-budget of every factorization.
+budget of every factorization.  Every envelope g here is radially
+nonincreasing, and each kernel gives int_0^inf s g(s) ds in closed form
+(radial_moment), which is all the persistence potential reads of it.
 
 Factorization strategy: one greedy pivoted Cholesky in numpy, no LAPACK, for
 every factor (particle sites and grid axes alike).  Each step pivots on the
@@ -61,8 +63,9 @@ pass 2^19 cells (4 MB); its sets are then factored in chunks that fit.
 Distances: C(x, y) and every factor column take |x - y| from one formula,
 _pair_distances, which sums the squared coordinate differences one axis at a
 time, in axis order.  So C over m x m pairs never holds an (m, m, d)
-temporary, and its bits equal scipy's cdist, which is not imported:
-scipy.spatial would add a tenth of a second to every cold start.
+temporary, and its bits equal scipy's cdist, against which the tests check
+it; scipy is a test dependency only, and scipy.spatial would add a tenth of a
+second to every cold start.
 
 Draw layout: a draw of k fields takes its normals as z of shape (k, r), one
 row per field, and returns the rows of z @ root^T, shape (k, m), with no
@@ -109,20 +112,6 @@ import numpy as np
 
 JITTER_SCALE = 1e-10
 DENSE_LIMIT = 10000  # most distinct points a dense covariance matrix may cover
-
-
-@dataclass(frozen=True)
-class EnvelopeTraits:
-    """Analytic facts about a radial envelope that quadratures can rely on.
-
-    Every kernel here declares them; ``None`` (the base class's default)
-    means unknown, and the potential routines refuse an envelope that
-    declares neither a divergent potential nor a nonincreasing envelope.
-    """
-
-    divergent_potential: bool = None  # integral of r * g(r) diverges
-    nonincreasing: bool = None
-    support_radius: float = None  # envelope vanishes beyond this radius
 
 
 def _pair_distances(x, y) -> np.ndarray:
@@ -178,8 +167,16 @@ class CovarianceKernel:
         """C(x, x) = C(0), constant by stationarity; also the kernel's supremum."""
         return float(self.envelope(np.zeros(1))[0])
 
-    def envelope_traits(self) -> EnvelopeTraits:
-        return EnvelopeTraits()
+    def radial_moment(self) -> float:
+        """int_0^inf s g(s) ds in closed form, inf where it diverges.
+
+        For a radially nonincreasing envelope g this is the Riesz potential's
+        supremum, taken at the origin, over the unit sphere's area
+        (heatkernel.riesz_potential_sup).  The base class has no closed form
+        and refuses, naming the kernel.
+        """
+        raise ValueError(f"{self!r} declares no closed-form radial moment; only a radially "
+                         "nonincreasing envelope has its potential supremum at the origin")
 
     def axis_kernel(self, dim: int):
         """One-axis kernel c with C(x, y) = prod over dim axes of c(x_i - y_i), or None.
@@ -205,10 +202,8 @@ class Constant(CovarianceKernel):
     def envelope(self, r):
         return np.full_like(np.asarray(r, dtype=float), self.level)
 
-    def envelope_traits(self) -> EnvelopeTraits:
-        return EnvelopeTraits(
-            divergent_potential=self.level > 0, nonincreasing=True
-        )
+    def radial_moment(self) -> float:
+        return math.inf if self.level > 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -233,12 +228,11 @@ class StationaryPower(CovarianceKernel):
     def envelope(self, r):
         return self.eps / (1.0 + np.asarray(r, dtype=float) ** self.alpha)
 
-    def envelope_traits(self) -> EnvelopeTraits:
-        # integral of r * g(r) converges iff alpha > 2
-        return EnvelopeTraits(
-            divergent_potential=self.eps > 0 and self.alpha <= 2,
-            nonincreasing=True,
-        )
+    def radial_moment(self) -> float:
+        # int_0^inf s / (1 + s^alpha) ds = pi / (alpha sin(2 pi / alpha)), finite iff alpha > 2
+        if self.alpha <= 2:
+            return math.inf if self.eps > 0 else 0.0
+        return self.eps * math.pi / (self.alpha * math.sin(2.0 * math.pi / self.alpha))
 
 
 @dataclass(frozen=True)
@@ -271,8 +265,8 @@ class ScaledTheta(CovarianceKernel):
         x *= self.a
         return x
 
-    def envelope_traits(self) -> EnvelopeTraits:
-        return EnvelopeTraits(divergent_potential=False, nonincreasing=True)
+    def radial_moment(self) -> float:
+        return self.a * self.width**2 / 2.0
 
     def axis_kernel(self, dim: int):
         # a exp(-|r|^2 / w^2) = prod_i a^(1/dim) exp(-r_i^2 / w^2)
@@ -284,7 +278,7 @@ class IndicatorBall(CovarianceKernel):
     """Hard-cutoff correlation: C(x, y) = height * 1{|x - y| <= radius}.
 
     Not positive semidefinite in general, so never sampled; the potential
-    routines take its envelope.
+    routines take its radial moment.
     """
 
     radius: float
@@ -298,12 +292,8 @@ class IndicatorBall(CovarianceKernel):
     def envelope(self, r):
         return np.where(np.asarray(r, dtype=float) <= self.radius, self.height, 0.0)
 
-    def envelope_traits(self) -> EnvelopeTraits:
-        return EnvelopeTraits(
-            divergent_potential=False,
-            nonincreasing=True,
-            support_radius=self.radius,
-        )
+    def radial_moment(self) -> float:
+        return self.height * self.radius**2 / 2.0
 
 
 def _padded_transpose(root: np.ndarray) -> np.ndarray:

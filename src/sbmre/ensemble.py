@@ -30,7 +30,6 @@ raise FloatingPointError on a non-finite value before they reduce.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -83,6 +82,9 @@ class WorkerPool:
         if size <= 1:
             return [_run(job) for job in jobs]
         if size > self._size:
+            # imported here: a run that starts no pool never loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             self.close()
             self._pool = ProcessPoolExecutor(max_workers=size)
             self._size = size

@@ -1,16 +1,15 @@
 """Deterministic heat flow and the persistence potential.
 
-Riesz and Green potentials are one-dimensional quadratures, and free-space
-heat flow at points is a Gauss-Hermite quadrature.  Field evolution happens
-on the periodic torus of a Grid via the spectral heat semigroup, which is
-exact for the lattice Laplacian's continuum symbol: multiplication by
-exp(-t|w|^2/2) in Fourier space.  That symbol is a product over the axes, so
-the same operator is the Kronecker power of one 1-d circulant matrix,
-applied as one (n, n) contraction per axis; only a 1-d grid of more than 128
-cells keeps the rfft/irfft pair, which is faster there.  Periodization error
-against whole-space claims is controlled by choosing the extent large
-against sqrt(t); experiments record grid metadata so refinement sensitivity
-can be checked by rerunning.
+Free-space heat flow at points is a Gauss-Hermite quadrature.  Field
+evolution happens on the periodic torus of a Grid via the spectral heat
+semigroup, which is exact for the lattice Laplacian's continuum symbol:
+multiplication by exp(-t|w|^2/2) in Fourier space.  That symbol is a
+product over the axes, so the same operator is the Kronecker power of one
+1-d circulant matrix, applied as one (n, n) contraction per axis; only a 1-d
+grid of more than 128 cells keeps the rfft/irfft pair, which is faster
+there.  Periodization error against whole-space claims is controlled by
+choosing the extent large against sqrt(t); experiments record grid metadata
+so refinement sensitivity can be checked by rerunning.
 
 The persistence check compares the supremum of the Riesz potential of the
 correlation envelope g,
@@ -21,12 +20,12 @@ against the dimension constant 8(d-2)pi^(d/2) / (d 2^d Gamma(d/2-1)).  For
 radial g the potential at radius r reduces by the Newton shell average
 (the mean of |x-y|^(2-d) over the sphere |y|=s equals max(|x|,s)^(2-d)) to
 
-    I(r) = omega_{d-1} [ r^(2-d) int_0^r g(s) s^(d-1) ds + int_r^inf g(s) s ds ],
+    I(r) = omega_{d-1} [ r^(2-d) int_0^r g(s) s^(d-1) ds + int_r^inf g(s) s ds ].
 
-leaving only one-dimensional quadratures.  The potential routines take a
-CovarianceKernel and read its EnvelopeTraits: a declared-divergent envelope
-has theta = inf, a declared radially nonincreasing one has its supremum at
-the origin, theta = I(0), and any other envelope is refused.
+Every kernel's envelope is radially nonincreasing, so the supremum sits at
+the origin, theta = I(0) = omega_{d-1} int_0^inf s g(s) ds, and each kernel
+gives that integral in closed form (CovarianceKernel.radial_moment); no
+potential is integrated numerically, so no run needs scipy.
 """
 
 import math
@@ -40,21 +39,15 @@ __all__ = [
     "apply_heat_semigroup",
     "heat_at_points",
     "persistence_threshold",
-    "riesz_potential",
     "riesz_potential_sup",
     "green_potential_sup",
     "khasminskii_bound",
     "weight_domination_constant",
     "surface_area",
-    "QuadratureError",
 ]
 
 _HERMITE_NODES = 40  # Gauss-Hermite nodes per axis in heat_at_points
 _CONTRACTION_MAX_CELLS = 128  # longest 1-d grid whose heat step is a matrix contraction
-
-
-class QuadratureError(RuntimeError):
-    """A potential quadrature failed to converge within tolerance."""
 
 
 def surface_area(dim: int) -> float:
@@ -192,64 +185,17 @@ def persistence_threshold(dim: int) -> float:
     return 8.0 * (dim - 2) * math.pi ** (dim / 2.0) / (dim * 2.0**dim * gamma)
 
 
-def _quad(fn, a, b, breakpoints=()):
-    from scipy import integrate  # here, not at module import: sampling runs never integrate
-
-    if np.isinf(b):
-        # map the tail through u = 1/s; algebraic decay becomes a bounded
-        # integrand, which quad resolves far better than its built-in
-        # infinite-interval transform
-        pivot = max(1.0, 2.0 * a, *(2.0 * p for p in breakpoints if np.isfinite(p)))
-        head = _quad(fn, a, pivot, breakpoints) if pivot > a else 0.0
-        with np.errstate(over="ignore", under="ignore"):
-            tail, err = integrate.quad(
-                lambda u: fn(1.0 / u) / (u * u), 0.0, 1.0 / pivot, limit=200
-            )
-        val = head + tail
-    else:
-        pts = [p for p in breakpoints if a < p < b]
-        val, err = integrate.quad(fn, a, b, points=pts, limit=200)
-    if not np.isfinite(val) or err > 1e-8 * max(1.0, abs(val)):
-        raise QuadratureError(
-            f"quadrature did not converge on [{a}, {b}]: value {val}, error {err}"
-        )
-    return val
-
-
-def riesz_potential(kernel: cov.CovarianceKernel, dim: int, r: float) -> float:
-    """Shell-reduced radial potential I(r) = int |x-y|^(2-dim) g(|y|) dy at |x| = r."""
-    if dim < 3:
-        raise ValueError(f"Riesz potential requires dim >= 3, got {dim}")
-    traits = kernel.envelope_traits()
-
-    def g(s):
-        return float(np.asarray(kernel.envelope(np.asarray([s], dtype=float)))[0])
-
-    upper = traits.support_radius if traits.support_radius is not None else np.inf
-    breaks = (traits.support_radius,) if traits.support_radius is not None else ()
-    omega = surface_area(dim)
-    tail = _quad(lambda s: g(s) * s, r, max(upper, r), breaks) if upper > r else 0.0
-    if r == 0:
-        return omega * tail
-    inner = _quad(lambda s: g(s) * s ** (dim - 1), 0.0, min(r, upper), breaks)
-    return omega * (r ** (2 - dim) * inner + tail)
-
-
 def riesz_potential_sup(kernel: cov.CovarianceKernel, dim: int) -> float:
     """Supremum over x of the Riesz potential of the kernel's radial envelope.
 
-    Returns inf for envelopes whose potential provably diverges (constant
-    level, power decay with exponent <= 2), and I(0) for radially
-    nonincreasing ones, whose supremum sits at the origin.  An envelope that
-    declares neither trait raises ValueError.
+    The envelope is radially nonincreasing, so the supremum is I(0), the
+    sphere's area times the kernel's closed-form radial_moment: inf for a
+    divergent potential (positive constant level, power decay with exponent
+    <= 2).  A kernel without a closed form raises ValueError naming it.
     """
-    traits = kernel.envelope_traits()
-    if traits.divergent_potential:
-        return math.inf
-    if not traits.nonincreasing:
-        raise ValueError(f"{kernel!r} does not declare a radially nonincreasing envelope; "
-                         "its potential supremum need not sit at the origin")
-    return riesz_potential(kernel, dim, 0.0)
+    if dim < 3:
+        raise ValueError(f"Riesz potential requires dim >= 3, got {dim}")
+    return surface_area(dim) * kernel.radial_moment()
 
 
 def green_potential_sup(kernel: cov.CovarianceKernel, dim: int) -> float:
@@ -289,5 +235,5 @@ def weight_domination_constant(rho: float, t_max: float, dim: int) -> float:
         ratio = float(np.max(flowed.values / phi.values))
         best = max(best, ratio)
     if not np.isfinite(best):
-        raise QuadratureError("weight domination ratio overflowed")
+        raise FloatingPointError("weight domination ratio overflowed")
     return best

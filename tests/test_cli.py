@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sbmre import dual, ensemble
+from sbmre import dual
 from sbmre.cli import ConfigError, ReplayRefusal, load_config, main, replay, run_experiment
 from sbmre.covariance import ScaledTheta
 from sbmre.experiments import EXPERIMENTS, _comparison_batch, _log_laplace_mean_batch
@@ -612,7 +612,7 @@ def test_duality_ladder_run_starts_one_process_pool(tmp_path, monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     cfg_path = write_config(
         tmp_path,
         **{"experiment.name": "duality-ladder", "mc.replicas": "40", "params.t": "0.05",

@@ -140,12 +140,14 @@ def test_positive_definite_is_an_instance_fact():
         assert kern.positive_definite is False
 
 
-def test_gaussian_profiles_of_every_width_have_known_traits():
-    # riesz_potential_sup reads these and refuses an envelope that declares neither
-    for kern in (ScaledTheta(1.0), ScaledTheta(1.0, 2.0)):
-        traits = kern.envelope_traits()
-        assert traits.divergent_potential is False
-        assert traits.nonincreasing is True
+def test_gaussian_profiles_of_every_width_have_a_closed_form_moment():
+    # riesz_potential_sup reads it and refuses a kernel without one:
+    # int_0^inf s a exp(-(s/w)^2) ds = a w^2 / 2
+    for kern, moment in ((ScaledTheta(1.0), 0.5), (ScaledTheta(1.0, 2.0), 2.0),
+                         (ScaledTheta(3.0, 0.5), 0.375)):
+        assert kern.radial_moment() == moment
+    with pytest.raises(ValueError, match="CovarianceKernel"):
+        CovarianceKernel().radial_moment()
 
 
 def test_zero_kernel_factor_is_zero():

@@ -81,7 +81,7 @@ def serial_pools(monkeypatch, jobs: list = None) -> list:
                 jobs.extend(iterables[0])
             return map(fn, *iterables)
 
-    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     return asked
 
 

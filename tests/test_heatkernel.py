@@ -4,7 +4,10 @@ Expected values are frozen from independent oracles: symbolic Gamma-function
 simplification (sympy) for the dimension constants and Green normalizations,
 brute-force 3-d lattice sums for the radial potentials, closed-form Gaussian
 convolutions for the heat flow, and direct quadrature of the heat density for
-the time-integral representation of the Green function.
+the time-integral representation of the Green function.  The closed-form
+potential suprema are checked against riesz_potential, an adaptive scipy
+quadrature of the shell-reduced potential at any radius, which lives here
+because no run integrates a potential.
 """
 
 import math
@@ -18,7 +21,6 @@ from scipy.integrate import quad
 from sbmre.covariance import (
     Constant,
     CovarianceKernel,
-    EnvelopeTraits,
     IndicatorBall,
     ScaledTheta,
     StationaryPower,
@@ -32,7 +34,6 @@ from sbmre.heatkernel import (
     heat_multiplier,
     khasminskii_bound,
     persistence_threshold,
-    riesz_potential,
     riesz_potential_sup,
     surface_area,
     weight_domination_constant,
@@ -78,10 +79,42 @@ class _TruncatedPower(CovarianceKernel):
         r = np.asarray(r, dtype=float)
         return np.where(r <= self.cutoff, self.eps / (1.0 + r**self.alpha), 0.0)
 
-    def envelope_traits(self) -> EnvelopeTraits:
-        return EnvelopeTraits(
-            divergent_potential=False, nonincreasing=True, support_radius=self.cutoff
-        )
+
+def _quad(fn, a, b, breakpoints=()):
+    """Adaptive quadrature of fn on [a, b], asserting convergence to 1e-8 relative."""
+    if np.isinf(b):
+        # map the tail through u = 1/s; algebraic decay becomes a bounded
+        # integrand, which quad resolves far better than its built-in
+        # infinite-interval transform
+        pivot = max(1.0, 2.0 * a, *(2.0 * p for p in breakpoints))
+        head = _quad(fn, a, pivot, breakpoints) if pivot > a else 0.0
+        with np.errstate(over="ignore", under="ignore"):
+            tail, err = quad(lambda u: fn(1.0 / u) / (u * u), 0.0, 1.0 / pivot, limit=200)
+        val = head + tail
+    else:
+        pts = [p for p in breakpoints if a < p < b]
+        val, err = quad(fn, a, b, points=pts, limit=200)
+    assert np.isfinite(val) and err <= 1e-8 * max(1.0, abs(val)), (a, b, val, err)
+    return val
+
+
+def riesz_potential(kernel, dim, r, support_radius=None):
+    """Reference: I(r) = int |x-y|^(2-dim) g(|y|) dy at |x| = r, by shell-reduced quadrature.
+
+    An envelope that vanishes past support_radius is integrated up to it,
+    with the cutoff as a breakpoint.
+    """
+    def g(s):
+        return float(np.asarray(kernel.envelope(np.asarray([s], dtype=float)))[0])
+
+    upper = np.inf if support_radius is None else support_radius
+    breaks = () if support_radius is None else (support_radius,)
+    omega = surface_area(dim)
+    tail = _quad(lambda s: g(s) * s, r, max(upper, r), breaks) if upper > r else 0.0
+    if r == 0:
+        return omega * tail
+    inner = _quad(lambda s: g(s) * s ** (dim - 1), 0.0, min(r, upper), breaks)
+    return omega * (r ** (2 - dim) * inner + tail)
 
 
 def test_threshold_matches_symbolic_simplification():
@@ -221,10 +254,27 @@ def test_riesz_potential_unit_ball():
 def test_riesz_potential_zero_and_monotone_probes():
     zero = Constant(0.0)
     assert riesz_potential_sup(zero, 3) == 0.0
-    ball = IndicatorBall(radius=1.0, height=1.0)
-    at0 = riesz_potential(ball, 3, 0.0)
-    for r in (0.3, 0.9, 2.0, 5.0):
-        assert riesz_potential(ball, 3, r) <= at0 + 1e-12
+    # off the origin the reference potential of a nonincreasing envelope
+    # stays below the closed-form supremum
+    for kern, support in ((IndicatorBall(radius=1.0, height=1.0), 1.0),
+                          (StationaryPower(eps=0.1, alpha=3.0), None)):
+        theta = riesz_potential_sup(kern, 3)
+        for r in (0.3, 0.9, 2.0, 5.0):
+            assert riesz_potential(kern, 3, r, support) < theta
+
+
+@pytest.mark.parametrize("kern", [
+    ScaledTheta(0.1), ScaledTheta(1.0, 2.0), ScaledTheta(3.0, 2.0),
+    StationaryPower(eps=0.1, alpha=3.0), StationaryPower(eps=1.0, alpha=4.0),
+    StationaryPower(eps=0.3, alpha=6.0),
+    IndicatorBall(radius=1.0, height=1.0), IndicatorBall(radius=2.5, height=0.4),
+], ids=repr)
+def test_closed_form_potential_sup_matches_quadrature(kern):
+    # omega_d int_0^inf s g(s) ds at the origin, in d = 3 and 5
+    support = getattr(kern, "radius", None)
+    for dim in (3, 5):
+        theta = riesz_potential_sup(kern, dim)
+        assert abs(theta - riesz_potential(kern, dim, 0.0, support)) < 1e-10 * theta
 
 
 def test_riesz_potential_power_envelope_against_lattice():
@@ -238,7 +288,7 @@ def test_riesz_potential_power_envelope_against_lattice():
     # lattice cross-check on a compactly supported variant; the untruncated
     # tail shrinks only like 1/R so no feasible box reaches 1e-3
     trunc = _TruncatedPower(eps=0.1, alpha=3.0, cutoff=6.0)
-    theta_t = riesz_potential_sup(trunc, 3)
+    theta_t = riesz_potential(trunc, 3, 0.0, trunc.cutoff)
     oracle = lattice_theta_oracle(
         trunc.envelope, np.zeros(3), half_width=6.3, spacing=0.04
     )
@@ -265,8 +315,7 @@ def test_riesz_potential_sup_refuses_an_undeclared_envelope():
             r = np.asarray(r, dtype=float)
             return np.exp(-r * r) * np.cos(3.0 * r)
 
-    kernel = Wavy()  # declares no traits
-    assert kernel.envelope_traits().nonincreasing is None
+    kernel = Wavy()  # has no closed-form radial moment
     with pytest.raises(ValueError, match="nonincreasing"):
         riesz_potential_sup(kernel, 3)
     with pytest.raises(ValueError, match="nonincreasing"):
@@ -310,9 +359,14 @@ def test_green_potential_of_the_unit_ball_and_the_time_integral():
 
 
 def test_riesz_potential_divergent_envelopes():
-    assert riesz_potential_sup(Constant(1.0), 3) == math.inf
-    assert riesz_potential_sup(StationaryPower(eps=0.1, alpha=2.0), 3) == math.inf
-    assert riesz_potential_sup(Constant(0.0), 3) == 0.0
+    for dim in (3, 4):
+        assert riesz_potential_sup(Constant(1.0), dim) == math.inf
+        for alpha in (0.5, 2.0):
+            assert riesz_potential_sup(StationaryPower(eps=0.1, alpha=alpha), dim) == math.inf
+        # a zero amplitude has a zero potential, whatever the decay
+        for zero in (Constant(0.0), StationaryPower(0.0, 2.0), StationaryPower(0.0, 4.0),
+                     ScaledTheta(0.0), IndicatorBall(1.0, 0.0)):
+            assert riesz_potential_sup(zero, dim) == 0.0
 
 
 def test_khasminskii_bound():
@@ -331,6 +385,10 @@ def test_weight_domination_finite():
             assert c >= 1.0
     # short times barely move the weight
     assert weight_domination_constant(2.0, t_max=1e-4, dim=1) < 1.01
+    # a weight that underflows on the box leaves no finite ratio
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="overflowed"):
+            weight_domination_constant(1000.0, t_max=1.0, dim=1)
 
 
 def test_weight_family_shape():

@@ -5,9 +5,9 @@ time step dt form a centered Gaussian field with covariance C(x, y) * dt.  All
 kernel variants here are stationary (functions of x - y) and bounded by their
 value C(0) = C(x, x) at the origin (by Cauchy-Schwarz for a covariance; the
 power and indicator envelopes are nonincreasing), which scales the jitter
-budget of every factorization.  Every envelope g here is radially
-nonincreasing, and each kernel gives int_0^inf s g(s) ds in closed form
-(radial_moment), which is all the persistence potential reads of it.
+budget of every factorization.  Each kernel also gives int_0^inf s g(s) ds
+of its envelope g in closed form (radial_moment), which is all the
+persistence potential reads of it.
 
 Factorization strategy: one greedy pivoted Cholesky in numpy, no LAPACK, for
 every factor (particle sites and grid axes alike).  Each step pivots on the

@@ -44,6 +44,6 @@ def test_every_kernel_has_a_closed_form_radial_moment():
     base = covariance.CovarianceKernel
     kernels = [cls for cls in vars(covariance).values()
                if isinstance(cls, type) and issubclass(cls, base) and cls is not base]
-    assert len(kernels) == 4
+    assert kernels
     for cls in kernels:
         assert cls.radial_moment is not base.radial_moment, cls.__name__
